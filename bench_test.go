@@ -237,7 +237,7 @@ func benchServePoints(n, dim int, seed int64) [][]float64 {
 
 // benchServeBatch measures serve.BatchQuery throughput for one batch of
 // `batch` points per iteration. hot repeats the same batch (engine-cache
-// hits); cold cycles through distinct batches (cache misses, so the win
+// hits, one sweep per point); cold cycles through distinct batches (cache misses, so the win
 // comes from Scratch pooling + worker parallelism alone).
 func benchServeBatch(b *testing.B, batch int, hot bool) {
 	d := benchServeData(500, 3, 2, 4, 42)
@@ -357,8 +357,8 @@ func BenchmarkBatchQ2_Incremental(b *testing.B) { benchBatchQ2CleanWhileQuery(b,
 func BenchmarkBatchQ2_FullSweep(b *testing.B)   { benchBatchQ2CleanWhileQuery(b, false) }
 
 // BenchmarkBatchQ2_ParallelSweep measures the span-parallel sweep on a
-// single-point full sweep (memo disabled, so every op pays the whole SS-DC
-// scan) across worker counts. A one-point batch leaves the entire
+// single-point full sweep (result cache bypassed, so every op pays the whole
+// SS-DC scan) across worker counts. A one-point batch leaves the entire
 // Parallelism budget to the intra-sweep span workers; workers=1 is the
 // sequential baseline the speedup is read against. Answers are bit-identical
 // across rows — only the wall clock moves.

@@ -40,9 +40,10 @@
 //	GET    /v1/datasets                 list registered names
 //	GET    /v1/datasets/{name}          dataset info + engine/scratch pool stats
 //	POST   /v1/datasets/{name}/query    batch CP query {points, k?} → Q1/Q2/entropy per
-//	                                    point; repeats of a cached point answer from its
-//	                                    retained-tree memo, and a client disconnect cancels
-//	                                    the remaining fan-out (499). With
+//	                                    point; a repeated point answers from the result
+//	                                    cache or one sweep of its cached engine, and a
+//	                                    client disconnect cancels the remaining fan-out
+//	                                    (499). With
 //	                                    Accept: application/x-ndjson the results stream
 //	                                    back one JSON line per point, in request order,
 //	                                    as they complete
@@ -64,7 +65,7 @@
 //	                                    also streams NDJSON under the same Accept header
 //	DELETE /v1/clean/{id}               release the session
 //	GET    /v1/stats                    serving + WAL statistics (engine caches and byte
-//	                                    budgets, query-memo reuse, result-cache hit/miss/
+//	                                    budgets, session query-memo reuse, result-cache hit/miss/
 //	                                    bytes counters, fsync count/latency,
 //	                                    segment/snapshot counts, last replay duration)
 //

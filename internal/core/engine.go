@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/big"
 	"sort"
 	"sync"
@@ -706,13 +707,13 @@ func (e *Engine) RelevantRows(k int) []bool {
 	for i := 0; i < n; i++ {
 		ch := int(e.pins[i])
 		if ch >= 0 {
-			worst[i] = e.inst.Sims[i][ch]
+			worst[i] = boundSim(e.inst.Sims[i][ch])
 			best[i] = worst[i]
 			continue
 		}
-		row := e.inst.Sims[i]
-		lo, hi := row[0], row[0]
-		for _, s := range row[1:] {
+		lo, hi := math.Inf(1), math.Inf(-1)
+		for _, s := range e.inst.Sims[i] {
+			s = boundSim(s)
 			if s < lo {
 				lo = s
 			}
@@ -730,4 +731,14 @@ func (e *Engine) RelevantRows(k int) []bool {
 		rel[i] = best[i] >= bound
 	}
 	return rel
+}
+
+// boundSim is s with NaN counted as −Inf. NaN ranks below −Inf in the total
+// order, so the substitution can only turn a strict order into a tie, which
+// RelevantRows keeps relevant: the bound stays sound.
+func boundSim(s float64) float64 {
+	if s != s {
+		return math.Inf(-1)
+	}
+	return s
 }

@@ -26,7 +26,9 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"math"
+	"slices"
+	"sync"
 
 	"repro/internal/dataset"
 	"repro/internal/knn"
@@ -70,13 +72,22 @@ func MustNewInstance(sims [][]float64, labels []int, numLabels int) *Instance {
 }
 
 // InstanceFor computes the similarity view of incomplete dataset d with
-// respect to test point t under the given kernel.
+// respect to test point t under the given kernel. Every row of Sims is a
+// sub-slice of one backing array, allocated once per build rather than once
+// per row.
 func InstanceFor(d *dataset.Incomplete, kernel knn.Kernel, t []float64) *Instance {
+	total := 0
+	for i := range d.Examples {
+		total += d.Examples[i].M()
+	}
+	flat := make([]float64, total)
 	sims := make([][]float64, d.N())
 	labels := make([]int, d.N())
 	for i := range d.Examples {
 		ex := &d.Examples[i]
-		row := make([]float64, ex.M())
+		m := ex.M()
+		row := flat[:m:m]
+		flat = flat[m:]
 		for j, c := range ex.Candidates {
 			row[j] = kernel.Similarity(c, t)
 		}
@@ -104,12 +115,21 @@ func (in *Instance) TotalCandidates() int {
 // MoreSimilar reports whether candidate (i1,j1) is strictly more similar to
 // the test point than (i2,j2) under the package's total order: higher
 // similarity wins; exact ties go to the lexicographically smaller (i,j).
-// The paper assumes no ties ("we can always break a tie by favoring a
-// smaller i and j"); this order realizes that assumption.
+// −0 and +0 tie, and NaN ranks below −Inf and ties with every other NaN, so
+// the order stays a strict total order whatever the kernel returns (a finite
+// input can still overflow to Inf − Inf). The paper assumes no ties ("we can
+// always break a tie by favoring a smaller i and j"); this order realizes
+// that assumption.
 func (in *Instance) MoreSimilar(i1, j1, i2, j2 int) bool {
 	s1, s2 := in.Sims[i1][j1], in.Sims[i2][j2]
-	if s1 != s2 {
-		return s1 > s2
+	if s1 > s2 {
+		return true
+	}
+	if s1 < s2 {
+		return false
+	}
+	if n1, n2 := s1 != s1, s2 != s2; n1 != n2 {
+		return n2 // exactly one NaN: the other side is more similar
 	}
 	if i1 != i2 {
 		return i1 < i2
@@ -122,19 +142,102 @@ type candRef struct {
 	row, cand int32
 }
 
+// simKey maps a similarity to a uint64 whose unsigned order is MoreSimilar's
+// similarity order: −0 becomes +0 (they tie), every NaN becomes 0 (below
+// −Inf, whose key is 0x000F…F), negative values have every bit flipped and
+// non-negative values only the sign bit.
+func simKey(s float64) uint64 {
+	if s != s {
+		return 0
+	}
+	if s == 0 {
+		s = 0 // −0 → +0
+	}
+	b := math.Float64bits(s)
+	if b>>63 != 0 {
+		return ^b
+	}
+	return b | 1<<63
+}
+
+// Radix digits of the scan-order sort: six 11-bit passes cover the 64-bit
+// key. Against eight byte passes this saves two scatters per candidate for a
+// 48 KiB histogram.
+const (
+	radixBits   = 11
+	radixPasses = (64 + radixBits - 1) / radixBits
+	radixMask   = 1<<radixBits - 1
+)
+
+// radixScratch holds sortedCandidates' temporaries between engine builds.
+// Everything but the returned order is garbage the moment a sort ends;
+// reusing it keeps a burst of engine builds from inflating the peak heap.
+type radixScratch struct {
+	hist          [radixPasses][1 << radixBits]int32
+	keys, keysTmp []uint64
+	refs          []candRef
+}
+
+var radixScratchPool = sync.Pool{New: func() any { return new(radixScratch) }}
+
 // sortedCandidates returns every candidate reference ordered by ascending
-// similarity (least similar first), the scan order of the SS algorithms.
+// similarity (least similar first), the scan order of the SS algorithms:
+// a comes before b iff MoreSimilar(b, a). It is a stable LSD radix sort on
+// simKey. Candidates are enumerated in descending (row, cand) order, so
+// stability leaves equal keys with the larger (row, cand) first — exactly
+// MoreSimilar's tie-break. A pass whose digit is the same in every key would
+// be the identity and is skipped.
 func (in *Instance) sortedCandidates() []candRef {
-	out := make([]candRef, 0, in.TotalCandidates())
-	for i, row := range in.Sims {
-		for j := range row {
-			out = append(out, candRef{int32(i), int32(j)})
+	n := in.TotalCandidates()
+	out := make([]candRef, n)
+	if n == 0 {
+		return out
+	}
+	sc := radixScratchPool.Get().(*radixScratch)
+	defer radixScratchPool.Put(sc)
+	sc.keys = slices.Grow(sc.keys[:0], n)[:n]
+	sc.keysTmp = slices.Grow(sc.keysTmp[:0], n)[:n]
+	sc.refs = slices.Grow(sc.refs[:0], n)[:n]
+	keys, keysTmp := sc.keys, sc.keysTmp
+	refs, refsTmp := out, sc.refs
+	p := 0
+	for i := len(in.Sims) - 1; i >= 0; i-- {
+		row := in.Sims[i]
+		for j := len(row) - 1; j >= 0; j-- {
+			keys[p] = simKey(row[j])
+			refs[p] = candRef{int32(i), int32(j)}
+			p++
 		}
 	}
-	// Ascending similarity: a scans before b iff b is more similar than a.
-	sort.Slice(out, func(x, y int) bool {
-		a, b := out[x], out[y]
-		return in.MoreSimilar(int(b.row), int(b.cand), int(a.row), int(a.cand))
-	})
+	hist := &sc.hist
+	*hist = [radixPasses][1 << radixBits]int32{}
+	for _, k := range keys {
+		for d := range hist {
+			hist[d][k>>(radixBits*d)&radixMask]++
+		}
+	}
+	for d := range hist {
+		h := &hist[d]
+		shift := radixBits * d
+		if int(h[keys[0]>>shift&radixMask]) == n {
+			continue
+		}
+		var sum int32
+		for b, c := range h {
+			h[b] = sum
+			sum += c
+		}
+		for x, k := range keys {
+			b := k >> shift & radixMask
+			keysTmp[h[b]] = k
+			refsTmp[h[b]] = refs[x]
+			h[b]++
+		}
+		keys, keysTmp = keysTmp, keys
+		refs, refsTmp = refsTmp, refs
+	}
+	if &refs[0] != &out[0] {
+		copy(out, refs) // an odd number of passes ended in the scratch buffer
+	}
 	return out
 }

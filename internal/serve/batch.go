@@ -27,7 +27,7 @@ type PointResult struct {
 	// Entropy is the Shannon entropy (nats) of the Q2 distribution.
 	Entropy float64 `json:"entropy"`
 	// Fractions is the normalized Q2 answer per label. Treat as read-only:
-	// memoized results share one backing slice across callers.
+	// cached results share one backing slice across callers.
 	Fractions []float64 `json:"fractions"`
 }
 
@@ -77,9 +77,10 @@ func splitParallelism(cfg Config, points int) (batchWorkers, sweepWorkers int) {
 
 // BatchQuery answers Q1/Q2/entropy for every point of the request against
 // the named dataset, fanning the points out across the server's worker
-// budget. Engines come from the per-dataset LRU, Scratches from the shared
-// free list, and repeated queries of a cached point are answered from its
-// retained-tree memo. Canceling ctx — a disconnected HTTP client above all —
+// budget. A repeated point is answered by the result cache when one is
+// configured; otherwise its engine comes from the per-dataset LRU (built on
+// a miss), a Scratch from the shared free list, and a fresh SS-DC sweep
+// answers Q2. Canceling ctx — a disconnected HTTP client above all —
 // stops the fan-out: remaining points are never started, in-flight workers
 // stop at the next point boundary, and the context's error is returned with
 // partial work discarded.
@@ -149,13 +150,7 @@ func (d *Dataset) StreamBatchQuery(ctx context.Context, req BatchRequest, cfg Co
 					return r, nil
 				}
 			}
-			r, err := func() (PointResult, error) {
-				e, ent := pool.engine(req.Points[i])
-				if ent != nil {
-					return pool.queryEntry(ent, k, req.UseMC, sweepWorkers)
-				}
-				return pool.querySweep(e, k, req.UseMC, sweepWorkers)
-			}()
+			r, err := pool.query(pool.engine(req.Points[i]), k, req.UseMC, sweepWorkers)
 			if err == nil && results != nil {
 				results.put(key, r)
 			}
@@ -197,8 +192,8 @@ func queryEngine(e *core.Engine, sc *core.Scratch, k int, useMC bool) (PointResu
 
 // assemblePointResult derives prediction, entropy, and Q1 certainty from an
 // owned Q2 fraction slice (exact MM for binary labels, threshold certainty
-// otherwise). Both the fresh-sweep and retained-memo paths end here, so
-// their answers agree field for field.
+// otherwise). The pooled sweep and the session retained-memo paths both end
+// here, so their answers agree field for field.
 func assemblePointResult(e *core.Engine, k int, fractions []float64) (PointResult, error) {
 	r := PointResult{
 		Prediction: core.ArgmaxProb(fractions),

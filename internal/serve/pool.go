@@ -13,45 +13,27 @@ import (
 // enginePool owns the per-(dataset, K) serving state: a Scratch free list
 // (shape identical across every engine of the dataset) and an LRU of
 // constructed engines keyed by test point, budgeted both by entry count and
-// by approximate bytes (engines plus their retained query memos) through the
-// shared lruBudget accounting. Cached engines carry no pins and are therefore
-// safe for concurrent queries from many goroutines, each with its own
-// Scratch; each entry's retained-tree memo is single-goroutine and guarded by
-// the entry's own mutex.
+// by approximate engine bytes through the shared lruBudget accounting.
+// Cached engines carry no pins, so they are safe for concurrent queries from
+// many goroutines, each with its own Scratch, and every query is a plain
+// sweep: with no pins there is no delta for incremental state to exploit,
+// and repeats are the result cache's job.
 type enginePool struct {
 	ds       *Dataset
 	k        int
 	capacity int
-	noMemo   bool // Config.DisableQueryMemo: ablation baseline
 
 	mu        sync.Mutex
-	cache     *lruBudget[*engineEntry] // guarded by mu
+	cache     *lruBudget[*core.Engine] // guarded by mu
 	scratches *core.ScratchPool        // created on first use; guarded by mu
 
 	builds atomic.Int64 // engines constructed
 	hits   atomic.Int64 // cache hits
 
-	// Span-parallel sweep counters for the memo-less path (querySweep);
-	// retained entries keep their own and are aggregated at Stats time.
+	// Span-parallel sweep counters of the pool's queries.
 	sweepPar    atomic.Int64
 	sweepSpans  atomic.Int64
 	sweepSteals atomic.Int64
-}
-
-// engineEntry is one cached (test point → engine) binding plus its
-// retained-tree query memo: the full PointResult of the last query, keyed by
-// the engine's pin generation, with the underlying core.Retained holding the
-// scan state that makes a post-pin refresh incremental.
-type engineEntry struct {
-	key    string
-	engine *core.Engine
-
-	mu        sync.Mutex // serializes memo/retained use
-	retained  *core.Retained
-	memo      PointResult
-	memoGen   uint64
-	memoMC    bool
-	memoValid bool
 }
 
 // pool returns (creating if needed) the engine pool for K.
@@ -64,8 +46,7 @@ func (d *Dataset) pool(k int, cfg Config) *enginePool {
 			ds:       d,
 			k:        k,
 			capacity: cfg.EngineCacheSize,
-			noMemo:   cfg.DisableQueryMemo,
-			cache:    newLRUBudget[*engineEntry](cfg.EngineCacheSize, cfg.MaxEngineBytes),
+			cache:    newLRUBudget[*core.Engine](cfg.EngineCacheSize, cfg.MaxEngineBytes),
 		}
 		d.pools[k] = p
 	}
@@ -82,22 +63,21 @@ func pointKey(t []float64) string {
 	return string(b)
 }
 
-// engine returns a query engine for test point t, from cache when possible,
-// together with its cache entry (nil when caching is disabled — the engine
-// is then private to the caller). The returned engine may be shared with
-// other goroutines; callers must not pin it.
-func (p *enginePool) engine(t []float64) (*core.Engine, *engineEntry) {
+// engine returns a query engine for test point t, from cache when possible.
+// The returned engine may be shared with other goroutines; callers must not
+// pin it.
+func (p *enginePool) engine(t []float64) *core.Engine {
 	if p.capacity <= 0 {
 		e := core.NewEngine(p.ds.data, p.ds.kernel, t)
 		p.builds.Add(1)
-		return e, nil
+		return e
 	}
 	key := pointKey(t)
 	p.mu.Lock()
-	if ent, ok := p.cache.get(key); ok {
+	if e, ok := p.cache.get(key); ok {
 		p.mu.Unlock()
 		p.hits.Add(1)
-		return ent.engine, ent
+		return e
 	}
 	p.mu.Unlock()
 	// Construction is the expensive part (similarities + candidate sort);
@@ -105,83 +85,23 @@ func (p *enginePool) engine(t []float64) (*core.Engine, *engineEntry) {
 	// duplicate and the first insert wins — wasted work, not a bug.
 	e := core.NewEngine(p.ds.data, p.ds.kernel, t)
 	p.builds.Add(1)
-	ent := &engineEntry{key: key, engine: e}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if cur, inserted := p.cache.put(key, ent, e.ApproxBytes()); !inserted {
-		return cur.engine, cur
-	}
-	return e, ent
+	cur, _ := p.cache.put(key, e, e.ApproxBytes())
+	return cur
 }
 
-// reaccount refreshes an entry's byte estimate after its retained memo grew
-// (term streams expand on first scan) and re-applies the byte budget.
-func (p *enginePool) reaccount(ent *engineEntry, newBytes int64) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.cache.reaccount(ent.key, newBytes)
-}
-
-// queryEntry answers one point through the entry's retained memo: a repeat
-// query at an unchanged pin generation returns the memoized PointResult
-// outright, and a post-pin refresh recomputes Q2 through core.Retained's
-// delta path instead of a full SS-DC sweep. Falls back to a plain sweep when
-// the memo is disabled or the request's UseMC flips modes mid-entry.
-// sweepWorkers > 1 runs any full rescan span-parallel (bit-identical either
-// way); it is the caller's already-budgeted share of Config.Parallelism.
-func (p *enginePool) queryEntry(ent *engineEntry, k int, useMC bool, sweepWorkers int) (PointResult, error) {
-	e := ent.engine
-	if p.noMemo {
-		return p.querySweep(e, k, useMC, sweepWorkers)
-	}
-	ent.mu.Lock()
-	defer ent.mu.Unlock()
-	gen := e.PinGeneration()
-	if ent.memoValid && ent.memoGen == gen && ent.memoMC == useMC {
-		if ent.retained != nil {
-			// Keep the scans-avoided accounting truthful for memo repeats.
-			ent.retained.Counts()
-		}
-		return ent.memo, nil
-	}
-	if ent.retained != nil && ent.retained.UseMC() != useMC {
-		// Mode flip on a warm entry: answer plainly rather than thrash the
-		// retained state between accumulators.
-		return p.querySweep(e, k, useMC, sweepWorkers)
-	}
-	if ent.retained == nil {
-		rt, err := core.NewRetained(e, k, useMC, p.scratchesFor(e))
-		if err != nil {
-			return PointResult{}, err
-		}
-		ent.retained = rt
-	}
-	ent.retained.ConfigureSweep(core.SweepConfig{Workers: sweepWorkers})
-	counts := ent.retained.Counts()
-	r, err := assemblePointResult(e, k, append([]float64(nil), counts...))
-	if err != nil {
-		return r, err
-	}
-	ent.memo, ent.memoGen, ent.memoMC, ent.memoValid = r, gen, useMC, true
-	p.reaccount(ent, e.ApproxBytes()+ent.retained.ApproxBytes())
-	return r, nil
-}
-
-// queryPlain is the memo-less path: borrow a scratch, run the fresh sweep.
-func (p *enginePool) queryPlain(e *core.Engine, k int, useMC bool) (PointResult, error) {
+// query answers both CP queries for an unpinned engine with a fresh SS-DC
+// sweep, span-parallel when sweepWorkers > 1 (the caller's already-budgeted
+// share of Config.Parallelism; bit-identical either way).
+func (p *enginePool) query(e *core.Engine, k int, useMC bool, sweepWorkers int) (PointResult, error) {
 	scratches := p.scratchesFor(e)
-	sc := scratches.Get()
-	defer scratches.Put(sc)
-	return queryEngine(e, sc, k, useMC)
-}
-
-// querySweep is queryPlain with the span-parallel sweep when the caller's
-// parallelism budget allows it, folding the run's counters into the pool.
-func (p *enginePool) querySweep(e *core.Engine, k int, useMC bool, sweepWorkers int) (PointResult, error) {
 	if sweepWorkers <= 1 {
-		return p.queryPlain(e, k, useMC)
+		sc := scratches.Get()
+		defer scratches.Put(sc)
+		return queryEngine(e, sc, k, useMC)
 	}
-	counts, stats, err := e.SweepCounts(k, useMC, core.SweepConfig{Workers: sweepWorkers}, p.scratchesFor(e))
+	counts, stats, err := e.SweepCounts(k, useMC, core.SweepConfig{Workers: sweepWorkers}, scratches)
 	if err != nil {
 		return PointResult{}, err
 	}
@@ -214,20 +134,15 @@ type PoolStats struct {
 	EngineBuilds  int64 `json:"engine_builds"`
 	EngineHits    int64 `json:"engine_hits"`
 	EnginesCached int   `json:"engines_cached"`
-	// EngineBytes is the approximate heap held by cached engines plus their
-	// retained query memos; Evictions counts entries dropped by the entry or
-	// byte budget.
+	// EngineBytes is the approximate heap held by cached engines; Evictions
+	// counts engines dropped by the entry or byte budget.
 	EngineBytes int64 `json:"engine_bytes"`
 	Evictions   int64 `json:"evictions"`
-	// Retained aggregates the retained-tree query-memo counters over the
-	// currently cached entries (evicted entries take their counts with them).
-	Retained core.RetainedStats `json:"retained"`
 	// Plan aggregates the sweep-plan cache counters of the cached engines:
 	// how many span plans were served verbatim, repaired in place, or rebuilt
 	// from scratch (evicted engines take their counts with them).
 	Plan core.PlanStats `json:"plan"`
-	// Sweep aggregates the span-parallel sweep counters: the pool's memo-less
-	// sweeps plus the cached entries' retained rescans.
+	// Sweep aggregates the span-parallel sweep counters of the pool's queries.
 	Sweep         core.SweepStats `json:"sweep"`
 	ScratchGets   int64           `json:"scratch_gets"`
 	ScratchAllocs int64           `json:"scratch_allocs"`
@@ -257,17 +172,11 @@ func (d *Dataset) Stats() []PoolStats {
 		st.EnginesCached = p.cache.len()
 		st.EngineBytes = p.cache.bytes
 		st.Evictions = p.cache.evictions
-		entries := p.cache.values()
+		engines := p.cache.values()
 		scratches := p.scratches
 		p.mu.Unlock()
-		for _, ent := range entries {
-			st.Plan.Add(ent.engine.PlanStats())
-			ent.mu.Lock()
-			if ent.retained != nil {
-				st.Retained.Add(ent.retained.Stats())
-				st.Sweep.Add(ent.retained.SweepStats())
-			}
-			ent.mu.Unlock()
+		for _, e := range engines {
+			st.Plan.Add(e.PlanStats())
 		}
 		if scratches != nil {
 			st.ScratchGets, st.ScratchAllocs = scratches.Stats()

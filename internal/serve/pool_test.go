@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"math"
 	"testing"
 )
 
@@ -94,9 +95,10 @@ func TestConfigDefaultsIdempotent(t *testing.T) {
 	}
 }
 
-// TestQueryMemoRepeatHits checks the per-(dataset, point) retained memo:
-// repeating a batch against an unchanged dataset answers from the memo
-// (full scans stay at one per point) and bit-identically.
+// TestQueryMemoRepeatHits checks repeats against an unchanged dataset
+// without a result cache: every repeat is answered bit-identically by a
+// fresh sweep of the cached engine, which is built once per point and hit
+// on every repeat.
 func TestQueryMemoRepeatHits(t *testing.T) {
 	d := randDataset(t, 40, 3, 2, 2, 0.5, 940)
 	s := NewServer(Config{Parallelism: 2})
@@ -117,17 +119,22 @@ func TestQueryMemoRepeatHits(t *testing.T) {
 		}
 		for i := range first.Results {
 			for y, v := range first.Results[i].Fractions {
-				if again.Results[i].Fractions[y] != v {
-					t.Fatalf("repeat %d point %d: memo answer diverged", rep, i)
+				if math.Float64bits(again.Results[i].Fractions[y]) != math.Float64bits(v) {
+					t.Fatalf("repeat %d point %d: repeat answer diverged", rep, i)
 				}
+			}
+			if again.Results[i].Prediction != first.Results[i].Prediction ||
+				again.Results[i].Certain != first.Results[i].Certain ||
+				math.Float64bits(again.Results[i].Entropy) != math.Float64bits(first.Results[i].Entropy) {
+				t.Fatalf("repeat %d point %d: %+v, first %+v", rep, i, again.Results[i], first.Results[i])
 			}
 		}
 	}
 	st := ds.Stats()[0]
-	if st.Retained.FullScans != int64(len(points)) {
-		t.Fatalf("want exactly one full scan per point, got %+v", st.Retained)
+	if st.EngineBuilds != int64(len(points)) {
+		t.Fatalf("want exactly one engine build per point, got %+v", st)
 	}
-	if st.Retained.MemoHits < int64(3*len(points)) {
-		t.Fatalf("repeats were not memo hits: %+v", st.Retained)
+	if st.EngineHits != int64(3*len(points)) {
+		t.Fatalf("repeats did not hit the cached engines: %+v", st)
 	}
 }

@@ -11,7 +11,7 @@ import (
 // keyed by everything that determines a CP answer — dataset fingerprint,
 // session scope, K, accumulator mode, pin generation, and the test point's
 // exact bit pattern — so a repeated query is answered without touching an
-// engine, a Scratch, or a retained memo at all. It sits in front of
+// engine, a Scratch, or a session's retained memo at all. It sits in front of
 // Dataset.StreamBatchQuery (scope "", generation 0: pooled engines are never
 // pinned, so a dataset-level answer can never go stale) and
 // Session.StreamQuery (scope = session ID, generation = executed-step count:

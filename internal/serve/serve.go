@@ -84,17 +84,18 @@ type Config struct {
 	// engines (0 = DefaultEngineCacheSize, negative = disable caching).
 	EngineCacheSize int
 	// MaxEngineBytes is the approximate heap budget of each per-(dataset, K)
-	// engine LRU — engines plus their retained-tree query memos, byte-counted
-	// rather than entry-counted, so many large engines cannot blow the heap
+	// engine LRU (and of each session's query cache), byte-counted rather
+	// than entry-counted, so many large engines cannot blow the heap
 	// (0 = DefaultMaxEngineBytes, negative = unlimited). The most recently
 	// used entry is always kept, so a single over-budget engine degrades to
 	// cache-of-one instead of thrashing.
 	MaxEngineBytes int64
-	// DisableQueryMemo turns off the retained-tree batch-query memo: every
-	// batch Q2 runs a full SS-DC sweep — the pre-incremental behavior, kept
-	// as the benchmark/ablation baseline (BenchmarkBatchQ2_FullSweep). It
-	// also bypasses the result cache, so the ablation's sweep counters stay
-	// comparable.
+	// DisableQueryMemo turns off the retained-tree memo of session queries:
+	// every session-query Q2 runs a full SS-DC sweep — the pre-incremental
+	// behavior, kept as the benchmark/ablation baseline
+	// (BenchmarkBatchQ2_FullSweep). It also bypasses the result cache for
+	// dataset and session queries alike, so the ablation's sweep counters
+	// stay comparable. Dataset queries always sweep their unpinned engines.
 	DisableQueryMemo bool
 	// ResultCacheBytes enables the server-wide query result cache with this
 	// approximate byte budget: finished PointResults are kept by (dataset
@@ -102,7 +103,7 @@ type Config struct {
 	// so a repeated batch or session query is answered without touching an
 	// engine at all. Unlike the other knobs, 0 does not mean "default" — it
 	// (and any negative value) disables the cache. The cache is opt-in
-	// because a hit skips the engine/memo layers entirely, changing which
+	// because a hit skips the engine and session-memo layers entirely, changing which
 	// /v1/stats counters a repeated query advances.
 	ResultCacheBytes int64
 	// MaxCleanSessions caps concurrently live clean sessions

@@ -7,8 +7,8 @@ import (
 )
 
 // ServerStats is the GET /v1/stats payload: registry and session counts,
-// per-dataset engine-pool counters (cache hits, byte budgets, retained
-// query-memo reuse), the aggregated session query-memo totals, and — for a
+// per-dataset engine-pool counters (cache hits, byte budgets, sweep-plan
+// reuse), the aggregated session query-memo totals, and — for a
 // durable server — the WAL health metrics (fsync count/latency, segment and
 // snapshot counts, last replay cost).
 type ServerStats struct {
