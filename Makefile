@@ -38,7 +38,7 @@ bench:
 # Refresh the committed regression baseline for the pinned sweep benchmarks
 # (same benchmark set and iteration count bench-compare measures against).
 bench-baseline:
-	$(GO) test -run XXX -bench 'SweepPlanCache|ScanPositions|BatchQ2_ParallelSweep' -benchtime 50x -count 5 . ./internal/core/ > bench-baseline.out || (cat bench-baseline.out; exit 1)
+	$(GO) test -run XXX -bench 'Q2_SSDC_K3_N1000|Q2_SSDCMC_K3_N1000_Y2|BatchQ2_Incremental|EngineBuild|Scan' -benchtime 50x -count 5 . ./internal/core/ > bench-baseline.out || (cat bench-baseline.out; exit 1)
 	@cat bench-baseline.out
 	$(GO) run ./internal/tools/benchjson -in bench-baseline.out -out bench/BENCH_baseline.json
 	@rm -f bench-baseline.out

@@ -9,7 +9,6 @@ package repro
 import (
 	"context"
 	"math/rand"
-	"strconv"
 	"testing"
 
 	"repro/internal/cleaning"
@@ -355,84 +354,6 @@ func benchBatchQ2CleanWhileQuery(b *testing.B, incremental bool) {
 
 func BenchmarkBatchQ2_Incremental(b *testing.B) { benchBatchQ2CleanWhileQuery(b, true) }
 func BenchmarkBatchQ2_FullSweep(b *testing.B)   { benchBatchQ2CleanWhileQuery(b, false) }
-
-// BenchmarkBatchQ2_ParallelSweep measures the span-parallel sweep on a
-// single-point full sweep (result cache bypassed, so every op pays the whole
-// SS-DC scan) across worker counts. A one-point batch leaves the entire
-// Parallelism budget to the intra-sweep span workers; workers=1 is the
-// sequential baseline the speedup is read against. Answers are bit-identical
-// across rows — only the wall clock moves.
-func BenchmarkBatchQ2_ParallelSweep(b *testing.B) {
-	d := benchServeData(1500, 4, 3, 4, 71)
-	point := benchServePoints(1, 4, 72)
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run("workers="+strconv.Itoa(workers), func(b *testing.B) {
-			s := serve.NewServer(serve.Config{
-				Parallelism:      workers,
-				SweepWorkers:     workers,
-				DisableQueryMemo: true,
-			})
-			defer s.Close()
-			if _, err := s.Register("bench", d, knn.NegEuclidean{}, 3); err != nil {
-				b.Fatal(err)
-			}
-			ctx := context.Background()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := s.BatchQuery(ctx, "bench", serve.BatchRequest{Points: point}); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			sw := s.Stats().Sweep
-			b.ReportMetric(float64(sw.Spans)/float64(b.N), "spans/op")
-			b.ReportMetric(float64(sw.Steals)/float64(b.N), "steals/op")
-		})
-	}
-}
-
-// --- Sweep-plan cache ---------------------------------------------------------
-
-// benchSweepPlanCache measures the span-parallel SS-DC sweep with the
-// engine's plan cache either cold (pins reset before every sweep, so each
-// iteration pays the full O(N) prefix re-plan) or warm (unchanged pin state,
-// so each iteration reuses the cached span plan verbatim). The delta between
-// the two rows is the prefix walk the plan cache removes; plan-hits/op and
-// plan-misses/op come from the engine's plan-cache counters and pin the cache
-// behavior the rows claim (warm ≥ 1 hit/op, cold ≥ 1 miss/op).
-func benchSweepPlanCache(b *testing.B, warm bool) {
-	inst := benchInstance(4000, 5, 2)
-	e := core.NewEngineFromInstance(inst)
-	pool, err := core.NewScratchPool(e, 3)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := core.SweepConfig{Workers: 4}
-	// Prime the cache so the warm run's first iteration is already a hit.
-	if _, _, err := e.SweepCounts(3, false, cfg, pool); err != nil {
-		b.Fatal(err)
-	}
-	start := e.PlanStats()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if !warm {
-			// Bump the pin generation: the cached plan is stale and the sweep
-			// re-plans from scratch.
-			e.ResetPins()
-		}
-		if _, _, err := e.SweepCounts(3, false, cfg, pool); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	st := e.PlanStats()
-	b.ReportMetric(float64(st.Hits-start.Hits)/float64(b.N), "plan-hits/op")
-	b.ReportMetric(float64(st.Misses-start.Misses)/float64(b.N), "plan-misses/op")
-}
-
-func BenchmarkSweepPlanCache_Cold(b *testing.B) { benchSweepPlanCache(b, false) }
-func BenchmarkSweepPlanCache_Warm(b *testing.B) { benchSweepPlanCache(b, true) }
 
 // --- CPClean ablations --------------------------------------------------------
 

@@ -3,9 +3,8 @@
 // Usage:
 //
 //	cpserve -addr :8080 [-train dirty.csv -name mydata] [-k 3]
-//	        [-max-candidates 125] [-parallelism 0] [-sweep-workers 0]
-//	        [-engine-cache 256] [-max-engine-bytes 1073741824]
-//	        [-result-cache-bytes 67108864]
+//	        [-max-candidates 125] [-parallelism 0] [-engine-cache 256]
+//	        [-max-engine-bytes 1073741824] [-result-cache-bytes 67108864]
 //	        [-max-sessions 64] [-session-ttl 15m]
 //	        [-max-register-bytes 33554432] [-max-body-bytes 8388608]
 //	        [-data-dir /var/lib/cpserve] [-wal-segment-bytes 8388608]
@@ -111,7 +110,6 @@ func main() {
 	k := flag.Int("k", 3, "default K for -train")
 	maxCands := flag.Int("max-candidates", 125, "cap on candidates per row (-train)")
 	parallelism := flag.Int("parallelism", 0, "worker goroutines per batch (0 = GOMAXPROCS)")
-	sweepWorkers := flag.Int("sweep-workers", 0, "span-parallel workers per SS-DC sweep, budgeted against -parallelism (0 or 1 = sequential)")
 	engineCache := flag.Int("engine-cache", 0, "per-dataset engine LRU size (0 = default, <0 = off)")
 	maxEngineBytes := flag.Int64("max-engine-bytes", 0, "byte budget per (dataset, K) engine cache (0 = default 1GiB, <0 = unlimited)")
 	resultCacheBytes := flag.Int64("result-cache-bytes", 64<<20, "byte budget for the server-wide query result cache (≤0 = disabled)")
@@ -154,7 +152,6 @@ func main() {
 	go func() {
 		s, err := serve.Open(serve.Config{
 			Parallelism:      *parallelism,
-			SweepWorkers:     *sweepWorkers,
 			EngineCacheSize:  *engineCache,
 			MaxEngineBytes:   *maxEngineBytes,
 			ResultCacheBytes: *resultCacheBytes,

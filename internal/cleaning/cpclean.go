@@ -59,10 +59,6 @@ type Options struct {
 	MaxSteps int
 	// Parallelism bounds worker goroutines (0 = GOMAXPROCS).
 	Parallelism int
-	// SweepWorkers bounds the span-parallel sweep used when a cold
-	// validation point rescores through its retained tree (0 or 1 =
-	// sequential; answers are bit-identical either way).
-	SweepWorkers int
 	// EvalTestEachStep computes StepInfo.TestAccuracy along the trajectory
 	// (needed for Figure 9 curves; costs one K-NN evaluation per step).
 	EvalTestEachStep bool
@@ -173,7 +169,6 @@ func newRunState(t *Task, opts Options) (*runState, error) {
 		sel, err := selection.New(st.engines, st.certain, pool, selection.Config{
 			K:                  t.K,
 			Parallelism:        st.opts.Parallelism,
-			SweepWorkers:       st.opts.SweepWorkers,
 			UseMC:              st.opts.UseMC,
 			DisableSkipCertain: st.opts.DisableSkipCertain,
 			DisableCache:       st.opts.DisableIncremental,

@@ -275,20 +275,40 @@ func TestEnginePinsMatchPinnedBruteForce(t *testing.T) {
 	}
 }
 
+// TestEngineOverrideEqualsPin checks a per-query override answers exactly
+// (bit for bit) what pinning the row would, for both accumulators, on top of
+// other rows' pins, and without mutating the engine.
 func TestEngineOverrideEqualsPin(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 30; trial++ {
 		inst := randomInstance(rng, 5, 3, 2)
 		k := 1 + rng.Intn(3)
+		useMC := trial%2 == 1
+		counts := func(e *Engine, sc *Scratch, row, cand int) []float64 {
+			if useMC {
+				return append([]float64(nil), e.CountsMC(sc, row, cand)...)
+			}
+			return append([]float64(nil), e.Counts(sc, row, cand)...)
+		}
 		e := NewEngineFromInstance(inst)
 		sc := e.MustScratch(k)
+		if trial%3 == 0 {
+			other := rng.Intn(inst.N())
+			e.SetPin(other, rng.Intn(inst.M(other)))
+		}
 		row := rng.Intn(inst.N())
 		cand := rng.Intn(inst.M(row))
-		viaOverride := append([]float64(nil), e.Counts(sc, row, cand)...)
+		gen, before := e.PinGeneration(), e.Pin(row)
+		viaOverride := counts(e, sc, row, cand)
+		if e.PinGeneration() != gen || e.Pin(row) != before {
+			t.Fatalf("trial %d: override mutated the engine", trial)
+		}
 		e.SetPin(row, cand)
-		viaPin := e.Counts(sc, -1, -1)
-		if d := maxAbsDiff(viaOverride, viaPin); d > 1e-12 {
-			t.Fatalf("trial %d: override %v != pin %v", trial, viaOverride, viaPin)
+		viaPin := counts(e, sc, -1, -1)
+		for y := range viaPin {
+			if viaOverride[y] != viaPin[y] {
+				t.Fatalf("trial %d (mc=%v): override %v != pin %v", trial, useMC, viaOverride, viaPin)
+			}
 		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/big"
 	"sort"
-	"sync"
 
 	"repro/internal/dataset"
 	"repro/internal/knn"
@@ -49,14 +48,6 @@ type Engine struct {
 	// bounded, and a cache older than its tail falls back to a full rescan.
 	pinLog     []PinEvent
 	pinLogBase uint64
-	// planMu guards the sweep-plan cache. Queries may share an unpinned
-	// engine across goroutines, so plan lookups lock; pin mutations are never
-	// concurrent with queries (the SetPin contract), so a plan revalidated at
-	// the current generation stays valid for the whole query and its spans
-	// can be read lock-free by scan workers.
-	planMu    sync.Mutex
-	plans     map[planKey]*SweepPlan // guarded by planMu
-	planStats PlanStats              // guarded by planMu
 }
 
 // PinEvent is one pin mutation: row's pin moved from Old to New (−1 = no
@@ -202,6 +193,7 @@ type Scratch struct {
 	k       int
 	trees   []*segtree.PolyTree
 	alpha   []int32
+	pins    []int32     // pin vector with a per-query override (pinsFor)
 	leafP0  [][]float64 // per-label bulk leaf staging
 	leafP1  [][]float64
 	counts  []float64
@@ -305,63 +297,50 @@ func (e *Engine) chosen(row int, overrideRow, overrideCand int) int {
 // hypothetically clean one row for the duration of the query. The returned
 // slice (owned by sc) holds normalized fractions: out[y] = Q2/|worlds|.
 func (e *Engine) Counts(sc *Scratch, overrideRow, overrideCand int) []float64 {
-	inst := e.inst
+	return e.fullScan(sc, overrideRow, overrideCand, false)
+}
+
+// CountsMC is Counts with the appendix-A.3 multi-class accumulator
+// (mcSupports) instead of tally enumeration: polynomial in |Y| rather than
+// enumerating all C(K+|Y|−1, K) label tallies.
+func (e *Engine) CountsMC(sc *Scratch, overrideRow, overrideCand int) []float64 {
+	return e.fullScan(sc, overrideRow, overrideCand, true)
+}
+
+// fullScan runs the scan kernel over every position from a zero α state into
+// sc.counts.
+func (e *Engine) fullScan(sc *Scratch, overrideRow, overrideCand int, useMC bool) []float64 {
 	for i := range sc.alpha {
 		sc.alpha[i] = 0
 	}
 	for y := range sc.counts {
 		sc.counts[y] = 0
 	}
-
-	// zeroRows counts rows with α = 0. Every such row must place a candidate
-	// in the top-K (all its candidates are more similar than the boundary),
-	// so while zeroRows > K−1 (excluding the boundary row, whose α has just
-	// been incremented) the boundary support is identically zero. During
-	// that prefix only α is maintained; the trees are built in one bulk pass
-	// at the transition (built = false until then).
-	zeroRows := e.N()
-	built := false
-	for _, ref := range e.order {
-		i := int(ref.row)
-		j := int(ref.cand)
-		ch := e.chosen(i, overrideRow, overrideCand)
-		if ch >= 0 && j != ch {
-			continue // candidate eliminated by cleaning
-		}
-		mEff := inst.M(i)
-		if ch >= 0 {
-			mEff = 1
-		}
-		sc.alpha[i]++
-		if sc.alpha[i] == 1 {
-			zeroRows--
-		}
-		if zeroRows > sc.k-1 {
-			continue // provably zero boundary support; trees not needed yet
-		}
-		if !built {
-			e.buildLeaves(sc, overrideRow, overrideCand)
-			built = true
-		}
-		a := float64(sc.alpha[i]) / float64(mEff)
-		tr := sc.trees[e.labelOf[i]]
-		pos := e.rowPos[i]
-		// Query with row i forced onto the boundary: it contributes exactly
-		// one top-K slot, with probability 1/mEff of picking candidate j.
-		tr.SetLeaf(pos, 0, 1/float64(mEff))
-		e.accumulate(sc)
-		// Restore the leaf to its scanned state [α/M, 1−α/M].
-		tr.SetLeaf(pos, a, 1-a)
-	}
+	e.scan(sc, e.pinsFor(sc, overrideRow, overrideCand), 0, len(e.order)-1, e.N(), false, useMC, nil)
 	return sc.counts
 }
 
+// pinsFor returns the pin vector a query scans under: the engine's own pins,
+// or, with a per-query override, a copy in sc with overrideRow pinned to
+// overrideCand — the shared engine is never written during a query.
+func (e *Engine) pinsFor(sc *Scratch, overrideRow, overrideCand int) []int32 {
+	if overrideRow < 0 {
+		return e.pins
+	}
+	if len(sc.pins) != len(e.pins) {
+		sc.pins = make([]int32, len(e.pins))
+	}
+	copy(sc.pins, e.pins)
+	sc.pins[overrideRow] = int32(overrideCand)
+	return sc.pins
+}
+
 // buildLeaves bulk-initializes every label tree from the current α state:
-// leaf n = [α_n/M_n, 1−α_n/M_n] with M_n = 1 for pinned/overridden rows.
-func (e *Engine) buildLeaves(sc *Scratch, overrideRow, overrideCand int) {
+// leaf n = [α_n/M_n, 1−α_n/M_n] with M_n = 1 for rows pinned in pins.
+func (e *Engine) buildLeaves(sc *Scratch, pins []int32) {
 	for i := 0; i < e.N(); i++ {
 		mEff := e.inst.M(i)
-		if e.chosen(i, overrideRow, overrideCand) >= 0 {
+		if pins[i] >= 0 {
 			mEff = 1
 		}
 		a := float64(sc.alpha[i]) / float64(mEff)
@@ -372,170 +351,6 @@ func (e *Engine) buildLeaves(sc *Scratch, overrideRow, overrideCand int) {
 	for l, tr := range sc.trees {
 		n := e.labelLen[l]
 		tr.ResetLeaves(sc.leafP0[l][:n], sc.leafP1[l][:n])
-	}
-}
-
-// accumulate adds the supports of every valid label tally for the current
-// boundary candidate into sc.counts (Algorithm 1, lines 9-12).
-func (e *Engine) accumulate(sc *Scratch) {
-	accumulateInto(sc, sc.rootsNormal, sc.counts)
-}
-
-// accumulateInto tallies every composition against the given per-label root
-// polynomials, adding each support to out[winner].
-func accumulateInto(sc *Scratch, roots [][]float64, out []float64) {
-	for ti, g := range sc.tallies {
-		prod := 1.0
-		for l, c := range g {
-			v := roots[l][c]
-			if v == 0 {
-				prod = 0
-				break
-			}
-			prod *= v
-		}
-		if prod != 0 {
-			out[sc.winners[ti]] += prod
-		}
-	}
-}
-
-// term is one recorded support contribution of a boundary-candidate scan
-// position: counts[y] += v. Retained replays term streams in the original
-// accumulation order, which keeps the re-summed counts bit-identical to a
-// fresh scan.
-type term struct {
-	y int32
-	v float64
-}
-
-// recordInto is accumulateInto with the additions captured as terms instead
-// of applied: same tally order, same products, same zero-skips.
-func recordInto(sc *Scratch, roots [][]float64, rec []term) []term {
-	for ti, g := range sc.tallies {
-		prod := 1.0
-		for l, c := range g {
-			v := roots[l][c]
-			if v == 0 {
-				prod = 0
-				break
-			}
-			prod *= v
-		}
-		if prod != 0 {
-			rec = append(rec, term{y: int32(sc.winners[ti]), v: prod})
-		}
-	}
-	return rec
-}
-
-// CountsMC answers Q2 with the appendix-A.3 multi-class variant: instead of
-// enumerating all C(K+|Y|−1, K) label tallies, for each winning label l and
-// winning tally c it runs a winner-cap DP over the other labels (labels
-// smaller than l capped at c−1, larger capped at c — realizing the
-// smallest-label vote tie-break exactly). O(|Y|²K³) per scanned candidate,
-// polynomial in |Y|.
-func (e *Engine) CountsMC(sc *Scratch, overrideRow, overrideCand int) []float64 {
-	inst := e.inst
-	for i := range sc.alpha {
-		sc.alpha[i] = 0
-	}
-	for y := range sc.counts {
-		sc.counts[y] = 0
-	}
-	zeroRows := e.N()
-	built := false
-	for _, ref := range e.order {
-		i := int(ref.row)
-		j := int(ref.cand)
-		ch := e.chosen(i, overrideRow, overrideCand)
-		if ch >= 0 && j != ch {
-			continue
-		}
-		mEff := inst.M(i)
-		if ch >= 0 {
-			mEff = 1
-		}
-		sc.alpha[i]++
-		if sc.alpha[i] == 1 {
-			zeroRows--
-		}
-		if zeroRows > sc.k-1 {
-			continue
-		}
-		if !built {
-			e.buildLeaves(sc, overrideRow, overrideCand)
-			built = true
-		}
-		a := float64(sc.alpha[i]) / float64(mEff)
-		tr := sc.trees[e.labelOf[i]]
-		pos := e.rowPos[i]
-		tr.SetLeaf(pos, 0, 1/float64(mEff))
-		e.accumulateMC(sc)
-		tr.SetLeaf(pos, a, 1-a)
-	}
-	return sc.counts
-}
-
-// accumulateMC adds supports via the winner-cap DP.
-func (e *Engine) accumulateMC(sc *Scratch) {
-	e.recordMC(sc, nil)
-}
-
-// recordMC is accumulateMC with an optional term recorder: with rec == nil
-// the supports are added into sc.counts (the normal query path); otherwise
-// they are appended to rec in the same (l, c) order and sc.counts is left
-// untouched.
-func (e *Engine) recordMC(sc *Scratch, rec *[]term) {
-	k := sc.k
-	for l := 0; l < e.numLabels; l++ {
-		rootL := sc.trees[l].Root()
-		for c := 1; c <= k; c++ {
-			wl := rootL[c]
-			if wl == 0 {
-				continue
-			}
-			// DP over the other labels filling the remaining k−c slots,
-			// each label l' capped at c−1 (l' < l) or c (l' > l).
-			rem := k - c
-			dp := sc.dpA[:rem+1]
-			next := sc.dpB[:rem+1]
-			for s := range dp {
-				dp[s] = 0
-			}
-			dp[0] = 1
-			for lp := 0; lp < e.numLabels; lp++ {
-				if lp == l {
-					continue
-				}
-				capL := c
-				if lp < l {
-					capL = c - 1
-				}
-				rootP := sc.trees[lp].Root()
-				for s := 0; s <= rem; s++ {
-					acc := 0.0
-					hi := s
-					if hi > capL {
-						hi = capL
-					}
-					for u := 0; u <= hi; u++ {
-						if rootP[u] != 0 && dp[s-u] != 0 {
-							acc += rootP[u] * dp[s-u]
-						}
-					}
-					next[s] = acc
-				}
-				dp, next = next, dp
-			}
-			if dp[rem] != 0 {
-				if rec != nil {
-					*rec = append(*rec, term{y: int32(l), v: wl * dp[rem]})
-				} else {
-					sc.counts[l] += wl * dp[rem]
-				}
-			}
-		}
 	}
 }
 
@@ -606,7 +421,7 @@ func (e *Engine) HypothesisCounts(sc *Scratch, row int) [][]float64 {
 	zeroOthers := e.N() - 1
 	built := false
 	build := func() {
-		e.buildLeaves(sc, -1, -1)
+		e.buildLeaves(sc, e.pins)
 		// Mirror the row-label tree into the pre tree, then fix the row's
 		// leaf states: post [1,0] (row's value less similar than boundary),
 		// pre [0,1] (row forced into the top-K).
@@ -632,7 +447,7 @@ func (e *Engine) HypothesisCounts(sc *Scratch, row int) [][]float64 {
 				if !built {
 					build()
 				}
-				accumulateInto(sc, sc.rootsPre, sc.own[j])
+				tallySupports(sc, sc.rootsPre, sc.own[j], nil)
 			}
 			continue
 		}
@@ -664,8 +479,8 @@ func (e *Engine) HypothesisCounts(sc *Scratch, row int) [][]float64 {
 		if l == lRow {
 			preTree.SetLeaf(pos, force0, force1)
 		}
-		accumulateInto(sc, sc.rootsNormal, sc.cumPost)
-		accumulateInto(sc, sc.rootsPre, sc.cumPre)
+		tallySupports(sc, sc.rootsNormal, sc.cumPost, nil)
+		tallySupports(sc, sc.rootsPre, sc.cumPre, nil)
 		sc.trees[l].SetLeaf(pos, a, 1-a)
 		if l == lRow {
 			preTree.SetLeaf(pos, a, 1-a)

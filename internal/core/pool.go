@@ -41,7 +41,6 @@ func (e *Engine) ApproxBytes() int64 {
 	b += n * (8 + 8)     // firstPos, lastPos
 	b += int64(len(e.pinLog)) * 12
 	b += int64(e.numLabels) * 8 // labelLen
-	b += e.planBytes()          // cached sweep plans (α snapshots)
 	return b
 }
 
@@ -53,7 +52,7 @@ func (sc *Scratch) ApproxBytes() int64 {
 	for _, tr := range sc.trees {
 		b += treeBytes(tr.Len(), sc.k) * 2 // trees + altTrees
 	}
-	b += int64(len(sc.alpha)) * 4
+	b += int64(len(sc.alpha)+len(sc.pins)) * 4
 	b += int64(len(sc.tallies)) * (24 + int64(len(sc.counts))) // tally slices
 	for _, p := range sc.leafP0 {
 		b += int64(len(p)) * 16 // leafP0 + leafP1

@@ -56,14 +56,9 @@ type Retained struct {
 	terms []term
 	offs  []int // len(order)+1 stream boundaries
 
-	// results buffers the flat span outputs across rescans (capacity reuse).
-	results []spanResult
-
-	// sweep selects the span-parallel scan (sweep.go) for rescans whose
-	// window is wide enough to split; requires a scratch pool (each worker
-	// borrows its own scan state). Zero value = sequential.
-	sweep      SweepConfig
-	sweepStats SweepStats
+	// window buffers the record sink's output across rescans (capacity
+	// reuse).
+	window spanResult
 
 	stats RetainedStats
 }
@@ -129,15 +124,6 @@ func (r *Retained) Generation() uint64 { return r.gen }
 
 // Stats snapshots the reuse counters.
 func (r *Retained) Stats() RetainedStats { return r.stats }
-
-// ConfigureSweep selects the span-parallel scan for future rescans. Answers
-// stay bit-identical to the sequential path for every worker count; without a
-// scratch pool (NewRetained's scratches == nil) the config is ignored and
-// scans stay sequential, since each span worker needs its own scan state.
-func (r *Retained) ConfigureSweep(cfg SweepConfig) { r.sweep = cfg }
-
-// SweepStats snapshots the span-parallel scan counters.
-func (r *Retained) SweepStats() SweepStats { return r.sweepStats }
 
 // Invalidate drops the memo so the next Counts runs a full sweep — the
 // ablation hook benchmarks use to measure the non-incremental baseline, and
@@ -232,51 +218,10 @@ func (r *Retained) deltaWindow(events []PinEvent) (lo, hi int, usable bool) {
 // current pins, re-records their term streams, and re-sums every position's
 // terms in scan order. Positions outside the window keep their retained
 // terms — the callers guarantee those are bit-identical under the current
-// pins. rescan(0, len(order)−1) is a full sweep. When a sweep config is set
-// (ConfigureSweep) and the engine is large enough for span parallelism, the
-// window runs through the engine's plan cache (rescanPlanned); either way
-// the term streams — and therefore the re-summed counts — are bit-identical.
+// pins. rescan(0, len(order)−1) is a full sweep.
 func (r *Retained) rescan(lo, hi int) {
 	e := r.e
-	total := len(e.order)
-	workers, fullSpans := r.sweep.planSize(e.N(), total)
-	if r.pool != nil && workers > 1 && fullSpans >= 2 {
-		r.rescanPlanned(lo, hi, workers, fullSpans)
-	} else {
-		r.rescanSeq(lo, hi)
-	}
-	r.stats.CandidatesAvoided += int64(len(e.order) - (hi - lo + 1))
-
-	// Re-sum all positions' terms in scan order: each addition has the same
-	// operands in the same sequence as a fresh sweep's accumulation, so the
-	// result is bit-identical.
-	for y := range r.counts {
-		r.counts[y] = 0
-	}
-	for i := range r.terms {
-		r.counts[r.terms[i].y] += r.terms[i].v
-	}
-	r.relevant = e.RelevantRows(r.k)
-}
-
-// ensureResults sizes the reusable span-output buffers (keeping previously
-// grown term capacities) and returns the first n.
-func (r *Retained) ensureResults(n int) []spanResult {
-	if n > cap(r.results) {
-		next := make([]spanResult, n)
-		copy(next, r.results[:cap(r.results)])
-		r.results = next
-	}
-	r.results = r.results[:n]
-	return r.results
-}
-
-// rescanSeq is the sequential window replay.
-func (r *Retained) rescanSeq(lo, hi int) {
-	e := r.e
 	sc := r.getScratch()
-	defer r.putScratch(sc)
-
 	// Reconstruct α and the zero-row count at the window start under the
 	// current pins — pure integer work over the prefix.
 	for i := range sc.alpha {
@@ -292,71 +237,51 @@ func (r *Retained) rescanSeq(lo, hi int) {
 	// by the segment tree's purity invariant.
 	built := zeroRows <= sc.k-1
 	if built {
-		e.buildLeaves(sc, -1, -1)
+		e.buildLeaves(sc, e.pins)
 	}
-	results := r.ensureResults(1)
-	r.stats.CandidatesScanned += e.scanSpanFlat(sc, lo, hi, zeroRows, built, r.useMC, &results[0])
-	r.splice(lo, hi, []sweepSpan{{lo: lo, hi: hi}}, results)
+	r.stats.CandidatesScanned += e.scan(sc, e.pins, lo, hi, zeroRows, built, r.useMC, &r.window)
+	r.putScratch(sc)
+	r.splice(lo, hi)
+	r.stats.CandidatesAvoided += int64(len(e.order) - (hi - lo + 1))
+
+	// Re-sum all positions' terms in scan order: each addition has the same
+	// operands in the same sequence as a fresh sweep's accumulation, so the
+	// result is bit-identical.
+	for y := range r.counts {
+		r.counts[y] = 0
+	}
+	for i := range r.terms {
+		r.counts[r.terms[i].y] += r.terms[i].v
+	}
+	r.relevant = e.RelevantRows(r.k)
 }
 
-// rescanPlanned replays window [lo, hi] through the engine's plan cache: the
-// full-scan plan is fetched (or revalidated, or repaired) once per pin
-// generation, a full rescan runs its spans directly, and a delta window is
-// sub-sliced from it — the cached α snapshots seed the window's scan state,
-// so the replay skips the O(N) sequential prefix walk, and a hot window
-// splits below the full sweep's span floor (deltaPlanSize) because planning
-// it costs almost nothing.
-func (r *Retained) rescanPlanned(lo, hi, workers, fullSpans int) {
-	e := r.e
-	total := len(e.order)
-	full := e.planFor(r.k, 0, total-1, fullSpans)
-	spans := full.spans
-	if lo != 0 || hi != total-1 {
-		_, deltaSpans := r.sweep.deltaPlanSize(hi - lo + 1)
-		_, spans = e.subSlicePlan(full, lo, hi, deltaSpans)
+// advanceAlpha applies scan position pos to an α trajectory under the
+// engine's current pins, returning the updated zero-row count — the
+// integer-only prefix walk that seeds a window rescan.
+func (e *Engine) advanceAlpha(pos int, alpha []int32, zeroRows int) int {
+	ref := e.order[pos]
+	i := int(ref.row)
+	if ch := int(e.pins[i]); ch >= 0 && int(ref.cand) != ch {
+		return zeroRows
 	}
-	// Spans carry their own boundaries; splice truncates [lo, spans[0].lo).
-	if len(spans) == 0 {
-		r.splice(lo, hi, nil, nil)
-		return
+	alpha[i]++
+	if alpha[i] == 1 {
+		zeroRows--
 	}
-	results := r.ensureResults(len(spans))
-	if len(spans) < 2 {
-		// Degenerate plan (the emitting tail is one span): scan it
-		// sequentially from the snapshot — still skipping the prefix walk.
-		sp := spans[0]
-		sc := r.getScratch()
-		defer r.putScratch(sc)
-		copy(sc.alpha, sp.alpha)
-		built := sp.zeroRows <= r.k-1
-		if built {
-			e.buildLeaves(sc, -1, -1)
-		}
-		r.stats.CandidatesScanned += e.scanSpanFlat(sc, sp.lo, sp.hi, sp.zeroRows, built, r.useMC, &results[0])
-		r.splice(lo, hi, spans, results)
-		return
-	}
-	stats, scanned := e.runSpans(spans, r.k, r.useMC, workers, r.pool, results)
-	r.sweepStats.Add(stats)
-	r.stats.CandidatesScanned += scanned
-	r.splice(lo, hi, spans, results)
+	return zeroRows
 }
 
 // splice replaces the retained streams of positions [lo, hi] with the freshly
-// scanned spans' flat outputs. Positions in [lo, spans[0].lo) — the
-// provably-zero prefix — and trailing positions past the last span become
-// empty streams. The flat suffix beyond hi shifts once (an overlapping copy),
-// and offsets after the window adjust by the length delta; streams outside
-// the window are untouched byte-for-byte, which is what keeps the re-summed
-// counts bit-identical to a fresh sweep.
-func (r *Retained) splice(lo, hi int, spans []sweepSpan, results []spanResult) {
+// recorded window. The flat suffix beyond hi shifts once (an overlapping
+// copy), and offsets after the window adjust by the length delta; streams
+// outside the window are untouched byte-for-byte, which is what keeps the
+// re-summed counts bit-identical to a fresh sweep.
+func (r *Retained) splice(lo, hi int) {
+	w := &r.window
 	oldLo := r.offs[lo]
 	oldHi := r.offs[hi+1]
-	newW := 0
-	for i := range results {
-		newW += len(results[i].terms)
-	}
-	delta := newW - (oldHi - oldLo)
+	delta := len(w.terms) - (oldHi - oldLo)
 	n := len(r.terms)
 	if delta > 0 {
 		r.terms = append(r.terms, make([]term, delta)...)
@@ -365,23 +290,9 @@ func (r *Retained) splice(lo, hi int, spans []sweepSpan, results []spanResult) {
 	if delta < 0 {
 		r.terms = r.terms[:n+delta]
 	}
-	w := oldLo
-	pos := lo
-	for i := range results {
-		sp := spans[i]
-		for ; pos < sp.lo; pos++ {
-			r.offs[pos] = w // truncated pre-emit prefix: empty stream
-		}
-		copy(r.terms[w:], results[i].terms)
-		offs := results[i].offs
-		for pi := 0; pi <= sp.hi-sp.lo; pi++ {
-			r.offs[sp.lo+pi] = w + int(offs[pi])
-		}
-		w += len(results[i].terms)
-		pos = sp.hi + 1
-	}
-	for ; pos <= hi; pos++ {
-		r.offs[pos] = w // no emitting span reached these positions
+	copy(r.terms[oldLo:], w.terms)
+	for pi := 0; pi <= hi-lo; pi++ {
+		r.offs[lo+pi] = oldLo + int(w.offs[pi])
 	}
 	if delta != 0 {
 		for p := hi + 1; p < len(r.offs); p++ {
@@ -411,9 +322,7 @@ func (r *Retained) putScratch(sc *Scratch) {
 func (r *Retained) ApproxBytes() int64 {
 	b := int64(len(r.counts))*8 + int64(len(r.relevant)) +
 		int64(cap(r.terms))*16 + int64(len(r.offs))*8
-	for i := range r.results {
-		b += int64(cap(r.results[i].terms))*16 + int64(cap(r.results[i].offs))*4
-	}
+	b += int64(cap(r.window.terms))*16 + int64(cap(r.window.offs))*4
 	if r.own != nil {
 		b += r.own.ApproxBytes()
 	}

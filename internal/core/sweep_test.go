@@ -5,134 +5,21 @@ import (
 	"testing"
 )
 
-// TestSweepCountsMatchesSequential is the standalone lockstep contract of the
-// span-parallel sweep: for worker counts 1/2/4/8 × tally/MC accumulators ×
-// generic, tied, and near-zero-weight instances × random pin states,
-// Engine.SweepCounts must equal the sequential Engine.Counts / CountsMC bit
-// for bit. MinSpanPositions is forced to 1 so even tiny instances split into
-// many spans and the snapshot/rebuild/reduce machinery is genuinely
-// exercised.
-func TestSweepCountsMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	gens := []func(*rand.Rand, int, int, int) *Instance{randomInstance, tiedInstance, nearZeroInstance}
-	for trial := 0; trial < 60; trial++ {
-		numLabels := 2 + rng.Intn(2)
-		inst := gens[trial%len(gens)](rng, 6+rng.Intn(12), 4, numLabels)
-		k := 1 + rng.Intn(3)
-		e := NewEngineFromInstance(inst)
-		pool, err := NewScratchPool(e, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sc := e.MustScratch(k)
-		for step := 0; step < 4; step++ {
-			if step > 0 {
-				applyRandomPinOp(rng, e)
-			}
-			for _, useMC := range []bool{false, true} {
-				var want []float64
-				if useMC {
-					want = append([]float64(nil), e.CountsMC(sc, -1, -1)...)
-				} else {
-					want = append([]float64(nil), e.Counts(sc, -1, -1)...)
-				}
-				for _, workers := range []int{1, 2, 4, 8} {
-					got, _, err := e.SweepCounts(k, useMC, SweepConfig{Workers: workers, MinSpanPositions: 1}, pool)
-					if err != nil {
-						t.Fatal(err)
-					}
-					for y := range want {
-						if got[y] != want[y] {
-							t.Fatalf("trial %d step %d (mc=%v k=%d workers=%d): sweep[%d]=%v sequential=%v",
-								trial, step, useMC, k, workers, y, got[y], want[y])
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestSweepCountsStats checks the counters actually reflect a parallel run —
-// one sweep, at least two spans — and that the sequential fallbacks (one
-// worker, nil pool, oversized span floor) report zero.
-func TestSweepCountsStats(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	inst := randomInstance(rng, 40, 4, 2)
-	e := NewEngineFromInstance(inst)
-	pool, err := NewScratchPool(e, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, stats, err := e.SweepCounts(3, false, SweepConfig{Workers: 4, MinSpanPositions: 1}, pool)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.ParallelSweeps != 1 || stats.Spans < 2 {
-		t.Fatalf("parallel sweep did not run parallel: %+v", stats)
-	}
-	for name, run := range map[string]func() (SweepStats, error){
-		"one worker": func() (SweepStats, error) {
-			_, s, err := e.SweepCounts(3, false, SweepConfig{Workers: 1, MinSpanPositions: 1}, pool)
-			return s, err
-		},
-		"nil pool": func() (SweepStats, error) {
-			_, s, err := e.SweepCounts(3, false, SweepConfig{Workers: 4, MinSpanPositions: 1}, nil)
-			return s, err
-		},
-		"oversized floor": func() (SweepStats, error) {
-			_, s, err := e.SweepCounts(3, false, SweepConfig{Workers: 4, MinSpanPositions: 1 << 20}, pool)
-			return s, err
-		},
-	} {
-		s, err := run()
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if s != (SweepStats{}) {
-			t.Fatalf("%s: sequential fallback reported parallel stats %+v", name, s)
-		}
-	}
-	if _, _, err := e.SweepCounts(0, false, SweepConfig{}, pool); err == nil {
-		t.Fatal("K=0 must be rejected")
-	}
-	wrongK, err := NewScratchPool(e, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := e.SweepCounts(3, false, SweepConfig{}, wrongK); err == nil {
-		t.Fatal("mismatched pool K must be rejected")
-	}
-}
-
-// TestRetainedSweepStatsAccumulate checks a parallel-configured Retained
-// actually runs its full rescans span-parallel (and counts them), and that a
-// windowed delta replay after a pin still answers bit-identically.
-func TestRetainedSweepStatsAccumulate(t *testing.T) {
-	rng := rand.New(rand.NewSource(43))
-	inst := randomInstance(rng, 50, 4, 2)
-	e := NewEngineFromInstance(inst)
-	pool, err := NewScratchPool(e, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rt, err := NewRetained(e, 3, false, pool)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rt.ConfigureSweep(SweepConfig{Workers: 4, MinSpanPositions: 1})
-	rt.Counts()
-	if s := rt.SweepStats(); s.ParallelSweeps != 1 {
-		t.Fatalf("full rescan should have run span-parallel: %+v", s)
-	}
+// BenchmarkScan measures the scan kernel's record sink over a full scan of a
+// mid-sized engine (N=400, M≤4, three labels, K=3) — the work a full
+// Retained rescan performs, without the prefix walk, splice and re-sum.
+func BenchmarkScan(b *testing.B) {
+	rng := rand.New(rand.NewSource(7))
+	e := NewEngineFromInstance(randomInstance(rng, 400, 4, 3))
 	sc := e.MustScratch(3)
-	row := rng.Intn(e.N())
-	e.SetPin(row, rng.Intn(inst.M(row)))
-	got := rt.Counts()
-	want := e.Counts(sc, -1, -1)
-	for y := range want {
-		if got[y] != want[y] {
-			t.Fatalf("post-pin parallel retained %v fresh %v", got, want)
+	total := len(e.order)
+	var out spanResult
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := range sc.alpha {
+			sc.alpha[j] = 0
 		}
+		e.scan(sc, e.pins, 0, total-1, e.N(), false, false, &out)
 	}
 }

@@ -16,12 +16,6 @@ type Config struct {
 	K int
 	// Parallelism bounds scoring workers (0 = GOMAXPROCS).
 	Parallelism int
-	// SweepWorkers bounds the span-parallel sweep used when a cold
-	// (memo-invalidated) validation point rescores through its retained
-	// tree (0 or 1 = sequential). Cold rescores run one point at a time
-	// inside refresh, so this budget does not multiply with Parallelism;
-	// answers are bit-identical either way.
-	SweepWorkers int
 	// UseMC answers hypothesis Q2 with the multi-class winner-cap DP
 	// (CountsMC per candidate) instead of the combined HypothesisCounts scan.
 	UseMC bool
@@ -167,7 +161,6 @@ func (s *Selector) refresh(valIdx []int) {
 					// bug, same contract as MustScratch.
 					panic(err)
 				}
-				rt.ConfigureSweep(core.SweepConfig{Workers: s.cfg.SweepWorkers})
 				s.retained[v] = rt
 			}
 			m.curH = core.Entropy(rt.Counts())

@@ -50,29 +50,10 @@ type BatchSummary struct {
 	CertainFraction float64 `json:"certain_fraction"`
 }
 
-// splitParallelism budgets Config.Parallelism between the batch fan-out and
-// each point's intra-sweep span workers so the two never multiply: a
-// saturated fan-out leaves sweeps sequential, while a batch smaller than the
-// budget hands the idle share to span parallelism (a single-point batch gets
-// the full SweepWorkers). Both returns are ≥ 1.
-func splitParallelism(cfg Config, points int) (batchWorkers, sweepWorkers int) {
-	batchWorkers = cfg.Parallelism
-	if batchWorkers > points {
-		batchWorkers = points
-	}
-	if batchWorkers < 1 {
-		batchWorkers = 1
-	}
-	sweepWorkers = cfg.SweepWorkers
-	if sweepWorkers > 1 {
-		if budget := cfg.Parallelism / batchWorkers; sweepWorkers > budget {
-			sweepWorkers = budget
-		}
-	}
-	if sweepWorkers < 1 {
-		sweepWorkers = 1
-	}
-	return batchWorkers, sweepWorkers
+// batchWorkers sizes a batch's point fan-out: Config.Parallelism, but never
+// more workers than points and never fewer than one.
+func batchWorkers(cfg Config, points int) int {
+	return max(1, min(cfg.Parallelism, points))
 }
 
 // BatchQuery answers Q1/Q2/entropy for every point of the request against
@@ -135,13 +116,12 @@ func (d *Dataset) StreamBatchQuery(ctx context.Context, req BatchRequest, cfg Co
 		}
 	}
 	pool := d.pool(k, cfg)
-	batchWorkers, sweepWorkers := splitParallelism(cfg, len(req.Points))
 	// Pooled engines are never pinned, so a dataset-level answer can never go
 	// stale: the result-cache generation is a constant 0 and a hit skips the
 	// engine layer entirely.
 	results := cfg.resultCacheFor()
 	certain := 0
-	err = runOrdered(ctx, len(req.Points), batchWorkers, cfg.streams,
+	err = runOrdered(ctx, len(req.Points), batchWorkers(cfg, len(req.Points)), cfg.streams,
 		func(i int) (PointResult, error) {
 			var key string
 			if results != nil {
@@ -150,7 +130,7 @@ func (d *Dataset) StreamBatchQuery(ctx context.Context, req BatchRequest, cfg Co
 					return r, nil
 				}
 			}
-			r, err := pool.query(pool.engine(req.Points[i]), k, req.UseMC, sweepWorkers)
+			r, err := pool.query(pool.engine(req.Points[i]), k, req.UseMC)
 			if err == nil && results != nil {
 				results.put(key, r)
 			}

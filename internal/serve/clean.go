@@ -143,9 +143,8 @@ func (s *Server) buildCleanSession(ds *Dataset, k int, req CleanRequest) (*Clean
 		return nil, err
 	}
 	sel, err := selection.New(c.engines, c.certain, c.scratches, selection.Config{
-		K:            k,
-		Parallelism:  cfg.Parallelism,
-		SweepWorkers: cfg.SweepWorkers,
+		K:           k,
+		Parallelism: cfg.Parallelism,
 	})
 	if err != nil {
 		return nil, err

@@ -91,12 +91,3 @@ func (c *lruBudget[V]) evict() {
 
 // len reports the number of cached entries.
 func (c *lruBudget[V]) len() int { return c.list.Len() }
-
-// values snapshots the cached values, most recently used first.
-func (c *lruBudget[V]) values() []V {
-	out := make([]V, 0, c.list.Len())
-	for el := c.list.Front(); el != nil; el = el.Next() {
-		out = append(out, el.Value.(*lruItem[V]).value)
-	}
-	return out
-}

@@ -29,11 +29,6 @@ type enginePool struct {
 
 	builds atomic.Int64 // engines constructed
 	hits   atomic.Int64 // cache hits
-
-	// Span-parallel sweep counters of the pool's queries.
-	sweepPar    atomic.Int64
-	sweepSpans  atomic.Int64
-	sweepSteals atomic.Int64
 }
 
 // pool returns (creating if needed) the engine pool for K.
@@ -92,23 +87,12 @@ func (p *enginePool) engine(t []float64) *core.Engine {
 }
 
 // query answers both CP queries for an unpinned engine with a fresh SS-DC
-// sweep, span-parallel when sweepWorkers > 1 (the caller's already-budgeted
-// share of Config.Parallelism; bit-identical either way).
-func (p *enginePool) query(e *core.Engine, k int, useMC bool, sweepWorkers int) (PointResult, error) {
+// sweep.
+func (p *enginePool) query(e *core.Engine, k int, useMC bool) (PointResult, error) {
 	scratches := p.scratchesFor(e)
-	if sweepWorkers <= 1 {
-		sc := scratches.Get()
-		defer scratches.Put(sc)
-		return queryEngine(e, sc, k, useMC)
-	}
-	counts, stats, err := e.SweepCounts(k, useMC, core.SweepConfig{Workers: sweepWorkers}, scratches)
-	if err != nil {
-		return PointResult{}, err
-	}
-	p.sweepPar.Add(stats.ParallelSweeps)
-	p.sweepSpans.Add(stats.Spans)
-	p.sweepSteals.Add(stats.Steals)
-	return assemblePointResult(e, k, counts)
+	sc := scratches.Get()
+	defer scratches.Put(sc)
+	return queryEngine(e, sc, k, useMC)
 }
 
 // scratchesFor returns the shared Scratch free list, creating it on first
@@ -136,16 +120,10 @@ type PoolStats struct {
 	EnginesCached int   `json:"engines_cached"`
 	// EngineBytes is the approximate heap held by cached engines; Evictions
 	// counts engines dropped by the entry or byte budget.
-	EngineBytes int64 `json:"engine_bytes"`
-	Evictions   int64 `json:"evictions"`
-	// Plan aggregates the sweep-plan cache counters of the cached engines:
-	// how many span plans were served verbatim, repaired in place, or rebuilt
-	// from scratch (evicted engines take their counts with them).
-	Plan core.PlanStats `json:"plan"`
-	// Sweep aggregates the span-parallel sweep counters of the pool's queries.
-	Sweep         core.SweepStats `json:"sweep"`
-	ScratchGets   int64           `json:"scratch_gets"`
-	ScratchAllocs int64           `json:"scratch_allocs"`
+	EngineBytes   int64 `json:"engine_bytes"`
+	Evictions     int64 `json:"evictions"`
+	ScratchGets   int64 `json:"scratch_gets"`
+	ScratchAllocs int64 `json:"scratch_allocs"`
 }
 
 // Stats snapshots every pool of the dataset, ordered by K.
@@ -162,22 +140,13 @@ func (d *Dataset) Stats() []PoolStats {
 			K:            p.k,
 			EngineBuilds: p.builds.Load(),
 			EngineHits:   p.hits.Load(),
-			Sweep: core.SweepStats{
-				ParallelSweeps: p.sweepPar.Load(),
-				Spans:          p.sweepSpans.Load(),
-				Steals:         p.sweepSteals.Load(),
-			},
 		}
 		p.mu.Lock()
 		st.EnginesCached = p.cache.len()
 		st.EngineBytes = p.cache.bytes
 		st.Evictions = p.cache.evictions
-		engines := p.cache.values()
 		scratches := p.scratches
 		p.mu.Unlock()
-		for _, e := range engines {
-			st.Plan.Add(e.PlanStats())
-		}
 		if scratches != nil {
 			st.ScratchGets, st.ScratchAllocs = scratches.Stats()
 		}

@@ -72,14 +72,6 @@ var ErrNotLeader = errors.New("serve: not the leader")
 type Config struct {
 	// Parallelism bounds worker goroutines per batch request (0 = GOMAXPROCS).
 	Parallelism int
-	// SweepWorkers enables the span-parallel SS-DC sweep inside a single
-	// point's Q2 scan with up to this many workers (0 or 1 = sequential
-	// sweeps, the default). The effective per-point worker count is budgeted
-	// against Parallelism: batch fan-out and span workers share the one
-	// budget, so a saturated batch runs sequential sweeps while a
-	// single-point query gets the full count. Answers are bit-for-bit
-	// identical either way.
-	SweepWorkers int
 	// EngineCacheSize is the per-(dataset, K) LRU capacity for test-point
 	// engines (0 = DefaultEngineCacheSize, negative = disable caching).
 	EngineCacheSize int

@@ -32,32 +32,27 @@ type sessionQueryCache struct {
 	cache *lruBudget[*squeryEntry] // guarded by mu
 
 	// Lifetime counters, surviving entry eviction. queries counts points
-	// answered; the rest mirror core.RetainedStats / core.SweepStats.
-	queries     atomic.Int64
-	fullScans   atomic.Int64
-	memoHits    atomic.Int64
-	deltaScans  atomic.Int64
-	scanned     atomic.Int64
-	avoided     atomic.Int64
-	sweepPar    atomic.Int64
-	sweepSpans  atomic.Int64
-	sweepSteals atomic.Int64
+	// answered; the rest mirror core.RetainedStats.
+	queries    atomic.Int64
+	fullScans  atomic.Int64
+	memoHits   atomic.Int64
+	deltaScans atomic.Int64
+	scanned    atomic.Int64
+	avoided    atomic.Int64
 }
 
 // squeryEntry is one (K, point) pinned engine + retained memo. mu serializes
-// use; last/lastSweep hold the retained stats already folded into the cache
-// counters.
+// use; last holds the retained stats already folded into the cache counters.
 type squeryEntry struct {
 	key string
 	k   int
 	pt  []float64
 
-	mu        sync.Mutex
-	engine    *core.Engine
-	retained  *core.Retained
-	applied   int // session history steps applied as pins
-	last      core.RetainedStats
-	lastSweep core.SweepStats
+	mu       sync.Mutex
+	engine   *core.Engine
+	retained *core.Retained
+	applied  int // session history steps applied as pins
+	last     core.RetainedStats
 }
 
 func newSessionQueryCache(ds *Dataset, cfg Config) *sessionQueryCache {
@@ -83,9 +78,6 @@ type SessionQueryStats struct {
 	// memo verbatim, from a windowed delta replay, or from a full sweep, and
 	// the boundary-candidate scans performed versus avoided.
 	Retained core.RetainedStats `json:"retained"`
-	// Sweep aggregates the span-parallel sweep counters of the session's
-	// rescans.
-	Sweep core.SweepStats `json:"sweep"`
 }
 
 func (q *sessionQueryCache) statsSnapshot() SessionQueryStats {
@@ -97,11 +89,6 @@ func (q *sessionQueryCache) statsSnapshot() SessionQueryStats {
 			DeltaScans:        q.deltaScans.Load(),
 			CandidatesScanned: q.scanned.Load(),
 			CandidatesAvoided: q.avoided.Load(),
-		},
-		Sweep: core.SweepStats{
-			ParallelSweeps: q.sweepPar.Load(),
-			Spans:          q.sweepSpans.Load(),
-			Steals:         q.sweepSteals.Load(),
 		},
 	}
 }
@@ -131,8 +118,7 @@ func (q *sessionQueryCache) reaccount(ent *squeryEntry, newBytes int64) {
 // queryPoint answers one point under the pins of hist (the session's
 // executed steps): the cached engine is caught up on any steps it has not
 // seen, then the retained memo answers — O(1) when nothing relevant changed.
-// sweepWorkers > 1 runs any full rescan span-parallel (bit-identical).
-func (q *sessionQueryCache) queryPoint(ent *squeryEntry, hist []CleanStep, useMC bool, sweepWorkers int) (PointResult, error) {
+func (q *sessionQueryCache) queryPoint(ent *squeryEntry, hist []CleanStep, useMC bool) (PointResult, error) {
 	ent.mu.Lock()
 	defer ent.mu.Unlock()
 	if ent.engine == nil {
@@ -165,7 +151,6 @@ func (q *sessionQueryCache) queryPoint(ent *squeryEntry, hist []CleanStep, useMC
 		// so the scan counters stay comparable.
 		ent.retained.Invalidate()
 	}
-	ent.retained.ConfigureSweep(core.SweepConfig{Workers: sweepWorkers})
 	counts := ent.retained.Counts()
 	r, err := assemblePointResult(ent.engine, ent.k, append([]float64(nil), counts...))
 	q.queries.Add(1)
@@ -176,11 +161,6 @@ func (q *sessionQueryCache) queryPoint(ent *squeryEntry, hist []CleanStep, useMC
 	q.scanned.Add(s.CandidatesScanned - ent.last.CandidatesScanned)
 	q.avoided.Add(s.CandidatesAvoided - ent.last.CandidatesAvoided)
 	ent.last = s
-	sw := ent.retained.SweepStats()
-	q.sweepPar.Add(sw.ParallelSweeps - ent.lastSweep.ParallelSweeps)
-	q.sweepSpans.Add(sw.Spans - ent.lastSweep.Spans)
-	q.sweepSteals.Add(sw.Steals - ent.lastSweep.Steals)
-	ent.lastSweep = sw
 	q.reaccount(ent, ent.engine.ApproxBytes()+ent.retained.ApproxBytes())
 	return r, err
 }
@@ -237,14 +217,13 @@ func (sess *Session) StreamQuery(ctx context.Context, req BatchRequest, yield fu
 		}
 	}
 	cfg := sess.server.cfg.withDefaults()
-	batchWorkers, sweepWorkers := splitParallelism(cfg, len(req.Points))
 	// Session answers are valid for one pin-state prefix: the history is
 	// append-only, so its snapshot length is the result-cache generation —
 	// a cleaning step bumps it and stale entries are simply never keyed again.
 	results := cfg.resultCacheFor()
 	gen := uint64(len(hist))
 	certain := 0
-	err := runOrdered(ctx, len(req.Points), batchWorkers, cfg.streams,
+	err := runOrdered(ctx, len(req.Points), batchWorkers(cfg, len(req.Points)), cfg.streams,
 		func(i int) (PointResult, error) {
 			var key string
 			if results != nil {
@@ -254,7 +233,7 @@ func (sess *Session) StreamQuery(ctx context.Context, req BatchRequest, yield fu
 				}
 			}
 			ent := q.entry(req.Points[i], k)
-			r, err := q.queryPoint(ent, hist, req.UseMC, sweepWorkers)
+			r, err := q.queryPoint(ent, hist, req.UseMC)
 			if err == nil && results != nil {
 				results.put(key, r)
 			}

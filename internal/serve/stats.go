@@ -1,13 +1,12 @@
 package serve
 
 import (
-	"repro/internal/core"
 	"repro/internal/durable"
 	"repro/internal/replica"
 )
 
 // ServerStats is the GET /v1/stats payload: registry and session counts,
-// per-dataset engine-pool counters (cache hits, byte budgets, sweep-plan
+// per-dataset engine-pool counters (cache hits, byte budgets, scratch
 // reuse), the aggregated session query-memo totals, and — for a
 // durable server — the WAL health metrics (fsync count/latency, segment and
 // snapshot counts, last replay cost).
@@ -17,12 +16,6 @@ type ServerStats struct {
 	Pools         map[string][]PoolStats `json:"pools,omitempty"`
 	// SessionQueries aggregates every live session's pin-state query memo.
 	SessionQueries SessionQueryStats `json:"session_queries"`
-	// SweepWorkers echoes Config.SweepWorkers (0 = sequential sweeps); Sweep
-	// totals the span-parallel sweep counters — parallel sweeps run, spans
-	// executed, spans stolen across workers — over every dataset pool and
-	// live session.
-	SweepWorkers int             `json:"sweep_workers"`
-	Sweep        core.SweepStats `json:"sweep"`
 	// ResultCache is present only when Config.ResultCacheBytes enables the
 	// server-wide query result cache: entry/byte occupancy against the budget
 	// plus lifetime hit/miss/eviction counts.
@@ -103,13 +96,9 @@ func (s *Server) Stats() ServerStats {
 	}
 	s.mu.RUnlock()
 	st.Datasets = len(datasets)
-	st.SweepWorkers = s.cfg.SweepWorkers
 	for _, ds := range datasets {
 		if pools := ds.Stats(); len(pools) > 0 {
 			st.Pools[ds.Name()] = pools
-			for _, ps := range pools {
-				st.Sweep.Add(ps.Sweep)
-			}
 		}
 	}
 	st.CleanSessions = s.CleanSessionCount()
@@ -118,7 +107,6 @@ func (s *Server) Stats() ServerStats {
 		st.ResultCache = &rs
 	}
 	st.SessionQueries = s.sessions.queryStatsTotals()
-	st.Sweep.Add(st.SessionQueries.Sweep)
 	if s.journal != nil {
 		m := s.journal.store.Metrics()
 		st.WAL = &m
@@ -141,7 +129,6 @@ func (st *sessionStore) queryStatsTotals() SessionQueryStats {
 		qs := sess.QueryStats()
 		total.Queries += qs.Queries
 		total.Retained.Add(qs.Retained)
-		total.Sweep.Add(qs.Sweep)
 	}
 	return total
 }

@@ -6,7 +6,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -256,59 +255,5 @@ func TestRegisterRejectsEmptyCandidates(t *testing.T) {
 	}
 	if _, qerr := s.BatchQuery(context.Background(), "bad", BatchRequest{Points: [][]float64{{0, 0}}}); qerr == nil {
 		t.Fatal("rejected dataset is queryable")
-	}
-}
-
-// TestBatchQuerySweepParallelLockstep runs the same batch on a sequential
-// server and on one with span-parallel sweeps and requires bit-for-bit
-// identical fractions — the determinism contract of the sweep planner, here
-// checked through the full serve stack (budget split, pool, retained memo).
-func TestBatchQuerySweepParallelLockstep(t *testing.T) {
-	// Big enough that the full scan window comfortably exceeds twice the
-	// default span floor, so the parallel server really splits.
-	d := randDataset(t, 600, 2, 3, 2, 0.6, 41)
-	points := randPoints(2, 2, 42)
-
-	seq := NewServer(Config{Parallelism: 1})
-	defer seq.Close()
-	par := NewServer(Config{Parallelism: 8, SweepWorkers: 4})
-	defer par.Close()
-	for _, s := range []*Server{seq, par} {
-		if _, err := s.Register("d", d, knn.NegEuclidean{}, 3); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, useMC := range []bool{false, true} {
-		t.Run(fmt.Sprintf("mc=%v", useMC), func(t *testing.T) {
-			a, err := seq.BatchQuery(context.Background(), "d", BatchRequest{Points: points, UseMC: useMC})
-			if err != nil {
-				t.Fatal(err)
-			}
-			b, err := par.BatchQuery(context.Background(), "d", BatchRequest{Points: points, UseMC: useMC})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := range points {
-				for y := range a.Results[i].Fractions {
-					if a.Results[i].Fractions[y] != b.Results[i].Fractions[y] {
-						t.Fatalf("point %d label %d: sequential %v, span-parallel %v — must be bit-identical",
-							i, y, a.Results[i].Fractions, b.Results[i].Fractions)
-					}
-				}
-				if a.Results[i].Certain != b.Results[i].Certain || a.Results[i].Prediction != b.Results[i].Prediction {
-					t.Fatalf("point %d: decisions diverged", i)
-				}
-			}
-		})
-	}
-	st := par.Stats()
-	if st.Sweep.ParallelSweeps == 0 || st.Sweep.Spans < 2 {
-		t.Fatalf("parallel server never ran a span-parallel sweep: %+v", st.Sweep)
-	}
-	if st.SweepWorkers != 4 {
-		t.Fatalf("stats echo SweepWorkers=%d, want 4", st.SweepWorkers)
-	}
-	if sst := seq.Stats(); sst.Sweep.ParallelSweeps != 0 {
-		t.Fatalf("sequential server reports parallel sweeps: %+v", sst.Sweep)
 	}
 }

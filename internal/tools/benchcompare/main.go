@@ -4,7 +4,7 @@
 // nonzero, with a one-line verdict per compared benchmark either way.
 //
 //	benchcompare -baseline bench/BENCH_baseline.json -current BENCH_2026-08-07.json \
-//	             -pct 15 -match SweepPlanCache,ScanPositions
+//	             -pct 15 -match Q2_SSDC_K3_N1000,BatchQ2_Incremental
 //
 // -match restricts the comparison to benchmarks whose name contains one of
 // the comma-separated substrings (empty = compare everything). Benchmarks

@@ -1,9 +1,9 @@
 // Command benchjson converts `go test -bench` text output into a JSON
 // array, one object per benchmark line:
 //
-//	{"name": "BenchmarkBatchQ2_ParallelSweep/workers=8-16",
+//	{"name": "BenchmarkBatchQ2_Incremental-16",
 //	 "iterations": 1, "ns_per_op": 1234567.0,
-//	 "metrics": {"spans/op": 8, "steals/op": 2}}
+//	 "metrics": {"scans/op": 8, "scans-avoided/op": 2}}
 //
 // ns_per_op is pulled out of the metric pairs because it is the one every
 // line has and the one trend dashboards key on; every other "value unit"

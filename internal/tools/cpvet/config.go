@@ -98,8 +98,8 @@ func DefaultConfig() *Config {
 			"repro/internal/segtree":   true,
 			"repro/internal/selection": true,
 			"repro/internal/cleaning":  true,
-			// Span-parallel sweep workers (core/sweep.go) share scratches and
-			// span queues; lock discipline applies to core now that it spawns.
+			// core's engines and scratch pools are shared across serving
+			// goroutines; any mutex it takes stays under lock discipline.
 			"repro/internal/core": true,
 			"repro/cmd/cpserve":   true,
 			// WAL shipping: the Tailer's status mutex and the ship loop's use
@@ -132,8 +132,9 @@ func DefaultConfig() *Config {
 			"repro/internal/segtree":   true,
 			"repro/internal/selection": true,
 			"repro/internal/cleaning":  true,
-			// runSpans' span workers must stay joined (WaitGroup visible at
-			// the spawn site) — the sweep returns only after every span lands.
+			// core spawns no goroutines today; it stays in the set so any it
+			// grows must be joined (WaitGroup visible at the spawn site) or
+			// bounded before a query returns.
 			"repro/internal/core": true,
 			"repro/cmd/cpserve":   true,
 			// The Tailer's run goroutine is WaitGroup-joined by Close.

@@ -24,9 +24,9 @@ func TestMapOrderFunctionTag(t *testing.T) {
 	vettest.Run(t, fixture("maporderfunc"), "fix/maporderfunc", []*cpvet.Analyzer{cpvet.MapOrder}, &cpvet.Config{})
 }
 
-// TestMapOrderCacheScope pins the deterministic-scope rule the sweep-plan
-// cache relies on (core/plan.go): a //cpvet:deterministic cache lookup may
-// not range over its cache map directly, while the untagged sorted-keys
+// TestMapOrderCacheScope pins the deterministic-scope rule for cache code
+// that feeds replayed scans: a //cpvet:deterministic cache lookup may not
+// range over its cache map directly, while the untagged sorted-keys
 // collector it is supposed to call — whose own map range is made harmless by
 // the sort — stays out of scope.
 func TestMapOrderCacheScope(t *testing.T) {

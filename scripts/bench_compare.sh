@@ -20,7 +20,7 @@ cd "$(dirname "$0")/.."
 
 BASELINE=${BENCH_BASELINE:-bench/BENCH_baseline.json}
 PCT=${BENCH_REGRESSION_PCT:-15}
-MATCH=${BENCH_COMPARE_MATCH:-SweepPlanCache,ScanPositions,BatchQ2_ParallelSweep}
+MATCH=${BENCH_COMPARE_MATCH:-Q2_SSDC_K3_N1000,Q2_SSDCMC_K3_N1000_Y2,BatchQ2_Incremental,EngineBuild,Scan}
 TIME=${BENCH_COMPARE_TIME:-50x}
 COUNT=${BENCH_COMPARE_COUNT:-5}
 
@@ -32,8 +32,9 @@ fi
 out=$(mktemp)
 trap 'rm -f "$out" "$out.json"' EXIT
 
-# The pinned benchmarks live in the repro root package (SweepPlanCache,
-# BatchQ2_ParallelSweep) and internal/core (ScanPositions).
+# The pinned benchmarks live in the repro root package (Q2_SSDC_K3_N1000,
+# Q2_SSDCMC_K3_N1000_Y2, BatchQ2_Incremental) and internal/core
+# (EngineBuild, Scan).
 go test -run XXX -bench "${MATCH//,/|}" -benchtime "$TIME" -count "$COUNT" . ./internal/core/ | tee "$out"
 go run ./internal/tools/benchjson -in "$out" -out "$out.json"
 go run ./internal/tools/benchcompare \
