@@ -32,9 +32,8 @@ type Engine struct {
 	pins      []int32   // pins[i] = candidate index row i is cleaned to, or -1
 	pinGen    uint64    // bumped on every pin mutation (SetPin, ResetPins)
 	labelOf   []int
-	rowPos    []int   // leaf index of each row inside its label's tree
-	labelLen  []int   // rows per label
-	ones      []int32 // scratch template
+	rowPos    []int // leaf index of each row inside its label's tree
+	labelLen  []int // rows per label
 	// firstPos/lastPos bound each row's candidate span inside order: every
 	// candidate of row i sits at a scan position in [firstPos[i], lastPos[i]].
 	// Outside that span a pin of row i provably cannot change the row's DP
@@ -98,6 +97,19 @@ func NewEngineFromInstance(inst *Instance) *Engine {
 		e.lastPos[i] = pos
 	}
 	return e
+}
+
+// Fork returns an engine over e's read-only view (similarities, scan order,
+// row layout) with its own copy of e's pins and a pin log that starts at e's
+// generation. Pinning the fork never touches e, so one cached view can back
+// any number of independently pinned engines. Like SetPin, not safe to call
+// concurrently with pin mutations of e.
+func (e *Engine) Fork() *Engine {
+	f := *e
+	f.pins = append([]int32(nil), e.pins...)
+	f.pinLog = nil
+	f.pinLogBase = e.pinGen
+	return &f
 }
 
 // logPinMutation appends one mutation to the pin log, sliding the bounded

@@ -2,31 +2,9 @@ package core
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 )
-
-// ShapeKey returns a canonical string identifying the engine's *scratch
-// shape*: the per-label row counts (in label order) that size a Scratch's
-// segment trees and buffers. Two engines with equal shape keys can share
-// Scratches of the same K — the property CPClean exploits across
-// validation-point engines and the serving layer exploits across pooled
-// engines of one dataset.
-func (e *Engine) ShapeKey() string {
-	var b strings.Builder
-	for l, n := range e.labelLen {
-		if l > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(strconv.Itoa(n))
-	}
-	return b.String()
-}
-
-// K returns the K the scratch was allocated for.
-func (sc *Scratch) K() int { return sc.k }
 
 // ApproxBytes estimates the engine's heap footprint — the similarity matrix
 // and the sorted candidate order dominate at O(NM) — so byte-budgeted caches
@@ -72,22 +50,6 @@ func treeBytes(n, k int) int64 {
 	return int64(2*size*(k+1)) * 8
 }
 
-// CompatibleWith reports whether sc (allocated for some engine with the
-// given K) can serve queries against e: same K and same per-label tree
-// sizes. Note rows must also appear in the same label order for answers to
-// be meaningful, which holds whenever both engines view the same dataset.
-func (sc *Scratch) CompatibleWith(e *Engine, k int) bool {
-	if sc.k != k || len(sc.trees) != e.numLabels {
-		return false
-	}
-	for l, tr := range sc.trees {
-		if tr.Len() != e.labelLen[l] {
-			return false
-		}
-	}
-	return true
-}
-
 // ResetPins clears every persistent pin, returning the engine to the fully
 // uncertain state. Like SetPin, not safe to call concurrently with queries.
 func (e *Engine) ResetPins() {
@@ -103,9 +65,8 @@ func (e *Engine) ResetPins() {
 // trees dominate and cost O(N·K) memory — across queries, goroutines, and
 // engines of identical shape.
 type ScratchPool struct {
-	k        int
-	shapeKey string
-	pool     sync.Pool
+	k    int
+	pool sync.Pool
 	// allocs counts Scratches built fresh; gets counts Get calls. The
 	// difference is the number of reuses (modulo GC-evicted pool entries).
 	allocs atomic.Int64
@@ -121,7 +82,7 @@ func NewScratchPool(template *Engine, k int) (*ScratchPool, error) {
 		return nil, err
 	}
 	sh := template.shape()
-	p := &ScratchPool{k: k, shapeKey: template.ShapeKey()}
+	p := &ScratchPool{k: k}
 	p.pool.New = func() interface{} {
 		p.allocs.Add(1)
 		return newScratchFromShape(sh, k)
@@ -141,8 +102,9 @@ func (p *ScratchPool) Get() *Scratch {
 }
 
 // Put returns a Scratch to the pool. The Scratch must have been produced by
-// a pool of the same shape and K; mismatched Scratches panic rather than
-// silently corrupt later queries.
+// a pool of the same shape and K. Put checks only K — a Scratch of another
+// K panics rather than silently corrupt later queries; a shape mismatch is
+// the caller's bug and is not detected.
 func (p *ScratchPool) Put(sc *Scratch) {
 	if sc == nil {
 		return

@@ -113,14 +113,8 @@ func NewRetained(e *Engine, k int, useMC bool, scratches *ScratchPool) (*Retaine
 	}, nil
 }
 
-// K returns the query K the mode is bound to.
-func (r *Retained) K() int { return r.k }
-
 // UseMC reports whether answers come from the multi-class accumulator.
 func (r *Retained) UseMC() bool { return r.useMC }
-
-// Generation returns the pin generation the current memo answers for.
-func (r *Retained) Generation() uint64 { return r.gen }
 
 // Stats snapshots the reuse counters.
 func (r *Retained) Stats() RetainedStats { return r.stats }

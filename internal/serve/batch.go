@@ -87,8 +87,16 @@ func (s *Server) StreamBatchQuery(ctx context.Context, name string, req BatchReq
 // BatchQuery is the dataset-level batch entry point: the streaming pipeline
 // with a buffer as its sink.
 func (d *Dataset) BatchQuery(ctx context.Context, req BatchRequest, cfg Config) (*BatchResult, error) {
-	res := &BatchResult{Results: make([]PointResult, len(req.Points))}
-	sum, err := d.StreamBatchQuery(ctx, req, cfg, func(i int, r PointResult) error {
+	return collect(len(req.Points), func(yield func(int, PointResult) error) (BatchSummary, error) {
+		return d.StreamBatchQuery(ctx, req, cfg, yield)
+	})
+}
+
+// collect buffers a streaming batch query of n points into a BatchResult —
+// the one sink behind every buffered batch answer.
+func collect(n int, stream func(yield func(int, PointResult) error) (BatchSummary, error)) (*BatchResult, error) {
+	res := &BatchResult{Results: make([]PointResult, n)}
+	sum, err := stream(func(i int, r PointResult) error {
 		res.Results[i] = r
 		return nil
 	})
@@ -100,37 +108,50 @@ func (d *Dataset) BatchQuery(ctx context.Context, req BatchRequest, cfg Config) 
 }
 
 // StreamBatchQuery answers the request point by point, invoking yield in
-// request order as results complete (runOrdered's reorder buffer over the
-// worker fan-out). On a query error the lowest failing point index's error
-// is returned — deterministically, regardless of worker scheduling.
+// request order as results complete. Pooled engines are never pinned, so a
+// dataset-level answer can never go stale: its result-cache scope is "" at
+// a constant generation 0, and a hit skips the engine layer entirely.
 func (d *Dataset) StreamBatchQuery(ctx context.Context, req BatchRequest, cfg Config, yield func(i int, r PointResult) error) (BatchSummary, error) {
 	cfg = cfg.withDefaults()
 	k, err := d.resolveK(req.K)
 	if err != nil {
 		return BatchSummary{}, err
 	}
+	return d.batchQuery(ctx, cfg, req, k, "", 0, func(pt []float64, _ string) (PointResult, error) {
+		pool := d.pool(k, cfg)
+		return pool.query(pool.engine(pt), k, req.UseMC)
+	}, yield)
+}
+
+// batchQuery is the one batch pipeline behind dataset and session queries:
+// it checks every point's dimension, then fans the points out (runOrdered's
+// reorder buffer over the worker pool) and yields their answers in request
+// order. Each point is looked up in the result cache under (scope, gen)
+// first; answer computes a miss, given the point and its pointKey. On a
+// query error the lowest failing point index's error is returned —
+// deterministically, regardless of worker scheduling.
+func (d *Dataset) batchQuery(ctx context.Context, cfg Config, req BatchRequest, k int, scope string, gen uint64,
+	answer func(pt []float64, pk string) (PointResult, error), yield func(i int, r PointResult) error) (BatchSummary, error) {
 	dim := d.dim()
 	for i, t := range req.Points {
 		if len(t) != dim {
 			return BatchSummary{}, fmt.Errorf("serve: point %d has dim %d, dataset expects %d", i, len(t), dim)
 		}
 	}
-	pool := d.pool(k, cfg)
-	// Pooled engines are never pinned, so a dataset-level answer can never go
-	// stale: the result-cache generation is a constant 0 and a hit skips the
-	// engine layer entirely.
 	results := cfg.resultCacheFor()
 	certain := 0
-	err = runOrdered(ctx, len(req.Points), batchWorkers(cfg, len(req.Points)), cfg.streams,
+	err := runOrdered(ctx, len(req.Points), batchWorkers(cfg, len(req.Points)), cfg.streams,
 		func(i int) (PointResult, error) {
+			pt := req.Points[i]
+			pk := pointKey(pt)
 			var key string
 			if results != nil {
-				key = resultKey(d.fingerprint, "", k, req.UseMC, 0, pointKey(req.Points[i]))
+				key = resultKey(d.fingerprint, scope, k, req.UseMC, gen, pk)
 				if r, ok := results.get(key); ok {
 					return r, nil
 				}
 			}
-			r, err := pool.query(pool.engine(req.Points[i]), k, req.UseMC)
+			r, err := answer(pt, pk)
 			if err == nil && results != nil {
 				results.put(key, r)
 			}
@@ -158,21 +179,9 @@ func (d *Dataset) StreamBatchQuery(ctx context.Context, req BatchRequest, cfg Co
 	return sum, nil
 }
 
-// queryEngine answers both CP queries for one engine with the caller's
-// Scratch. The engine may be shared across goroutines (no pins are set).
-func queryEngine(e *core.Engine, sc *core.Scratch, k int, useMC bool) (PointResult, error) {
-	var counts []float64
-	if useMC {
-		counts = e.CountsMC(sc, -1, -1)
-	} else {
-		counts = e.Counts(sc, -1, -1)
-	}
-	return assemblePointResult(e, k, append([]float64(nil), counts...))
-}
-
 // assemblePointResult derives prediction, entropy, and Q1 certainty from an
 // owned Q2 fraction slice (exact MM for binary labels, threshold certainty
-// otherwise). The pooled sweep and the session retained-memo paths both end
+// otherwise). The plain sweep and the session retained-memo paths both end
 // here, so their answers agree field for field.
 func assemblePointResult(e *core.Engine, k int, fractions []float64) (PointResult, error) {
 	r := PointResult{

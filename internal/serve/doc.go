@@ -13,10 +13,10 @@
 //     one free list serves every worker and every test point.
 //   - Engines (O(NM log NM) candidate sort) are cached per (dataset, K) in
 //     an LRU keyed by test point, so repeated queries for hot points skip
-//     construction entirely. Engines are immutable while serving batch
-//     queries (pins are only used by cleaning sessions, which own private
-//     engines), so one cached engine safely serves many goroutines, each
-//     with its own pooled Scratch.
+//     construction entirely. Pooled engines are never pinned, so one
+//     cached engine safely serves many goroutines, each with its own pooled
+//     Scratch. Session queries fetch the same pooled engine and pin a
+//     core.Engine.Fork of it (shared view, private pins).
 //   - Batch requests fan out across a bounded worker pool mirroring
 //     cleaning.Options.Parallelism.
 //

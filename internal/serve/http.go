@@ -195,32 +195,10 @@ func Handler(s *Server) http.Handler {
 		writeJSON(w, http.StatusOK, infoFor(ds, true))
 	})
 	mux.HandleFunc("POST /v1/datasets/{name}/query", func(w http.ResponseWriter, r *http.Request) {
-		var req struct {
-			Points [][]float64 `json:"points"`
-			K      int         `json:"k"`
-			UseMC  bool        `json:"use_mc"`
-		}
-		if !decodeJSON(w, r, s.cfg.MaxQueryBytes, &req) {
-			return
-		}
-		breq := BatchRequest{Points: req.Points, K: req.K, UseMC: req.UseMC}
-		if wantsNDJSON(r) {
-			streamBatchNDJSON(w, func(yield func(int, PointResult) error) (BatchSummary, error) {
-				return s.StreamBatchQuery(r.Context(), r.PathValue("name"), breq, yield)
-			})
-			return
-		}
-		res, err := s.BatchQuery(r.Context(), r.PathValue("name"), breq)
-		if err != nil {
-			// A canceled request context means the client disconnected
-			// mid-batch; the fan-out already stopped and freed its workers.
-			// 499 (nginx's "client closed request") goes nowhere, but keeps
-			// logs and metrics truthful — consistent with the clean-stream
-			// path, which likewise stops stepping on a dead connection.
-			s.httpFail(w, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, res)
+		name := r.PathValue("name")
+		s.serveBatch(w, r, func(ctx context.Context, req BatchRequest, yield func(int, PointResult) error) (BatchSummary, error) {
+			return s.StreamBatchQuery(ctx, name, req, yield)
+		})
 	})
 	mux.HandleFunc("POST /v1/datasets/{name}/clean", func(w http.ResponseWriter, r *http.Request) {
 		var req struct {
@@ -247,29 +225,9 @@ func Handler(s *Server) http.Handler {
 			s.httpFail(w, err)
 			return
 		}
-		var req struct {
-			Points [][]float64 `json:"points"`
-			K      int         `json:"k"`
-			UseMC  bool        `json:"use_mc"`
-		}
-		if !decodeJSON(w, r, s.cfg.MaxQueryBytes, &req) {
-			return
-		}
 		// Answers reflect the session's current cleaning state (every executed
 		// step applied as a pin); repeats reuse the per-point retained trees.
-		breq := BatchRequest{Points: req.Points, K: req.K, UseMC: req.UseMC}
-		if wantsNDJSON(r) {
-			streamBatchNDJSON(w, func(yield func(int, PointResult) error) (BatchSummary, error) {
-				return sess.StreamQuery(r.Context(), breq, yield)
-			})
-			return
-		}
-		res, err := sess.Query(r.Context(), breq)
-		if err != nil {
-			s.httpFail(w, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, res)
+		s.serveBatch(w, r, sess.StreamQuery)
 	})
 	mux.HandleFunc("GET /v1/clean/{id}", func(w http.ResponseWriter, r *http.Request) {
 		sess, err := s.FindCleanSession(r.PathValue("id"))
@@ -410,6 +368,40 @@ func wantsNDJSON(r *http.Request) bool {
 type streamPointLine struct {
 	Index int `json:"index"`
 	PointResult
+}
+
+// serveBatch decodes a {points, k, use_mc} batch body and answers it through
+// stream — the one handler body behind the dataset and session query routes:
+// NDJSON lines when the client asks for them, one buffered JSON body
+// otherwise.
+func (s *Server) serveBatch(w http.ResponseWriter, r *http.Request, stream func(ctx context.Context, req BatchRequest, yield func(int, PointResult) error) (BatchSummary, error)) {
+	var body struct {
+		Points [][]float64 `json:"points"`
+		K      int         `json:"k"`
+		UseMC  bool        `json:"use_mc"`
+	}
+	if !decodeJSON(w, r, s.cfg.MaxQueryBytes, &body) {
+		return
+	}
+	req := BatchRequest{Points: body.Points, K: body.K, UseMC: body.UseMC}
+	run := func(yield func(int, PointResult) error) (BatchSummary, error) {
+		return stream(r.Context(), req, yield)
+	}
+	if wantsNDJSON(r) {
+		streamBatchNDJSON(w, run)
+		return
+	}
+	res, err := collect(len(req.Points), run)
+	if err != nil {
+		// A canceled request context means the client disconnected
+		// mid-batch; the fan-out already stopped and freed its workers.
+		// 499 (nginx's "client closed request") goes nowhere, but keeps
+		// logs and metrics truthful — consistent with the clean-stream
+		// path, which likewise stops stepping on a dead connection.
+		s.httpFail(w, err)
+		return
+	}
+	writeJSON(w, http.StatusOK, res)
 }
 
 // streamBatchNDJSON answers a batch query as NDJSON: one result line per

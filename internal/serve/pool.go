@@ -60,7 +60,7 @@ func pointKey(t []float64) string {
 
 // engine returns a query engine for test point t, from cache when possible.
 // The returned engine may be shared with other goroutines; callers must not
-// pin it.
+// pin it (session queries pin a Fork of it).
 func (p *enginePool) engine(t []float64) *core.Engine {
 	if p.capacity <= 0 {
 		e := core.NewEngine(p.ds.data, p.ds.kernel, t)
@@ -86,13 +86,19 @@ func (p *enginePool) engine(t []float64) *core.Engine {
 	return cur
 }
 
-// query answers both CP queries for an unpinned engine with a fresh SS-DC
-// sweep.
+// query answers both CP queries for e under its pins with a fresh SS-DC
+// sweep on a pooled Scratch. e is a pooled engine or a session's fork of one.
 func (p *enginePool) query(e *core.Engine, k int, useMC bool) (PointResult, error) {
 	scratches := p.scratchesFor(e)
 	sc := scratches.Get()
 	defer scratches.Put(sc)
-	return queryEngine(e, sc, k, useMC)
+	var counts []float64
+	if useMC {
+		counts = e.CountsMC(sc, -1, -1)
+	} else {
+		counts = e.Counts(sc, -1, -1)
+	}
+	return assemblePointResult(e, k, append([]float64(nil), counts...))
 }
 
 // scratchesFor returns the shared Scratch free list, creating it on first
@@ -112,7 +118,10 @@ func (p *enginePool) scratchesFor(template *core.Engine) *core.ScratchPool {
 	return p.scratches
 }
 
-// PoolStats reports one (K, pool) pair's serving counters.
+// PoolStats reports one (K, pool) pair's serving counters. EngineBuilds and
+// EngineHits count every engine lookup, dataset and session queries alike:
+// a session query's first visit to a point fetches the pooled engine it
+// forks.
 type PoolStats struct {
 	K             int   `json:"k"`
 	EngineBuilds  int64 `json:"engine_builds"`

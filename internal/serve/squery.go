@@ -12,18 +12,21 @@ import (
 )
 
 // sessionQueryCache answers batch CP queries against a clean session's
-// *current* pin state: per (K, test point) it keeps a private engine with the
-// session's executed cleaning steps applied as pins, plus the retained-tree
-// query memo (core.Retained) keyed by the engine's pin generation. A batch
-// Q2 repeated while the session pins rows therefore reuses the prior tree
-// state — an unchanged session is a pure memo hit, a session that pinned
-// irrelevant rows since is too, and a relevant pin replays only its
-// candidate-span window instead of a full SS-DC sweep.
+// *current* pin state. A session query is a dataset query under the session's
+// pins: per (K, test point) the cache keeps a fork of the dataset pool's
+// engine (core.Engine.Fork — the pooled similarity view and scan order are
+// shared, only the pins are the session's) with the session's executed
+// cleaning steps applied, plus the retained-tree query memo (core.Retained)
+// keyed by the fork's pin generation. A batch Q2 repeated while the session
+// pins rows therefore reuses the prior tree state — an unchanged session is
+// a pure memo hit, a session that pinned irrelevant rows since is too, and a
+// relevant pin replays only its candidate-span window instead of a full
+// SS-DC sweep.
 //
 // The cache is independent of the session's cleaning engines, so queries run
 // concurrently with the (single-goroutine) driver: the driver appends to the
 // session history under sess.mu, queries snapshot that history and catch
-// their cached engines up pin by pin under each entry's own lock.
+// their forks up pin by pin under each entry's own lock.
 type sessionQueryCache struct {
 	ds  *Dataset
 	cfg Config
@@ -41,7 +44,7 @@ type sessionQueryCache struct {
 	avoided    atomic.Int64
 }
 
-// squeryEntry is one (K, point) pinned engine + retained memo. mu serializes
+// squeryEntry is one (K, point) pinned fork + retained memo. mu serializes
 // use; last holds the retained stats already folded into the cache counters.
 type squeryEntry struct {
 	key string
@@ -59,7 +62,7 @@ func newSessionQueryCache(ds *Dataset, cfg Config) *sessionQueryCache {
 	capacity := cfg.EngineCacheSize
 	if capacity <= 0 {
 		// Even with engine caching disabled, session queries need at least
-		// one live entry: a pinned engine is the answer's working state, and
+		// one live entry: a pinned fork is the answer's working state, and
 		// a bounded cache (not none) is what keeps point sweeps from OOMing.
 		capacity = 1
 	}
@@ -93,10 +96,11 @@ func (q *sessionQueryCache) statsSnapshot() SessionQueryStats {
 	}
 }
 
-// entry returns (creating if needed) the cache entry for (pt, k). Eviction
-// runs the engine pool's policy through the shared lruBudget accounting.
-func (q *sessionQueryCache) entry(pt []float64, k int) *squeryEntry {
-	key := strconv.Itoa(k) + "|" + pointKey(pt)
+// entry returns (creating if needed) the cache entry for (pt, k); pk is
+// pt's pointKey. Eviction runs the engine pool's policy through the shared
+// lruBudget accounting.
+func (q *sessionQueryCache) entry(pt []float64, pk string, k int) *squeryEntry {
+	key := strconv.Itoa(k) + "|" + pk
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if ent, ok := q.cache.get(key); ok {
@@ -116,35 +120,33 @@ func (q *sessionQueryCache) reaccount(ent *squeryEntry, newBytes int64) {
 }
 
 // queryPoint answers one point under the pins of hist (the session's
-// executed steps): the cached engine is caught up on any steps it has not
-// seen, then the retained memo answers — O(1) when nothing relevant changed.
+// executed steps): the entry's fork of the pooled engine is caught up on any
+// steps it has not seen, then the retained memo answers — O(1) when nothing
+// relevant changed.
 func (q *sessionQueryCache) queryPoint(ent *squeryEntry, hist []CleanStep, useMC bool) (PointResult, error) {
 	ent.mu.Lock()
 	defer ent.mu.Unlock()
+	pool := q.ds.pool(ent.k, q.cfg)
 	if ent.engine == nil {
-		ent.engine = core.NewEngine(q.ds.data, q.ds.kernel, ent.pt)
-		rt, err := core.NewRetained(ent.engine, ent.k, useMC, q.ds.pool(ent.k, q.cfg).scratchesFor(ent.engine))
+		e := pool.engine(ent.pt).Fork()
+		rt, err := core.NewRetained(e, ent.k, useMC, pool.scratchesFor(e))
 		if err != nil {
-			ent.engine = nil
 			return PointResult{}, err
 		}
-		ent.retained = rt
+		ent.engine, ent.retained = e, rt
 	}
-	// Catch the engine up on cleaning steps executed since the last query of
+	// Catch the fork up on cleaning steps executed since the last query of
 	// this point. Pins only ever accumulate (the history is append-only), so
 	// the delta is exactly hist[applied:].
 	for ; ent.applied < len(hist); ent.applied++ {
 		st := hist[ent.applied]
 		ent.engine.SetPin(st.Row, st.Candidate)
 	}
+	q.queries.Add(1)
 	if ent.retained.UseMC() != useMC {
 		// Mode flip on a warm entry: answer with a plain sweep rather than
 		// thrash the retained accumulator.
-		sp := q.ds.pool(ent.k, q.cfg).scratchesFor(ent.engine)
-		sc := sp.Get()
-		defer sp.Put(sc)
-		q.queries.Add(1)
-		return queryEngine(ent.engine, sc, ent.k, useMC)
+		return pool.query(ent.engine, ent.k, useMC)
 	}
 	if q.cfg.DisableQueryMemo {
 		// Ablation baseline: force the full sweep through the same code path
@@ -153,7 +155,6 @@ func (q *sessionQueryCache) queryPoint(ent *squeryEntry, hist []CleanStep, useMC
 	}
 	counts := ent.retained.Counts()
 	r, err := assemblePointResult(ent.engine, ent.k, append([]float64(nil), counts...))
-	q.queries.Add(1)
 	s := ent.retained.Stats()
 	q.fullScans.Add(s.FullScans - ent.last.FullScans)
 	q.memoHits.Add(s.MemoHits - ent.last.MemoHits)
@@ -173,22 +174,14 @@ func (q *sessionQueryCache) queryPoint(ent *squeryEntry, hist []CleanStep, useMC
 // state across pins (see sessionQueryCache). Canceling ctx abandons the
 // remaining points, as in Server.BatchQuery.
 func (sess *Session) Query(ctx context.Context, req BatchRequest) (*BatchResult, error) {
-	res := &BatchResult{Results: make([]PointResult, len(req.Points))}
-	sum, err := sess.StreamQuery(ctx, req, func(i int, r PointResult) error {
-		res.Results[i] = r
-		return nil
+	return collect(len(req.Points), func(yield func(int, PointResult) error) (BatchSummary, error) {
+		return sess.StreamQuery(ctx, req, yield)
 	})
-	if err != nil {
-		return nil, err
-	}
-	res.K, res.CertainFraction = sum.K, sum.CertainFraction
-	return res, nil
 }
 
 // StreamQuery is Query with the results delivered through yield in request
-// order as they complete — the session-side engine of the NDJSON batch mode,
-// with the same ordered fan-out and lowest-index error determinism as
-// Dataset.StreamBatchQuery.
+// order as they complete: the dataset batch pipeline (Dataset.batchQuery)
+// scoped to the session's pins.
 func (sess *Session) StreamQuery(ctx context.Context, req BatchRequest, yield func(i int, r PointResult) error) (BatchSummary, error) {
 	sess.mu.Lock()
 	if sess.closed {
@@ -210,52 +203,13 @@ func (sess *Session) StreamQuery(ctx context.Context, req BatchRequest, yield fu
 			return BatchSummary{}, err
 		}
 	}
-	dim := sess.ds.dim()
-	for i, t := range req.Points {
-		if len(t) != dim {
-			return BatchSummary{}, fmt.Errorf("serve: point %d has dim %d, dataset expects %d", i, len(t), dim)
-		}
-	}
-	cfg := sess.server.cfg.withDefaults()
 	// Session answers are valid for one pin-state prefix: the history is
 	// append-only, so its snapshot length is the result-cache generation —
 	// a cleaning step bumps it and stale entries are simply never keyed again.
-	results := cfg.resultCacheFor()
-	gen := uint64(len(hist))
-	certain := 0
-	err := runOrdered(ctx, len(req.Points), batchWorkers(cfg, len(req.Points)), cfg.streams,
-		func(i int) (PointResult, error) {
-			var key string
-			if results != nil {
-				key = resultKey(sess.ds.fingerprint, sess.id, k, req.UseMC, gen, pointKey(req.Points[i]))
-				if r, ok := results.get(key); ok {
-					return r, nil
-				}
-			}
-			ent := q.entry(req.Points[i], k)
-			r, err := q.queryPoint(ent, hist, req.UseMC)
-			if err == nil && results != nil {
-				results.put(key, r)
-			}
-			return r, err
-		},
-		func(i int, r PointResult) error {
-			if r.Certain {
-				certain++
-			}
-			return yield(i, r)
-		})
-	if err != nil {
-		if ctx.Err() != nil {
-			return BatchSummary{}, fmt.Errorf("serve: session query abandoned: %w", ctx.Err())
-		}
-		return BatchSummary{}, err
-	}
-	sum := BatchSummary{K: k, Points: len(req.Points)}
-	if len(req.Points) > 0 {
-		sum.CertainFraction = float64(certain) / float64(len(req.Points))
-	}
-	return sum, nil
+	return sess.ds.batchQuery(ctx, sess.server.cfg.withDefaults(), req, k, sess.id, uint64(len(hist)),
+		func(pt []float64, pk string) (PointResult, error) {
+			return q.queryPoint(q.entry(pt, pk, k), hist, req.UseMC)
+		}, yield)
 }
 
 // QueryStats snapshots the session's query-memo counters (zero when the

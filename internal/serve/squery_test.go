@@ -96,6 +96,61 @@ func TestSessionQueryLockstep(t *testing.T) {
 	}
 }
 
+// TestSessionQueryForksPooledEngines checks a session query builds its
+// per-point engines through the dataset's engine pool (as forks, so the
+// session's pins stay private): a dataset batch of the same points afterwards
+// builds nothing and hits the pool once per point, and its unpinned answers
+// equal a fresh server's bit for bit.
+func TestSessionQueryForksPooledEngines(t *testing.T) {
+	s, d, sess := cleanFixture(t, Config{Parallelism: 2}, 970)
+	defer s.Close()
+	ctx := context.Background()
+	points := randPoints(5, 2, 971)
+	if _, _, err := sess.Next(2); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sess.Query(ctx, BatchRequest{Points: points}); err != nil {
+		t.Fatal(err)
+	}
+	ds, err := s.Dataset("d")
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := ds.Stats()[0]
+	got, err := s.BatchQuery(ctx, "d", BatchRequest{Points: points})
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := ds.Stats()[0]
+	if builds := after.EngineBuilds - before.EngineBuilds; builds != 0 {
+		t.Fatalf("dataset batch after a session query built %d engines, want 0 (%+v)", builds, after)
+	}
+	if hits := after.EngineHits - before.EngineHits; hits != int64(len(points)) {
+		t.Fatalf("dataset batch after a session query hit %d pooled engines, want %d", hits, len(points))
+	}
+
+	fresh := NewServer(Config{Parallelism: 2})
+	defer fresh.Close()
+	if _, err := fresh.Register("d", d, nil, 3); err != nil {
+		t.Fatal(err)
+	}
+	want, err := fresh.BatchQuery(ctx, "d", BatchRequest{Points: points})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, w := range want.Results {
+		g := got.Results[i]
+		if g.Prediction != w.Prediction || g.Certain != w.Certain || g.Entropy != w.Entropy {
+			t.Fatalf("point %d: %+v, fresh server %+v", i, g, w)
+		}
+		for y := range w.Fractions {
+			if g.Fractions[y] != w.Fractions[y] {
+				t.Fatalf("point %d label %d: %v, fresh server %v", i, y, g.Fractions[y], w.Fractions[y])
+			}
+		}
+	}
+}
+
 // TestSessionQueryMatchesAblation cross-checks the memoized path against the
 // DisableQueryMemo full-sweep baseline on an identical run, and checks the
 // baseline pays more candidate scans — the quantity the benchmark reports.

@@ -4,7 +4,9 @@
 # the transcript with benchjson, and diffs it against the committed baseline
 # with benchcompare — failing on any >BENCH_REGRESSION_PCT% (default 15)
 # ns/op regression. With no committed baseline the script warns and exits 0,
-# so a fresh checkout is never broken by a missing artifact.
+# so a fresh checkout is never broken by a missing artifact; under GitHub
+# Actions the warning is also a ::warning:: annotation naming the file, so
+# the skipped gate shows on the run page instead of passing silently.
 #
 # Refresh the baseline after an intentional perf change:
 #   make bench-baseline && git add bench/BENCH_baseline.json
@@ -26,6 +28,9 @@ COUNT=${BENCH_COMPARE_COUNT:-5}
 
 if [[ ! -f "$BASELINE" ]]; then
   echo "bench_compare: no baseline at $BASELINE; skipping (create one with 'make bench-baseline')" >&2
+  if [[ -n "${GITHUB_ACTIONS:-}" ]]; then
+    echo "::warning file=$BASELINE::bench regression gate skipped: no baseline at $BASELINE (create one with 'make bench-baseline')"
+  fi
   exit 0
 fi
 
