@@ -145,7 +145,7 @@ func newRunState(t *Task, opts Options) (*runState, error) {
 		go func(v int) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			st.engines[v] = core.NewEngine(d, t.Kernel, t.ValX[v])
+			st.engines[v] = core.NewTruncatedEngine(d, t.Kernel, t.ValX[v], t.K)
 			c, err := st.engines[v].IsCertainMM(t.K)
 			if err != nil {
 				errs[v] = err

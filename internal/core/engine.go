@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/big"
-	"sort"
 
 	"repro/internal/dataset"
 	"repro/internal/knn"
@@ -12,7 +11,8 @@ import (
 )
 
 // Engine answers CP queries for one (incomplete dataset, test point) pair.
-// It pre-sorts all candidate similarities once and then supports repeated
+// It pre-sorts the candidate similarities once — only those that can reach
+// a top-K boundary, for a truncated engine — and then supports repeated
 // Q1/Q2 evaluation under different cleaning states:
 //
 //   - persistent pins (SetPin) model rows that have been cleaned to a known
@@ -28,17 +28,30 @@ import (
 type Engine struct {
 	inst      *Instance
 	numLabels int
-	order     []candRef // ascending similarity under the total order
-	pins      []int32   // pins[i] = candidate index row i is cleaned to, or -1
-	pinGen    uint64    // bumped on every pin mutation (SetPin, ResetPins)
-	labelOf   []int
-	rowPos    []int // leaf index of each row inside its label's tree
-	labelLen  []int // rows per label
-	// firstPos/lastPos bound each row's candidate span inside order: every
-	// candidate of row i sits at a scan position in [firstPos[i], lastPos[i]].
-	// Outside that span a pin of row i provably cannot change the row's DP
-	// leaf (α is 0 before the span and saturated after it), which is what
-	// lets Retained replay only the span window after a pin.
+	// order holds the candidates at or above the truncation threshold T,
+	// ascending in similarity. A candidate below T (the (K+1)-th most
+	// similar row minimum, for the K the engine was built for) can never sit
+	// on a top-K boundary under any pins, so a scan of it would only add 1
+	// to its row's α: below[i] counts row i's candidates below T, and every
+	// scan starts from that α (seedAlpha) instead of from position 0. An
+	// untruncated engine has T = −∞, below all zero and every candidate in
+	// order.
+	order []candRef
+	t     threshold
+	below []int32
+	maxK  int // largest K the truncation is sound for
+	// argMin/argMax are each row's least and most similar candidate under
+	// the total order, over all its candidates (MM, RelevantRows).
+	argMin, argMax []int32
+	pins           []int32 // pins[i] = candidate index row i is cleaned to, or -1
+	pinGen         uint64  // bumped on every pin mutation (SetPin, ResetPins)
+	labelOf        []int
+	rowPos         []int // leaf index of each row inside its label's tree
+	labelLen       []int // rows per label
+	// firstPos/lastPos bound each row's kept candidates inside order: every
+	// one of them sits at a scan position in [firstPos[i], lastPos[i]]
+	// (firstPos[i] = −1 when the row has none). OrderSpan widens this to the
+	// window a pin of the row can change.
 	firstPos []int
 	lastPos  []int
 	// pinLog records each pin mutation so retained-tree caches can ask which
@@ -59,23 +72,49 @@ type PinEvent struct {
 // this rebuild from scratch, which is a performance fallback, never an error.
 const maxPinLog = 4096
 
-// NewEngine builds an engine for incomplete dataset d and test point t under
-// the given kernel.
+// NewEngine builds an untruncated engine for incomplete dataset d and test
+// point t under the given kernel: it answers queries for any K, and is the
+// reference the truncated engines are tested against.
 func NewEngine(d *dataset.Incomplete, kernel knn.Kernel, t []float64) *Engine {
 	return NewEngineFromInstance(InstanceFor(d, kernel, t))
 }
 
-// NewEngineFromInstance builds an engine from a precomputed similarity view.
+// NewEngineFromInstance builds an untruncated engine from a precomputed
+// similarity view.
 func NewEngineFromInstance(inst *Instance) *Engine {
+	return NewTruncatedEngineFromInstance(inst, 0)
+}
+
+// NewTruncatedEngine builds an engine for incomplete dataset d and test
+// point t that answers queries with at most k neighbors. It sorts, stores
+// and scans only the candidates that can reach a top-k boundary; every
+// answer is bit-identical to NewEngine's. With k < 1 or N ≤ k it is
+// NewEngine.
+func NewTruncatedEngine(d *dataset.Incomplete, kernel knn.Kernel, t []float64, k int) *Engine {
+	return NewTruncatedEngineFromInstance(InstanceFor(d, kernel, t), k)
+}
+
+// NewTruncatedEngineFromInstance is NewTruncatedEngine over a precomputed
+// similarity view.
+func NewTruncatedEngineFromInstance(inst *Instance, k int) *Engine {
 	n := inst.N()
+	v := inst.scanView(k)
 	e := &Engine{
 		inst:      inst,
 		numLabels: inst.NumLabels,
-		order:     inst.sortedCandidates(),
+		order:     v.order,
+		t:         v.t,
+		below:     v.below,
+		maxK:      math.MaxInt,
+		argMin:    v.argMin,
+		argMax:    v.argMax,
 		pins:      make([]int32, n),
 		labelOf:   make([]int, n),
 		rowPos:    make([]int, n),
 		labelLen:  make([]int, inst.NumLabels),
+	}
+	if v.t != noThreshold {
+		e.maxK = k
 	}
 	for i := 0; i < n; i++ {
 		e.pins[i] = -1
@@ -97,6 +136,50 @@ func NewEngineFromInstance(inst *Instance) *Engine {
 		e.lastPos[i] = pos
 	}
 	return e
+}
+
+// validateK rejects a K out of range for the instance or larger than the
+// one the engine was truncated for.
+func (e *Engine) validateK(k int) error {
+	if err := validateK(e.inst, k); err != nil {
+		return err
+	}
+	if k > e.maxK {
+		return fmt.Errorf("core: K=%d exceeds the K=%d the engine was truncated for", k, e.maxK)
+	}
+	return nil
+}
+
+// mustFit panics when sc was allocated for a larger K than the engine's
+// truncation allows — a Scratch shared across engines built for different
+// K, which only a caller bug can produce.
+func (e *Engine) mustFit(sc *Scratch) {
+	if sc.k > e.maxK {
+		panic(fmt.Sprintf("core: K=%d scratch on an engine truncated for K=%d", sc.k, e.maxK))
+	}
+}
+
+// seedAlpha writes into alpha the α state a scan of every candidate below T
+// leaves under pins — below[i] for an uncertain row; 1 or 0 for a pinned
+// row, as its chosen candidate lies below T or not — and returns the number
+// of rows with α = 0. No position below T does tree work (at least K+1 rows
+// still have α = 0 there), so a scan of order from this state equals a scan
+// of every candidate from zero, bit for bit.
+func (e *Engine) seedAlpha(alpha, pins []int32) int {
+	zero := 0
+	for i, b := range e.below {
+		if ch := pins[i]; ch >= 0 && b > 0 {
+			b = 0
+			if e.t.below(simKey(e.inst.Sims[i][ch]), int32(i), ch) {
+				b = 1
+			}
+		}
+		alpha[i] = b
+		if b == 0 {
+			zero++
+		}
+	}
+	return zero
 }
 
 // Fork returns an engine over e's read-only view (similarities, scan order,
@@ -141,10 +224,19 @@ func (e *Engine) PinsSince(gen uint64) (events []PinEvent, ok bool) {
 	return e.pinLog[gen-e.pinLogBase:], true
 }
 
-// OrderSpan returns the scan-position span of row's candidates inside the
-// engine's total order — the only window of the SS-DC scan a pin of this row
-// can affect.
+// OrderSpan returns the window of scan positions a pin of row can affect:
+// the span of its kept candidates, widened to start at 0 when some of its
+// candidates lie below T (the pin moves the row's α seed, and so its leaf at
+// every position before the span). A row with no kept candidates has an
+// empty span, first > last: its leaf is [1,0] at every position under any
+// pin.
 func (e *Engine) OrderSpan(row int) (first, last int) {
+	switch {
+	case e.firstPos[row] < 0:
+		return len(e.order), -1
+	case e.below[row] > 0:
+		return 0, e.lastPos[row]
+	}
 	return e.firstPos[row], e.lastPos[row]
 }
 
@@ -281,7 +373,7 @@ func newScratchFromShape(sh scratchShape, k int) *Scratch {
 
 // NewScratch allocates query state for queries with the given K.
 func (e *Engine) NewScratch(k int) (*Scratch, error) {
-	if err := validateK(e.inst, k); err != nil {
+	if err := e.validateK(k); err != nil {
 		return nil, err
 	}
 	return newScratchFromShape(e.shape(), k), nil
@@ -319,16 +411,16 @@ func (e *Engine) CountsMC(sc *Scratch, overrideRow, overrideCand int) []float64 
 	return e.fullScan(sc, overrideRow, overrideCand, true)
 }
 
-// fullScan runs the scan kernel over every position from a zero α state into
-// sc.counts.
+// fullScan runs the scan kernel over every kept position from the seeded α
+// state into sc.counts.
 func (e *Engine) fullScan(sc *Scratch, overrideRow, overrideCand int, useMC bool) []float64 {
-	for i := range sc.alpha {
-		sc.alpha[i] = 0
-	}
+	e.mustFit(sc)
+	pins := e.pinsFor(sc, overrideRow, overrideCand)
+	zeroRows := e.seedAlpha(sc.alpha, pins)
 	for y := range sc.counts {
 		sc.counts[y] = 0
 	}
-	e.scan(sc, e.pinsFor(sc, overrideRow, overrideCand), 0, len(e.order)-1, e.N(), false, useMC, nil)
+	e.scan(sc, pins, 0, len(e.order)-1, zeroRows, false, useMC, nil)
 	return sc.counts
 }
 
@@ -410,16 +502,30 @@ func (e *Engine) HypothesisCounts(sc *Scratch, row int) [][]float64 {
 	if e.pins[row] >= 0 {
 		panic("core: HypothesisCounts on a pinned row")
 	}
+	e.mustFit(sc)
 	m := inst.M(row)
 	lRow := e.labelOf[row]
 	posRow := e.rowPos[row]
 	sc.ensureHyp(m, e.numLabels)
-	for i := range sc.alpha {
-		sc.alpha[i] = 0
+	// zeroOthers counts rows ≠ row with α = 0; while it exceeds K−1, both
+	// the pre and post supports of any boundary candidate are zero, as is
+	// the row's own boundary support. The row's own α stays 0: its leaf is
+	// set explicitly in each tree.
+	zeroOthers := e.seedAlpha(sc.alpha, e.pins)
+	if sc.alpha[row] == 0 {
+		zeroOthers--
 	}
+	sc.alpha[row] = 0
 	for y := 0; y < e.numLabels; y++ {
 		sc.cumPre[y] = 0
 		sc.cumPost[y] = 0
+	}
+	// A pin of a candidate below T sits in the zero prefix: zero snapshots
+	// and a zero own term. Kept candidates fill theirs in during the scan.
+	for j := 0; j < m; j++ {
+		clear(sc.snapPre[j])
+		clear(sc.snapPost[j])
+		clear(sc.own[j])
 	}
 	// rootsPre views the alternate tree for the row's label.
 	copy(sc.rootsPre, sc.rootsNormal)
@@ -427,10 +533,6 @@ func (e *Engine) HypothesisCounts(sc *Scratch, row int) [][]float64 {
 	preTree := sc.altTrees[lRow]
 	postTree := sc.trees[lRow]
 
-	// zeroOthers counts rows ≠ row with α = 0; while it exceeds K−1, both
-	// the pre and post supports of any boundary candidate are zero, as is
-	// the row's own boundary support.
-	zeroOthers := e.N() - 1
 	built := false
 	build := func() {
 		e.buildLeaves(sc, e.pins)
@@ -452,9 +554,6 @@ func (e *Engine) HypothesisCounts(sc *Scratch, row int) [][]float64 {
 			// with a pinned row's 1/M_eff = 1).
 			copy(sc.snapPre[j], sc.cumPre)
 			copy(sc.snapPost[j], sc.cumPost)
-			for y := range sc.own[j] {
-				sc.own[j][y] = 0
-			}
 			if zeroOthers <= sc.k-1 {
 				if !built {
 					build()
@@ -529,33 +628,23 @@ func (e *Engine) RelevantRows(k int) []bool {
 		}
 		return rel
 	}
+	// The per-row extremes come precomputed from the build; the bound is
+	// found by selection, which may permute worst.
 	worst := make([]float64, n)
-	best := make([]float64, n)
-	for i := 0; i < n; i++ {
-		ch := int(e.pins[i])
-		if ch >= 0 {
-			worst[i] = boundSim(e.inst.Sims[i][ch])
-			best[i] = worst[i]
-			continue
+	for i := range worst {
+		j := e.pins[i]
+		if j < 0 {
+			j = e.argMin[i]
 		}
-		lo, hi := math.Inf(1), math.Inf(-1)
-		for _, s := range e.inst.Sims[i] {
-			s = boundSim(s)
-			if s < lo {
-				lo = s
-			}
-			if s > hi {
-				hi = s
-			}
-		}
-		worst[i] = lo
-		best[i] = hi
+		worst[i] = boundSim(e.inst.Sims[i][j])
 	}
-	sorted := append([]float64(nil), worst...)
-	sort.Sort(sort.Reverse(sort.Float64Slice(sorted)))
-	bound := sorted[k] // (k+1)-th largest
-	for i := 0; i < n; i++ {
-		rel[i] = best[i] >= bound
+	bound := selectNth(worst, k, func(a, b float64) bool { return a > b }) // (k+1)-th largest
+	for i := range rel {
+		j := e.pins[i]
+		if j < 0 {
+			j = e.argMax[i]
+		}
+		rel[i] = boundSim(e.inst.Sims[i][j]) >= bound
 	}
 	return rel
 }

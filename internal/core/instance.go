@@ -169,57 +169,171 @@ const (
 	radixMask   = 1<<radixBits - 1
 )
 
-// radixScratch holds sortedCandidates' temporaries between engine builds.
-// Everything but the returned order is garbage the moment a sort ends;
+// radixScratch holds scanView's temporaries between engine builds.
+// Everything but the returned view is garbage the moment a build ends;
 // reusing it keeps a burst of engine builds from inflating the peak heap.
 type radixScratch struct {
 	hist          [radixPasses][1 << radixBits]int32
 	keys, keysTmp []uint64
 	refs          []candRef
+	mins          []threshold
 }
 
 var radixScratchPool = sync.Pool{New: func() any { return new(radixScratch) }}
 
-// sortedCandidates returns every candidate reference ordered by ascending
-// similarity (least similar first), the scan order of the SS algorithms:
-// a comes before b iff MoreSimilar(b, a). It is a stable LSD radix sort on
-// simKey. Candidates are enumerated in descending (row, cand) order, so
-// stability leaves equal keys with the larger (row, cand) first — exactly
-// MoreSimilar's tie-break. A pass whose digit is the same in every key would
-// be the identity and is skipped.
-func (in *Instance) sortedCandidates() []candRef {
-	n := in.TotalCandidates()
-	out := make([]candRef, n)
-	if n == 0 {
-		return out
+// threshold is a position in the total order, named by its candidate: the
+// candidate's simKey and (row, cand). Engine build truncates the scan order
+// at T, the (K+1)-th most similar row minimum.
+type threshold struct {
+	key       uint64
+	row, cand int32
+}
+
+// noThreshold is T = −∞: no candidate lies below it, so nothing is
+// truncated.
+var noThreshold = threshold{row: math.MaxInt32, cand: math.MaxInt32}
+
+// below reports whether the candidate (row, cand) with similarity key key
+// is strictly less similar than t under MoreSimilar's total order — higher
+// key wins, equal keys go to the smaller (row, cand).
+func (t threshold) below(key uint64, row, cand int32) bool {
+	if key != t.key {
+		return key < t.key
+	}
+	if row != t.row {
+		return row > t.row
+	}
+	return cand > t.cand
+}
+
+// moreSimilar orders row minima for the threshold selection: most similar
+// first. Rows are distinct, so the order is strict.
+func (t threshold) moreSimilar(u threshold) bool {
+	if t.key != u.key {
+		return t.key > u.key
+	}
+	return t.row < u.row
+}
+
+// scanView is what engine build derives from an instance in two passes over
+// its candidates: each row's least and most similar candidate under the
+// total order, the truncation threshold T, each row's count of candidates
+// below T, and the scan order of the candidates that remain.
+type scanView struct {
+	order          []candRef // kept candidates, ascending similarity
+	argMin, argMax []int32
+	below          []int32
+	t              threshold
+}
+
+// scanView builds the engine's view for queries with at most K = k
+// neighbors. T is the (K+1)-th most similar row minimum: a candidate below T
+// has at least K+1 other rows whose every candidate is more similar, under
+// any pins (pins only raise a row's minimum), so it can never sit on a
+// top-K boundary and only adds to its row's starting α. Those candidates
+// are counted in below and left out of order. With k < 1 or N ≤ k there is
+// no K+1-th row, T = −∞ and order holds every candidate.
+//
+// order is a stable LSD radix sort on simKey: a comes before b iff
+// MoreSimilar(b, a). Candidates are enumerated in descending (row, cand)
+// order, so stability leaves equal keys with the larger (row, cand) first —
+// exactly MoreSimilar's tie-break. A pass whose digit is the same in every
+// key would be the identity and is skipped.
+func (in *Instance) scanView(k int) scanView {
+	n := in.N()
+	nm := in.TotalCandidates()
+	v := scanView{
+		argMin: make([]int32, n),
+		argMax: make([]int32, n),
+		below:  make([]int32, n),
+		t:      noThreshold,
 	}
 	sc := radixScratchPool.Get().(*radixScratch)
 	defer radixScratchPool.Put(sc)
-	sc.keys = slices.Grow(sc.keys[:0], n)[:n]
-	sc.keysTmp = slices.Grow(sc.keysTmp[:0], n)[:n]
-	sc.refs = slices.Grow(sc.refs[:0], n)[:n]
-	keys, keysTmp := sc.keys, sc.keysTmp
-	refs, refsTmp := out, sc.refs
+	sc.keys = slices.Grow(sc.keys[:0], nm)[:nm]
+	sc.mins = slices.Grow(sc.mins[:0], n)[:n]
+	keys := sc.keys
+	// Pass 1: every key, in descending (row, cand) order, with each row's
+	// extremes. j descends, so on equal keys the argmax moves to the smaller
+	// (more similar) j and the argmin stays on the larger one.
 	p := 0
-	for i := len(in.Sims) - 1; i >= 0; i-- {
+	for i := n - 1; i >= 0; i-- {
 		row := in.Sims[i]
-		for j := len(row) - 1; j >= 0; j-- {
-			keys[p] = simKey(row[j])
-			refs[p] = candRef{int32(i), int32(j)}
+		last := len(row) - 1 // every row has a candidate (NewInstance)
+		lo := simKey(row[last])
+		hi, loJ, hiJ := lo, last, last
+		keys[p] = lo
+		p++
+		for j := last - 1; j >= 0; j-- {
+			key := simKey(row[j])
+			keys[p] = key
 			p++
+			if key < lo {
+				lo, loJ = key, j
+			}
+			if key >= hi {
+				hi, hiJ = key, j
+			}
+		}
+		v.argMin[i], v.argMax[i] = int32(loJ), int32(hiJ)
+		sc.mins[i] = threshold{key: lo, row: int32(i), cand: int32(loJ)}
+	}
+	if k >= 1 && k < n {
+		v.t = selectNth(sc.mins, k, threshold.moreSimilar)
+	}
+	// Pass 2: count each row's candidates below T and compact the rest,
+	// keeping the descending (row, cand) enumeration order. A row's extremes
+	// settle it whole unless it straddles T.
+	sc.refs = slices.Grow(sc.refs[:0], nm)[:nm]
+	refs := sc.refs
+	q := 0
+	p = 0
+	for i := n - 1; i >= 0; i-- {
+		row := in.Sims[i]
+		lo, hi := v.argMin[i], v.argMax[i]
+		switch {
+		case v.t.below(simKey(row[hi]), int32(i), hi):
+			v.below[i] = int32(len(row))
+			p += len(row)
+		case !v.t.below(simKey(row[lo]), int32(i), lo):
+			for j := len(row) - 1; j >= 0; j-- {
+				keys[q] = keys[p]
+				refs[q] = candRef{int32(i), int32(j)}
+				p++
+				q++
+			}
+		default:
+			for j := len(row) - 1; j >= 0; j-- {
+				key := keys[p]
+				p++
+				if v.t.below(key, int32(i), int32(j)) {
+					v.below[i]++
+					continue
+				}
+				keys[q] = key
+				refs[q] = candRef{int32(i), int32(j)}
+				q++
+			}
 		}
 	}
+	v.order = make([]candRef, q)
+	if q == 0 {
+		return v
+	}
+	sc.keysTmp = slices.Grow(sc.keysTmp[:0], q)[:q]
+	keys, keysTmp := keys[:q], sc.keysTmp
+	refs, refsTmp := refs[:q], v.order
 	hist := &sc.hist
 	*hist = [radixPasses][1 << radixBits]int32{}
-	for _, k := range keys {
+	for _, key := range keys {
 		for d := range hist {
-			hist[d][k>>(radixBits*d)&radixMask]++
+			hist[d][key>>(radixBits*d)&radixMask]++
 		}
 	}
 	for d := range hist {
 		h := &hist[d]
 		shift := radixBits * d
-		if int(h[keys[0]>>shift&radixMask]) == n {
+		if int(h[keys[0]>>shift&radixMask]) == q {
 			continue
 		}
 		var sum int32
@@ -227,17 +341,68 @@ func (in *Instance) sortedCandidates() []candRef {
 			h[b] = sum
 			sum += c
 		}
-		for x, k := range keys {
-			b := k >> shift & radixMask
-			keysTmp[h[b]] = k
+		for x, key := range keys {
+			b := key >> shift & radixMask
+			keysTmp[h[b]] = key
 			refsTmp[h[b]] = refs[x]
 			h[b]++
 		}
 		keys, keysTmp = keysTmp, keys
 		refs, refsTmp = refsTmp, refs
 	}
-	if &refs[0] != &out[0] {
-		copy(out, refs) // an odd number of passes ended in the scratch buffer
+	if &refs[0] != &v.order[0] {
+		copy(v.order, refs) // an even number of passes ended in the scratch buffer
 	}
-	return out
+	return v
+}
+
+// sortedCandidates returns every candidate reference ordered by ascending
+// similarity (least similar first): the untruncated scan order of
+// the SS algorithms.
+func (in *Instance) sortedCandidates() []candRef {
+	return in.scanView(0).order
+}
+
+// selectNth reorders s so that s[n] is the element a sort under less would
+// put there, and returns it (Hoare quickselect, median-of-three pivot,
+// expected O(len(s))). Equal elements stop both scans, so heavy ties still
+// split evenly.
+func selectNth[T any](s []T, n int, less func(a, b T) bool) T {
+	lo, hi := 0, len(s)-1
+	for lo < hi {
+		mid := lo + (hi-lo)/2
+		if less(s[mid], s[lo]) {
+			s[mid], s[lo] = s[lo], s[mid]
+		}
+		if less(s[hi], s[lo]) {
+			s[hi], s[lo] = s[lo], s[hi]
+		}
+		if less(s[hi], s[mid]) {
+			s[hi], s[mid] = s[mid], s[hi]
+		}
+		pivot := s[mid]
+		i, j := lo, hi
+		for i <= j {
+			for less(s[i], pivot) {
+				i++
+			}
+			for less(pivot, s[j]) {
+				j--
+			}
+			if i <= j {
+				s[i], s[j] = s[j], s[i]
+				i++
+				j--
+			}
+		}
+		switch {
+		case n <= j:
+			hi = j
+		case n >= i:
+			lo = i
+		default:
+			return s[n] // s[j+1 : i] all equal the pivot
+		}
+	}
+	return s[n]
 }

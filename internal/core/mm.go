@@ -7,24 +7,34 @@ import (
 
 // extremePrediction classifies the l-extreme world E_l (§3.2, appendix B):
 // each row with label l takes its *most* similar valid candidate, every
-// other row its *least* similar valid candidate. chosen(i) ≥ 0 restricts a
-// row to a single candidate (pins/overrides). Returns the K-NN prediction
-// of E_l.
-func extremePrediction(inst *Instance, l, k int, chosen func(row int) int) int {
-	n := inst.N()
+// other row its *least* similar valid candidate; a pinned or overridden row
+// takes its chosen candidate. Rows whose every candidate lies below T are
+// skipped: at least K+1 other rows beat each of their candidates in every
+// world, so they never enter a top-K. Returns the K-NN prediction of E_l.
+func (e *Engine) extremePrediction(l, k, overrideRow, overrideCand int) int {
+	inst := e.inst
 	// h keeps the K most similar rows; root = least similar kept.
 	h := make(mmHeap, 0, k)
-	for i := 0; i < n; i++ {
-		j := pickExtreme(inst, i, inst.Labels[i] == l, chosen)
+	w := &mmHeapWrap{inst: inst, h: &h}
+	for i := 0; i < inst.N(); i++ {
+		if int(e.below[i]) == inst.M(i) {
+			continue
+		}
+		j := e.chosen(i, overrideRow, overrideCand)
+		if j < 0 {
+			j = int(e.argMin[i])
+			if inst.Labels[i] == l {
+				j = int(e.argMax[i])
+			}
+		}
 		nb := mmNeighbor{row: i, cand: j}
 		if len(h) < k {
 			h = append(h, nb)
 			if len(h) == k {
-				heap.Init(&mmHeapWrap{inst: inst, h: &h})
+				heap.Init(w)
 			}
 			continue
 		}
-		w := &mmHeapWrap{inst: inst, h: &h}
 		if inst.MoreSimilar(nb.row, nb.cand, h[0].row, h[0].cand) {
 			h[0] = nb
 			heap.Fix(w, 0)
@@ -35,22 +45,6 @@ func extremePrediction(inst *Instance, l, k int, chosen func(row int) int) int {
 		tally[inst.Labels[nb.row]]++
 	}
 	return argmaxTally(tally)
-}
-
-// pickExtreme returns the most (wantMax) or least similar valid candidate of
-// row i under the total order.
-func pickExtreme(inst *Instance, i int, wantMax bool, chosen func(row int) int) int {
-	if ch := chosen(i); ch >= 0 {
-		return ch
-	}
-	best := 0
-	for j := 1; j < inst.M(i); j++ {
-		more := inst.MoreSimilar(i, j, i, best)
-		if more == wantMax {
-			best = j
-		}
-	}
-	return best
 }
 
 // mmNeighbor is a (row, chosen candidate) pair inside an MM extreme world.
@@ -92,17 +86,24 @@ func MMCheck(inst *Instance, k int) ([]bool, error) {
 	if err := validateK(inst, k); err != nil {
 		return nil, err
 	}
-	return mmCheck(inst, k, func(int) int { return -1 }), nil
+	return NewTruncatedEngineFromInstance(inst, k).CheckMM(k, -1, -1)
 }
 
-// mmCheck is the shared MM body; chosen encodes pins/overrides.
-func mmCheck(inst *Instance, k int, chosen func(row int) int) []bool {
-	possible := make([]bool, inst.NumLabels)
-	for l := 0; l < inst.NumLabels; l++ {
-		// ∃ world predicting l ⟺ E_l predicts l (Lemma B.2).
-		possible[l] = extremePrediction(inst, l, k, chosen) == l
+// CheckMM answers Q1 under the engine's pins plus an optional per-query
+// override. Binary labels only.
+func (e *Engine) CheckMM(k, overrideRow, overrideCand int) ([]bool, error) {
+	if e.numLabels != 2 {
+		return nil, fmt.Errorf("core: MM algorithm requires binary labels, got |Y|=%d", e.numLabels)
 	}
-	out := make([]bool, inst.NumLabels)
+	if err := e.validateK(k); err != nil {
+		return nil, err
+	}
+	possible := make([]bool, e.numLabels)
+	for l := range possible {
+		// ∃ world predicting l ⟺ E_l predicts l (Lemma B.2).
+		possible[l] = e.extremePrediction(l, k, overrideRow, overrideCand) == l
+	}
+	out := make([]bool, e.numLabels)
 	for l := range out {
 		ok := possible[l]
 		for lp := range possible {
@@ -112,21 +113,7 @@ func mmCheck(inst *Instance, k int, chosen func(row int) int) []bool {
 		}
 		out[l] = ok
 	}
-	return out
-}
-
-// CheckMM answers Q1 under the engine's pins plus an optional per-query
-// override. Binary labels only.
-func (e *Engine) CheckMM(k, overrideRow, overrideCand int) ([]bool, error) {
-	if e.numLabels != 2 {
-		return nil, fmt.Errorf("core: MM algorithm requires binary labels, got |Y|=%d", e.numLabels)
-	}
-	if err := validateK(e.inst, k); err != nil {
-		return nil, err
-	}
-	return mmCheck(e.inst, k, func(row int) int {
-		return e.chosen(row, overrideRow, overrideCand)
-	}), nil
+	return out, nil
 }
 
 // IsCertainMM reports whether the test point is CP'ed (some label certainly

@@ -244,8 +244,10 @@ func rowInSomeTopK(inst *Instance, i, k int) bool {
 }
 
 // BenchmarkEngineBuild measures the engine-build layer on a Supreme-shaped
-// instance: the similarity view (sims), the radix scan order (order), and
-// the comparator sort it replaces (order-ref).
+// instance: the similarity view (sims), the untruncated radix scan order
+// (order), the order truncated for K = 3 (order-trunc/K3: extremes,
+// threshold and the sort of the kept candidates), and the comparator sort
+// the radix order replaced (order-ref).
 func BenchmarkEngineBuild(b *testing.B) {
 	d, p := supremeShaped(1304)
 	inst := InstanceFor(d, knn.NegEuclidean{}, p)
@@ -259,6 +261,12 @@ func BenchmarkEngineBuild(b *testing.B) {
 		b.ReportAllocs()
 		for b.Loop() {
 			inst.sortedCandidates()
+		}
+	})
+	b.Run("order-trunc/K3", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			inst.scanView(3)
 		}
 	})
 	b.Run("order-ref", func(b *testing.B) {

@@ -7,16 +7,19 @@ import (
 )
 
 // ApproxBytes estimates the engine's heap footprint — the similarity matrix
-// and the sorted candidate order dominate at O(NM) — so byte-budgeted caches
-// can account engines instead of merely counting them.
+// (O(NM)) and the kept scan order (O(NM) untruncated, a few percent of that
+// truncated) dominate — so byte-budgeted caches can account engines instead
+// of merely counting them.
 func (e *Engine) ApproxBytes() int64 {
 	nm := int64(e.inst.TotalCandidates())
 	n := int64(e.N())
 	const sliceHeader = 24
-	b := nm * (8 + 8)    // inst.Sims values + order candRefs
-	b += n * sliceHeader // Sims row headers
-	b += n * (4 + 8 + 8) // pins, labelOf, rowPos
-	b += n * (8 + 8)     // firstPos, lastPos
+	b := nm * 8                  // inst.Sims values
+	b += int64(len(e.order)) * 8 // order candRefs
+	b += n * sliceHeader         // Sims row headers
+	b += n * (4 + 8 + 8)         // pins, labelOf, rowPos
+	b += n * (8 + 8)             // firstPos, lastPos
+	b += n * (4 + 4 + 4)         // below, argMin, argMax
 	b += int64(len(e.pinLog)) * 12
 	b += int64(e.numLabels) * 8 // labelLen
 	return b
@@ -78,7 +81,7 @@ type ScratchPool struct {
 // fails afterwards. Only the shape is captured — the pool does not retain
 // the template engine.
 func NewScratchPool(template *Engine, k int) (*ScratchPool, error) {
-	if err := validateK(template.inst, k); err != nil {
+	if err := template.validateK(k); err != nil {
 		return nil, err
 	}
 	sh := template.shape()

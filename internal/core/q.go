@@ -78,7 +78,7 @@ func Q2(inst *Instance, k int, alg Algorithm) ([]float64, error) {
 		}
 		return SSFastCounts(inst), nil
 	case SSDCMC:
-		e := NewEngineFromInstance(inst)
+		e := NewTruncatedEngineFromInstance(inst, k)
 		sc, err := e.NewScratch(k)
 		if err != nil {
 			return nil, err
@@ -90,7 +90,7 @@ func Q2(inst *Instance, k int, alg Algorithm) ([]float64, error) {
 		}
 		fallthrough
 	case SSDC:
-		e := NewEngineFromInstance(inst)
+		e := NewTruncatedEngineFromInstance(inst, k)
 		sc, err := e.NewScratch(k)
 		if err != nil {
 			return nil, err

@@ -16,8 +16,8 @@ import "fmt"
 //     top-K → counts, relevance mask, and every retained term are provably
 //     bit-identical, so the memo is returned verbatim. O(pins).
 //   - Windowed delta: a relevant pin of row r can only change scan terms
-//     inside r's candidate span in the total order (before the span r's DP
-//     leaf is [0,1] under any pin state, after it [1,0]), so only that
+//     inside Engine.OrderSpan(r) (before the span r's DP leaf is fixed by
+//     its α seed under any pin state, after it [1,0]), so only that
 //     window is replayed with real tree work — collapsing r's leaf to its
 //     pinned candidate's polynomial — while every other position reuses its
 //     retained term stream. The final counts are re-summed term by term in
@@ -77,6 +77,10 @@ type RetainedStats struct {
 	// CandidatesScanned counts boundary candidates evaluated with real
 	// segment-tree work; CandidatesAvoided counts positions answered from
 	// memoized terms instead — the scans a fresh sweep would have paid.
+	// Both count kept scan positions only: a truncated engine's order
+	// leaves out every candidate below T, so against an untruncated engine
+	// the avoided count shrinks and the scanned/(scanned+avoided) ratio
+	// rises with no change in behaviour.
 	CandidatesScanned int64 `json:"candidates_scanned"`
 	CandidatesAvoided int64 `json:"candidates_avoided"`
 }
@@ -97,7 +101,7 @@ func (s *RetainedStats) Add(other RetainedStats) {
 // e's shape with the same K; with nil a private Scratch is allocated lazily
 // and retained.
 func NewRetained(e *Engine, k int, useMC bool, scratches *ScratchPool) (*Retained, error) {
-	if err := validateK(e.inst, k); err != nil {
+	if err := e.validateK(k); err != nil {
 		return nil, err
 	}
 	if scratches != nil && scratches.K() != k {
@@ -151,12 +155,17 @@ func (r *Retained) Counts() []float64 {
 	}
 	if r.valid {
 		if events, ok := e.PinsSince(r.gen); ok {
-			if lo, hi, usable := r.deltaWindow(events); usable {
+			if lo, hi, usable, sameMask := r.deltaWindow(events); usable {
 				if hi < 0 {
-					// Every pin since the memo was a fresh pin of a provably
-					// irrelevant row: counts, mask, and all retained terms are
-					// bit-identical (the RelevantRows lemma), so the memo
-					// stays valid as-is under the new generation.
+					// No pin since the memo can change a kept position's
+					// terms — fresh pins of provably irrelevant rows (the
+					// RelevantRows lemma) or pins of rows wholly below T — so
+					// counts and all retained terms are bit-identical and the
+					// memo stays valid under the new generation. Only a row
+					// below T that ties the relevance bound can move the mask.
+					if !sameMask {
+						r.relevant = e.RelevantRows(r.k)
+					}
 					r.gen = gen
 					r.stats.MemoHits++
 					r.stats.CandidatesAvoided += int64(len(e.order))
@@ -179,24 +188,27 @@ func (r *Retained) Counts() []float64 {
 // deltaWindow maps a batch of pin events onto the scan window that must be
 // replayed. usable is false for a ResetPins (every row may have changed —
 // full rescan). hi < 0 means no window at all: the whole batch is provably
-// term-preserving. Only batches made solely of fresh pins (no pin before,
-// one after) may skip the spans of irrelevant rows: an unpin or repin can
-// lower the relevance bound, which would unsoundly shrink the window.
-func (r *Retained) deltaWindow(events []PinEvent) (lo, hi int, usable bool) {
+// term-preserving, and sameMask reports that it preserves the relevance
+// mask too. Only batches made solely of fresh pins (no pin before, one
+// after) may skip the spans of irrelevant rows: an unpin or repin can lower
+// the relevance bound, which would unsoundly shrink the window.
+func (r *Retained) deltaWindow(events []PinEvent) (lo, hi int, usable, sameMask bool) {
 	lo, hi = len(r.e.order), -1
 	trusted := true
 	for _, ev := range events {
 		if ev.Row < 0 {
-			return 0, 0, false
+			return 0, 0, false, false
 		}
 		if ev.Old >= 0 || ev.New < 0 {
 			trusted = false
 		}
 	}
+	sameMask = true
 	for _, ev := range events {
 		if trusted && !r.relevant[ev.Row] {
 			continue
 		}
+		sameMask = false
 		f, l := r.e.OrderSpan(int(ev.Row))
 		if f < lo {
 			lo = f
@@ -205,7 +217,7 @@ func (r *Retained) deltaWindow(events []PinEvent) (lo, hi int, usable bool) {
 			hi = l
 		}
 	}
-	return lo, hi, true
+	return lo, hi, true, sameMask
 }
 
 // rescan replays scan positions [lo, hi] with real tree work under the
@@ -217,11 +229,8 @@ func (r *Retained) rescan(lo, hi int) {
 	e := r.e
 	sc := r.getScratch()
 	// Reconstruct α and the zero-row count at the window start under the
-	// current pins — pure integer work over the prefix.
-	for i := range sc.alpha {
-		sc.alpha[i] = 0
-	}
-	zeroRows := e.N()
+	// current pins — pure integer work over the seed and the prefix.
+	zeroRows := e.seedAlpha(sc.alpha, e.pins)
 	for pos := 0; pos < lo; pos++ {
 		zeroRows = e.advanceAlpha(pos, sc.alpha, zeroRows)
 	}

@@ -1,7 +1,8 @@
 package core
 
 // This file holds the SS-DC scan kernel (§3.1.3 + appendix A.2): the one
-// ordered walk over the NM sorted candidates that forces each scanned
+// ordered walk over the engine's sorted kept candidates (all NM of them
+// untruncated), from the seeded α state, that forces each scanned
 // candidate's row onto the boundary, reads the boundary supports off the
 // per-label segment-tree roots, and restores the row's leaf. Every sequential
 // Q2 path runs it — Engine.Counts and Engine.CountsMC add the supports into

@@ -134,7 +134,7 @@ func (s *Server) buildCleanSession(ds *Dataset, k int, req CleanRequest) (*Clean
 		go func(v int) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			c.engines[v] = core.NewEngine(d, ds.kernel, req.ValPoints[v])
+			c.engines[v] = core.NewTruncatedEngine(d, ds.kernel, req.ValPoints[v], k)
 		}(v)
 	}
 	wg.Wait()

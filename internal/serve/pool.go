@@ -63,7 +63,7 @@ func pointKey(t []float64) string {
 // pin it (session queries pin a Fork of it).
 func (p *enginePool) engine(t []float64) *core.Engine {
 	if p.capacity <= 0 {
-		e := core.NewEngine(p.ds.data, p.ds.kernel, t)
+		e := core.NewTruncatedEngine(p.ds.data, p.ds.kernel, t, p.k)
 		p.builds.Add(1)
 		return e
 	}
@@ -78,7 +78,7 @@ func (p *enginePool) engine(t []float64) *core.Engine {
 	// Construction is the expensive part (similarities + candidate sort);
 	// keep it outside the lock. A concurrent miss on the same key builds a
 	// duplicate and the first insert wins — wasted work, not a bug.
-	e := core.NewEngine(p.ds.data, p.ds.kernel, t)
+	e := core.NewTruncatedEngine(p.ds.data, p.ds.kernel, t, p.k)
 	p.builds.Add(1)
 	p.mu.Lock()
 	defer p.mu.Unlock()

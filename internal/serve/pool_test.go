@@ -2,8 +2,12 @@ package serve
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/knn"
 )
 
 // TestEngineCacheByteBudget checks the LRU is byte-counted, not just
@@ -61,6 +65,30 @@ func TestEngineCacheByteBudget(t *testing.T) {
 	}
 	if st.EngineBytes > budget+oneEntry {
 		t.Fatalf("cache bytes %d stayed above budget %d", st.EngineBytes, budget)
+	}
+}
+
+// TestEngineLRUHoldsMoreTruncatedEngines checks the byte accounting follows
+// truncation: pooled engines are truncated for the pool's K and report only
+// the candidates they keep, so one byte budget holds more of them than of
+// untruncated engines.
+func TestEngineLRUHoldsMoreTruncatedEngines(t *testing.T) {
+	d := randDataset(t, 300, 4, 2, 3, 0.5, 932)
+	points := randPoints(40, 3, 933)
+	kernel := knn.NegEuclidean{}
+	budget := 8 * core.NewEngine(d, kernel, points[0]).ApproxBytes()
+	held := func(build func(pt []float64) *core.Engine) int {
+		c := newLRUBudget[*core.Engine](0, budget)
+		for i, pt := range points {
+			e := build(pt)
+			c.put(fmt.Sprint(i), e, e.ApproxBytes())
+		}
+		return c.len()
+	}
+	full := held(func(pt []float64) *core.Engine { return core.NewEngine(d, kernel, pt) })
+	trunc := held(func(pt []float64) *core.Engine { return core.NewTruncatedEngine(d, kernel, pt, 3) })
+	if trunc <= full {
+		t.Fatalf("a %d-byte budget holds %d truncated engines and %d untruncated ones", budget, trunc, full)
 	}
 }
 
