@@ -56,11 +56,14 @@ verify-docs: vet
 	$(GO) run ./internal/tools/docverify README.md docs/ARCHITECTURE.md
 
 # Static analysis: the project-invariant analyzer suite (cpvet, always —
-# stdlib-only, so it runs anywhere the toolchain does), then staticcheck and
-# govulncheck when their binaries are installed (CI installs them; offline
-# dev boxes skip with a note rather than failing the target).
+# stdlib-only, so it runs anywhere the toolchain does), the no-FMA check on
+# the answer path (an arm64 cross-compile with the local toolchain), then
+# staticcheck and govulncheck when their binaries are installed (CI
+# installs them; offline dev boxes skip with a note rather than failing
+# the target).
 verify-static:
 	$(GO) run ./cmd/cpvet ./...
+	./scripts/fma_check.sh
 	@if command -v staticcheck >/dev/null 2>&1; then staticcheck ./...; else echo "verify-static: staticcheck not installed; skipping"; fi
 	@if command -v govulncheck >/dev/null 2>&1; then govulncheck ./...; else echo "verify-static: govulncheck not installed; skipping"; fi
 

@@ -262,7 +262,7 @@ func imputeCell(t *table.Table, row, col, neighbors int) (table.Cell, bool) {
 		num, den := 0.0, 0.0
 		for _, s := range cands {
 			w := 1 / (1e-6 + s.dist)
-			num += w * c.Nums[s.idx]
+			num += float64(w * c.Nums[s.idx])
 			den += w
 		}
 		return table.NumCell(num / den), true

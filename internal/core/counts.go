@@ -101,7 +101,7 @@ func Entropy(p []float64) float64 {
 		if v >= 1 {
 			return 0
 		}
-		h -= v * math.Log(v)
+		h -= float64(v * math.Log(v))
 	}
 	if h < 0 {
 		return 0

@@ -54,6 +54,13 @@ type Engine struct {
 	// window a pin of the row can change.
 	firstPos []int
 	lastPos  []int
+	// liveRows[l] lists, in ascending rowPos, label l's rows with kept
+	// candidates, and liveLeaves[l] their rowPos. Every other row's leaf is
+	// exactly [1,0] at any position that does tree work — α = below[i] =
+	// M_i, or the row is pinned to a candidate below T (α = 1, M_eff = 1) —
+	// so buildLeaves sets only these leaves (segtree.ResetLeaves). An
+	// untruncated engine lists every row.
+	liveRows, liveLeaves [][]int32
 	// pinLog records each pin mutation so retained-tree caches can ask which
 	// rows changed between two pin generations. pinLog[g−pinLogBase] is the
 	// mutation that advanced the generation from g to g+1; the log is
@@ -134,6 +141,15 @@ func NewTruncatedEngineFromInstance(inst *Instance, k int) *Engine {
 			e.firstPos[i] = pos
 		}
 		e.lastPos[i] = pos
+	}
+	e.liveRows = make([][]int32, inst.NumLabels)
+	e.liveLeaves = make([][]int32, inst.NumLabels)
+	for i, f := range e.firstPos {
+		if f >= 0 {
+			l := e.labelOf[i]
+			e.liveRows[l] = append(e.liveRows[l], int32(i))
+			e.liveLeaves[l] = append(e.liveLeaves[l], int32(e.rowPos[i]))
+		}
 	}
 	return e
 }
@@ -440,21 +456,22 @@ func (e *Engine) pinsFor(sc *Scratch, overrideRow, overrideCand int) []int32 {
 }
 
 // buildLeaves bulk-initializes every label tree from the current α state:
-// leaf n = [α_n/M_n, 1−α_n/M_n] with M_n = 1 for rows pinned in pins.
+// the leaf of each live row n is [α_n/M_n, 1−α_n/M_n] with M_n = 1 for rows
+// pinned in pins, and every other leaf is [1,0] (see liveRows).
 func (e *Engine) buildLeaves(sc *Scratch, pins []int32) {
-	for i := 0; i < e.N(); i++ {
-		mEff := e.inst.M(i)
-		if pins[i] >= 0 {
-			mEff = 1
-		}
-		a := float64(sc.alpha[i]) / float64(mEff)
-		l := e.labelOf[i]
-		sc.leafP0[l][e.rowPos[i]] = a
-		sc.leafP1[l][e.rowPos[i]] = 1 - a
-	}
 	for l, tr := range sc.trees {
-		n := e.labelLen[l]
-		tr.ResetLeaves(sc.leafP0[l][:n], sc.leafP1[l][:n])
+		rows := e.liveRows[l]
+		p0, p1 := sc.leafP0[l][:len(rows)], sc.leafP1[l][:len(rows)]
+		for j, r := range rows {
+			i := int(r)
+			mEff := e.inst.M(i)
+			if pins[i] >= 0 {
+				mEff = 1
+			}
+			a := float64(sc.alpha[i]) / float64(mEff)
+			p0[j], p1[j] = a, 1-a
+		}
+		tr.ResetLeaves(e.liveLeaves[l], p0, p1)
 	}
 }
 
@@ -539,8 +556,7 @@ func (e *Engine) HypothesisCounts(sc *Scratch, row int) [][]float64 {
 		// Mirror the row-label tree into the pre tree, then fix the row's
 		// leaf states: post [1,0] (row's value less similar than boundary),
 		// pre [0,1] (row forced into the top-K).
-		n := e.labelLen[lRow]
-		preTree.ResetLeaves(sc.leafP0[lRow][:n], sc.leafP1[lRow][:n])
+		preTree.CopyFrom(postTree)
 		postTree.SetLeaf(posRow, 1, 0)
 		preTree.SetLeaf(posRow, 0, 1)
 		built = true

@@ -58,7 +58,7 @@ func MonteCarloAgrees(exact, estimate []float64, samples int, z float64) bool {
 	}
 	for y := range exact {
 		se := math.Sqrt(exact[y]*(1-exact[y])/float64(samples)) + 1e-12
-		if math.Abs(exact[y]-estimate[y]) > z*se+1e-9 {
+		if math.Abs(exact[y]-estimate[y]) > float64(z*se)+1e-9 {
 			return false
 		}
 	}

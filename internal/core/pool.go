@@ -20,6 +20,9 @@ func (e *Engine) ApproxBytes() int64 {
 	b += n * (4 + 8 + 8)         // pins, labelOf, rowPos
 	b += n * (8 + 8)             // firstPos, lastPos
 	b += n * (4 + 4 + 4)         // below, argMin, argMax
+	for _, rows := range e.liveRows {
+		b += int64(len(rows)) * (4 + 4) // liveRows, liveLeaves
+	}
 	b += int64(len(e.pinLog)) * 12
 	b += int64(e.numLabels) * 8 // labelLen
 	return b
@@ -50,7 +53,7 @@ func treeBytes(n, k int) int64 {
 	for size < n {
 		size *= 2
 	}
-	return int64(2*size*(k+1)) * 8
+	return int64(2*size*(k+1))*8 + int64(size)*8 // nodes, ResetLeaves work list
 }
 
 // ResetPins clears every persistent pin, returning the engine to the fully

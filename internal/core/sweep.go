@@ -187,7 +187,7 @@ func (e *Engine) mcSupports(sc *Scratch, out []float64, rec []term) []term {
 					}
 					for u := 0; u <= hi; u++ {
 						if rootP[u] != 0 && dp[s-u] != 0 {
-							acc += rootP[u] * dp[s-u]
+							acc += float64(rootP[u] * dp[s-u])
 						}
 					}
 					next[s] = acc
@@ -196,7 +196,7 @@ func (e *Engine) mcSupports(sc *Scratch, out []float64, rec []term) []term {
 			}
 			if dp[rem] != 0 {
 				if out != nil {
-					out[l] += wl * dp[rem]
+					out[l] += float64(wl * dp[rem])
 				} else {
 					rec = append(rec, term{y: int32(l), v: wl * dp[rem]})
 				}

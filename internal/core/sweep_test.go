@@ -44,3 +44,25 @@ func BenchmarkScan(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkHypothesisCounts measures CPClean's inner loop — one combined
+// scan answering the pin of every candidate of one row — on the
+// Supreme-shaped engine truncated for K = 3, for the uncertain row with kept
+// candidates that has the most candidates.
+func BenchmarkHypothesisCounts(b *testing.B) {
+	d, p := supremeShaped(1304)
+	e := NewTruncatedEngineFromInstance(InstanceFor(d, knn.NegEuclidean{}, p), 3)
+	row := -1
+	for i := 0; i < e.N(); i++ {
+		if e.firstPos[i] >= 0 && (row < 0 || e.inst.M(i) > e.inst.M(row)) {
+			row = i
+		}
+	}
+	b.Run("trunc/K3", func(b *testing.B) {
+		sc := e.MustScratch(3)
+		b.ReportAllocs()
+		for b.Loop() {
+			e.HypothesisCounts(sc, row)
+		}
+	})
+}

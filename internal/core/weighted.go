@@ -136,9 +136,9 @@ func weightedDP(wi *WeightedInstance, below []float64, boundaryRow, l, k int) []
 		in := 1 - below[nn]
 		outMass := below[nn]
 		for x := k; x >= 0; x-- {
-			v := outMass * c[x]
+			v := float64(outMass * c[x])
 			if x > 0 {
-				v += in * c[x-1]
+				v += float64(in * c[x-1])
 			}
 			c[x] = v
 		}

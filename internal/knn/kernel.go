@@ -7,6 +7,9 @@ import "math"
 
 // Kernel computes a similarity score between two feature vectors; larger
 // values mean more similar (the paper's κ). All kernels must be symmetric.
+// The kernels here round every product explicitly (float64(a*b)) so no
+// architecture fuses it into a multiply-add: a similarity's bits decide
+// the scan order, and so every answer bit (scripts/fma_check.sh).
 type Kernel interface {
 	// Similarity returns κ(a, b).
 	Similarity(a, b []float64) float64
@@ -24,7 +27,7 @@ func (NegEuclidean) Similarity(a, b []float64) float64 {
 	s := 0.0
 	for i := range a {
 		d := a[i] - b[i]
-		s += d * d
+		s += float64(d * d)
 	}
 	return -math.Sqrt(s)
 }
@@ -41,7 +44,7 @@ func (NegSquaredEuclidean) Similarity(a, b []float64) float64 {
 	s := 0.0
 	for i := range a {
 		d := a[i] - b[i]
-		s += d * d
+		s += float64(d * d)
 	}
 	return -s
 }
@@ -71,7 +74,7 @@ type Linear struct{}
 func (Linear) Similarity(a, b []float64) float64 {
 	s := 0.0
 	for i := range a {
-		s += a[i] * b[i]
+		s += float64(a[i] * b[i])
 	}
 	return s
 }
@@ -90,7 +93,7 @@ func (k RBF) Similarity(a, b []float64) float64 {
 	s := 0.0
 	for i := range a {
 		d := a[i] - b[i]
-		s += d * d
+		s += float64(d * d)
 	}
 	return math.Exp(-k.Gamma * s)
 }
@@ -105,9 +108,9 @@ type Cosine struct{}
 func (Cosine) Similarity(a, b []float64) float64 {
 	var dot, na, nb float64
 	for i := range a {
-		dot += a[i] * b[i]
-		na += a[i] * a[i]
-		nb += b[i] * b[i]
+		dot += float64(a[i] * b[i])
+		na += float64(a[i] * a[i])
+		nb += float64(b[i] * b[i])
 	}
 	if na == 0 || nb == 0 {
 		return 0

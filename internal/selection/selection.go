@@ -258,7 +258,7 @@ func (s *Selector) SelectBatch(rows []int, batch int) (bestRows []int, bestEntro
 						// Cleaning this row cannot change this validation
 						// point's distribution: every candidate yields the
 						// current entropy.
-						total += memo.curH * float64(m)
+						total += float64(memo.curH * float64(m))
 						continue
 					}
 					if sum := memo.hypSum[row]; !math.IsNaN(sum) {
