@@ -314,9 +314,9 @@ func BenchmarkScratch_Pooled_N1000(b *testing.B) {
 
 // benchBatchQ2CleanWhileQuery interleaves cleaning steps of a session with a
 // repeated batch Q2 of the same points against the session's evolving pin
-// state — the serving pattern the retained-tree memo targets. incremental
-// answers through the per-point retained trees (memo hits for irrelevant
-// pins, windowed delta replays for relevant ones); the baseline disables the
+// state — the serving pattern the session Q2 memo (core.Retained) targets.
+// incremental answers through the per-point memos (memo hits for irrelevant
+// pins, one full sweep after a relevant one); the baseline disables the
 // memo so every query pays a full SS-DC sweep per point through the same
 // code path, keeping the scans/op counters directly comparable.
 func benchBatchQ2CleanWhileQuery(b *testing.B, incremental bool) {

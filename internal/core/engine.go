@@ -48,12 +48,6 @@ type Engine struct {
 	labelOf        []int
 	rowPos         []int // leaf index of each row inside its label's tree
 	labelLen       []int // rows per label
-	// firstPos/lastPos bound each row's kept candidates inside order: every
-	// one of them sits at a scan position in [firstPos[i], lastPos[i]]
-	// (firstPos[i] = −1 when the row has none). OrderSpan widens this to the
-	// window a pin of the row can change.
-	firstPos []int
-	lastPos  []int
 	// liveRows[l] lists, in ascending rowPos, label l's rows with kept
 	// candidates, and liveLeaves[l] their rowPos. Every other row's leaf is
 	// exactly [1,0] at any position that does tree work — α = below[i] =
@@ -61,23 +55,7 @@ type Engine struct {
 	// so buildLeaves sets only these leaves (segtree.ResetLeaves). An
 	// untruncated engine lists every row.
 	liveRows, liveLeaves [][]int32
-	// pinLog records each pin mutation so retained-tree caches can ask which
-	// rows changed between two pin generations. pinLog[g−pinLogBase] is the
-	// mutation that advanced the generation from g to g+1; the log is
-	// bounded, and a cache older than its tail falls back to a full rescan.
-	pinLog     []PinEvent
-	pinLogBase uint64
 }
-
-// PinEvent is one pin mutation: row's pin moved from Old to New (−1 = no
-// pin). A Row of −1 marks a ResetPins, where every row may have changed.
-type PinEvent struct {
-	Row, Old, New int32
-}
-
-// maxPinLog bounds the engine's pin-mutation log. Caches further behind than
-// this rebuild from scratch, which is a performance fallback, never an error.
-const maxPinLog = 4096
 
 // NewEngine builds an untruncated engine for incomplete dataset d and test
 // point t under the given kernel: it answers queries for any K, and is the
@@ -130,22 +108,10 @@ func NewTruncatedEngineFromInstance(inst *Instance, k int) *Engine {
 		e.rowPos[i] = e.labelLen[l]
 		e.labelLen[l]++
 	}
-	e.firstPos = make([]int, n)
-	e.lastPos = make([]int, n)
-	for i := range e.firstPos {
-		e.firstPos[i] = -1
-	}
-	for pos, ref := range e.order {
-		i := int(ref.row)
-		if e.firstPos[i] < 0 {
-			e.firstPos[i] = pos
-		}
-		e.lastPos[i] = pos
-	}
 	e.liveRows = make([][]int32, inst.NumLabels)
 	e.liveLeaves = make([][]int32, inst.NumLabels)
-	for i, f := range e.firstPos {
-		if f >= 0 {
+	for i := 0; i < n; i++ {
+		if e.hasKept(i) {
 			l := e.labelOf[i]
 			e.liveRows[l] = append(e.liveRows[l], int32(i))
 			e.liveLeaves[l] = append(e.liveLeaves[l], int32(e.rowPos[i]))
@@ -198,62 +164,21 @@ func (e *Engine) seedAlpha(alpha, pins []int32) int {
 	return zero
 }
 
+// hasKept reports whether any of row's candidates lies in the kept order
+// (at or above T).
+func (e *Engine) hasKept(row int) bool {
+	return int(e.below[row]) < e.inst.M(row)
+}
+
 // Fork returns an engine over e's read-only view (similarities, scan order,
-// row layout) with its own copy of e's pins and a pin log that starts at e's
-// generation. Pinning the fork never touches e, so one cached view can back
-// any number of independently pinned engines. Like SetPin, not safe to call
-// concurrently with pin mutations of e.
+// row layout) with its own copy of e's pins, at e's pin generation. Pinning
+// the fork never touches e, so one cached view can back any number of
+// independently pinned engines. Like SetPin, not safe to call concurrently
+// with pin mutations of e.
 func (e *Engine) Fork() *Engine {
 	f := *e
 	f.pins = append([]int32(nil), e.pins...)
-	f.pinLog = nil
-	f.pinLogBase = e.pinGen
 	return &f
-}
-
-// logPinMutation appends one mutation to the pin log, sliding the bounded
-// window forward when it overflows.
-func (e *Engine) logPinMutation(ev PinEvent) {
-	if len(e.pinLog) >= maxPinLog {
-		drop := len(e.pinLog) / 2
-		e.pinLogBase += uint64(drop)
-		e.pinLog = append(e.pinLog[:0], e.pinLog[drop:]...)
-	}
-	e.pinLog = append(e.pinLog, ev)
-}
-
-// PinsSince reports the pin mutations between generation gen and the
-// engine's current generation, in order. ok is false when gen is ahead of
-// the engine or has aged out of the bounded log — callers must then treat
-// every row as potentially changed. The returned slice aliases the log and
-// is valid only until the next pin mutation. Like SetPin, not safe to call
-// concurrently with pin mutations.
-func (e *Engine) PinsSince(gen uint64) (events []PinEvent, ok bool) {
-	switch {
-	case gen > e.pinGen:
-		return nil, false
-	case gen == e.pinGen:
-		return nil, true
-	case gen < e.pinLogBase:
-		return nil, false
-	}
-	return e.pinLog[gen-e.pinLogBase:], true
-}
-
-// OrderSpan returns the window of scan positions a pin of row can affect:
-// the span of its kept candidates, widened to start at 0 when some of its
-// candidates lie below T (the pin moves the row's α seed, and so its leaf at
-// every position before the span). A row with no kept candidates has an
-// empty span, first > last: its leaf is [1,0] at every position under any
-// pin.
-func (e *Engine) OrderSpan(row int) (first, last int) {
-	switch {
-	case e.firstPos[row] < 0:
-		return len(e.order), -1
-	case e.below[row] > 0:
-		return 0, e.lastPos[row]
-	}
-	return e.firstPos[row], e.lastPos[row]
 }
 
 // Instance returns the similarity view the engine answers queries over.
@@ -268,19 +193,17 @@ func (e *Engine) SetPin(row, cand int) {
 	if cand >= 0 && cand >= e.inst.M(row) {
 		panic(fmt.Sprintf("core: pin candidate %d out of range for row %d (M=%d)", cand, row, e.inst.M(row)))
 	}
-	old := e.pins[row]
 	e.pins[row] = int32(cand)
 	e.pinGen++
-	e.logPinMutation(PinEvent{Row: int32(row), Old: old, New: int32(cand)})
 }
 
 // Pin returns the pinned candidate of row, or -1.
 func (e *Engine) Pin(row int) int { return int(e.pins[row]) }
 
 // PinGeneration returns a counter bumped by every pin mutation (SetPin,
-// ResetPins). Caches keyed on an engine's cleaning state — the incremental
-// selection memo above all — compare generations to detect that the engine
-// was pinned out from under them.
+// ResetPins). Caches keyed on an engine's cleaning state — the selection
+// memo and Retained — compare generations to detect that the engine was
+// pinned out from under them.
 func (e *Engine) PinGeneration() uint64 { return e.pinGen }
 
 // PinnedCount returns the number of pinned rows.
@@ -417,27 +340,25 @@ func (e *Engine) chosen(row int, overrideRow, overrideCand int) int {
 // hypothetically clean one row for the duration of the query. The returned
 // slice (owned by sc) holds normalized fractions: out[y] = Q2/|worlds|.
 func (e *Engine) Counts(sc *Scratch, overrideRow, overrideCand int) []float64 {
-	return e.fullScan(sc, overrideRow, overrideCand, false)
+	e.fullScan(sc, overrideRow, overrideCand, false)
+	return sc.counts
 }
 
 // CountsMC is Counts with the appendix-A.3 multi-class accumulator
 // (mcSupports) instead of tally enumeration: polynomial in |Y| rather than
 // enumerating all C(K+|Y|−1, K) label tallies.
 func (e *Engine) CountsMC(sc *Scratch, overrideRow, overrideCand int) []float64 {
-	return e.fullScan(sc, overrideRow, overrideCand, true)
+	e.fullScan(sc, overrideRow, overrideCand, true)
+	return sc.counts
 }
 
-// fullScan runs the scan kernel over every kept position from the seeded α
-// state into sc.counts.
-func (e *Engine) fullScan(sc *Scratch, overrideRow, overrideCand int, useMC bool) []float64 {
+// fullScan clears sc.counts and runs the scan kernel into it under the
+// override's pins, returning the number of positions that did tree work.
+func (e *Engine) fullScan(sc *Scratch, overrideRow, overrideCand int, useMC bool) int64 {
 	e.mustFit(sc)
 	pins := e.pinsFor(sc, overrideRow, overrideCand)
-	zeroRows := e.seedAlpha(sc.alpha, pins)
-	for y := range sc.counts {
-		sc.counts[y] = 0
-	}
-	e.scan(sc, pins, 0, len(e.order)-1, zeroRows, false, useMC, nil)
-	return sc.counts
+	clear(sc.counts)
+	return e.scan(sc, pins, useMC)
 }
 
 // pinsFor returns the pin vector a query scans under: the engine's own pins,
@@ -574,7 +495,7 @@ func (e *Engine) HypothesisCounts(sc *Scratch, row int) [][]float64 {
 				if !built {
 					build()
 				}
-				tallySupports(sc, sc.rootsPre, sc.own[j], nil)
+				tallySupports(sc, sc.rootsPre, sc.own[j])
 			}
 			continue
 		}
@@ -606,8 +527,8 @@ func (e *Engine) HypothesisCounts(sc *Scratch, row int) [][]float64 {
 		if l == lRow {
 			preTree.SetLeaf(pos, force0, force1)
 		}
-		tallySupports(sc, sc.rootsNormal, sc.cumPost, nil)
-		tallySupports(sc, sc.rootsPre, sc.cumPre, nil)
+		tallySupports(sc, sc.rootsNormal, sc.cumPost)
+		tallySupports(sc, sc.rootsPre, sc.cumPre)
 		sc.trees[l].SetLeaf(pos, a, 1-a)
 		if l == lRow {
 			preTree.SetLeaf(pos, a, 1-a)

@@ -177,9 +177,6 @@ func TestEngineForkIsolated(t *testing.T) {
 		if parent.PinGeneration() != 0 || parent.PinnedCount() != 0 {
 			t.Fatalf("trial %d: parent gen %d pinned %d after pinning its fork", trial, parent.PinGeneration(), parent.PinnedCount())
 		}
-		if ev, ok := parent.PinsSince(0); !ok || len(ev) != 0 {
-			t.Fatalf("trial %d: parent pin log %v ok=%v after pinning its fork", trial, ev, ok)
-		}
 
 		fresh := NewEngineFromInstance(inst)
 		for i := 0; i < fork.N(); i++ {
@@ -230,28 +227,5 @@ func assertForkMatchesFresh(t *testing.T, trial int, fork, fresh *Engine, fsc, s
 	}
 	if fork.WorldCount().Cmp(fresh.WorldCount()) != 0 {
 		t.Fatalf("trial %d: fork world count %s, fresh engine %s", trial, fork.WorldCount(), fresh.WorldCount())
-	}
-}
-
-// TestEngineForkPinLogStartsAtParent checks a fork of a pinned engine keeps
-// the parent's pins and generation but none of its pin history.
-func TestEngineForkPinLogStartsAtParent(t *testing.T) {
-	inst := MustNewInstance([][]float64{{1, 2}, {3}, {4, 5, 6}}, []int{0, 1, 0}, 2)
-	parent := NewEngineFromInstance(inst)
-	parent.SetPin(0, 1)
-	parent.SetPin(2, 0)
-	fork := parent.Fork()
-	if fork.PinGeneration() != 2 || fork.Pin(0) != 1 || fork.Pin(2) != 0 {
-		t.Fatalf("fork gen %d pins %d,%d; want gen 2 pins 1,0", fork.PinGeneration(), fork.Pin(0), fork.Pin(2))
-	}
-	if _, ok := fork.PinsSince(1); ok {
-		t.Fatal("fork reports pin history from before it was forked")
-	}
-	fork.SetPin(1, 0)
-	if ev, ok := fork.PinsSince(2); !ok || len(ev) != 1 || ev[0] != (PinEvent{Row: 1, Old: -1, New: 0}) {
-		t.Fatalf("fork PinsSince(2) = %v, %v", ev, ok)
-	}
-	if parent.Pin(1) != -1 || parent.PinGeneration() != 2 {
-		t.Fatal("pinning the fork changed the parent")
 	}
 }

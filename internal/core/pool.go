@@ -18,12 +18,10 @@ func (e *Engine) ApproxBytes() int64 {
 	b += int64(len(e.order)) * 8 // order candRefs
 	b += n * sliceHeader         // Sims row headers
 	b += n * (4 + 8 + 8)         // pins, labelOf, rowPos
-	b += n * (8 + 8)             // firstPos, lastPos
 	b += n * (4 + 4 + 4)         // below, argMin, argMax
 	for _, rows := range e.liveRows {
 		b += int64(len(rows)) * (4 + 4) // liveRows, liveLeaves
 	}
-	b += int64(len(e.pinLog)) * 12
 	b += int64(e.numLabels) * 8 // labelLen
 	return b
 }
@@ -63,7 +61,6 @@ func (e *Engine) ResetPins() {
 		e.pins[i] = -1
 	}
 	e.pinGen++
-	e.logPinMutation(PinEvent{Row: -1, Old: -1, New: -1})
 }
 
 // ScratchPool is a concurrency-safe free list of Scratches for one

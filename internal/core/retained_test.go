@@ -29,9 +29,11 @@ func nearZeroInstance(rng *rand.Rand, n, maxM, numLabels int) *Instance {
 
 // applyRandomPinOp mutates the engine's pins one step: mostly fresh pins
 // (the cleaning steady state), sometimes an unpin, repin, or full reset, so
-// every reuse tier — memo, irrelevant-pin skip, windowed delta, forced full
-// rescan — gets hit.
-func applyRandomPinOp(rng *rand.Rand, e *Engine) {
+// both Retained tiers — memo hit and full sweep — get hit. The operation is
+// drawn from e's pin state and applied to e and every mirror alike.
+func applyRandomPinOp(rng *rand.Rand, e *Engine, mirrors ...*Engine) {
+	es := append([]*Engine{e}, mirrors...)
+	pin := func(row, cand int) { pinAll(row, cand, es...) }
 	switch op := rng.Intn(10); {
 	case op == 0: // unpin a pinned row, if any
 		var pinned []int
@@ -41,15 +43,15 @@ func applyRandomPinOp(rng *rand.Rand, e *Engine) {
 			}
 		}
 		if len(pinned) > 0 {
-			e.SetPin(pinned[rng.Intn(len(pinned))], -1)
+			pin(pinned[rng.Intn(len(pinned))], -1)
 			return
 		}
 		fallthrough
 	case op == 1: // repin or pin an arbitrary row
 		row := rng.Intn(e.N())
-		e.SetPin(row, rng.Intn(e.inst.M(row)))
+		pin(row, rng.Intn(e.inst.M(row)))
 	case op == 2 && rng.Intn(4) == 0: // occasional full reset
-		e.ResetPins()
+		pin(-1, -1)
 	default: // fresh pin of an unpinned row
 		var free []int
 		for i := 0; i < e.N(); i++ {
@@ -58,23 +60,34 @@ func applyRandomPinOp(rng *rand.Rand, e *Engine) {
 			}
 		}
 		if len(free) == 0 {
-			e.ResetPins()
+			pin(-1, -1)
 			return
 		}
 		row := free[rng.Intn(len(free))]
-		e.SetPin(row, rng.Intn(e.inst.M(row)))
+		pin(row, rng.Intn(e.inst.M(row)))
 	}
 }
 
-// TestRetainedMatchesFreshSSDC is the exactness contract of the retained-tree
-// mode and the lockstep test of the scan kernel's two sinks: across random
-// pin/unpin/reset sequences — over generic, tied, and near-zero-weight
-// instances, with multi-pin batches between queries — Retained.Counts and
-// Retained.Entropy (record sink: windowed replays spliced into retained
-// streams, then re-summed) must equal a fresh Engine.Counts / CountsMC
-// (accumulate sink) bit for bit, for both the tally-enumeration and
-// multi-class accumulators. Well over 100 distinct pin sequences run here
-// (every trial is one sequence of 12 mutation steps).
+// pinAll applies one pin operation to every engine: SetPin(row, cand), or
+// ResetPins when row < 0.
+func pinAll(row, cand int, es ...*Engine) {
+	for _, e := range es {
+		if row < 0 {
+			e.ResetPins()
+		} else {
+			e.SetPin(row, cand)
+		}
+	}
+}
+
+// TestRetainedMatchesFreshSSDC is the exactness contract of the Retained
+// memo: across random pin/unpin/reset sequences — over generic, tied, and
+// near-zero-weight instances, with multi-pin batches between queries —
+// Retained.Counts, Retained.Entropy and Retained.Relevant (memo hits kept
+// across irrelevant pins, full sweeps otherwise) must equal a fresh
+// Engine.Counts / CountsMC and RelevantRows bit for bit, for both the
+// tally-enumeration and multi-class accumulators. Well over 100 distinct pin
+// sequences run here (every trial is one sequence of 12 mutation steps).
 func TestRetainedMatchesFreshSSDC(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	gens := []func(*rand.Rand, int, int, int) *Instance{randomInstance, tiedInstance, nearZeroInstance}
@@ -128,85 +141,75 @@ func TestRetainedMatchesFreshSSDC(t *testing.T) {
 	}
 }
 
-// TestRetainedReusesWork checks the tiers actually fire: repeated queries at
-// one generation are memo hits, a fresh pin triggers at most a windowed
-// delta, and the scanned-candidate counter stays well under the full-sweep
-// cost for a cleaning-style pin sequence.
+// TestRetainedReusesWork checks each memo tier fires where it should, for
+// both accumulators, with every answer == a fresh sweep: repeats and fresh
+// pins of irrelevant rows are memo hits, a pin followed by an unpin of the
+// same row is a memo hit, and a relevant pin and a ResetPins are one full
+// sweep each.
 func TestRetainedReusesWork(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	inst := randomInstance(rng, 60, 4, 2)
-	e := NewEngineFromInstance(inst)
-	rt, err := NewRetained(e, 3, false, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rt.Counts()
-	if s := rt.Stats(); s.FullScans != 1 {
-		t.Fatalf("first query: %+v", s)
-	}
-	rt.Counts()
-	rt.Counts()
-	if s := rt.Stats(); s.MemoHits != 2 {
-		t.Fatalf("repeat queries were not memo hits: %+v", s)
-	}
-	total := int64(0)
-	for i := 0; i < inst.N(); i++ {
-		total += int64(inst.M(i))
-	}
-	// Pin rows one at a time, querying after each pin, as a cleaning session
-	// interleaved with batch queries would.
-	perm := rng.Perm(inst.N())
-	pins := 0
-	for _, row := range perm[:30] {
-		e.SetPin(row, rng.Intn(inst.M(row)))
-		rt.Counts()
-		pins++
-	}
-	s := rt.Stats()
-	if s.FullScans != 1 {
-		t.Fatalf("pins forced full rescans: %+v", s)
-	}
-	fullCost := int64(pins) * total
-	if s.CandidatesScanned >= fullCost {
-		t.Fatalf("delta replay scanned %d candidates, full sweeps would be %d: %+v",
-			s.CandidatesScanned, fullCost, s)
-	}
-}
+	for _, useMC := range []bool{false, true} {
+		rng := rand.New(rand.NewSource(99))
+		inst := randomInstance(rng, 60, 4, 2)
+		e := NewEngineFromInstance(inst)
+		rt, err := NewRetained(e, 3, useMC, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc := e.MustScratch(3)
+		var want RetainedStats
+		query := func(what string, tier *int64) {
+			t.Helper()
+			got := rt.Counts()
+			fresh := e.Counts(sc, -1, -1)
+			if useMC {
+				fresh = e.CountsMC(sc, -1, -1)
+			}
+			for y := range fresh {
+				if got[y] != fresh[y] {
+					t.Fatalf("mc=%v %s: retained %v, fresh sweep %v", useMC, what, got, fresh)
+				}
+			}
+			*tier++
+			if s := rt.Stats(); s.FullScans != want.FullScans || s.MemoHits != want.MemoHits || s.DeltaScans != 0 {
+				t.Fatalf("mc=%v %s: stats %+v, want %d full sweeps and %d memo hits",
+					useMC, what, s, want.FullScans, want.MemoHits)
+			}
+		}
+		query("first query", &want.FullScans)
+		query("repeat", &want.MemoHits)
+		query("second repeat", &want.MemoHits)
 
-// TestRetainedPinLogOverflow forces the engine's bounded pin log to slide
-// past the memo's generation and checks the fallback full rescan still
-// answers exactly.
-func TestRetainedPinLogOverflow(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	inst := randomInstance(rng, 8, 3, 2)
-	e := NewEngineFromInstance(inst)
-	rt, err := NewRetained(e, 2, false, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc := e.MustScratch(2)
-	rt.Counts()
-	// Far more mutations than maxPinLog, ending at a random pin state.
-	for i := 0; i < maxPinLog+50; i++ {
-		row := rng.Intn(inst.N())
-		if rng.Intn(3) == 0 {
-			e.SetPin(row, -1)
-		} else {
-			e.SetPin(row, rng.Intn(inst.M(row)))
+		var irrelevant, relevant []int
+		for i, rel := range rt.Relevant() {
+			if rel {
+				relevant = append(relevant, i)
+			} else {
+				irrelevant = append(irrelevant, i)
+			}
 		}
-	}
-	if _, ok := e.PinsSince(1); ok {
-		t.Fatal("pin log should have slid past generation 1")
-	}
-	got := rt.Counts()
-	want := e.Counts(sc, -1, -1)
-	for y := range want {
-		if got[y] != want[y] {
-			t.Fatalf("after log overflow: retained %v fresh %v", got, want)
+		if len(irrelevant) < 2 || len(relevant) == 0 {
+			t.Fatalf("instance has %d irrelevant and %d relevant rows; the tiers need both", len(irrelevant), len(relevant))
 		}
-	}
-	if s := rt.Stats(); s.FullScans != 2 {
-		t.Fatalf("overflow should force exactly one extra full rescan: %+v", s)
+		e.SetPin(irrelevant[0], 0)
+		query("fresh pin of an irrelevant row", &want.MemoHits)
+		e.SetPin(irrelevant[1], inst.M(irrelevant[1])-1)
+		query("second irrelevant pin", &want.MemoHits)
+
+		r := relevant[0]
+		e.SetPin(r, 0)
+		e.SetPin(r, -1)
+		query("pin then unpin of a relevant row", &want.MemoHits)
+
+		e.SetPin(r, inst.M(r)-1)
+		scanned := rt.Stats().CandidatesScanned
+		query("relevant pin", &want.FullScans)
+		if rt.Stats().CandidatesScanned <= scanned {
+			t.Fatalf("mc=%v: relevant pin swept no candidates: %+v", useMC, rt.Stats())
+		}
+
+		e.ResetPins()
+		query("ResetPins", &want.FullScans)
+		query("repeat after ResetPins", &want.MemoHits)
 	}
 }
 

@@ -4,66 +4,28 @@ package core
 // ordered walk over the engine's sorted kept candidates (all NM of them
 // untruncated), from the seeded α state, that forces each scanned
 // candidate's row onto the boundary, reads the boundary supports off the
-// per-label segment-tree roots, and restores the row's leaf. Every sequential
-// Q2 path runs it — Engine.Counts and Engine.CountsMC add the supports into
-// the Scratch's counts (the accumulate sink), and Retained.rescan records
-// them as a flat term stream (the record sink) that it splices into its
-// retained streams and re-sums in scan order. Both sinks perform the same
-// tree operations and produce the same products in the same order, so a
-// re-summed record stream equals a fresh accumulation bit for bit
-// (TestRetainedMatchesFreshSSDC). HypothesisCounts keeps its own two-tree
-// variant of the walk.
+// per-label segment-tree roots, adds them into the Scratch's counts, and
+// restores the row's leaf. Every sequential Q2 path runs it —
+// Engine.Counts, Engine.CountsMC and a Retained memo's full sweep.
+// HypothesisCounts keeps its own two-tree variant of the walk.
 
-// term is one recorded support contribution of a boundary-candidate scan
-// position: counts[y] += v. Retained replays term streams in the original
-// accumulation order, which keeps the re-summed counts bit-identical to a
-// fresh scan.
-type term struct {
-	y int32
-	v float64
-}
-
-// spanResult is the record sink's output for a window of scan positions:
-// every term the positions record, concatenated in scan order, plus
-// per-position offsets — the stream of position lo+i is
-// terms[offs[i]:offs[i+1]] (empty for eliminated candidates and
-// provably-zero positions).
-type spanResult struct {
-	terms []term
-	offs  []int32 // len = window length + 1
-}
-
-// scan replays scan positions [lo, hi] with real tree work under the given pin
-// vector (e.pins, or pinsFor's copy carrying a per-query override). With
-// rec == nil each position's supports are added into sc.counts; otherwise
-// rec's buffers are reset and receive every position's term stream, and
-// sc.counts is left untouched. useMC selects the appendix-A.3 winner-cap
-// accumulator instead of tally enumeration.
-//
-// Preconditions: sc.alpha holds the α state a sequential scan carries into
-// position lo, zeroRows counts its rows with α = 0, and built reports whether
-// sc's trees already reflect sc.alpha (when false they are bulk-built at the
-// first position whose boundary support is not provably zero). Returns the
-// number of positions that performed tree work.
-func (e *Engine) scan(sc *Scratch, pins []int32, lo, hi, zeroRows int, built, useMC bool, rec *spanResult) int64 {
+// scan walks every kept scan position with real tree work under the given
+// pin vector (e.pins, or pinsFor's copy carrying a per-query override),
+// from the α state seedAlpha derives, adding each position's supports into
+// sc.counts. useMC selects the appendix-A.3 winner-cap accumulator instead
+// of tally enumeration. The trees are bulk-built at the first position
+// whose boundary support is not provably zero. Returns the number of
+// positions that performed tree work.
+func (e *Engine) scan(sc *Scratch, pins []int32, useMC bool) int64 {
 	inst := e.inst
-	order := e.order
 	labelOf := e.labelOf
 	rowPos := e.rowPos
 	alpha := sc.alpha
 	k := sc.k
-	record := rec != nil
-	var terms []term
-	var offs []int32
-	if record {
-		terms, offs = rec.terms[:0], rec.offs[:0]
-	}
+	zeroRows := e.seedAlpha(alpha, pins)
+	built := false
 	var scanned int64
-	for pos := lo; pos <= hi; pos++ {
-		if record {
-			offs = append(offs, int32(len(terms)))
-		}
-		ref := order[pos]
+	for _, ref := range e.order {
 		i := int(ref.row)
 		ch := int(pins[i])
 		if ch >= 0 && int(ref.cand) != ch {
@@ -97,33 +59,21 @@ func (e *Engine) scan(sc *Scratch, pins []int32, lo, hi, zeroRows int, built, us
 		// slot, with probability 1/mEff of picking this candidate. Read the
 		// supports, then restore the leaf to its scanned state [α/M, 1−α/M].
 		tr.SetLeaf(p, 0, 1/float64(mEff))
-		// Each sink passes a literal nil for the side it does not use, so
-		// the inlined tally body specializes to that sink.
-		switch {
-		case useMC && record:
-			terms = e.mcSupports(sc, nil, terms)
-		case useMC:
-			e.mcSupports(sc, sc.counts, nil)
-		case record:
-			terms = tallySupports(sc, sc.rootsNormal, nil, terms)
-		default:
-			tallySupports(sc, sc.rootsNormal, sc.counts, nil)
+		if useMC {
+			e.mcSupports(sc, sc.counts)
+		} else {
+			tallySupports(sc, sc.rootsNormal, sc.counts)
 		}
 		tr.SetLeaf(p, a, 1-a)
 		scanned++
-	}
-	if record {
-		rec.terms = terms
-		rec.offs = append(offs, int32(len(terms)))
 	}
 	return scanned
 }
 
 // tallySupports enumerates every label tally against the given per-label root
-// polynomials (Algorithm 1, lines 9-12). Each nonzero support is added to
-// out[winner] — or, when out is nil, appended to rec as a term instead: same
-// tally order, same products, same zero-skips. Returns rec.
-func tallySupports(sc *Scratch, roots [][]float64, out []float64, rec []term) []term {
+// polynomials (Algorithm 1, lines 9-12), adding each nonzero support to
+// out[winner].
+func tallySupports(sc *Scratch, roots [][]float64, out []float64) {
 	for ti, g := range sc.tallies {
 		prod := 1.0
 		for l, c := range g {
@@ -135,14 +85,9 @@ func tallySupports(sc *Scratch, roots [][]float64, out []float64, rec []term) []
 			prod *= v
 		}
 		if prod != 0 {
-			if out != nil {
-				out[sc.winners[ti]] += prod
-			} else {
-				rec = append(rec, term{y: int32(sc.winners[ti]), v: prod})
-			}
+			out[sc.winners[ti]] += prod
 		}
 	}
-	return rec
 }
 
 // mcSupports is the appendix-A.3 multi-class accumulator: instead of
@@ -150,9 +95,8 @@ func tallySupports(sc *Scratch, roots [][]float64, out []float64, rec []term) []
 // winning tally c it runs a winner-cap DP over the other labels (labels
 // smaller than l capped at c−1, larger capped at c — realizing the
 // smallest-label vote tie-break exactly). O(|Y|²K³) per scanned candidate.
-// Supports are added into out, or appended to rec in the same (l, c) order
-// when out is nil. Returns rec.
-func (e *Engine) mcSupports(sc *Scratch, out []float64, rec []term) []term {
+// Supports are added into out.
+func (e *Engine) mcSupports(sc *Scratch, out []float64) {
 	k := sc.k
 	for l := 0; l < e.numLabels; l++ {
 		rootL := sc.trees[l].Root()
@@ -195,13 +139,8 @@ func (e *Engine) mcSupports(sc *Scratch, out []float64, rec []term) []term {
 				dp, next = next, dp
 			}
 			if dp[rem] != 0 {
-				if out != nil {
-					out[l] += float64(wl * dp[rem])
-				} else {
-					rec = append(rec, term{y: int32(l), v: wl * dp[rem]})
-				}
+				out[l] += float64(wl * dp[rem])
 			}
 		}
 	}
-	return rec
 }

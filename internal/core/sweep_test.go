@@ -7,10 +7,10 @@ import (
 	"repro/internal/knn"
 )
 
-// BenchmarkScan measures the scan kernel's record sink over a full scan —
-// the work a full Retained rescan performs, without the prefix walk, splice
-// and re-sum — each from its seeded α state, on an untruncated engine (full)
-// and one truncated for K = 3 (trunc/K3). Two shapes: a mid-sized random
+// BenchmarkScan measures the scan kernel's accumulate sink, its only sink,
+// over a full scan — Engine.Counts, the work of every Q2 sweep including a
+// Retained memo's — from the seeded α state, on an untruncated engine
+// (full) and one truncated for K = 3 (trunc/K3). Two shapes: a mid-sized random
 // engine (N=400, M≤4, three labels, K=3), where most positions lie past the
 // zero-support transition, and a Supreme-shaped one (supreme/…, N=1000,
 // ≈12k candidates), where ≈97% lie before it and truncation skips them.
@@ -34,11 +34,9 @@ func BenchmarkScan(b *testing.B) {
 			b.Run(shape.prefix+bc.name, func(b *testing.B) {
 				e := bc.e
 				sc := e.MustScratch(3)
-				var out spanResult
 				b.ReportAllocs()
 				for b.Loop() {
-					zeroRows := e.seedAlpha(sc.alpha, e.pins)
-					e.scan(sc, e.pins, 0, len(e.order)-1, zeroRows, false, false, &out)
+					e.Counts(sc, -1, -1)
 				}
 			})
 		}
@@ -54,7 +52,7 @@ func BenchmarkHypothesisCounts(b *testing.B) {
 	e := NewTruncatedEngineFromInstance(InstanceFor(d, knn.NegEuclidean{}, p), 3)
 	row := -1
 	for i := 0; i < e.N(); i++ {
-		if e.firstPos[i] >= 0 && (row < 0 || e.inst.M(i) > e.inst.M(row)) {
+		if e.hasKept(i) && (row < 0 || e.inst.M(i) > e.inst.M(row)) {
 			row = i
 		}
 	}

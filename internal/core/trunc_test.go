@@ -54,25 +54,8 @@ func oracleCorpus(rng *rand.Rand, trial, k int) *Instance {
 	return gens[trial%len(gens)](rng, n, 5, 2+rng.Intn(2))
 }
 
-// mirrorPins replays src's pin mutations since generation gen onto dst,
-// event for event, so both engines see the same pin log.
-func mirrorPins(t testing.TB, src, dst *Engine, gen uint64) {
-	t.Helper()
-	events, ok := src.PinsSince(gen)
-	if !ok {
-		t.Fatalf("pin log of generation %d aged out", gen)
-	}
-	for _, ev := range events {
-		if ev.Row < 0 {
-			dst.ResetPins()
-		} else {
-			dst.SetPin(int(ev.Row), int(ev.New))
-		}
-	}
-}
-
 // truncPair is a truncated engine under test, the untruncated reference over
-// the same instance, and retained-tree modes over the truncated one.
+// the same instance, and Retained memos over the truncated one.
 type truncPair struct {
 	ref, tr  *Engine
 	rsc, tsc *Scratch
@@ -95,12 +78,11 @@ func newTruncPair(t testing.TB, inst *Instance, k int) *truncPair {
 	return p
 }
 
-// step applies one random pin operation to the reference and mirrors it.
+// step applies one random pin operation to the reference and the
+// truncated engine alike.
 func (p *truncPair) step(t testing.TB, rng *rand.Rand) {
 	t.Helper()
-	gen := p.ref.PinGeneration()
-	applyRandomPinOp(rng, p.ref)
-	mirrorPins(t, p.ref, p.tr, gen)
+	applyRandomPinOp(rng, p.ref, p.tr)
 }
 
 // check compares every query of the truncated engine against the
@@ -173,7 +155,7 @@ func (p *truncPair) check(t testing.TB, rng *rand.Rand, what string) {
 // threshold truncation: across K ∈ {1, 3, 7}, instances with ties, ±0,
 // ±Inf and NaN, N down to K, and random pin/unpin/repin/reset sequences,
 // every query of a truncated engine — Counts, CountsMC (with and without an
-// override), HypothesisCounts, CheckMM, RelevantRows and Retained delta/memo
+// override), HypothesisCounts, CheckMM, RelevantRows and Retained memo/sweep
 // sequences — equals the untruncated engine's with ==.
 func TestTruncatedEngineMatchesUntruncated(t *testing.T) {
 	rng := rand.New(rand.NewSource(1601))
@@ -433,16 +415,14 @@ func FuzzTruncatedEngine(f *testing.F) {
 		rng := rand.New(rand.NewSource(int64(len(data))))
 		p.check(t, rng, "unpinned")
 		for len(data) > 0 {
-			gen := p.ref.PinGeneration()
 			switch op, row := next(), next()%n; op % 8 {
 			case 0:
-				p.ref.ResetPins()
+				pinAll(-1, -1, p.ref, p.tr)
 			case 1:
-				p.ref.SetPin(row, -1)
+				pinAll(row, -1, p.ref, p.tr)
 			default:
-				p.ref.SetPin(row, next()%inst.M(row))
+				pinAll(row, next()%inst.M(row), p.ref, p.tr)
 			}
-			mirrorPins(t, p.ref, p.tr, gen)
 			p.check(t, rng, "pinned")
 		}
 	})

@@ -9,6 +9,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -44,7 +45,10 @@ func (c Cursor) IsZero() bool { return c.Segment == 0 && c.Offset == 0 }
 // the wire syntax of the ship stream's from= parameter.
 func (c Cursor) String() string { return fmt.Sprintf("%d,%d", c.Segment, c.Offset) }
 
-// ParseCursor parses the "segment,offset" form produced by Cursor.String.
+// ParseCursor parses the "segment,offset" form produced by Cursor.String,
+// and only that form: any input String would not emit for the parsed cursor
+// — a sign, a leading zero, "-0" — is rejected, so every accepted string
+// round-trips.
 func ParseCursor(s string) (Cursor, error) {
 	segStr, offStr, ok := strings.Cut(s, ",")
 	seg, err1 := strconv.Atoi(segStr)
@@ -55,6 +59,9 @@ func ParseCursor(s string) (Cursor, error) {
 	c := Cursor{Segment: seg, Offset: off}
 	if c.Segment < 0 || c.Offset < 0 {
 		return Cursor{}, fmt.Errorf("durable: negative cursor %q", s)
+	}
+	if c.String() != s {
+		return Cursor{}, fmt.Errorf("durable: non-canonical cursor %q (want %q)", s, c.String())
 	}
 	return c, nil
 }
@@ -113,17 +120,36 @@ func ReadFrame(r io.Reader) ([]byte, error) {
 	if length > maxRecordBytes {
 		return nil, fmt.Errorf("%w: implausible record length %d", ErrCorruptFrame, length)
 	}
-	payload := make([]byte, length)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
+	payload, err := readPayload(r, int(length))
+	if err != nil {
 		return nil, err
 	}
 	if crc32.Checksum(payload, crcTable) != sum {
 		return nil, fmt.Errorf("%w: record checksum mismatch", ErrCorruptFrame)
 	}
 	return payload, nil
+}
+
+// readPayload reads exactly n bytes, or fails with an error wrapping
+// io.ErrUnexpectedEOF. The buffer starts at 1 MiB at most and doubles as
+// bytes arrive, so a garbage length field on a short stream allocates about
+// what the stream holds, not up to maxRecordBytes.
+func readPayload(r io.Reader, n int) ([]byte, error) {
+	buf := make([]byte, 0, min(n, 1<<20))
+	for len(buf) < n {
+		if len(buf) == cap(buf) {
+			buf = slices.Grow(buf, min(n, 2*cap(buf))-len(buf))
+		}
+		m, err := io.ReadFull(r, buf[len(buf):min(n, cap(buf))])
+		buf = buf[:len(buf)+m]
+		if err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, err
+		}
+	}
+	return buf, nil
 }
 
 // signalSyncedLocked wakes everything parked on SyncedSignal. Caller holds

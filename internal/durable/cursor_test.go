@@ -19,7 +19,7 @@ func TestCursorStringParseRoundTrip(t *testing.T) {
 			t.Fatalf("round trip %v -> %q -> %v", c, c.String(), got)
 		}
 	}
-	for _, bad := range []string{"", "1", "1,2,3junk", "x,y", "-1,8", "1,-8"} {
+	for _, bad := range []string{"", "1", "1,2,3junk", "x,y", "-1,8", "1,-8", "+1,2", "01,2", "-0,0", "1,+0"} {
 		if _, err := ParseCursor(bad); err == nil {
 			t.Fatalf("ParseCursor(%q) accepted", bad)
 		}

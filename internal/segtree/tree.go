@@ -16,10 +16,10 @@
 // path), so node values — the root above all — are a pure function of the
 // current leaf values: any sequence of SetLeaf / ResetLeaves / CopyFrom
 // calls that ends in the same leaf state yields bit-identical node values,
-// regardless of the path taken. The retained-tree incremental Q2 mode
-// (internal/core.Retained) depends on exactly this property to splice
-// bulk-rebuilt tree states into the middle of a replayed scan and still
-// match a fresh scan bit for bit; TestPathIndependence pins it.
+// regardless of the path taken. The SS-DC scan (internal/core) depends on
+// exactly this property to bulk-build its trees at the first position with
+// tree work and still match a leaf-by-leaf scan bit for bit;
+// TestPathIndependence pins it.
 //
 // # Tree arithmetic
 //

@@ -25,11 +25,9 @@
 // only the (row, point) pairs the round-t pin actually touched.
 //
 // When a pin does invalidate a point's memo, the point's current entropy and
-// relevance mask rescore through the retained-tree query mode
-// (core.Retained): the pin replays as segment-tree leaf deltas inside the
-// pinned row's candidate-span window instead of a fresh O(NM·K²·log N)
-// SS-DC sweep, with bit-identical results (Retained's exactness contract).
-// Config.DisableRetained ablates this back to full sweeps.
+// relevance mask are rebuilt with one SS-DC sweep (core.Engine.Counts or
+// CountsMC) and core.Engine.RelevantRows: after a relevant pin the point's
+// answer may have changed, so there is nothing left to reuse.
 //
 // # Invariants
 //

@@ -25,14 +25,7 @@ type Config struct {
 	// DisableCache turns OFF the cross-round hypothesis memo, rescoring
 	// every (row, validation point) pair from scratch each round — the
 	// pre-incremental behavior, kept as an ablation/benchmark baseline.
-	// It also bypasses the retained-tree rescore so the baseline really is
-	// the full pre-incremental cost.
 	DisableCache bool
-	// DisableRetained turns OFF the retained-tree delta rescore of
-	// invalidated validation points (core.Retained), falling back to a full
-	// SS-DC sweep per invalidated point per round — the ablation that
-	// isolates the tentpole's win.
-	DisableRetained bool
 }
 
 // valMemo is the per-validation-point cache. It is valid for exactly one
@@ -64,13 +57,6 @@ type Selector struct {
 	scratches *core.ScratchPool
 	cfg       Config
 	memos     []valMemo
-	// retained holds one retained-tree query mode per validation point,
-	// built lazily: when a pin invalidates a point's memo, its current
-	// entropy and relevance mask rescore through segment-tree leaf deltas
-	// (O(K²·log N) tree work inside the pinned row's candidate span) instead
-	// of a fresh O(NM·K²·log N) SS-DC sweep, bit-identical by Retained's
-	// exactness contract.
-	retained []*core.Retained
 
 	examined int64 // hypothesis Q2 scans actually performed
 	reused   int64 // scans avoided by the cross-round memo
@@ -103,7 +89,6 @@ func New(engines []*core.Engine, certain []bool, scratches *core.ScratchPool, cf
 		scratches: scratches,
 		cfg:       cfg,
 		memos:     make([]valMemo, len(engines)),
-		retained:  make([]*core.Retained, len(engines)),
 	}, nil
 }
 
@@ -137,44 +122,26 @@ func (s *Selector) Stats() (examined, reused int64) {
 }
 
 // refresh rebuilds stale memos for the given validation points: relevance
-// mask, current entropy, and a cleared hypothesis table. The rebuild routes
-// through the point's retained-tree mode — the pins that invalidated the
-// memo replay as leaf deltas inside their candidate-span window, not as a
-// fresh SS-DC sweep — unless an ablation flag forces the full-sweep path.
+// mask, current entropy (one SS-DC sweep), and a cleared hypothesis table.
+// A memo goes stale only after a pin of a row relevant to its point (or a
+// pin the Selector did not make), when the point's answer may have changed.
 // With DisableCache every memo is rebuilt every round.
 func (s *Selector) refresh(valIdx []int) {
 	var sc *core.Scratch
-	useRetained := !s.cfg.DisableCache && !s.cfg.DisableRetained
 	for _, v := range valIdx {
 		e := s.engines[v]
 		m := &s.memos[v]
 		if !s.cfg.DisableCache && m.fresh && e.PinGeneration() == m.gen {
 			continue
 		}
-		if useRetained {
-			rt := s.retained[v]
-			if rt == nil {
-				var err error
-				rt, err = core.NewRetained(e, s.cfg.K, s.cfg.UseMC, s.scratches)
-				if err != nil {
-					// K was validated by New; an error here is a programming
-					// bug, same contract as MustScratch.
-					panic(err)
-				}
-				s.retained[v] = rt
-			}
-			m.curH = core.Entropy(rt.Counts())
-			m.relevant = rt.Relevant()
+		if sc == nil {
+			sc = s.scratches.Get()
+		}
+		m.relevant = e.RelevantRows(s.cfg.K)
+		if s.cfg.UseMC {
+			m.curH = core.Entropy(e.CountsMC(sc, -1, -1))
 		} else {
-			if sc == nil {
-				sc = s.scratches.Get()
-			}
-			m.relevant = e.RelevantRows(s.cfg.K)
-			if s.cfg.UseMC {
-				m.curH = core.Entropy(e.CountsMC(sc, -1, -1))
-			} else {
-				m.curH = core.Entropy(e.Counts(sc, -1, -1))
-			}
+			m.curH = core.Entropy(e.Counts(sc, -1, -1))
 		}
 		if m.hypSum == nil {
 			m.hypSum = make([]float64, e.N())
@@ -188,20 +155,6 @@ func (s *Selector) refresh(valIdx []int) {
 	if sc != nil {
 		s.scratches.Put(sc)
 	}
-}
-
-// RetainedStats aggregates the retained-tree rescore counters across every
-// validation point: how many current-entropy rescores were answered from the
-// memo, by windowed delta replay, or by a full sweep, and the boundary
-// candidates scanned versus avoided.
-func (s *Selector) RetainedStats() core.RetainedStats {
-	var agg core.RetainedStats
-	for _, rt := range s.retained {
-		if rt != nil {
-			agg.Add(rt.Stats())
-		}
-	}
-	return agg
 }
 
 // SelectBatch scores every candidate row by expected conditional entropy

@@ -2,6 +2,7 @@ package selection
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -202,43 +203,50 @@ func TestIncrementalMatchesFullRescore(t *testing.T) {
 	}
 }
 
-// TestRetainedRescoreLockstep drives the default selector (retained-tree
-// delta rescore) and the DisableRetained ablation (full SS-DC sweep per
-// invalidated point) through a whole run: identical selections and scores
-// every round, and the retained stats must show the delta path actually
-// fired instead of degenerating to full rescans.
+// TestRetainedRescoreLockstep drives the default selector through a whole
+// run and checks, every round, that each scored point's memoized current
+// entropy and relevance mask — kept across irrelevant pins, rebuilt by one
+// sweep after a relevant one — equal those of a freshly built engine under
+// the same pins, bit for bit.
 func TestRetainedRescoreLockstep(t *testing.T) {
 	d := randDataset(t, 30, 3, 2, 2, 0.6, 404)
 	valPts := randPoints(10, 2, 405)
 	a := newHarness(t, d, valPts, 3, Config{})
-	b := newHarness(t, d, valPts, 3, Config{DisableRetained: true})
 	rng := rand.New(rand.NewSource(406))
+	kept := 0
 	for round := 0; round <= d.N() && !a.allCertain(); round++ {
 		rows := a.candidateRows()
 		if len(rows) == 0 {
 			break
 		}
-		rowsA, hA, _ := a.sel.SelectBatch(rows, 1)
-		rowsB, hB, _ := b.sel.SelectBatch(rows, 1)
-		if rowsA[0] != rowsB[0] || hA[0] != hB[0] {
-			t.Fatalf("round %d: retained rescore selected row %d (H=%v), full sweep row %d (H=%v)",
-				round, rowsA[0], hA[0], rowsB[0], hB[0])
+		for v, m := range a.sel.memos {
+			if round > 0 && !a.certain[v] && m.fresh && m.gen == a.engines[v].PinGeneration() {
+				kept++ // the memo survived last round's pin without a rescore
+			}
 		}
-		cand := rng.Intn(d.Examples[rowsA[0]].M())
-		a.sel.Pin(rowsA[0], cand)
-		b.sel.Pin(rowsB[0], cand)
+		best, _, _ := a.sel.SelectBatch(rows, 1)
+		for v, p := range valPts {
+			m := &a.sel.memos[v]
+			if a.certain[v] {
+				continue
+			}
+			fresh := core.NewEngine(d, knn.NegEuclidean{}, p)
+			for i := 0; i < d.N(); i++ {
+				if c := a.engines[v].Pin(i); c >= 0 {
+					fresh.SetPin(i, c)
+				}
+			}
+			wantH := core.Entropy(fresh.Counts(fresh.MustScratch(3), -1, -1))
+			if m.curH != wantH || !slices.Equal(m.relevant, fresh.RelevantRows(3)) {
+				t.Fatalf("round %d point %d: memo entropy %v, fresh engine %v (or masks differ)", round, v, m.curH, wantH)
+			}
+		}
+		cand := rng.Intn(d.Examples[best[0]].M())
+		a.sel.Pin(best[0], cand)
 		a.refreshCertainty(t)
-		b.refreshCertainty(t)
 	}
-	st := a.sel.RetainedStats()
-	if st.FullScans == 0 {
-		t.Fatalf("no initial full scans recorded: %+v", st)
-	}
-	if st.DeltaScans+st.MemoHits == 0 {
-		t.Fatalf("retained rescore never reused work across pins: %+v", st)
-	}
-	if off := b.sel.RetainedStats(); off.FullScans+off.DeltaScans+off.MemoHits != 0 {
-		t.Fatalf("DisableRetained still touched the retained path: %+v", off)
+	if kept == 0 {
+		t.Fatal("no memo ever survived a pin; the relevance lemma never fired")
 	}
 }
 

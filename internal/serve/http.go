@@ -226,7 +226,7 @@ func Handler(s *Server) http.Handler {
 			return
 		}
 		// Answers reflect the session's current cleaning state (every executed
-		// step applied as a pin); repeats reuse the per-point retained trees.
+		// step applied as a pin); repeats reuse the per-point Q2 memos.
 		s.serveBatch(w, r, sess.StreamQuery)
 	})
 	mux.HandleFunc("GET /v1/clean/{id}", func(w http.ResponseWriter, r *http.Request) {
@@ -370,16 +370,19 @@ type streamPointLine struct {
 	PointResult
 }
 
+// batchBody is the wire form of a batch query request.
+type batchBody struct {
+	Points [][]float64 `json:"points"`
+	K      int         `json:"k"`
+	UseMC  bool        `json:"use_mc"`
+}
+
 // serveBatch decodes a {points, k, use_mc} batch body and answers it through
 // stream — the one handler body behind the dataset and session query routes:
 // NDJSON lines when the client asks for them, one buffered JSON body
 // otherwise.
 func (s *Server) serveBatch(w http.ResponseWriter, r *http.Request, stream func(ctx context.Context, req BatchRequest, yield func(int, PointResult) error) (BatchSummary, error)) {
-	var body struct {
-		Points [][]float64 `json:"points"`
-		K      int         `json:"k"`
-		UseMC  bool        `json:"use_mc"`
-	}
+	var body batchBody
 	if !decodeJSON(w, r, s.cfg.MaxQueryBytes, &body) {
 		return
 	}

@@ -62,8 +62,8 @@ func (c *lruBudget[V]) put(key string, v V, bytes int64) (cur V, inserted bool) 
 	return v, true
 }
 
-// reaccount refreshes an entry's byte estimate after its value grew (retained
-// term streams expand on first scan) and re-applies the byte budget. A key
+// reaccount refreshes an entry's byte estimate after its value grew (a memo
+// fills in on first query) and re-applies the byte budget. A key
 // already evicted is a no-op: nothing is accounted for it.
 func (c *lruBudget[V]) reaccount(key string, newBytes int64) {
 	el, ok := c.byKey[key]

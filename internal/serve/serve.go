@@ -82,7 +82,7 @@ type Config struct {
 	// used entry is always kept, so a single over-budget engine degrades to
 	// cache-of-one instead of thrashing.
 	MaxEngineBytes int64
-	// DisableQueryMemo turns off the retained-tree memo of session queries:
+	// DisableQueryMemo turns off the Q2 memo (core.Retained) of session queries:
 	// every session-query Q2 runs a full SS-DC sweep — the pre-incremental
 	// behavior, kept as the benchmark/ablation baseline
 	// (BenchmarkBatchQ2_FullSweep). It also bypasses the result cache for

@@ -82,8 +82,8 @@ type Session struct {
 	history   []CleanStep   // every executed step, in order
 	snap      sessionSnap
 	// queries is the session's batch-query state: per-point engines pinned
-	// to the executed step history, with retained-tree memos keyed by pin
-	// generation (see squery.go). Built on first Query; dropped on close.
+	// to the executed step history, each with a Q2 memo of its pin state
+	// (see squery.go). Built on first Query; dropped on close.
 	queries *sessionQueryCache
 }
 
@@ -424,7 +424,7 @@ func (sess *Session) closeLocked() {
 		sess.clean.Close()
 		sess.clean = nil
 	}
-	// The query cache holds per-point engines + retained memos — the bulk of
+	// The query cache holds per-point engines + Q2 memos — the bulk of
 	// a queried session's footprint.
 	sess.queries = nil
 }

@@ -16,12 +16,11 @@ import (
 // pins: per (K, test point) the cache keeps a fork of the dataset pool's
 // engine (core.Engine.Fork — the pooled similarity view and scan order are
 // shared, only the pins are the session's) with the session's executed
-// cleaning steps applied, plus the retained-tree query memo (core.Retained)
-// keyed by the fork's pin generation. A batch Q2 repeated while the session
-// pins rows therefore reuses the prior tree state — an unchanged session is
-// a pure memo hit, a session that pinned irrelevant rows since is too, and a
-// relevant pin replays only its candidate-span window instead of a full
-// SS-DC sweep.
+// cleaning steps applied, plus a Q2 memo of one pin state (core.Retained).
+// A batch Q2 repeated while the session pins rows therefore reuses the
+// prior answer — an unchanged session is a pure memo hit, a session that
+// pinned only irrelevant rows since is too — and a relevant pin costs one
+// ordinary SS-DC sweep.
 //
 // The cache is independent of the session's cleaning engines, so queries run
 // concurrently with the (single-goroutine) driver: the driver appends to the
@@ -35,17 +34,16 @@ type sessionQueryCache struct {
 	cache *lruBudget[*squeryEntry] // guarded by mu
 
 	// Lifetime counters, surviving entry eviction. queries counts points
-	// answered; the rest mirror core.RetainedStats.
-	queries    atomic.Int64
-	fullScans  atomic.Int64
-	memoHits   atomic.Int64
-	deltaScans atomic.Int64
-	scanned    atomic.Int64
-	avoided    atomic.Int64
+	// answered; the rest mirror core.RetainedStats (DeltaScans is always 0).
+	queries   atomic.Int64
+	fullScans atomic.Int64
+	memoHits  atomic.Int64
+	scanned   atomic.Int64
+	avoided   atomic.Int64
 }
 
-// squeryEntry is one (K, point) pinned fork + retained memo. mu serializes
-// use; last holds the retained stats already folded into the cache counters.
+// squeryEntry is one (K, point) pinned fork + Q2 memo. mu serializes use;
+// last holds the memo stats already folded into the cache counters.
 type squeryEntry struct {
 	key string
 	k   int
@@ -78,8 +76,8 @@ type SessionQueryStats struct {
 	// Queries counts points answered against the session's pin state.
 	Queries int64 `json:"queries"`
 	// Retained aggregates the memo counters: how many answers came from the
-	// memo verbatim, from a windowed delta replay, or from a full sweep, and
-	// the boundary-candidate scans performed versus avoided.
+	// memo verbatim or from a full sweep (delta_scans is always 0), and the
+	// boundary-candidate scans performed versus avoided.
 	Retained core.RetainedStats `json:"retained"`
 }
 
@@ -89,7 +87,6 @@ func (q *sessionQueryCache) statsSnapshot() SessionQueryStats {
 		Retained: core.RetainedStats{
 			FullScans:         q.fullScans.Load(),
 			MemoHits:          q.memoHits.Load(),
-			DeltaScans:        q.deltaScans.Load(),
 			CandidatesScanned: q.scanned.Load(),
 			CandidatesAvoided: q.avoided.Load(),
 		},
@@ -112,7 +109,7 @@ func (q *sessionQueryCache) entry(pt []float64, pk string, k int) *squeryEntry {
 }
 
 // reaccount refreshes an entry's byte estimate after a query grew its
-// retained state, re-applying the byte budget.
+// memo state, re-applying the byte budget.
 func (q *sessionQueryCache) reaccount(ent *squeryEntry, newBytes int64) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -121,8 +118,8 @@ func (q *sessionQueryCache) reaccount(ent *squeryEntry, newBytes int64) {
 
 // queryPoint answers one point under the pins of hist (the session's
 // executed steps): the entry's fork of the pooled engine is caught up on any
-// steps it has not seen, then the retained memo answers — O(1) when nothing
-// relevant changed.
+// steps it has not seen, then the memo answers — O(N) when nothing relevant
+// changed, one sweep otherwise.
 func (q *sessionQueryCache) queryPoint(ent *squeryEntry, hist []CleanStep, useMC bool) (PointResult, error) {
 	ent.mu.Lock()
 	defer ent.mu.Unlock()
@@ -158,7 +155,6 @@ func (q *sessionQueryCache) queryPoint(ent *squeryEntry, hist []CleanStep, useMC
 	s := ent.retained.Stats()
 	q.fullScans.Add(s.FullScans - ent.last.FullScans)
 	q.memoHits.Add(s.MemoHits - ent.last.MemoHits)
-	q.deltaScans.Add(s.DeltaScans - ent.last.DeltaScans)
 	q.scanned.Add(s.CandidatesScanned - ent.last.CandidatesScanned)
 	q.avoided.Add(s.CandidatesAvoided - ent.last.CandidatesAvoided)
 	ent.last = s
@@ -170,8 +166,8 @@ func (q *sessionQueryCache) queryPoint(ent *squeryEntry, hist []CleanStep, useMC
 // state: every executed step so far is applied as a pin, exactly as if the
 // dataset had been partially cleaned. It is safe to call while a driver is
 // stepping the session — each answer reflects a consistent prefix of the
-// step history — and repeated batches reuse the per-point retained tree
-// state across pins (see sessionQueryCache). Canceling ctx abandons the
+// step history — and repeated batches reuse the per-point Q2 memo across
+// irrelevant pins (see sessionQueryCache). Canceling ctx abandons the
 // remaining points, as in Server.BatchQuery.
 func (sess *Session) Query(ctx context.Context, req BatchRequest) (*BatchResult, error) {
 	return collect(len(req.Points), func(yield func(int, PointResult) error) (BatchSummary, error) {

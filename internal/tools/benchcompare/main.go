@@ -6,6 +6,11 @@
 //	benchcompare -baseline bench/BENCH_baseline.json -current BENCH_2026-08-07.json \
 //	             -pct 15 -match Q2_SSDC_K3_N1000,BatchQ2_Incremental
 //
+// Both files must carry the same host stamp (nproc, GOMAXPROCS, Go version,
+// GOOS/GOARCH): numbers from differently shaped hosts or toolchains do not
+// compare, so a mismatch — or a file with no stamp — exits nonzero before
+// any benchmark is diffed.
+//
 // -match restricts the comparison to benchmarks whose name contains one of
 // the comma-separated substrings (empty = compare everything). Benchmarks
 // missing from one side are reported as warnings, not failures: a rename or
@@ -15,37 +20,51 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
+
+	"repro/internal/tools/benchfmt"
 )
 
-type result struct {
-	Name       string             `json:"name"`
-	Iterations int64              `json:"iterations"`
-	NsPerOp    float64            `json:"ns_per_op"`
-	Metrics    map[string]float64 `json:"metrics,omitempty"`
+func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func main() {
-	baselinePath := flag.String("baseline", "", "baseline benchjson file (required)")
-	currentPath := flag.String("current", "", "current benchjson file (required)")
-	pct := flag.Float64("pct", 15, "ns/op regression threshold in percent")
-	match := flag.String("match", "", "comma-separated name substrings to compare (empty = all)")
-	flag.Parse()
+// run is the command body: it returns the process exit code — 0 when every
+// compared benchmark is within the threshold, 1 on a regression, a host
+// mismatch or an unreadable file, 2 on a usage error.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("benchcompare", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	baselinePath := fs.String("baseline", "", "baseline benchjson file (required)")
+	currentPath := fs.String("current", "", "current benchjson file (required)")
+	pct := fs.Float64("pct", 15, "ns/op regression threshold in percent")
+	match := fs.String("match", "", "comma-separated name substrings to compare (empty = all)")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 	if *baselinePath == "" || *currentPath == "" {
-		fatal(fmt.Errorf("-baseline and -current are required"))
+		fmt.Fprintln(stderr, "benchcompare: -baseline and -current are required")
+		return 2
 	}
-	base, err := load(*baselinePath)
+	baseFile, err := benchfmt.Load(*baselinePath)
 	if err != nil {
-		fatal(err)
+		fmt.Fprintln(stderr, "benchcompare:", err)
+		return 1
 	}
-	cur, err := load(*currentPath)
+	curFile, err := benchfmt.Load(*currentPath)
 	if err != nil {
-		fatal(err)
+		fmt.Fprintln(stderr, "benchcompare:", err)
+		return 1
 	}
+	if diff := baseFile.Host.Mismatch(curFile.Host); diff != "" {
+		fmt.Fprintf(stderr, "benchcompare: refusing to compare runs from different hosts (baseline/current: %s); refresh the baseline on this host with 'make bench-baseline'\n", diff)
+		return 1
+	}
+	base := bestOf(baseFile.Results)
 	var filters []string
 	for _, f := range strings.Split(*match, ",") {
 		if f = strings.TrimSpace(f); f != "" {
@@ -55,15 +74,16 @@ func main() {
 
 	regressions := 0
 	compared := 0
-	for _, c := range cur {
+	for _, c := range bestOf(curFile.Results) {
 		if !matches(c.Name, filters) {
 			continue
 		}
 		b, ok := base[c.Name]
 		if !ok {
-			fmt.Printf("benchcompare: WARN %s: not in baseline (new benchmark? refresh the baseline)\n", c.Name)
+			fmt.Fprintf(stdout, "benchcompare: WARN %s: not in baseline (new benchmark? refresh the baseline)\n", c.Name)
 			continue
 		}
+		delete(base, c.Name)
 		if b.NsPerOp <= 0 || c.NsPerOp <= 0 {
 			continue
 		}
@@ -71,51 +91,43 @@ func main() {
 		delta := (c.NsPerOp - b.NsPerOp) / b.NsPerOp * 100
 		switch {
 		case delta > *pct:
-			fmt.Printf("benchcompare: FAIL %s: %.0f ns/op vs baseline %.0f (%+.1f%%, threshold %+.1f%%)\n",
+			fmt.Fprintf(stdout, "benchcompare: FAIL %s: %.0f ns/op vs baseline %.0f (%+.1f%%, threshold %+.1f%%)\n",
 				c.Name, c.NsPerOp, b.NsPerOp, delta, *pct)
 			regressions++
 		case delta < -*pct:
-			fmt.Printf("benchcompare: ok   %s: %.0f ns/op vs baseline %.0f (%+.1f%%) — faster than baseline; consider refreshing it\n",
+			fmt.Fprintf(stdout, "benchcompare: ok   %s: %.0f ns/op vs baseline %.0f (%+.1f%%) — faster than baseline; consider refreshing it\n",
 				c.Name, c.NsPerOp, b.NsPerOp, delta)
 		default:
-			fmt.Printf("benchcompare: ok   %s: %.0f ns/op vs baseline %.0f (%+.1f%%)\n",
+			fmt.Fprintf(stdout, "benchcompare: ok   %s: %.0f ns/op vs baseline %.0f (%+.1f%%)\n",
 				c.Name, c.NsPerOp, b.NsPerOp, delta)
 		}
-		delete(base, c.Name)
 	}
 	for name := range base {
 		if matches(name, filters) {
-			fmt.Printf("benchcompare: WARN %s: in baseline but not in current run (renamed or deleted? refresh the baseline)\n", name)
+			fmt.Fprintf(stdout, "benchcompare: WARN %s: in baseline but not in current run (renamed or deleted? refresh the baseline)\n", name)
 		}
 	}
 	if regressions > 0 {
-		fmt.Printf("benchcompare: %d of %d compared benchmark(s) regressed more than %.1f%%\n", regressions, compared, *pct)
-		os.Exit(1)
+		fmt.Fprintf(stdout, "benchcompare: %d of %d compared benchmark(s) regressed more than %.1f%%\n", regressions, compared, *pct)
+		return 1
 	}
-	fmt.Printf("benchcompare: %d benchmark(s) within %.1f%% of baseline\n", compared, *pct)
+	fmt.Fprintf(stdout, "benchcompare: %d benchmark(s) within %.1f%% of baseline\n", compared, *pct)
+	return 0
 }
 
-// load reads a benchjson file into a by-name map. A -count run repeats each
-// name; the minimum ns/op wins — the best-of-N statistic is far more robust
-// to scheduler noise than any single sample, so both sides of the diff
-// should be produced with the same -count.
-func load(path string) (map[string]result, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var results []result
-	if err := json.Unmarshal(data, &results); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	out := make(map[string]result, len(results))
+// bestOf indexes results by name. A -count run repeats each name; the
+// minimum ns/op wins — the best-of-N statistic is far more robust to
+// scheduler noise than any single sample, so both sides of the diff should
+// be produced with the same -count.
+func bestOf(results []benchfmt.Result) map[string]benchfmt.Result {
+	out := make(map[string]benchfmt.Result, len(results))
 	for _, r := range results {
 		if prev, ok := out[r.Name]; ok && prev.NsPerOp > 0 && (r.NsPerOp <= 0 || prev.NsPerOp <= r.NsPerOp) {
 			continue
 		}
 		out[r.Name] = r
 	}
-	return out, nil
+	return out
 }
 
 func matches(name string, filters []string) bool {
@@ -128,9 +140,4 @@ func matches(name string, filters []string) bool {
 		}
 	}
 	return false
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "benchcompare:", err)
-	os.Exit(1)
 }

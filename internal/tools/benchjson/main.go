@@ -1,9 +1,13 @@
-// Command benchjson converts `go test -bench` text output into a JSON
-// array, one object per benchmark line:
+// Command benchjson converts `go test -bench` text output into a BENCH_*.json
+// file (internal/tools/benchfmt): a stamp of the host it runs on — nproc,
+// GOMAXPROCS, Go version, GOOS/GOARCH — and one object per benchmark line:
 //
 //	{"name": "BenchmarkBatchQ2_Incremental-16",
 //	 "iterations": 1, "ns_per_op": 1234567.0,
 //	 "metrics": {"scans/op": 8, "scans-avoided/op": 2}}
+//
+// Run it in the environment the benchmarks ran in (as `make bench` does),
+// so the stamp describes that run.
 //
 // ns_per_op is pulled out of the metric pairs because it is the one every
 // line has and the one trend dashboards key on; every other "value unit"
@@ -24,14 +28,9 @@ import (
 	"os"
 	"strconv"
 	"strings"
-)
 
-type result struct {
-	Name       string             `json:"name"`
-	Iterations int64              `json:"iterations"`
-	NsPerOp    float64            `json:"ns_per_op"`
-	Metrics    map[string]float64 `json:"metrics,omitempty"`
-}
+	"repro/internal/tools/benchfmt"
+)
 
 func main() {
 	in := flag.String("in", "", "benchmark output to parse (default stdin)")
@@ -52,7 +51,7 @@ func main() {
 		fatal(err)
 	}
 
-	data, err := json.MarshalIndent(results, "", "  ")
+	data, err := json.MarshalIndent(benchfmt.File{Host: benchfmt.CurrentHost(), Results: results}, "", "  ")
 	if err != nil {
 		fatal(err)
 	}
@@ -69,8 +68,8 @@ func main() {
 }
 
 // parse extracts benchmark result lines: "BenchmarkName-P  N  v1 u1  v2 u2 ...".
-func parse(r io.Reader) ([]result, error) {
-	results := []result{} // non-nil so an empty run encodes as [] not null
+func parse(r io.Reader) ([]benchfmt.Result, error) {
+	results := []benchfmt.Result{} // non-nil so an empty run encodes as [] not null
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<20)
 	for sc.Scan() {
@@ -82,7 +81,7 @@ func parse(r io.Reader) ([]result, error) {
 		if err != nil {
 			continue // "Benchmark..." headers without a result column
 		}
-		res := result{Name: fields[0], Iterations: iters}
+		res := benchfmt.Result{Name: fields[0], Iterations: iters}
 		for i := 2; i+1 < len(fields); i += 2 {
 			v, err := strconv.ParseFloat(fields[i], 64)
 			if err != nil {

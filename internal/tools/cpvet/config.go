@@ -73,7 +73,8 @@ func DefaultConfig() *Config {
 			// order yields identical summaries.
 			"repro/internal/segtree": true,
 			// Eq.4 entropy scoring and its memo keys: pinned by
-			// TestRetainedRescoreLockstep.
+			// TestIncrementalMatchesFullRescore (memo vs full rescore) and
+			// TestRetainedRescoreLockstep (memo vs a fresh engine).
 			"repro/internal/selection": true,
 			// WAL replay and snapshot/compaction: pinned by
 			// TestDurableKillRestartLockstep and TestTornTailSweep.

@@ -3,7 +3,10 @@
 # at a steadier iteration count than the `make bench` smoke pass, converts
 # the transcript with benchjson, and diffs it against the committed baseline
 # with benchcompare — failing on any >BENCH_REGRESSION_PCT% (default 15)
-# ns/op regression. With no committed baseline the script warns and exits 0,
+# ns/op regression. Both files carry benchjson's host stamp (nproc,
+# GOMAXPROCS, Go version, GOOS/GOARCH), and benchcompare fails when the
+# stamps differ: a baseline only gates runs on a host of its own shape.
+# With no committed baseline the script warns and exits 0,
 # so a fresh checkout is never broken by a missing artifact; under GitHub
 # Actions the warning is also a ::warning:: annotation naming the file, so
 # the skipped gate shows on the run page instead of passing silently.
