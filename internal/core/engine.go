@@ -41,7 +41,8 @@ type Engine struct {
 	below []int32
 	maxK  int // largest K the truncation is sound for
 	// argMin/argMax are each row's least and most similar candidate under
-	// the total order, over all its candidates (MM, RelevantRows).
+	// the total order, over all its candidates (MM, RelevantRows); unset for
+	// an absent row (Instance), which MM and RelevantRows never read.
 	argMin, argMax []int32
 	pins           []int32 // pins[i] = candidate index row i is cleaned to, or -1
 	pinGen         uint64  // bumped on every pin mutation (SetPin, ResetPins)
@@ -72,11 +73,13 @@ func NewEngineFromInstance(inst *Instance) *Engine {
 
 // NewTruncatedEngine builds an engine for incomplete dataset d and test
 // point t that answers queries with at most k neighbors. It sorts, stores
-// and scans only the candidates that can reach a top-k boundary; every
-// answer is bit-identical to NewEngine's. With k < 1 or N ≤ k it is
-// NewEngine.
+// and scans only the candidates that can reach a top-k boundary, and
+// evaluates the kernel only for rows whose similarity bound does not prove
+// them wholly below T (bound-first; the others are absent from its
+// Instance). Every answer is bit-identical to NewEngine's. With k < 1 or
+// N ≤ k it is NewEngine.
 func NewTruncatedEngine(d *dataset.Incomplete, kernel knn.Kernel, t []float64, k int) *Engine {
-	return NewTruncatedEngineFromInstance(InstanceFor(d, kernel, t), k)
+	return NewTruncatedEngineFromInstance(boundedInstance(d, kernel, t, k), k)
 }
 
 // NewTruncatedEngineFromInstance is NewTruncatedEngine over a precomputed
@@ -108,8 +111,24 @@ func NewTruncatedEngineFromInstance(inst *Instance, k int) *Engine {
 		e.rowPos[i] = e.labelLen[l]
 		e.labelLen[l]++
 	}
+	// One backing array holds every label's live rows, then their leaves.
+	live := make([]int, inst.NumLabels)
+	total := 0
+	for i := 0; i < n; i++ {
+		if e.hasKept(i) {
+			live[e.labelOf[i]]++
+			total++
+		}
+	}
+	flat := make([]int32, 2*total)
 	e.liveRows = make([][]int32, inst.NumLabels)
 	e.liveLeaves = make([][]int32, inst.NumLabels)
+	for l, c := range live {
+		e.liveRows[l], flat = flat[:0:c], flat[c:]
+	}
+	for l, c := range live {
+		e.liveLeaves[l], flat = flat[:0:c], flat[c:]
+	}
 	for i := 0; i < n; i++ {
 		if e.hasKept(i) {
 			l := e.labelOf[i]
@@ -143,16 +162,17 @@ func (e *Engine) mustFit(sc *Scratch) {
 
 // seedAlpha writes into alpha the α state a scan of every candidate below T
 // leaves under pins — below[i] for an uncertain row; 1 or 0 for a pinned
-// row, as its chosen candidate lies below T or not — and returns the number
-// of rows with α = 0. No position below T does tree work (at least K+1 rows
-// still have α = 0 there), so a scan of order from this state equals a scan
-// of every candidate from zero, bit for bit.
+// row, as its chosen candidate lies below T or not (always 1 for an absent
+// row) — and returns the number of rows with α = 0. No position below T
+// does tree work (at least K+1 rows still have α = 0 there), so a scan of
+// order from this state equals a scan of every candidate from zero, bit
+// for bit.
 func (e *Engine) seedAlpha(alpha, pins []int32) int {
 	zero := 0
 	for i, b := range e.below {
 		if ch := pins[i]; ch >= 0 && b > 0 {
 			b = 0
-			if e.t.below(simKey(e.inst.Sims[i][ch]), int32(i), ch) {
+			if row := e.inst.Sims[i]; row == nil || e.t.below(simKey(row[ch]), int32(i), ch) {
 				b = 1
 			}
 		}
@@ -181,7 +201,11 @@ func (e *Engine) Fork() *Engine {
 	return &f
 }
 
-// Instance returns the similarity view the engine answers queries over.
+// Instance returns the similarity view the engine answers queries over. A
+// bound-first engine's view has absent rows (Sims[i] == nil, M(i) kept):
+// rows whose every candidate lies below T, whose similarities were never
+// computed. It can back another engine only for K up to the one this
+// engine was built for.
 func (e *Engine) Instance() *Instance { return e.inst }
 
 // N returns the number of training examples.
@@ -556,6 +580,12 @@ func (e *Engine) HypothesisCounts(sc *Scratch, row int) [][]float64 {
 // other than i choose candidates strictly more similar than anything row i
 // can offer, so row i is never in the top-K. Ties are kept relevant
 // (conservative).
+//
+// An absent row (Instance) counts worst = −Inf and is irrelevant. Its every
+// candidate lies strictly below T in value (boundedInstance), and the K+1
+// rows whose minima define T each have worst ≥ T: so the bound is ≥ T, above
+// the row's true worst and best alike, and neither the bound nor the row's
+// verdict changes.
 func (e *Engine) RelevantRows(k int) []bool {
 	n := e.N()
 	rel := make([]bool, n)
@@ -566,22 +596,31 @@ func (e *Engine) RelevantRows(k int) []bool {
 		return rel
 	}
 	// The per-row extremes come precomputed from the build; the bound is
-	// found by selection, which may permute worst.
+	// found by selection, which permutes worst.
 	worst := make([]float64, n)
 	for i := range worst {
+		row := e.inst.Sims[i]
+		if row == nil {
+			worst[i] = math.Inf(-1)
+			continue
+		}
 		j := e.pins[i]
 		if j < 0 {
 			j = e.argMin[i]
 		}
-		worst[i] = boundSim(e.inst.Sims[i][j])
+		worst[i] = boundSim(row[j])
 	}
-	bound := selectNth(worst, k, func(a, b float64) bool { return a > b }) // (k+1)-th largest
+	bound := kthLargest(worst, k)
 	for i := range rel {
+		row := e.inst.Sims[i]
+		if row == nil {
+			continue
+		}
 		j := e.pins[i]
 		if j < 0 {
 			j = e.argMax[i]
 		}
-		rel[i] = boundSim(e.inst.Sims[i][j]) >= bound
+		rel[i] = boundSim(row[j]) >= bound
 	}
 	return rel
 }

@@ -37,10 +37,20 @@ import (
 // Instance is an incomplete training set viewed through the lens of a single
 // test point: only the candidate similarities and the labels remain.
 // Sims[i][j] is κ(x_{i,j}, t) for candidate j of training example i.
+//
+// A row may be absent: Sims[i] == nil while M(i) still reports its candidate
+// count. Only a bound-first engine build (NewTruncatedEngine) leaves rows
+// absent, and only rows it proved to lie wholly below the truncation
+// threshold T for every K up to the one it was built for; InstanceFor and
+// NewInstance leave every row present.
 type Instance struct {
 	Sims      [][]float64
 	Labels    []int
 	NumLabels int
+	// absentM[i] is absent row i's candidate count; nil when every row is
+	// present. boundK is the largest K the absent rows were proven for.
+	absentM []int32
+	boundK  int
 }
 
 // NewInstance validates shapes and label ranges.
@@ -72,39 +82,115 @@ func MustNewInstance(sims [][]float64, labels []int, numLabels int) *Instance {
 }
 
 // InstanceFor computes the similarity view of incomplete dataset d with
-// respect to test point t under the given kernel. Every row of Sims is a
-// sub-slice of one backing array, allocated once per build rather than once
-// per row.
+// respect to test point t under the given kernel, every row present.
 func InstanceFor(d *dataset.Incomplete, kernel knn.Kernel, t []float64) *Instance {
+	return boundedInstance(d, kernel, t, 0)
+}
+
+// boxBounder is a kernel that brackets its similarity to t over a candidate
+// box (knn's BoxBounds methods).
+type boxBounder interface {
+	BoxBounds(lo, hi, t []float64) (min, max float64)
+}
+
+// boundedInstance is the similarity view for queries with at most k
+// neighbors, bound-first: it brackets every row's similarities from its
+// candidate box (dataset.Incomplete.Box), takes T_lo, the (k+1)-th largest
+// lower end, and evaluates the kernel only for rows whose upper end is at
+// least T_lo. The rest are left absent.
+//
+// Soundness: T is the (k+1)-th most similar row minimum. At least k+1 rows
+// have a lower end ≥ T_lo, so their minima are ≥ T_lo and T_lo ≤ T. A row
+// whose upper end is strictly below T_lo has every candidate strictly less
+// similar than those k+1 minima: every candidate lies below T for any K ≤ k,
+// and its minimum is not among the k+1 that define T. T, the kept order and
+// every row extreme an engine reads therefore come from the evaluated rows
+// alone, bit for bit as from a full view. A kernel without box bounds, or a
+// dataset without boxes, brackets every row by ±Inf (T_lo = −Inf) and every
+// row is evaluated; so is every row for k < 1 or N ≤ k.
+func boundedInstance(d *dataset.Incomplete, kernel knn.Kernel, t []float64, k int) *Instance {
+	n := d.N()
+	in := &Instance{Sims: make([][]float64, n), Labels: make([]int, n), NumLabels: d.NumLabels}
+	var upper []float64
+	tLo := math.Inf(-1)
+	if k >= 1 && k < n {
+		sc := radixScratchPool.Get().(*radixScratch)
+		defer radixScratchPool.Put(sc)
+		upper, tLo = rowBounds(sc, d, kernel, t, k)
+	}
+	absent := func(i int) bool { return upper != nil && upper[i] < tLo }
 	total := 0
 	for i := range d.Examples {
-		total += d.Examples[i].M()
+		if !absent(i) {
+			total += d.Examples[i].M()
+		} else if in.absentM == nil {
+			in.absentM = make([]int32, n)
+			in.boundK = k
+		}
 	}
+	// Every present row is a sub-slice of one backing array, allocated once
+	// per build rather than once per row.
 	flat := make([]float64, total)
-	sims := make([][]float64, d.N())
-	labels := make([]int, d.N())
 	for i := range d.Examples {
 		ex := &d.Examples[i]
+		in.Labels[i] = ex.Label
 		m := ex.M()
+		if absent(i) {
+			in.absentM[i] = int32(m)
+			continue
+		}
 		row := flat[:m:m]
 		flat = flat[m:]
 		for j, c := range ex.Candidates {
 			row[j] = kernel.Similarity(c, t)
 		}
-		sims[i] = row
-		labels[i] = ex.Label
+		in.Sims[i] = row
 	}
-	return &Instance{Sims: sims, Labels: labels, NumLabels: d.NumLabels}
+	return in
+}
+
+// rowBounds writes every row's bracket of its similarities to t into sc and
+// returns the upper ends with T_lo, the (k+1)-th largest lower end
+// (1 ≤ k < N). Rows without a box, or a kernel without bounds, get ±Inf;
+// no bound is NaN (knn maps a NaN bound to an infinity).
+func rowBounds(sc *radixScratch, d *dataset.Incomplete, kernel knn.Kernel, t []float64, k int) (upper []float64, tLo float64) {
+	n := d.N()
+	sc.lower = slices.Grow(sc.lower[:0], n)[:n]
+	sc.upper = slices.Grow(sc.upper[:0], n)[:n]
+	lower, upper := sc.lower, sc.upper
+	bb, ok := kernel.(boxBounder)
+	for i := range lower {
+		lower[i], upper[i] = math.Inf(-1), math.Inf(1)
+		if lo, hi, hasBox := d.Box(i); ok && hasBox {
+			lower[i], upper[i] = bb.BoxBounds(lo, hi, t)
+		}
+	}
+	return upper, kthLargest(lower, k)
 }
 
 // N returns the number of training examples.
 func (in *Instance) N() int { return len(in.Labels) }
 
-// M returns the candidate count of example i.
-func (in *Instance) M(i int) int { return len(in.Sims[i]) }
+// M returns the candidate count of example i, present or absent.
+func (in *Instance) M(i int) int {
+	if row := in.Sims[i]; row != nil || in.absentM == nil {
+		return len(row)
+	}
+	return int(in.absentM[i])
+}
 
 // TotalCandidates returns Σ_i M_i.
 func (in *Instance) TotalCandidates() int {
+	s := 0
+	for i := range in.Sims {
+		s += in.M(i)
+	}
+	return s
+}
+
+// presentCandidates returns the number of candidates with a similarity:
+// TotalCandidates less the absent rows'.
+func (in *Instance) presentCandidates() int {
 	s := 0
 	for _, row := range in.Sims {
 		s += len(row)
@@ -169,14 +255,16 @@ const (
 	radixMask   = 1<<radixBits - 1
 )
 
-// radixScratch holds scanView's temporaries between engine builds.
-// Everything but the returned view is garbage the moment a build ends;
-// reusing it keeps a burst of engine builds from inflating the peak heap.
+// radixScratch holds an engine build's temporaries between builds: the row
+// bounds and scanView's sort buffers. Everything but the returned view is
+// garbage the moment a build ends; reusing it keeps a burst of engine builds
+// from inflating the peak heap.
 type radixScratch struct {
 	hist          [radixPasses][1 << radixBits]int32
 	keys, keysTmp []uint64
 	refs          []candRef
 	mins          []threshold
+	lower, upper  []float64
 }
 
 var radixScratchPool = sync.Pool{New: func() any { return new(radixScratch) }}
@@ -232,7 +320,10 @@ type scanView struct {
 // any pins (pins only raise a row's minimum), so it can never sit on a
 // top-K boundary and only adds to its row's starting α. Those candidates
 // are counted in below and left out of order. With k < 1 or N ≤ k there is
-// no K+1-th row, T = −∞ and order holds every candidate.
+// no K+1-th row, T = −∞ and order holds every candidate. An absent row lies
+// wholly below T (boundedInstance): below holds its M and its extremes are
+// left unset. Its absence is proven only for 1 ≤ k ≤ boundK; any other k
+// is a caller bug and panics.
 //
 // order is a stable LSD radix sort on simKey: a comes before b iff
 // MoreSimilar(b, a). Candidates are enumerated in descending (row, cand)
@@ -241,7 +332,10 @@ type scanView struct {
 // key would be the identity and is skipped.
 func (in *Instance) scanView(k int) scanView {
 	n := in.N()
-	nm := in.TotalCandidates()
+	if in.absentM != nil && (k < 1 || k > in.boundK) {
+		panic(fmt.Sprintf("core: instance with rows absent for K ≤ %d viewed for K=%d", in.boundK, k))
+	}
+	nm := in.presentCandidates()
 	v := scanView{
 		argMin: make([]int32, n),
 		argMax: make([]int32, n),
@@ -251,7 +345,7 @@ func (in *Instance) scanView(k int) scanView {
 	sc := radixScratchPool.Get().(*radixScratch)
 	defer radixScratchPool.Put(sc)
 	sc.keys = slices.Grow(sc.keys[:0], nm)[:nm]
-	sc.mins = slices.Grow(sc.mins[:0], n)[:n]
+	mins := sc.mins[:0]
 	keys := sc.keys
 	// Pass 1: every key, in descending (row, cand) order, with each row's
 	// extremes. j descends, so on equal keys the argmax moves to the smaller
@@ -259,7 +353,10 @@ func (in *Instance) scanView(k int) scanView {
 	p := 0
 	for i := n - 1; i >= 0; i-- {
 		row := in.Sims[i]
-		last := len(row) - 1 // every row has a candidate (NewInstance)
+		if row == nil {
+			continue // absent
+		}
+		last := len(row) - 1 // every present row has a candidate (NewInstance)
 		lo := simKey(row[last])
 		hi, loJ, hiJ := lo, last, last
 		keys[p] = lo
@@ -276,10 +373,13 @@ func (in *Instance) scanView(k int) scanView {
 			}
 		}
 		v.argMin[i], v.argMax[i] = int32(loJ), int32(hiJ)
-		sc.mins[i] = threshold{key: lo, row: int32(i), cand: int32(loJ)}
+		mins = append(mins, threshold{key: lo, row: int32(i), cand: int32(loJ)})
 	}
-	if k >= 1 && k < n {
-		v.t = selectNth(sc.mins, k, threshold.moreSimilar)
+	sc.mins = mins
+	// Absent rows' minima are all below T, so it is the (k+1)-th most
+	// similar of the present rows' minima.
+	if k >= 1 && k < len(mins) {
+		v.t = selectNth(mins, k, threshold.moreSimilar)
 	}
 	// Pass 2: count each row's candidates below T and compact the rest,
 	// keeping the descending (row, cand) enumeration order. A row's extremes
@@ -292,6 +392,8 @@ func (in *Instance) scanView(k int) scanView {
 		row := in.Sims[i]
 		lo, hi := v.argMin[i], v.argMax[i]
 		switch {
+		case row == nil:
+			v.below[i] = int32(in.M(i))
 		case v.t.below(simKey(row[hi]), int32(i), hi):
 			v.below[i] = int32(len(row))
 			p += len(row)
@@ -405,4 +507,40 @@ func selectNth[T any](s []T, n int, less func(a, b T) bool) T {
 		}
 	}
 	return s[n]
+}
+
+// kthLargest returns the (k+1)-th largest element of s (0 ≤ k < len(s)),
+// reordering s. It keeps a min-heap of the k+1 largest elements seen so far
+// in s's prefix: O(len(s)·log k), and one comparison for most elements when
+// k is small. No element may be NaN.
+func kthLargest(s []float64, k int) float64 {
+	h := s[:k+1]
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		siftDown(h, i)
+	}
+	for _, v := range s[k+1:] {
+		if v > h[0] {
+			h[0] = v
+			siftDown(h, 0)
+		}
+	}
+	return h[0]
+}
+
+// siftDown restores min-heap order in h below position i.
+func siftDown(h []float64, i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && h[c+1] < h[c] {
+			c++
+		}
+		if h[c] >= h[i] {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
 }

@@ -244,13 +244,22 @@ func rowInSomeTopK(inst *Instance, i, k int) bool {
 }
 
 // BenchmarkEngineBuild measures the engine-build layer on a Supreme-shaped
-// instance: the similarity view (sims), the untruncated radix scan order
-// (order), the order truncated for K = 3 (order-trunc/K3: extremes,
-// threshold and the sort of the kept candidates), and the comparator sort
-// the radix order replaced (order-ref).
+// dataset: the whole bound-first build of an engine truncated for K = 3
+// (dataset/trunc/K3: row bounds, the kernel on the rows they keep, the
+// scan view and the engine's row arrays), and its steps over the full
+// instance — the similarity view of every row (sims), the untruncated radix
+// scan order (order), the order truncated for K = 3 (order-trunc/K3:
+// extremes, threshold and the sort of the kept candidates), and the
+// comparator sort the radix order replaced (order-ref).
 func BenchmarkEngineBuild(b *testing.B) {
 	d, p := supremeShaped(1304)
 	inst := InstanceFor(d, knn.NegEuclidean{}, p)
+	b.Run("dataset/trunc/K3", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			NewTruncatedEngine(d, knn.NegEuclidean{}, p, 3)
+		}
+	})
 	b.Run("sims", func(b *testing.B) {
 		b.ReportAllocs()
 		for b.Loop() {

@@ -6,23 +6,24 @@ import (
 	"sync/atomic"
 )
 
-// ApproxBytes estimates the engine's heap footprint — the similarity matrix
-// (O(NM)) and the kept scan order (O(NM) untruncated, a few percent of that
-// truncated) dominate — so byte-budgeted caches can account engines instead
-// of merely counting them.
+// ApproxBytes estimates the engine's heap footprint — the similarities of
+// its present rows (O(NM) untruncated, the rows a bound-first build
+// evaluated truncated), the kept scan order and the O(N) row arrays — so
+// byte-budgeted caches can account engines instead of merely counting them.
 func (e *Engine) ApproxBytes() int64 {
-	nm := int64(e.inst.TotalCandidates())
 	n := int64(e.N())
 	const sliceHeader = 24
-	b := nm * 8                  // inst.Sims values
-	b += int64(len(e.order)) * 8 // order candRefs
-	b += n * sliceHeader         // Sims row headers
-	b += n * (4 + 8 + 8)         // pins, labelOf, rowPos
-	b += n * (4 + 4 + 4)         // below, argMin, argMax
+	b := int64(e.inst.presentCandidates()) * 8 // inst.Sims values
+	b += int64(len(e.order)) * 8               // order candRefs
+	b += n * sliceHeader                       // Sims row headers
+	b += n * 8                                 // inst.Labels
+	b += int64(len(e.inst.absentM)) * 4        // inst.absentM
+	b += n * (4 + 8 + 8)                       // pins, labelOf, rowPos
+	b += n * (4 + 4 + 4)                       // below, argMin, argMax
 	for _, rows := range e.liveRows {
 		b += int64(len(rows)) * (4 + 4) // liveRows, liveLeaves
 	}
-	b += int64(e.numLabels) * 8 // labelLen
+	b += int64(e.numLabels) * (8 + 2*sliceHeader) // labelLen, liveRows/liveLeaves headers
 	return b
 }
 

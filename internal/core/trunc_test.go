@@ -65,7 +65,13 @@ type truncPair struct {
 
 func newTruncPair(t testing.TB, inst *Instance, k int) *truncPair {
 	t.Helper()
-	p := &truncPair{ref: NewEngineFromInstance(inst), tr: NewTruncatedEngineFromInstance(inst, k), k: k}
+	return pairEngines(t, NewEngineFromInstance(inst), NewTruncatedEngineFromInstance(inst, k), k)
+}
+
+// pairEngines pairs a truncated engine with its untruncated reference.
+func pairEngines(t testing.TB, ref, tr *Engine, k int) *truncPair {
+	t.Helper()
+	p := &truncPair{ref: ref, tr: tr, k: k}
 	p.rsc = p.ref.MustScratch(k)
 	p.tsc = p.tr.MustScratch(k)
 	var err error
@@ -301,6 +307,25 @@ func TestSelectNthMatchesSort(t *testing.T) {
 	}
 }
 
+func TestKthLargestMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(1909))
+	for trial := 0; trial < 500; trial++ {
+		s := make([]float64, 1+rng.Intn(40))
+		for i := range s {
+			s[i] = float64(rng.Intn(1 + trial%7)) // heavy ties, down to all equal
+			if rng.Intn(8) == 0 {
+				s[i] = math.Inf(-1 + 2*rng.Intn(2))
+			}
+		}
+		want := slices.Clone(s)
+		slices.Sort(want)
+		k := rng.Intn(len(s))
+		if got := kthLargest(s, k); got != want[len(want)-1-k] {
+			t.Fatalf("trial %d: kthLargest(%d) = %v, sorted %v", trial, k, got, want)
+		}
+	}
+}
+
 // TestTruncatedEngineGuardsK checks a truncated engine refuses every query
 // mode for a K larger than the one it was truncated for, and still serves
 // smaller ones; N ≤ K builds no truncation at all.
@@ -359,14 +384,7 @@ func TestTruncatedEngineOnSupremeShape(t *testing.T) {
 	if got, full := tr.ApproxBytes(), ref.ApproxBytes(); got >= full {
 		t.Fatalf("truncated engine reports %d bytes, untruncated %d", got, full)
 	}
-	pair := &truncPair{ref: ref, tr: tr, k: 3, rsc: ref.MustScratch(3), tsc: tr.MustScratch(3)}
-	var err error
-	if pair.rt, err = NewRetained(tr, 3, false, nil); err != nil {
-		t.Fatal(err)
-	}
-	if pair.rtMC, err = NewRetained(tr, 3, true, nil); err != nil {
-		t.Fatal(err)
-	}
+	pair := pairEngines(t, ref, tr, 3)
 	rng := rand.New(rand.NewSource(1608))
 	pair.check(t, rng, "supreme unpinned")
 	for s := 0; s < 3; s++ {

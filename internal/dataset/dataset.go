@@ -6,6 +6,7 @@ package dataset
 
 import (
 	"fmt"
+	"math"
 	"math/big"
 )
 
@@ -29,6 +30,12 @@ func (e *Example) IsCertain() bool { return len(e.Candidates) == 1 }
 type Incomplete struct {
 	Examples  []Example
 	NumLabels int
+	// boxes holds each example's candidate box, the per-feature [lo, hi]
+	// range of its candidates, flat: example i's lo at boxes[2*i*dim:] and
+	// its hi dim values later. New derives it from the examples (it is never
+	// persisted); a struct literal has none.
+	boxes []float64
+	dim   int
 }
 
 // New validates and constructs an incomplete dataset.
@@ -53,7 +60,38 @@ func New(examples []Example, numLabels int) (*Incomplete, error) {
 			}
 		}
 	}
-	return &Incomplete{Examples: examples, NumLabels: numLabels}, nil
+	return &Incomplete{Examples: examples, NumLabels: numLabels, boxes: candidateBoxes(examples, dim), dim: dim}, nil
+}
+
+// candidateBoxes computes every example's candidate box (see
+// Incomplete.boxes). A NaN feature makes that feature's range NaN.
+func candidateBoxes(examples []Example, dim int) []float64 {
+	boxes := make([]float64, 2*len(examples)*dim)
+	for i := range examples {
+		lo := boxes[2*i*dim : (2*i+1)*dim]
+		hi := boxes[(2*i+1)*dim : (2*i+2)*dim]
+		cands := examples[i].Candidates
+		copy(lo, cands[0])
+		copy(hi, cands[0])
+		for _, c := range cands[1:] {
+			for f, v := range c {
+				lo[f] = math.Min(lo[f], v)
+				hi[f] = math.Max(hi[f], v)
+			}
+		}
+	}
+	return boxes
+}
+
+// Box returns example i's candidate box: lo[f] ≤ c[f] ≤ hi[f] for every
+// candidate c and feature f. ok is false when d carries no boxes — a struct
+// literal rather than a value built by New. The slices alias d.
+func (d *Incomplete) Box(i int) (lo, hi []float64, ok bool) {
+	if d.boxes == nil {
+		return nil, nil, false
+	}
+	b := d.boxes[2*i*d.dim : (2*i+2)*d.dim]
+	return b[:d.dim], b[d.dim:], true
 }
 
 // MustNew is New but panics on error.
@@ -121,14 +159,15 @@ func (d *Incomplete) WorldCount() *big.Int {
 }
 
 // Pin returns a copy of d with example row fixed to its cand-th candidate
-// (the effect of cleaning that row to a specific repair).
+// (the effect of cleaning that row to a specific repair). The copy shares
+// d's boxes: the pinned candidate lies inside its row's old box.
 func (d *Incomplete) Pin(row, cand int) *Incomplete {
 	ex := append([]Example(nil), d.Examples...)
 	ex[row] = Example{
 		Candidates: [][]float64{d.Examples[row].Candidates[cand]},
 		Label:      d.Examples[row].Label,
 	}
-	return &Incomplete{Examples: ex, NumLabels: d.NumLabels}
+	return &Incomplete{Examples: ex, NumLabels: d.NumLabels, boxes: d.boxes, dim: d.dim}
 }
 
 // World materializes the possible world selected by choice (choice[i] is the

@@ -181,3 +181,95 @@ func TestPredictAll(t *testing.T) {
 		t.Fatalf("predict all = %v", got)
 	}
 }
+
+// boxValues are the feature values TestBoxBoundsBracketSimilarity draws
+// besides normal draws: both zeros, subnormals, values whose squares
+// underflow or overflow, the extremes, both infinities and NaN.
+var boxValues = []float64{
+	0, math.Copysign(0, -1), math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
+	1e-160, -1e-160, 1e154, -1e154, 1e300, -1e300, math.MaxFloat64, -math.MaxFloat64,
+	math.Inf(1), math.Inf(-1), math.NaN(),
+}
+
+// TestBoxBoundsBracketSimilarity checks every kernel's BoxBounds against
+// Similarity: for random boxes (spanned by random candidates, as dataset.New
+// spans them) and test points, extremes included, every candidate and every
+// sampled interior point c has min ≤ Similarity(c, t) ≤ max, a NaN
+// similarity only under min = −Inf, and no bound is NaN. Linear and Cosine
+// have no bounds.
+func TestBoxBoundsBracketSimilarity(t *testing.T) {
+	type bounder interface {
+		Kernel
+		BoxBounds(lo, hi, t []float64) (float64, float64)
+	}
+	kernels := []bounder{NegEuclidean{}, NegSquaredEuclidean{}, NegManhattan{},
+		RBF{Gamma: 0.5}, RBF{Gamma: 0}, RBF{Gamma: -0.5}, RBF{Gamma: 1e300}}
+	for _, k := range []Kernel{Linear{}, Cosine{}} {
+		if _, ok := k.(bounder); ok {
+			t.Fatalf("%s has box bounds", k.Name())
+		}
+	}
+	rng := rand.New(rand.NewSource(1901))
+	value := func() float64 {
+		switch rng.Intn(4) {
+		case 0:
+			return boxValues[rng.Intn(len(boxValues))]
+		case 1:
+			return float64(rng.Intn(9)) / 4 // exact ties
+		default:
+			return rng.NormFloat64() * math.Pow(10, float64(rng.Intn(41)-20))
+		}
+	}
+	for trial := 0; trial < 20000; trial++ {
+		dim := 1 + rng.Intn(8)
+		cands := make([][]float64, 1+rng.Intn(4))
+		for j := range cands {
+			c := make([]float64, dim)
+			for f := range c {
+				if j > 0 && rng.Intn(2) == 0 {
+					c[f] = cands[0][f] // candidates differ in a few features
+				} else {
+					c[f] = value()
+				}
+			}
+			cands[j] = c
+		}
+		lo := append([]float64(nil), cands[0]...)
+		hi := append([]float64(nil), cands[0]...)
+		for _, c := range cands[1:] {
+			for f, v := range c {
+				lo[f], hi[f] = math.Min(lo[f], v), math.Max(hi[f], v)
+			}
+		}
+		point := make([]float64, dim)
+		for f := range point {
+			point[f] = value()
+			if rng.Intn(4) == 0 && !math.IsNaN(lo[f]) {
+				point[f] = lo[f] + (hi[f]-lo[f])*rng.Float64() // inside the box
+			}
+		}
+		for s := 0; s < 4; s++ { // interior points
+			c := make([]float64, dim)
+			for f := range c {
+				c[f] = lo[f] + (hi[f]-lo[f])*rng.Float64()
+				if !(c[f] >= lo[f] && c[f] <= hi[f]) {
+					c[f] = lo[f]
+				}
+			}
+			cands = append(cands, c)
+		}
+		for _, k := range kernels {
+			min, max := k.BoxBounds(lo, hi, point)
+			if math.IsNaN(min) || math.IsNaN(max) {
+				t.Fatalf("%s: NaN bound [%v, %v] for box %v..%v, t %v", k.Name(), min, max, lo, hi, point)
+			}
+			for _, c := range cands {
+				s := k.Similarity(c, point)
+				if math.IsNaN(s) && min != math.Inf(-1) || s < min || s > max {
+					t.Fatalf("%s: Similarity(%v, %v) = %v outside [%v, %v] for box %v..%v",
+						k.Name(), c, point, s, min, max, lo, hi)
+				}
+			}
+		}
+	}
+}

@@ -9,7 +9,9 @@
 // Both files must carry the same host stamp (nproc, GOMAXPROCS, Go version,
 // GOOS/GOARCH): numbers from differently shaped hosts or toolchains do not
 // compare, so a mismatch — or a file with no stamp — exits nonzero before
-// any benchmark is diffed.
+// any benchmark is diffed. Both files' host speeds (benchfmt.SpeedLoopMS)
+// are printed, with a warning — not a failure — when one is more than
+// 1.25× the other: a verdict then may reflect the host, not the code.
 //
 // -match restricts the comparison to benchmarks whose name contains one of
 // the comma-separated substrings (empty = compare everything). Benchmarks
@@ -64,6 +66,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "benchcompare: refusing to compare runs from different hosts (baseline/current: %s); refresh the baseline on this host with 'make bench-baseline'\n", diff)
 		return 1
 	}
+	reportSpeeds(stdout, baseFile.Speed, curFile.Speed)
 	base := bestOf(baseFile.Results)
 	var filters []string
 	for _, f := range strings.Split(*match, ",") {
@@ -113,6 +116,30 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	fmt.Fprintf(stdout, "benchcompare: %d benchmark(s) within %.1f%% of baseline\n", compared, *pct)
 	return 0
+}
+
+// speedWarnRatio is the host-speed ratio above which benchcompare warns.
+const speedWarnRatio = 1.25
+
+// reportSpeeds prints both files' host speeds and warns when they differ
+// by more than speedWarnRatio.
+func reportSpeeds(w io.Writer, base, cur float64) {
+	if base <= 0 || cur <= 0 {
+		fmt.Fprintf(w, "benchcompare: host speed loop %s ms baseline, %s ms current (unknown: no comparison)\n", speedText(base), speedText(cur))
+		return
+	}
+	fmt.Fprintf(w, "benchcompare: host speed loop %.1f ms baseline, %.1f ms current\n", base, cur)
+	if r := max(base, cur) / min(base, cur); r > speedWarnRatio {
+		fmt.Fprintf(w, "benchcompare: WARN host speed differs %.2fx (over %.2fx): verdicts below may reflect the host, not the code\n", r, speedWarnRatio)
+	}
+}
+
+// speedText formats a recorded speed, "?" for none.
+func speedText(ms float64) string {
+	if ms <= 0 {
+		return "?"
+	}
+	return fmt.Sprintf("%.1f", ms)
 }
 
 // bestOf indexes results by name. A -count run repeats each name; the

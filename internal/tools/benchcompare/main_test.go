@@ -65,3 +65,37 @@ func TestRefusesMismatchedHosts(t *testing.T) {
 		t.Fatalf("same host, 2x slower: exit %d, want 1", code)
 	}
 }
+
+// TestReportsHostSpeeds checks benchcompare prints both files' host speeds
+// and warns — without failing — when they differ by more than 1.25×, and
+// stays quiet within it or when a file records no speed.
+func TestReportsHostSpeeds(t *testing.T) {
+	host := benchfmt.Host{NumCPU: 2, GOMAXPROCS: 2, GoVersion: "go1.24.0", GOOS: "linux", GOARCH: "amd64"}
+	results := []benchfmt.Result{{Name: "BenchmarkScan-2", Iterations: 50, NsPerOp: 1000}}
+	file := func(name string, speed float64) string {
+		return writeBench(t, name, benchfmt.File{Host: host, Speed: speed, Results: results})
+	}
+	base := file("base.json", 20)
+	for _, tc := range []struct {
+		speed float64
+		line  string
+		warn  bool
+	}{
+		{24, "host speed loop 20.0 ms baseline, 24.0 ms current", false},
+		{26, "host speed loop 20.0 ms baseline, 26.0 ms current", true},
+		{15, "host speed loop 20.0 ms baseline, 15.0 ms current", true},
+		{0, "host speed loop 20.0 ms baseline, ? ms current", false},
+	} {
+		var stdout strings.Builder
+		if code := run([]string{"-baseline", base, "-current", file("cur.json", tc.speed)}, &stdout, io.Discard); code != 0 {
+			t.Fatalf("speed %v: exit %d, want 0 (a speed difference only warns)", tc.speed, code)
+		}
+		out := stdout.String()
+		if !strings.Contains(out, tc.line) {
+			t.Fatalf("speed %v: output %q lacks %q", tc.speed, out, tc.line)
+		}
+		if got := strings.Contains(out, "WARN host speed"); got != tc.warn {
+			t.Fatalf("speed %v: output %q; want a speed warning: %v", tc.speed, out, tc.warn)
+		}
+	}
+}

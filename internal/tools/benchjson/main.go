@@ -1,6 +1,7 @@
 // Command benchjson converts `go test -bench` text output into a BENCH_*.json
 // file (internal/tools/benchfmt): a stamp of the host it runs on — nproc,
-// GOMAXPROCS, Go version, GOOS/GOARCH — and one object per benchmark line:
+// GOMAXPROCS, Go version, GOOS/GOARCH — the host's speed on a fixed loop
+// (benchfmt.SpeedLoopMS), and one object per benchmark line:
 //
 //	{"name": "BenchmarkBatchQ2_Incremental-16",
 //	 "iterations": 1, "ns_per_op": 1234567.0,
@@ -51,7 +52,8 @@ func main() {
 		fatal(err)
 	}
 
-	data, err := json.MarshalIndent(benchfmt.File{Host: benchfmt.CurrentHost(), Results: results}, "", "  ")
+	f := benchfmt.File{Host: benchfmt.CurrentHost(), Speed: benchfmt.SpeedLoopMS(), Results: results}
+	data, err := json.MarshalIndent(f, "", "  ")
 	if err != nil {
 		fatal(err)
 	}

@@ -6,6 +6,8 @@
 # ns/op regression. Both files carry benchjson's host stamp (nproc,
 # GOMAXPROCS, Go version, GOOS/GOARCH), and benchcompare fails when the
 # stamps differ: a baseline only gates runs on a host of its own shape.
+# Each file also records the host's speed on a fixed loop; benchcompare
+# prints both and warns (without failing) when they differ by over 1.25×.
 # With no committed baseline the script warns and exits 0,
 # so a fresh checkout is never broken by a missing artifact; under GitHub
 # Actions the warning is also a ::warning:: annotation naming the file, so
