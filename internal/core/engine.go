@@ -46,9 +46,8 @@ type Engine struct {
 	argMin, argMax []int32
 	pins           []int32 // pins[i] = candidate index row i is cleaned to, or -1
 	pinGen         uint64  // bumped on every pin mutation (SetPin, ResetPins)
-	labelOf        []int
-	rowPos         []int // leaf index of each row inside its label's tree
-	labelLen       []int // rows per label
+	rowPos         []int   // leaf index of each row inside its label's tree
+	labelLen       []int   // rows per label
 	// liveRows[l] lists, in ascending rowPos, label l's rows with kept
 	// candidates, and liveLeaves[l] their rowPos. Every other row's leaf is
 	// exactly [1,0] at any position that does tree work — α = below[i] =
@@ -97,7 +96,6 @@ func NewTruncatedEngineFromInstance(inst *Instance, k int) *Engine {
 		argMin:    v.argMin,
 		argMax:    v.argMax,
 		pins:      make([]int32, n),
-		labelOf:   make([]int, n),
 		rowPos:    make([]int, n),
 		labelLen:  make([]int, inst.NumLabels),
 	}
@@ -107,7 +105,6 @@ func NewTruncatedEngineFromInstance(inst *Instance, k int) *Engine {
 	for i := 0; i < n; i++ {
 		e.pins[i] = -1
 		l := inst.Labels[i]
-		e.labelOf[i] = l
 		e.rowPos[i] = e.labelLen[l]
 		e.labelLen[l]++
 	}
@@ -116,7 +113,7 @@ func NewTruncatedEngineFromInstance(inst *Instance, k int) *Engine {
 	total := 0
 	for i := 0; i < n; i++ {
 		if e.hasKept(i) {
-			live[e.labelOf[i]]++
+			live[inst.Labels[i]]++
 			total++
 		}
 	}
@@ -131,7 +128,7 @@ func NewTruncatedEngineFromInstance(inst *Instance, k int) *Engine {
 	}
 	for i := 0; i < n; i++ {
 		if e.hasKept(i) {
-			l := e.labelOf[i]
+			l := inst.Labels[i]
 			e.liveRows[l] = append(e.liveRows[l], int32(i))
 			e.liveLeaves[l] = append(e.liveLeaves[l], int32(e.rowPos[i]))
 		}
@@ -466,7 +463,7 @@ func (e *Engine) HypothesisCounts(sc *Scratch, row int) [][]float64 {
 	}
 	e.mustFit(sc)
 	m := inst.M(row)
-	lRow := e.labelOf[row]
+	lRow := inst.Labels[row]
 	posRow := e.rowPos[row]
 	sc.ensureHyp(m, e.numLabels)
 	// zeroOthers counts rows ≠ row with α = 0; while it exceeds K−1, both
@@ -542,7 +539,7 @@ func (e *Engine) HypothesisCounts(sc *Scratch, row int) [][]float64 {
 			build()
 		}
 		a := float64(sc.alpha[i]) / float64(mEff)
-		l := e.labelOf[i]
+		l := inst.Labels[i]
 		pos := e.rowPos[i]
 		force0, force1 := 0.0, 1/float64(mEff)
 		// Force row i onto the boundary in its tree(s), accumulate both

@@ -18,7 +18,7 @@ func (e *Engine) ApproxBytes() int64 {
 	b += n * sliceHeader                       // Sims row headers
 	b += n * 8                                 // inst.Labels
 	b += int64(len(e.inst.absentM)) * 4        // inst.absentM
-	b += n * (4 + 8 + 8)                       // pins, labelOf, rowPos
+	b += n * (4 + 8)                           // pins, rowPos
 	b += n * (4 + 4 + 4)                       // below, argMin, argMax
 	for _, rows := range e.liveRows {
 		b += int64(len(rows)) * (4 + 4) // liveRows, liveLeaves

@@ -18,7 +18,7 @@ package core
 // positions that performed tree work.
 func (e *Engine) scan(sc *Scratch, pins []int32, useMC bool) int64 {
 	inst := e.inst
-	labelOf := e.labelOf
+	labels := inst.Labels
 	rowPos := e.rowPos
 	alpha := sc.alpha
 	k := sc.k
@@ -53,7 +53,7 @@ func (e *Engine) scan(sc *Scratch, pins []int32, useMC bool) int64 {
 			built = true
 		}
 		a := float64(alpha[i]) / float64(mEff)
-		tr := sc.trees[labelOf[i]]
+		tr := sc.trees[labels[i]]
 		p := rowPos[i]
 		// Force row i onto the boundary: it contributes exactly one top-K
 		// slot, with probability 1/mEff of picking this candidate. Read the

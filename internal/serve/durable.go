@@ -2,8 +2,9 @@ package serve
 
 // This file is the bridge between the serving layer and internal/durable:
 // the journal (what gets written, and with which durability class), the
-// persisted wire schemas, and recovery (how snapshot + record stream fold
-// back into a Server).
+// persisted wire schemas, and the journal's one interpreter (how snapshot +
+// record stream fold back into a Server), shared by restart recovery and
+// follower replication.
 //
 // Journal design: every state transition the server must survive is one
 // record in one entity's stream —
@@ -27,11 +28,21 @@ package serve
 // against the history — after that the selector's memos are in exactly the
 // state an uninterrupted run would have, which is what makes the remaining
 // sequence (rows, candidates, examined_hypotheses) bit-identical.
+//
+// Apply design: applySnapshot and applyRecord are the only code that turns
+// journal state into server state. recoverFrom feeds them the local snapshot
+// and WAL at Open; a follower feeds them the leader's (follower.go). They
+// never branch on their caller and take the owning locks in the canonical
+// order, so two servers that read the same journal prefix hold the same
+// state. The callers differ in one decision only: a step that skips ahead of
+// its session's history (a *stepGapError) is logged and skipped by
+// recovery, and stops a follower's tail.
 
 import (
 	"cmp"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"slices"
 	"sync"
 	"time"
@@ -471,63 +482,237 @@ func (s *Server) snapshotState() ([]byte, error) {
 	return json.Marshal(&ps)
 }
 
-// --- Recovery ---
+// --- Journal apply: one path for restart recovery and replication ---
 
 // recoverFrom rebuilds the registry and session store from a freshly opened
 // store. Individual unusable entries are dropped with a warning (recovery
-// must not be a startup crash); only a snapshot the server itself cannot
-// decode fails the open.
+// must not be a startup crash), and so is a step gap, which at startup means
+// a mangled log; only a snapshot the server cannot decode or apply fails the
+// open.
 //
 //cpvet:deterministic
-//cpvet:allow lockheld -- recovery runs single-goroutine in Open, before the server is reachable; no lock can be contended
 func (s *Server) recoverFrom(st *durable.Store) error {
 	if b := st.Snapshot(); b != nil {
 		var ps persistedState
 		if err := json.Unmarshal(b, &ps); err != nil {
 			return fmt.Errorf("serve: undecodable snapshot in %s: %w", st.Dir(), err)
 		}
-		for _, pd := range ps.Datasets {
-			s.recoverDataset(pd)
-		}
-		for _, psess := range ps.Sessions {
-			s.recoverSession(psess)
-		}
-		//cpvet:allow maporder -- copied map-to-map; iteration order cannot reach recovered state
-		for id, at := range ps.Tombstones {
-			s.sessions.tombstones[id] = at
+		if err := s.applySnapshot(ps); err != nil {
+			return err
 		}
 	}
 	for _, rec := range st.Records() {
-		s.applyRecord(rec)
+		if err := s.applyRecord(rec); err != nil {
+			s.logf("serve: recovery: skipping %s record for %s: %v", rec.Type, rec.Entity, err)
+		}
 	}
 	return nil
 }
 
-// recoverDataset rebuilds one registration. Application is idempotent: an
-// already-present name with the same fingerprint is a no-op (snapshot/WAL
-// overlap after an interrupted compaction), a different fingerprint is
-// dropped with a warning.
+// stepGapError reports the one record applyRecord refuses: a step that skips
+// ahead of its session's history. Restart recovery logs it and goes on; a
+// follower's tail stops on it, because a replica that cannot prove
+// continuity must fail loudly instead of serving wrong answers.
+type stepGapError struct {
+	id            string
+	step, applied int
+}
+
+func (e *stepGapError) Error() string {
+	return fmt.Sprintf("serve: session %s step %d follows %d applied steps; the journal lost records", e.id, e.step, e.applied)
+}
+
+// applyRecord folds one journal record into the server. It is idempotent —
+// snapshot/WAL overlap and redelivered records change nothing — and
+// tolerant: an undecodable payload, a conflicting re-registration, a session
+// whose dataset is missing and an unknown record type are skipped with a
+// warning (the frame's CRC was intact, so every reader of the journal skips
+// them alike), and a create of a live or tombstoned ID is a no-op. Its only
+// error is a *stepGapError. It takes the owning locks in the canonical order
+// (Server.mu, sessionStore.mu, Session.mu).
 //
 //cpvet:deterministic
-//cpvet:allow lockheld -- recovery runs single-goroutine in Open, before the server is reachable; no lock can be contended
-func (s *Server) recoverDataset(pd persistedDataset) {
-	if old, ok := s.datasets[pd.Name]; ok {
-		if old.fingerprint != pd.Fingerprint {
-			s.logf("serve: recovery: dropping conflicting re-registration of dataset %q", pd.Name)
+func (s *Server) applyRecord(rec durable.Record) error {
+	skip := func(err error) error {
+		s.logf("serve: journal: skipping %s record for %s: %v", rec.Type, rec.Entity, err)
+		return nil
+	}
+	switch rec.Type {
+	case "register":
+		var pd persistedDataset
+		if err := json.Unmarshal(rec.Data, &pd); err != nil {
+			return skip(err)
 		}
-		return
+		if _, err := s.addDataset(pd); err != nil {
+			return skip(err)
+		}
+	case "create":
+		var ps persistedSession
+		if err := json.Unmarshal(rec.Data, &ps); err != nil {
+			return skip(err)
+		}
+		sess, err := s.buildRecoveredSession(ps)
+		if err != nil {
+			return skip(err)
+		}
+		st := s.sessions
+		st.mu.Lock()
+		_, exists := st.live[ps.ID]
+		_, gone := st.tombstones[ps.ID]
+		if !exists && !gone && !st.stopped {
+			st.live[ps.ID] = sess
+		}
+		st.mu.Unlock()
+	case "step":
+		var sr stepRecord
+		if err := json.Unmarshal(rec.Data, &sr); err != nil {
+			return skip(err)
+		}
+		sess := s.lookupLive(sr.ID)
+		if sess == nil {
+			return nil // released/expired later in the log, or dropped above
+		}
+		sess.mu.Lock()
+		defer sess.mu.Unlock()
+		switch n := len(sess.history); {
+		case sr.Step.Step <= n:
+			// Overlap or redelivery; already applied.
+		case sr.Step.Step == n+1:
+			sess.history = append(sess.history, sr.Step)
+			sess.snap.steps = len(sess.history)
+			sess.snap.certainFraction = sr.Step.CertainFraction
+			sess.snap.worlds = sr.Step.WorldsRemaining
+			sess.snap.examined += sr.Step.ExaminedHypotheses
+		default:
+			return &stepGapError{id: sr.ID, step: sr.Step.Step, applied: n}
+		}
+	case "done":
+		var dr doneRecord
+		if err := json.Unmarshal(rec.Data, &dr); err != nil {
+			return skip(err)
+		}
+		if sess := s.lookupLive(dr.ID); sess != nil {
+			sess.mu.Lock()
+			sess.snap.done = true
+			sess.snap.started = true
+			sess.suspended = false
+			sess.snap.certainFraction = dr.CertainFraction
+			sess.snap.worlds = dr.Worlds
+			if dr.Examined > 0 {
+				sess.snap.examined = dr.Examined
+			}
+			sess.req = CleanRequest{}
+			sess.mu.Unlock()
+		}
+	case "fail":
+		var fr failRecord
+		if err := json.Unmarshal(rec.Data, &fr); err != nil {
+			return skip(err)
+		}
+		if sess := s.lookupLive(fr.ID); sess != nil {
+			sess.mu.Lock()
+			sess.failed = fmt.Errorf("%w: %s", ErrSessionFailed, fr.Error)
+			sess.snap.started = true
+			sess.suspended = false
+			sess.req = CleanRequest{}
+			sess.mu.Unlock()
+		}
+	case "expire":
+		var er expireRecord
+		if err := json.Unmarshal(rec.Data, &er); err != nil {
+			return skip(err)
+		}
+		at := er.At
+		if at.IsZero() {
+			at = time.Now() //cpvet:allow nowalltime -- legacy expire record without a timestamp; TTL-only, never replayed downstream
+		}
+		s.dropSession(er.ID, &at)
+	case "release":
+		var rr releaseRecord
+		if err := json.Unmarshal(rec.Data, &rr); err != nil {
+			return skip(err)
+		}
+		s.dropSession(rr.ID, nil)
+	default:
+		return skip(fmt.Errorf("unknown record type"))
+	}
+	return nil
+}
+
+// applySnapshot replaces the server's state with a journal snapshot. At
+// restart the registry is empty, so replacing is merging. On a follower's
+// bootstrap, replacing is the point: a live session absent from the
+// snapshot was released or expired inside the compacted gap whose records
+// will never arrive, so sessions and tombstones are swapped wholesale. The
+// snapshot covers at least everything already applied, so a session on both
+// sides loses no applied step. Datasets are add-only (there is no unregister
+// record to miss); one the snapshot re-registers with another fingerprint
+// fails the apply, and unusable datasets and sessions are dropped with a
+// warning.
+//
+//cpvet:deterministic
+func (s *Server) applySnapshot(ps persistedState) error {
+	for _, pd := range ps.Datasets {
+		if conflict, err := s.addDataset(pd); conflict {
+			return fmt.Errorf("serve: snapshot re-registers dataset %q with a different fingerprint", pd.Name)
+		} else if err != nil {
+			s.logf("serve: journal: dropping dataset %q from snapshot: %v", pd.Name, err)
+		}
+	}
+	// Build the sessions outside the store lock (construction validates the
+	// request), then swap the whole live set.
+	built := make(map[string]*Session, len(ps.Sessions))
+	for _, p := range ps.Sessions {
+		sess, err := s.buildRecoveredSession(p)
+		if err != nil {
+			s.logf("serve: journal: dropping session %s from snapshot: %v", p.ID, err)
+			continue
+		}
+		built[p.ID] = sess
+	}
+	st := s.sessions
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if st.stopped {
+		return fmt.Errorf("%w: server is shut down", ErrUnavailable)
+	}
+	for _, id := range sortedKeys(st.live) {
+		st.live[id].closeWhenIdle()
+	}
+	st.live = built
+	st.tombstones = make(map[string]time.Time, len(ps.Tombstones))
+	maps.Copy(st.tombstones, ps.Tombstones)
+	return nil
+}
+
+// addDataset registers one journaled dataset unless its name is taken. A
+// taken name with the same fingerprint is overlap and a no-op; with another
+// fingerprint it is a conflict. Content that does not rebuild is an error.
+func (s *Server) addDataset(pd persistedDataset) (conflict bool, err error) {
+	s.mu.RLock()
+	old := s.datasets[pd.Name]
+	s.mu.RUnlock()
+	if old != nil {
+		if old.fingerprint != pd.Fingerprint {
+			return true, fmt.Errorf("conflicting re-registration of dataset %q", pd.Name)
+		}
+		return false, nil
 	}
 	ds, err := buildRecoveredDataset(pd)
 	if err != nil {
-		s.logf("serve: recovery: dropping dataset %q: %v", pd.Name, err)
-		return
+		return false, err
 	}
-	s.datasets[pd.Name] = ds
+	s.mu.Lock()
+	if _, ok := s.datasets[pd.Name]; !ok {
+		s.datasets[pd.Name] = ds
+	}
+	s.mu.Unlock()
+	return false, nil
 }
 
 // buildRecoveredDataset decodes and fingerprint-verifies one journaled
 // registration into a servable Dataset. Pure — no Server state is read or
-// written — so both startup recovery and the follower apply path share it.
+// written.
 //
 //cpvet:deterministic
 func buildRecoveredDataset(pd persistedDataset) (*Dataset, error) {
@@ -566,40 +751,19 @@ var closedReady = func() chan struct{} {
 	return c
 }()
 
-// recoverSession re-materializes one session in the suspended state: request
-// + history only; engines and selection memos are rebuilt by the first
-// driver (ensureBuilt), which re-executes the history through the selector
-// so the continuation is bit-identical to an uninterrupted run.
+// buildRecoveredSession re-materializes one persisted session of a
+// registered dataset in the suspended state: request + history only;
+// engines and selection memos are rebuilt by the first driver (ensureBuilt),
+// which re-executes the history through the selector so the continuation
+// is bit-identical to an uninterrupted run. It only constructs the Session;
+// the caller inserts it under the store lock.
 //
 //cpvet:deterministic
-//cpvet:allow lockheld -- recovery runs single-goroutine in Open, before the server is reachable; no lock can be contended
-func (s *Server) recoverSession(ps persistedSession) {
-	ds, ok := s.datasets[ps.Dataset]
-	if !ok {
-		s.logf("serve: recovery: dropping session %s: dataset %q not recovered", ps.ID, ps.Dataset)
-		return
-	}
-	if _, exists := s.sessions.live[ps.ID]; exists {
-		return // snapshot/WAL overlap
-	}
-	if _, gone := s.sessions.tombstones[ps.ID]; gone {
-		return
-	}
-	sess, err := buildRecoveredSession(s, ds, ps)
+func (s *Server) buildRecoveredSession(ps persistedSession) (*Session, error) {
+	ds, err := s.Dataset(ps.Dataset)
 	if err != nil {
-		s.logf("serve: recovery: dropping session %s: %v", ps.ID, err)
-		return
+		return nil, err
 	}
-	s.sessions.live[ps.ID] = sess
-}
-
-// buildRecoveredSession re-materializes one persisted session (see
-// recoverSession for the suspended-state contract). It only constructs the
-// Session — no store maps are touched — so both startup recovery and the
-// follower apply path share it; the caller inserts under its own locking.
-//
-//cpvet:deterministic
-func buildRecoveredSession(s *Server, ds *Dataset, ps persistedSession) (*Session, error) {
 	sess := &Session{
 		id:       ps.ID,
 		store:    s.sessions,
@@ -642,103 +806,29 @@ func buildRecoveredSession(s *Server, ds *Dataset, ps persistedSession) (*Sessio
 	return sess, nil
 }
 
-// applyRecord folds one WAL record into the recovering server. Tolerant and
-// idempotent: unknown sessions, duplicate events, and overlap with the
-// snapshot are warnings or no-ops, never startup failures.
-//
-//cpvet:deterministic
-//cpvet:allow lockheld -- recovery runs single-goroutine in Open, before the server is reachable; no lock can be contended
-func (s *Server) applyRecord(rec durable.Record) {
-	fail := func(err error) {
-		s.logf("serve: recovery: skipping %s record for %s: %v", rec.Type, rec.Entity, err)
+// lookupLive fetches a live session without the expiry side effects of
+// sessionStore.get — a journaled record must land on the session regardless
+// of how long it has been idle here.
+func (s *Server) lookupLive(id string) *Session {
+	st := s.sessions
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return st.live[id]
+}
+
+// dropSession removes a session the journal expired (tombstone set) or
+// released (tombstone cleared), closing it once no driver is attached.
+func (s *Server) dropSession(id string, tombstone *time.Time) {
+	st := s.sessions
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if sess, ok := st.live[id]; ok {
+		sess.closeWhenIdle()
+		delete(st.live, id)
 	}
-	switch rec.Type {
-	case "register":
-		var pd persistedDataset
-		if err := json.Unmarshal(rec.Data, &pd); err != nil {
-			fail(err)
-			return
-		}
-		s.recoverDataset(pd)
-	case "create":
-		var ps persistedSession
-		if err := json.Unmarshal(rec.Data, &ps); err != nil {
-			fail(err)
-			return
-		}
-		s.recoverSession(ps)
-	case "step":
-		var sr stepRecord
-		if err := json.Unmarshal(rec.Data, &sr); err != nil {
-			fail(err)
-			return
-		}
-		sess, ok := s.sessions.live[sr.ID]
-		if !ok {
-			return // released/expired later in the log, or dropped above
-		}
-		switch {
-		case sr.Step.Step <= len(sess.history):
-			// Snapshot/WAL overlap; already have it.
-		case sr.Step.Step == len(sess.history)+1:
-			sess.history = append(sess.history, sr.Step)
-			sess.snap.steps = len(sess.history)
-			sess.snap.certainFraction = sr.Step.CertainFraction
-			sess.snap.worlds = sr.Step.WorldsRemaining
-			sess.snap.examined += sr.Step.ExaminedHypotheses
-		default:
-			fail(fmt.Errorf("step %d after %d journaled steps", sr.Step.Step, len(sess.history)))
-		}
-	case "done":
-		var dr doneRecord
-		if err := json.Unmarshal(rec.Data, &dr); err != nil {
-			fail(err)
-			return
-		}
-		if sess, ok := s.sessions.live[dr.ID]; ok {
-			sess.snap.done = true
-			sess.snap.started = true
-			sess.suspended = false
-			sess.snap.certainFraction = dr.CertainFraction
-			sess.snap.worlds = dr.Worlds
-			if dr.Examined > 0 {
-				sess.snap.examined = dr.Examined
-			}
-			sess.req = CleanRequest{}
-		}
-	case "fail":
-		var fr failRecord
-		if err := json.Unmarshal(rec.Data, &fr); err != nil {
-			fail(err)
-			return
-		}
-		if sess, ok := s.sessions.live[fr.ID]; ok {
-			sess.failed = fmt.Errorf("%w: %s", ErrSessionFailed, fr.Error)
-			sess.snap.started = true
-			sess.suspended = false
-			sess.req = CleanRequest{}
-		}
-	case "expire":
-		var er expireRecord
-		if err := json.Unmarshal(rec.Data, &er); err != nil {
-			fail(err)
-			return
-		}
-		delete(s.sessions.live, er.ID)
-		at := er.At
-		if at.IsZero() {
-			at = time.Now() //cpvet:allow nowalltime -- legacy expire record without a timestamp; TTL-only, never replayed downstream
-		}
-		s.sessions.tombstones[er.ID] = at
-	case "release":
-		var rr releaseRecord
-		if err := json.Unmarshal(rec.Data, &rr); err != nil {
-			fail(err)
-			return
-		}
-		delete(s.sessions.live, rr.ID)
-		delete(s.sessions.tombstones, rr.ID)
-	default:
-		s.logf("serve: recovery: ignoring unknown record type %q for %s", rec.Type, rec.Entity)
+	if tombstone != nil {
+		st.tombstones[id] = *tombstone
+	} else {
+		delete(st.tombstones, id)
 	}
 }

@@ -1,23 +1,26 @@
 package serve
 
 // Follower mode: this file is the apply side of WAL shipping (see
-// internal/replica). A follower's tailer delivers the leader's journal
-// records one at a time; applyShipped folds each into the live server —
-// the continuous, lock-aware counterpart of startup recovery's applyRecord —
-// and re-journals it verbatim into the follower's own WAL so a restart
-// resumes from a durable cursor instead of re-bootstrapping.
+// internal/replica). A follower's tailer delivers the leader's journal one
+// record at a time, or a snapshot when the leader compacted past the
+// follower's cursor. Both land through the journal's one interpreter —
+// applyRecord and applySnapshot in durable.go, the functions restart
+// recovery folds the local WAL through — and each record is then
+// re-journaled verbatim into the follower's own WAL, so a restart recovers
+// the follower's state from its own directory and resumes from a durable
+// cursor instead of re-bootstrapping.
 //
 // The invariant that makes follower reads bit-identical to leader reads:
 // both sides derive every answer from the same journal prefix through the
-// same deterministic code (recoverDataset/recoverSession builders, the exact
-// step-idempotency rule, the history-pinned session query path). A record
-// the follower cannot apply consistently fails the tail loudly rather than
-// letting the replica drift.
+// same deterministic code (the same apply functions, the exact
+// step-idempotency rule, the history-pinned session query path). The one
+// decision the follower makes on its own is what a step gap means: recovery
+// logs it and goes on, a follower fails the tail loudly rather than letting
+// the replica drift.
 
 import (
 	"encoding/json"
 	"fmt"
-	"time"
 
 	"repro/internal/durable"
 	"repro/internal/replica"
@@ -49,9 +52,10 @@ func (s *Server) LeaderURL() string {
 // applyShipped is the tailer's Apply hook: fold one shipped record into the
 // in-memory state, then re-journal it verbatim. Idempotent (reconnects and
 // restarts redeliver), and memory-first so a concurrent local compaction can
-// never snapshot a state missing a record its log already sealed.
+// never snapshot a state missing a record its log already sealed. A step gap
+// is returned, which stops the tail.
 func (s *Server) applyShipped(rec durable.Record) error {
-	if err := s.applyShippedToMemory(rec); err != nil {
+	if err := s.applyRecord(rec); err != nil {
 		return err
 	}
 	if err := s.journal.appendRaw(rec); err != nil {
@@ -61,275 +65,19 @@ func (s *Server) applyShipped(rec durable.Record) error {
 	return nil
 }
 
-// applyShippedToMemory mirrors recovery's applyRecord decision-for-decision
-// — same idempotency rules, same drop-with-warning tolerance for records the
-// leader itself would have skipped at replay — but against a live server, so
-// every map and session touch takes the owning lock (Server.mu before
-// sessionStore.mu before Session.mu). The one divergence from recovery is a
-// step that skips ahead of the history: at startup that means a mangled log,
-// here it means lost replication records, and a follower that cannot prove
-// continuity must fail loudly instead of serving wrong answers.
-func (s *Server) applyShippedToMemory(rec durable.Record) error {
-	skip := func(err error) {
-		// The frame's CRC was intact, so the leader's replay would hit the
-		// same undecodable payload and skip it too; both sides converge.
-		s.logf("serve: replica: skipping %s record for %s: %v", rec.Type, rec.Entity, err)
-	}
-	switch rec.Type {
-	case "register":
-		var pd persistedDataset
-		if err := json.Unmarshal(rec.Data, &pd); err != nil {
-			skip(err)
-			return nil
-		}
-		s.mu.RLock()
-		old := s.datasets[pd.Name]
-		s.mu.RUnlock()
-		if old != nil {
-			if old.fingerprint != pd.Fingerprint {
-				skip(fmt.Errorf("conflicting re-registration of dataset %q", pd.Name))
-			}
-			return nil
-		}
-		ds, err := buildRecoveredDataset(pd)
-		if err != nil {
-			skip(err)
-			return nil
-		}
-		s.mu.Lock()
-		if _, ok := s.datasets[pd.Name]; !ok {
-			s.datasets[pd.Name] = ds
-		}
-		s.mu.Unlock()
-	case "create":
-		var ps persistedSession
-		if err := json.Unmarshal(rec.Data, &ps); err != nil {
-			skip(err)
-			return nil
-		}
-		s.mu.RLock()
-		ds := s.datasets[ps.Dataset]
-		s.mu.RUnlock()
-		if ds == nil {
-			skip(fmt.Errorf("dataset %q not replicated", ps.Dataset))
-			return nil
-		}
-		sess, err := buildRecoveredSession(s, ds, ps)
-		if err != nil {
-			skip(err)
-			return nil
-		}
-		st := s.sessions
-		st.mu.Lock()
-		_, exists := st.live[ps.ID]
-		_, gone := st.tombstones[ps.ID]
-		if !exists && !gone && !st.stopped {
-			st.live[ps.ID] = sess
-		}
-		st.mu.Unlock()
-	case "step":
-		var sr stepRecord
-		if err := json.Unmarshal(rec.Data, &sr); err != nil {
-			skip(err)
-			return nil
-		}
-		st := s.sessions
-		st.mu.Lock()
-		sess := st.live[sr.ID]
-		st.mu.Unlock()
-		if sess == nil {
-			return nil // released/expired later in the leader's log, or dropped above
-		}
-		sess.mu.Lock()
-		defer sess.mu.Unlock()
-		switch {
-		case sr.Step.Step <= len(sess.history):
-			// Redelivery after a reconnect or restart; already applied.
-		case sr.Step.Step == len(sess.history)+1:
-			sess.history = append(sess.history, sr.Step)
-			sess.snap.steps = len(sess.history)
-			sess.snap.certainFraction = sr.Step.CertainFraction
-			sess.snap.worlds = sr.Step.WorldsRemaining
-			sess.snap.examined += sr.Step.ExaminedHypotheses
-		default:
-			return fmt.Errorf("serve: replica: session %s step %d arrived after %d applied steps; replication stream lost records",
-				sr.ID, sr.Step.Step, len(sess.history))
-		}
-	case "done":
-		var dr doneRecord
-		if err := json.Unmarshal(rec.Data, &dr); err != nil {
-			skip(err)
-			return nil
-		}
-		if sess := s.lookupLive(dr.ID); sess != nil {
-			sess.mu.Lock()
-			sess.snap.done = true
-			sess.snap.started = true
-			sess.suspended = false
-			sess.snap.certainFraction = dr.CertainFraction
-			sess.snap.worlds = dr.Worlds
-			if dr.Examined > 0 {
-				sess.snap.examined = dr.Examined
-			}
-			sess.req = CleanRequest{}
-			sess.mu.Unlock()
-		}
-	case "fail":
-		var fr failRecord
-		if err := json.Unmarshal(rec.Data, &fr); err != nil {
-			skip(err)
-			return nil
-		}
-		if sess := s.lookupLive(fr.ID); sess != nil {
-			sess.mu.Lock()
-			sess.failed = fmt.Errorf("%w: %s", ErrSessionFailed, fr.Error)
-			sess.snap.started = true
-			sess.suspended = false
-			sess.req = CleanRequest{}
-			sess.mu.Unlock()
-		}
-	case "expire":
-		var er expireRecord
-		if err := json.Unmarshal(rec.Data, &er); err != nil {
-			skip(err)
-			return nil
-		}
-		at := er.At
-		if at.IsZero() {
-			at = time.Now() //cpvet:allow nowalltime -- legacy expire record without a timestamp; TTL-only, never replayed downstream
-		}
-		s.dropReplicated(er.ID, &at)
-	case "release":
-		var rr releaseRecord
-		if err := json.Unmarshal(rec.Data, &rr); err != nil {
-			skip(err)
-			return nil
-		}
-		s.dropReplicated(rr.ID, nil)
-	default:
-		s.logf("serve: replica: ignoring unknown record type %q for %s", rec.Type, rec.Entity)
-	}
-	return nil
-}
-
-// lookupLive fetches a live session without the expiry side effects of
-// sessionStore.get — a replicated terminal record must land on the session
-// regardless of how long it has been idle here.
-func (s *Server) lookupLive(id string) *Session {
-	st := s.sessions
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.live[id]
-}
-
-// dropReplicated removes a session the leader expired (tombstone set) or
-// released (tombstone cleared), closing it unless a read driver is attached
-// — replaying /stream readers hold the driver slot, and closing under them
-// would race; closeOnRelease finishes the close when they detach.
-func (s *Server) dropReplicated(id string, tombstone *time.Time) {
-	st := s.sessions
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if sess, ok := st.live[id]; ok {
-		sess.mu.Lock()
-		if sess.driving {
-			sess.closeOnRelease = true
-		} else {
-			sess.closeLocked()
-		}
-		sess.mu.Unlock()
-		delete(st.live, id)
-	}
-	if tombstone != nil {
-		st.tombstones[id] = *tombstone
-	} else {
-		delete(st.tombstones, id)
-	}
-}
-
-// applyReplicaSnapshot is the tailer's bootstrap hook: replace the follower's
-// state with a leader snapshot (fresh follower, or our cursor was compacted
-// away). Replace — not merge — semantics for sessions and tombstones: a live
-// session absent from the snapshot was released or expired inside the
-// compacted gap whose individual records we will never see. Datasets are
-// add-only, matching the server (there is no unregister record to miss).
-func (s *Server) applyReplicaSnapshot(payload []byte) error {
+// bootstrapFromLeader is the tailer's ApplySnapshot hook (fresh follower, or
+// our cursor was compacted away): decode the leader's snapshot, replace the
+// follower's state with it, then reset the local WAL behind the new state —
+// a forced compaction, so a restart recovers this snapshot instead of the
+// stale pre-bootstrap log.
+func (s *Server) bootstrapFromLeader(payload []byte) error {
 	var ps persistedState
 	if err := json.Unmarshal(payload, &ps); err != nil {
 		return fmt.Errorf("serve: undecodable leader snapshot: %w", err)
 	}
-	for _, pd := range ps.Datasets {
-		s.mu.RLock()
-		old := s.datasets[pd.Name]
-		s.mu.RUnlock()
-		if old != nil {
-			if old.fingerprint != pd.Fingerprint {
-				return fmt.Errorf("serve: leader snapshot re-registers dataset %q with a different fingerprint", pd.Name)
-			}
-			continue
-		}
-		ds, err := buildRecoveredDataset(pd)
-		if err != nil {
-			s.logf("serve: replica: dropping dataset %q from leader snapshot: %v", pd.Name, err)
-			continue
-		}
-		s.mu.Lock()
-		if _, ok := s.datasets[pd.Name]; !ok {
-			s.datasets[pd.Name] = ds
-		}
-		s.mu.Unlock()
+	if err := s.applySnapshot(ps); err != nil {
+		return err
 	}
-
-	// Build replacement sessions outside the store lock (construction
-	// validates the request), then swap the whole live set. The snapshot
-	// covers at least through our old cursor, so for any session present on
-	// both sides the snapshot's history is a superset of ours — replacing
-	// never discards applied steps.
-	built := make(map[string]*Session, len(ps.Sessions))
-	for _, psess := range ps.Sessions {
-		s.mu.RLock()
-		ds := s.datasets[psess.Dataset]
-		s.mu.RUnlock()
-		if ds == nil {
-			s.logf("serve: replica: dropping session %s from leader snapshot: dataset %q not replicated", psess.ID, psess.Dataset)
-			continue
-		}
-		sess, err := buildRecoveredSession(s, ds, psess)
-		if err != nil {
-			s.logf("serve: replica: dropping session %s from leader snapshot: %v", psess.ID, err)
-			continue
-		}
-		built[psess.ID] = sess
-	}
-	st := s.sessions
-	st.mu.Lock()
-	if st.stopped {
-		st.mu.Unlock()
-		return fmt.Errorf("%w: server is shut down", ErrUnavailable)
-	}
-	//cpvet:allow maporder -- close-and-replace of the whole live set; order cannot reach any output
-	for id, sess := range st.live {
-		sess.mu.Lock()
-		if sess.driving {
-			sess.closeOnRelease = true
-		} else {
-			sess.closeLocked()
-		}
-		sess.mu.Unlock()
-		delete(st.live, id)
-	}
-	for id, sess := range built {
-		st.live[id] = sess
-	}
-	st.tombstones = make(map[string]time.Time, len(ps.Tombstones))
-	//cpvet:allow maporder -- copied map-to-map; iteration order cannot reach replicated state
-	for id, at := range ps.Tombstones {
-		st.tombstones[id] = at
-	}
-	st.mu.Unlock()
-
-	// Reset the local WAL behind the new state: force a compaction so a
-	// restart replays this snapshot instead of the stale pre-bootstrap log.
 	if err := s.journal.store.Compact(s.snapshotState); err != nil {
 		return fmt.Errorf("serve: persisting bootstrapped state: %w", err)
 	}

@@ -335,7 +335,7 @@ func Open(cfg Config) (*Server, error) {
 		s.tailer = replica.StartTailer(replica.TailerConfig{
 			BaseURL:       cfg.FollowURL,
 			Apply:         s.applyShipped,
-			ApplySnapshot: s.applyReplicaSnapshot,
+			ApplySnapshot: s.bootstrapFromLeader,
 			OnAdvance:     s.noteApplied,
 			Logf:          cfg.Logf,
 		}, cursor)

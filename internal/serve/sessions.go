@@ -240,13 +240,7 @@ func (st *sessionStore) create(srv *Server, ds *Dataset, k int, req CleanRequest
 		// the failed create's caller, so closeOnRelease covers it.
 		st.mu.Lock()
 		if cur, ok := st.live[sess.id]; ok && cur == sess {
-			sess.mu.Lock()
-			if sess.driving {
-				sess.closeOnRelease = true
-			} else {
-				sess.closeLocked()
-			}
-			sess.mu.Unlock()
+			sess.closeWhenIdle()
 			delete(st.live, sess.id)
 		}
 		st.mu.Unlock()
@@ -398,20 +392,26 @@ func (st *sessionStore) close() {
 	st.live = make(map[string]*Session)
 	st.mu.Unlock()
 	for _, sess := range live {
-		sess.mu.Lock()
-		if sess.driving {
-			// An in-flight driver still holds the CleanSession; closing under
-			// it would race. The release path finishes the close.
-			sess.closeOnRelease = true
-		} else {
-			sess.closeLocked()
-		}
-		sess.mu.Unlock()
+		sess.closeWhenIdle()
 	}
 }
 
 // ID returns the session's addressable identifier.
 func (sess *Session) ID() string { return sess.id }
+
+// closeWhenIdle closes the session now, or, while a driver is attached (an
+// in-flight driver or replaying /stream reader still holds the
+// CleanSession, and closing under it would race), marks it so
+// releaseDriver finishes the close.
+func (sess *Session) closeWhenIdle() {
+	sess.mu.Lock()
+	defer sess.mu.Unlock()
+	if sess.driving {
+		sess.closeOnRelease = true
+	} else {
+		sess.closeLocked()
+	}
+}
 
 // closeLocked releases the underlying CleanSession. Caller holds sess.mu
 // and must guarantee no driver is attached.

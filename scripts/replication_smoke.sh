@@ -3,7 +3,9 @@
 # follower as separate processes, register a dataset and step a clean session
 # on the leader, wait for the follower to catch up, and byte-diff every read
 # answer between the two. Also checks the follower's write gate (421 + Leader
-# header). Exits non-zero on any divergence.
+# header). Then stops both, restarts the follower alone from its data
+# directory (the WAL it wrote while following), and diffs the same reads
+# against the leader's saved answers. Exits non-zero on any divergence.
 set -euo pipefail
 
 LEADER_PORT="${LEADER_PORT:-18080}"
@@ -80,29 +82,56 @@ done
 
 echo "== diffing read answers byte for byte"
 QUERY='{"points":[[0.15,0.1],[2.0,2.05],[1.1,0.9],[0.3,1.7]]}'
-diff_route() { # method path [body] [accept]
-  local method="$1" path="$2" body="${3:-}" accept="${4:-application/json}"
+fetch_route() { # base method path [body] [accept]: the answer on stdout
+  local base="$1" method="$2" path="$3" body="${4:-}" accept="${5:-application/json}"
   local args=(-fsS -X "$method" -H "Accept: $accept")
   [ -n "$body" ] && args+=(-H 'Content-Type: application/json' -d "$body")
-  curl "${args[@]}" "$LEADER$path" >"$WORK/leader.resp"
-  curl "${args[@]}" "$FOLLOWER$path" >"$WORK/follower.resp"
-  if ! diff -q "$WORK/leader.resp" "$WORK/follower.resp" >/dev/null; then
-    echo "DIVERGED: $method $path" >&2
-    diff "$WORK/leader.resp" "$WORK/follower.resp" >&2 || true
+  curl "${args[@]}" "$base$path"
+}
+same_or_die() { # want got what
+  if ! diff -q "$1" "$2" >/dev/null; then
+    echo "DIVERGED: $3" >&2
+    diff "$1" "$2" >&2 || true
     exit 1
   fi
-  echo "   identical: $method $path ($accept)"
+  echo "   identical: $3"
 }
-diff_route GET  /v1/datasets
-diff_route POST /v1/datasets/smoke/query "$QUERY"
-diff_route POST /v1/datasets/smoke/query "$QUERY" application/x-ndjson
-diff_route POST "/v1/clean/$SESSION_ID/query" "$QUERY"
-diff_route POST "/v1/clean/$SESSION_ID/query" "$QUERY" application/x-ndjson
+read_routes() { # runs "$1" once per read route: n method path [body] [accept]
+  "$1" 1 GET  /v1/datasets
+  "$1" 2 POST /v1/datasets/smoke/query "$QUERY"
+  "$1" 3 POST /v1/datasets/smoke/query "$QUERY" application/x-ndjson
+  "$1" 4 POST "/v1/clean/$SESSION_ID/query" "$QUERY"
+  "$1" 5 POST "/v1/clean/$SESSION_ID/query" "$QUERY" application/x-ndjson
+}
+diff_live() { # the leader's answer is kept as leader.$1 for the restart leg
+  local n="$1"; shift
+  fetch_route "$LEADER" "$@" >"$WORK/leader.$n"
+  fetch_route "$FOLLOWER" "$@" >"$WORK/follower.resp"
+  same_or_die "$WORK/leader.$n" "$WORK/follower.resp" "$1 $2 (${4:-application/json})"
+}
+read_routes diff_live
 
 echo "== checking the follower rejects writes with 421 + Leader header"
 REJECT_HEADERS="$(curl -sS -o /dev/null -D - -X POST -H 'Content-Type: application/json' \
   --data-binary @"$WORK/register.json" "$FOLLOWER/v1/datasets")"
 echo "$REJECT_HEADERS" | grep -q "^HTTP/1.1 421" || { echo "expected 421, got:"; echo "$REJECT_HEADERS"; exit 1; } >&2
 echo "$REJECT_HEADERS" | grep -qi "^Leader: $LEADER" || { echo "missing Leader header:"; echo "$REJECT_HEADERS"; exit 1; } >&2
+
+echo "== stopping both processes; restarting the follower alone from its data directory"
+kill -TERM "$FOLLOWER_PID" "$LEADER_PID"
+wait "$FOLLOWER_PID" "$LEADER_PID" 2>/dev/null || true
+LEADER_PID=""
+"$WORK/cpserve" -addr "127.0.0.1:${FOLLOWER_PORT}" -data-dir "$WORK/follower" \
+  -follow "$LEADER" -wal-sync-interval 1ms >"$WORK/follower-restart.log" 2>&1 &
+FOLLOWER_PID=$!
+wait_http "$FOLLOWER/v1/stats"
+
+echo "== diffing the recovered follower's answers against the leader's saved ones"
+diff_recovered() {
+  local n="$1"; shift
+  fetch_route "$FOLLOWER" "$@" >"$WORK/follower.resp"
+  same_or_die "$WORK/leader.$n" "$WORK/follower.resp" "$1 $2 (${4:-application/json}) after restart"
+}
+read_routes diff_recovered
 
 echo "replication smoke: OK"
