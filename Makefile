@@ -36,9 +36,11 @@ bench:
 	@echo "bench: wrote $(BENCH_JSON)"
 
 # Refresh the committed regression baseline for the pinned sweep benchmarks
-# (same benchmark set and iteration count bench-compare measures against).
+# (same benchmark set and iteration counts bench-compare measures against:
+# one whole clean session per CleanSession_Loadbench iteration, so 2x).
 bench-baseline:
-	$(GO) test -run XXX -bench 'Q2_SSDC_K3_N1000|Q2_SSDCMC_K3_N1000_Y2|BatchQ2_Incremental|EngineBuild|Scan|Q1_MM_Engine' -benchtime 50x -count 5 . ./internal/core/ > bench-baseline.out || (cat bench-baseline.out; exit 1)
+	$(GO) test -run XXX -bench 'Q2_SSDC_K3_N1000|Q2_SSDCMC_K3_N1000_Y2|BatchQ2_Incremental|EngineBuild|Scan|HypothesisCounts|Q1_MM_Engine' -benchtime 50x -count 5 . ./internal/core/ > bench-baseline.out || (cat bench-baseline.out; exit 1)
+	$(GO) test -run XXX -bench '^BenchmarkCleanSession_Loadbench$$' -benchtime 2x -count 5 . >> bench-baseline.out || (cat bench-baseline.out; exit 1)
 	@cat bench-baseline.out
 	$(GO) run ./internal/tools/benchjson -in bench-baseline.out -out bench/BENCH_baseline.json
 	@rm -f bench-baseline.out

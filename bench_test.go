@@ -355,6 +355,55 @@ func benchBatchQ2CleanWhileQuery(b *testing.B, incremental bool) {
 func BenchmarkBatchQ2_Incremental(b *testing.B) { benchBatchQ2CleanWhileQuery(b, true) }
 func BenchmarkBatchQ2_FullSweep(b *testing.B)   { benchBatchQ2CleanWhileQuery(b, false) }
 
+// --- Clean-session hot path -------------------------------------------------
+
+// BenchmarkCleanSession_Loadbench runs one CPClean session to completion
+// through an in-process serve.Server on the data loadbench's clean-live
+// workload registers: the Supreme generator's split for data seed 1 with
+// 1000 training rows, 20% MNAR missing cells, at most 25 candidates per row,
+// 40 validation points and K = 3 (the test pool is generated too, because
+// it shapes the split). Each iteration creates the session, steps it with
+// Next until done and releases it — the selection rounds (HypothesisCounts
+// over every uncertain row and validation point), the pins and the
+// certainty checks, without HTTP or the WAL. steps and hyp/run report the
+// last session's cleaning steps and examined hypotheses; both are fixed by
+// the data, so a change that moves them changed decisions, not speed.
+func BenchmarkCleanSession_Loadbench(b *testing.B) {
+	spec, err := experiments.SpecByName("Supreme")
+	if err != nil {
+		b.Fatal(err)
+	}
+	scale := experiments.Scale{Name: "loadbench", TrainN: 1000, ValN: 40, TestN: 20000, MissingCellRate: 0.20}
+	task, err := experiments.BuildTask(spec, scale, 1, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	s := serve.NewServer(serve.Config{})
+	defer s.Close()
+	if _, err := s.Register("supreme", task.Dataset(), knn.NegEuclidean{}, task.K); err != nil {
+		b.Fatal(err)
+	}
+	req := serve.CleanRequest{Truth: task.OracleWorld(), ValPoints: task.ValX}
+	var st serve.SessionStatus
+	for b.Loop() {
+		sess, err := s.StartCleanSession("supreme", req)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for done := false; !done; {
+			if _, done, err = sess.Next(64); err != nil {
+				b.Fatal(err)
+			}
+		}
+		st = sess.Status()
+		if err := s.ReleaseCleanSession(sess.ID()); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(st.Steps), "steps")
+	b.ReportMetric(float64(st.ExaminedHypotheses), "hyp/run")
+}
+
 // --- CPClean ablations --------------------------------------------------------
 
 func benchCPClean(b *testing.B, opts cleaning.Options) {

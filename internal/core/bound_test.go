@@ -221,10 +221,11 @@ func TestEngineApproxBytesTracksAllocs(t *testing.T) {
 	}
 }
 
-// FuzzBoundFirstEngine decodes a feature-level case and a pin sequence and
-// checks the bound-first engine: its T is the exact one, every candidate of
-// every absent row lies below it, and after each pin operation every query
-// equals the untruncated engine's with ==.
+// FuzzBoundFirstEngine decodes a feature-level case and a pin sequence of
+// up to maxFuzzPinOps operations and checks the bound-first engine: its T
+// is the exact one, every candidate of every absent row lies below it, and
+// after each pin operation every query equals the untruncated engine's
+// with ==.
 func FuzzBoundFirstEngine(f *testing.F) {
 	f.Add([]byte{2, 0, 1, 0, 20, 3, 1, 0x90, 0x91, 0x92, 0x93, 0, 2, 0, 0xa0, 1, 1})
 	f.Add([]byte{0, 1, 2, 3, 9, 4, 0x84, 0x88, 0x8c, 0x41, 0x42, 0x43, 0x4d, 2, 0x80, 0, 5, 7})
@@ -246,7 +247,7 @@ func FuzzBoundFirstEngine(f *testing.F) {
 		rng := rand.New(rand.NewSource(int64(len(data))))
 		p.check(t, rng, "unpinned")
 		n := c.d.N()
-		for len(data) > 0 {
+		for ops := 0; len(data) > 0 && ops < maxFuzzPinOps; ops++ {
 			switch op, row := next(), next()%n; op % 8 {
 			case 0:
 				pinAll(-1, -1, p.ref, p.tr)

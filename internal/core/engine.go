@@ -46,15 +46,17 @@ type Engine struct {
 	argMin, argMax []int32
 	pins           []int32 // pins[i] = candidate index row i is cleaned to, or -1
 	pinGen         uint64  // bumped on every pin mutation (SetPin, ResetPins)
-	rowPos         []int   // leaf index of each row inside its label's tree
-	labelLen       []int   // rows per label
-	// liveRows[l] lists, in ascending rowPos, label l's rows with kept
-	// candidates, and liveLeaves[l] their rowPos. Every other row's leaf is
+	// liveRows[l] lists, ascending, label l's rows with kept candidates, and
+	// shapes[l] is the path-collapsed tree over their leaves (segtree.Shape),
+	// in which slot[i] is live row i's leaf (slot is meaningless for other
+	// rows). The collapsed tree carries the bits of a dense tree over every
+	// row of the label, leaves in row order: every other row's leaf is
 	// exactly [1,0] at any position that does tree work — α = below[i] =
-	// M_i, or the row is pinned to a candidate below T (α = 1, M_eff = 1) —
-	// so buildLeaves sets only these leaves (segtree.ResetLeaves). An
-	// untruncated engine lists every row.
-	liveRows, liveLeaves [][]int32
+	// M_i, or the row is pinned to a candidate below T (α = 1, M_eff = 1).
+	// An untruncated engine lists every row.
+	liveRows [][]int32
+	shapes   []segtree.Shape
+	slot     []int32
 }
 
 // NewEngine builds an untruncated engine for incomplete dataset d and test
@@ -86,6 +88,7 @@ func NewTruncatedEngine(d *dataset.Incomplete, kernel knn.Kernel, t []float64, k
 func NewTruncatedEngineFromInstance(inst *Instance, k int) *Engine {
 	n := inst.N()
 	v := inst.scanView(k)
+	rowState := make([]int32, 2*n)
 	e := &Engine{
 		inst:      inst,
 		numLabels: inst.NumLabels,
@@ -95,42 +98,53 @@ func NewTruncatedEngineFromInstance(inst *Instance, k int) *Engine {
 		maxK:      math.MaxInt,
 		argMin:    v.argMin,
 		argMax:    v.argMax,
-		pins:      make([]int32, n),
-		rowPos:    make([]int, n),
-		labelLen:  make([]int, inst.NumLabels),
+		pins:      rowState[:n:n],
+		slot:      rowState[n:],
+		liveRows:  make([][]int32, inst.NumLabels),
+		shapes:    make([]segtree.Shape, inst.NumLabels),
 	}
 	if v.t != noThreshold {
 		e.maxK = k
 	}
+	// slot first holds each row's dense leaf index, its rank among its
+	// label's rows; the shapes below turn the live rows' into slots.
+	counts := make([]int32, 2*inst.NumLabels) // rows, then live rows, per label
+	rows, live := counts[:inst.NumLabels], counts[inst.NumLabels:]
+	total := 0
 	for i := 0; i < n; i++ {
 		e.pins[i] = -1
 		l := inst.Labels[i]
-		e.rowPos[i] = e.labelLen[l]
-		e.labelLen[l]++
-	}
-	// One backing array holds every label's live rows, then their leaves.
-	live := make([]int, inst.NumLabels)
-	total := 0
-	for i := 0; i < n; i++ {
+		e.slot[i] = rows[l]
+		rows[l]++
 		if e.hasKept(i) {
-			live[inst.Labels[i]]++
+			live[l]++
 			total++
 		}
 	}
+	// One backing array holds every label's live rows, then their shapes'
+	// pair parents (live−1 per label).
 	flat := make([]int32, 2*total)
-	e.liveRows = make([][]int32, inst.NumLabels)
-	e.liveLeaves = make([][]int32, inst.NumLabels)
+	maxLive := int32(0)
 	for l, c := range live {
 		e.liveRows[l], flat = flat[:0:c], flat[c:]
-	}
-	for l, c := range live {
-		e.liveLeaves[l], flat = flat[:0:c], flat[c:]
+		maxLive = max(maxLive, c)
 	}
 	for i := 0; i < n; i++ {
 		if e.hasKept(i) {
 			l := inst.Labels[i]
 			e.liveRows[l] = append(e.liveRows[l], int32(i))
-			e.liveLeaves[l] = append(e.liveLeaves[l], int32(e.rowPos[i]))
+		}
+	}
+	leaves := make([]int32, maxLive)
+	for l, rs := range e.liveRows {
+		lv := leaves[:len(rs)]
+		for j, r := range rs {
+			lv[j] = e.slot[r]
+		}
+		e.shapes[l] = segtree.NewShape(lv, flat)
+		flat = flat[e.shapes[l].Slots()/2:]
+		for j, r := range rs {
+			e.slot[r] = lv[j]
 		}
 	}
 	return e
@@ -251,26 +265,24 @@ func (e *Engine) WorldCount() *big.Int {
 
 // Scratch holds per-goroutine query state for an Engine. A Scratch is bound
 // to one (engine, K) pair and must not be shared between goroutines. It may
-// be reused across engines of identical shape (same N, labels in the same
-// order) — CPClean exploits this across validation-point engines.
+// be reused across engines of identical shape (same N and number of labels)
+// — CPClean exploits this across validation-point engines: its trees are
+// storage that each scan gives the engine's tree shapes.
 type Scratch struct {
 	k       int
-	trees   []*segtree.PolyTree
+	trees   []*segtree.Tree
 	alpha   []int32
-	pins    []int32     // pin vector with a per-query override (pinsFor)
-	leafP0  [][]float64 // per-label bulk leaf staging
-	leafP1  [][]float64
+	pins    []int32 // pin vector with a per-query override (pinsFor)
 	counts  []float64
 	tallies [][]int
 	winners []int
 	// SS-DC-MC winner-cap DP buffers.
 	dpA, dpB []float64
-	// Cached root views (stable slices into each tree's backing array).
-	rootsNormal [][]float64
-	// HypothesisCounts state: one alternate (pre-state) tree per label,
-	// prefix snapshots and per-pin outputs.
-	altTrees []*segtree.PolyTree
-	rootsPre [][]float64
+	// roots views each tree's root, set by buildLeaves.
+	roots [][]float64
+	// HypothesisCounts state: the shifted pre-state root of the row's
+	// label, prefix sums, prefix snapshots and per-pin outputs.
+	shifted  []float64
 	cumPre   []float64
 	cumPost  []float64
 	snapPre  [][]float64
@@ -279,50 +291,36 @@ type Scratch struct {
 	hyp      [][]float64
 }
 
-// scratchShape is the structural signature a Scratch is sized by: the
-// per-label row counts. It carries no reference to any engine, so pools can
+// scratchShape is the structural signature a Scratch is sized by: the row
+// and label counts. It carries no reference to any engine, so pools can
 // hold it without retaining the engine they were seeded from.
 type scratchShape struct {
-	labelLen []int
+	n, numLabels int
 }
 
-// shape copies the engine's scratch shape.
+// shape returns the engine's scratch shape.
 func (e *Engine) shape() scratchShape {
-	return scratchShape{labelLen: append([]int(nil), e.labelLen...)}
+	return scratchShape{n: e.N(), numLabels: e.numLabels}
 }
 
-// n returns the total row count.
-func (sh scratchShape) n() int {
-	t := 0
-	for _, l := range sh.labelLen {
-		t += l
-	}
-	return t
-}
-
-// newScratchFromShape allocates query state for the given shape and K.
+// newScratchFromShape allocates query state for the given shape and K. The
+// trees start empty and grow to the largest tree shape a scan gives them.
 func newScratchFromShape(sh scratchShape, k int) *Scratch {
-	numLabels := len(sh.labelLen)
+	numLabels := sh.numLabels
 	sc := &Scratch{
-		k:      k,
-		alpha:  make([]int32, sh.n()),
-		counts: make([]float64, numLabels),
-		dpA:    make([]float64, k+1),
-		dpB:    make([]float64, k+1),
+		k:       k,
+		alpha:   make([]int32, sh.n),
+		counts:  make([]float64, numLabels),
+		dpA:     make([]float64, k+1),
+		dpB:     make([]float64, k+1),
+		roots:   make([][]float64, numLabels),
+		shifted: make([]float64, k+1),
+		cumPre:  make([]float64, numLabels),
+		cumPost: make([]float64, numLabels),
 	}
 	for l := 0; l < numLabels; l++ {
-		sc.trees = append(sc.trees, segtree.New(sh.labelLen[l], k))
-		sc.altTrees = append(sc.altTrees, segtree.New(sh.labelLen[l], k))
-		sc.leafP0 = append(sc.leafP0, make([]float64, sh.labelLen[l]))
-		sc.leafP1 = append(sc.leafP1, make([]float64, sh.labelLen[l]))
+		sc.trees = append(sc.trees, segtree.NewTree(k))
 	}
-	sc.rootsNormal = make([][]float64, numLabels)
-	sc.rootsPre = make([][]float64, numLabels)
-	for l := 0; l < numLabels; l++ {
-		sc.rootsNormal[l] = sc.trees[l].Root()
-	}
-	sc.cumPre = make([]float64, numLabels)
-	sc.cumPost = make([]float64, numLabels)
 	sc.tallies = compositions(k, numLabels)
 	sc.winners = make([]int, len(sc.tallies))
 	for ti, g := range sc.tallies {
@@ -379,7 +377,7 @@ func (e *Engine) fullScan(sc *Scratch, overrideRow, overrideCand int, useMC bool
 	e.mustFit(sc)
 	pins := e.pinsFor(sc, overrideRow, overrideCand)
 	clear(sc.counts)
-	return e.scan(sc, pins, useMC)
+	return e.scan(sc, pins, useMC, -1)
 }
 
 // pinsFor returns the pin vector a query scans under: the engine's own pins,
@@ -397,23 +395,25 @@ func (e *Engine) pinsFor(sc *Scratch, overrideRow, overrideCand int) []int32 {
 	return sc.pins
 }
 
-// buildLeaves bulk-initializes every label tree from the current α state:
-// the leaf of each live row n is [α_n/M_n, 1−α_n/M_n] with M_n = 1 for rows
-// pinned in pins, and every other leaf is [1,0] (see liveRows).
+// buildLeaves bulk-builds every label tree from the current α state: the
+// tree takes the engine's collapsed shape for the label, and the leaf of
+// each live row n is [α_n/M_n, 1−α_n/M_n] with M_n = 1 for rows pinned in
+// pins (every other row's leaf is [1,0]; see liveRows). It points sc.roots
+// at the trees' roots.
 func (e *Engine) buildLeaves(sc *Scratch, pins []int32) {
 	for l, tr := range sc.trees {
-		rows := e.liveRows[l]
-		p0, p1 := sc.leafP0[l][:len(rows)], sc.leafP1[l][:len(rows)]
-		for j, r := range rows {
+		tr.Reset(e.shapes[l])
+		for _, r := range e.liveRows[l] {
 			i := int(r)
 			mEff := e.inst.M(i)
 			if pins[i] >= 0 {
 				mEff = 1
 			}
 			a := float64(sc.alpha[i]) / float64(mEff)
-			p0[j], p1[j] = a, 1-a
+			tr.InitLeaf(int(e.slot[i]), a, 1-a)
 		}
-		tr.ResetLeaves(e.liveLeaves[l], p0, p1)
+		tr.Build()
+		sc.roots[l] = tr.Root()
 	}
 }
 
@@ -448,37 +448,27 @@ func (sc *Scratch) ensureHyp(m, numLabels int) {
 //  2. row `row`'s own boundary term, which for pin j is the support of
 //     candidate (row, j) with the row forced onto the boundary.
 //
-// So one scan maintains two trees for the row's label (pre and post leaf
-// state), accumulates *both* supports per scanned candidate into running
-// prefix sums, snapshots the prefixes at each (row, j), and assembles
+// So one scan (Engine.scan with the row as its hypothesis row) keeps the
+// row's leaf in the post state [1,0] and reads the pre state's root for the
+// row's label as the post root shifted up one degree, [0, post[0..K−1]] —
+// exact in the tree arithmetic (see the segtree package doc), so no second
+// tree is kept. It accumulates *both* supports per scanned candidate into
+// running prefix sums, snapshots the prefixes at each (row, j), and
+// assembles
 //
 //	Q2_j = cumPre(before j) + [cumPost(total) − cumPost(before j)] + own_j.
 //
 // The returned slice holds M normalized distributions (aliasing sc buffers;
 // valid until the next call).
 func (e *Engine) HypothesisCounts(sc *Scratch, row int) [][]float64 {
-	inst := e.inst
 	if e.pins[row] >= 0 {
 		panic("core: HypothesisCounts on a pinned row")
 	}
 	e.mustFit(sc)
-	m := inst.M(row)
-	lRow := inst.Labels[row]
-	posRow := e.rowPos[row]
+	m := e.inst.M(row)
 	sc.ensureHyp(m, e.numLabels)
-	// zeroOthers counts rows ≠ row with α = 0; while it exceeds K−1, both
-	// the pre and post supports of any boundary candidate are zero, as is
-	// the row's own boundary support. The row's own α stays 0: its leaf is
-	// set explicitly in each tree.
-	zeroOthers := e.seedAlpha(sc.alpha, e.pins)
-	if sc.alpha[row] == 0 {
-		zeroOthers--
-	}
-	sc.alpha[row] = 0
-	for y := 0; y < e.numLabels; y++ {
-		sc.cumPre[y] = 0
-		sc.cumPost[y] = 0
-	}
+	clear(sc.cumPre)
+	clear(sc.cumPost)
 	// A pin of a candidate below T sits in the zero prefix: zero snapshots
 	// and a zero own term. Kept candidates fill theirs in during the scan.
 	for j := 0; j < m; j++ {
@@ -486,75 +476,7 @@ func (e *Engine) HypothesisCounts(sc *Scratch, row int) [][]float64 {
 		clear(sc.snapPost[j])
 		clear(sc.own[j])
 	}
-	// rootsPre views the alternate tree for the row's label.
-	copy(sc.rootsPre, sc.rootsNormal)
-	sc.rootsPre[lRow] = sc.altTrees[lRow].Root()
-	preTree := sc.altTrees[lRow]
-	postTree := sc.trees[lRow]
-
-	built := false
-	build := func() {
-		e.buildLeaves(sc, e.pins)
-		// Mirror the row-label tree into the pre tree, then fix the row's
-		// leaf states: post [1,0] (row's value less similar than boundary),
-		// pre [0,1] (row forced into the top-K).
-		preTree.CopyFrom(postTree)
-		postTree.SetLeaf(posRow, 1, 0)
-		preTree.SetLeaf(posRow, 0, 1)
-		built = true
-	}
-	for _, ref := range e.order {
-		i := int(ref.row)
-		j := int(ref.cand)
-		if i == row {
-			// Snapshot the prefix sums for pin j and compute its own
-			// boundary term (row forced onto the boundary ≡ the pre tree,
-			// with a pinned row's 1/M_eff = 1).
-			copy(sc.snapPre[j], sc.cumPre)
-			copy(sc.snapPost[j], sc.cumPost)
-			if zeroOthers <= sc.k-1 {
-				if !built {
-					build()
-				}
-				tallySupports(sc, sc.rootsPre, sc.own[j])
-			}
-			continue
-		}
-		ch := int(e.pins[i])
-		if ch >= 0 && j != ch {
-			continue
-		}
-		mEff := inst.M(i)
-		if ch >= 0 {
-			mEff = 1
-		}
-		sc.alpha[i]++
-		if sc.alpha[i] == 1 {
-			zeroOthers--
-		}
-		if zeroOthers > sc.k-1 {
-			continue
-		}
-		if !built {
-			build()
-		}
-		a := float64(sc.alpha[i]) / float64(mEff)
-		l := inst.Labels[i]
-		pos := e.rowPos[i]
-		force0, force1 := 0.0, 1/float64(mEff)
-		// Force row i onto the boundary in its tree(s), accumulate both
-		// states, restore.
-		sc.trees[l].SetLeaf(pos, force0, force1)
-		if l == lRow {
-			preTree.SetLeaf(pos, force0, force1)
-		}
-		tallySupports(sc, sc.rootsNormal, sc.cumPost)
-		tallySupports(sc, sc.rootsPre, sc.cumPre)
-		sc.trees[l].SetLeaf(pos, a, 1-a)
-		if l == lRow {
-			preTree.SetLeaf(pos, a, 1-a)
-		}
-	}
+	e.scan(sc, e.pins, false, row)
 	// Assemble the per-pin distributions.
 	for j := 0; j < m; j++ {
 		out := sc.hyp[j]

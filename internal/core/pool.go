@@ -8,8 +8,9 @@ import (
 
 // ApproxBytes estimates the engine's heap footprint — the similarities of
 // its present rows (O(NM) untruncated, the rows a bound-first build
-// evaluated truncated), the kept scan order and the O(N) row arrays — so
-// byte-budgeted caches can account engines instead of merely counting them.
+// evaluated truncated), the kept scan order, the O(N) row arrays and the
+// per-label live rows and tree shapes — so byte-budgeted caches can account
+// engines instead of merely counting them.
 func (e *Engine) ApproxBytes() int64 {
 	n := int64(e.N())
 	const sliceHeader = 24
@@ -18,41 +19,29 @@ func (e *Engine) ApproxBytes() int64 {
 	b += n * sliceHeader                       // Sims row headers
 	b += n * 8                                 // inst.Labels
 	b += int64(len(e.inst.absentM)) * 4        // inst.absentM
-	b += n * (4 + 8)                           // pins, rowPos
+	b += n * (4 + 4)                           // pins, slot
 	b += n * (4 + 4 + 4)                       // below, argMin, argMax
 	for _, rows := range e.liveRows {
-		b += int64(len(rows)) * (4 + 4) // liveRows, liveLeaves
+		b += int64(len(rows)) * (4 + 4) // liveRows, shape pair parents
 	}
-	b += int64(e.numLabels) * (8 + 2*sliceHeader) // labelLen, liveRows/liveLeaves headers
+	b += int64(e.numLabels) * 2 * sliceHeader // liveRows and shapes headers
 	return b
 }
 
-// ApproxBytes estimates the scratch's heap footprint: the per-label segment
-// trees dominate at O(N·K) floats per label (×2 for the hypothesis-scan
-// alternate trees).
+// ApproxBytes estimates the scratch's heap footprint: the per-label tree
+// storage (grown to the largest collapsed tree it has held, O(live·K)
+// floats), the O(N) α and pin vectors, and the hypothesis buffers.
 func (sc *Scratch) ApproxBytes() int64 {
 	var b int64
 	for _, tr := range sc.trees {
-		b += treeBytes(tr.Len(), sc.k) * 2 // trees + altTrees
+		b += tr.ApproxBytes()
 	}
 	b += int64(len(sc.alpha)+len(sc.pins)) * 4
 	b += int64(len(sc.tallies)) * (24 + int64(len(sc.counts))) // tally slices
-	for _, p := range sc.leafP0 {
-		b += int64(len(p)) * 16 // leafP0 + leafP1
-	}
 	for _, h := range sc.hyp {
 		b += int64(len(h)) * 8 * 4 // hyp, own, snapPre, snapPost
 	}
 	return b
-}
-
-// treeBytes is the node-array footprint of a segtree.PolyTree over n leaves.
-func treeBytes(n, k int) int64 {
-	size := 1
-	for size < n {
-		size *= 2
-	}
-	return int64(2*size*(k+1))*8 + int64(size)*8 // nodes, ResetLeaves work list
 }
 
 // ResetPins clears every persistent pin, returning the engine to the fully

@@ -4,29 +4,61 @@ package core
 // ordered walk over the engine's sorted kept candidates (all NM of them
 // untruncated), from the seeded α state, that forces each scanned
 // candidate's row onto the boundary, reads the boundary supports off the
-// per-label segment-tree roots, adds them into the Scratch's counts, and
-// restores the row's leaf. Every sequential Q2 path runs it —
-// Engine.Counts, Engine.CountsMC and a Retained memo's full sweep.
-// HypothesisCounts keeps its own two-tree variant of the walk.
+// per-label path-collapsed tree roots, adds them up, and restores the row's
+// leaf. Every Q2 path runs it — Engine.Counts, Engine.CountsMC and a
+// Retained memo's full sweep into the Scratch's counts, and
+// HypothesisCounts, with a hypothesis row, into the pre/post prefix sums
+// (the row's pre-state root is the post root shifted one degree).
 
 // scan walks every kept scan position with real tree work under the given
 // pin vector (e.pins, or pinsFor's copy carrying a per-query override),
-// from the α state seedAlpha derives, adding each position's supports into
-// sc.counts. useMC selects the appendix-A.3 winner-cap accumulator instead
-// of tally enumeration. The trees are bulk-built at the first position
-// whose boundary support is not provably zero. Returns the number of
-// positions that performed tree work.
-func (e *Engine) scan(sc *Scratch, pins []int32, useMC bool) int64 {
+// from the α state seedAlpha derives. With hypRow = −1 it adds each
+// position's supports into sc.counts; useMC selects the appendix-A.3
+// winner-cap accumulator instead of tally enumeration. With an unpinned
+// hypRow ≥ 0 it is HypothesisCounts' walk: the row's leaf stays [1,0]
+// (α = M) throughout, each position adds its supports with the row after
+// the boundary into sc.cumPost and with it before the boundary (the
+// shifted root) into sc.cumPre, and each of the row's own candidates j
+// snapshots both sums and adds its own boundary term into sc.own[j]. The
+// trees are bulk-built at the first position whose boundary support is not
+// provably zero. Returns the number of positions that performed tree work.
+func (e *Engine) scan(sc *Scratch, pins []int32, useMC bool, hypRow int) int64 {
 	inst := e.inst
 	labels := inst.Labels
-	rowPos := e.rowPos
+	slot := e.slot
 	alpha := sc.alpha
 	k := sc.k
 	zeroRows := e.seedAlpha(alpha, pins)
+	lHyp := -1
+	if hypRow >= 0 {
+		// The hypothesis row's α = M makes its leaf [1,0], and takes it
+		// out of zeroRows, which then counts the other rows with α = 0.
+		if alpha[hypRow] == 0 {
+			zeroRows--
+		}
+		alpha[hypRow] = int32(inst.M(hypRow))
+		lHyp = labels[hypRow]
+	}
 	built := false
 	var scanned int64
 	for _, ref := range e.order {
 		i := int(ref.row)
+		if i == hypRow {
+			// Snapshot the prefix sums for pin j and compute its own
+			// boundary term: the row forced onto the boundary, a pinned
+			// row's leaf [0, 1/1], is the pre state.
+			j := ref.cand
+			copy(sc.snapPre[j], sc.cumPre)
+			copy(sc.snapPost[j], sc.cumPost)
+			if zeroRows <= k-1 {
+				if !built {
+					e.buildLeaves(sc, pins)
+					built = true
+				}
+				sc.tallyPre(lHyp, sc.own[j])
+			}
+			continue
+		}
 		ch := int(pins[i])
 		if ch >= 0 && int(ref.cand) != ch {
 			continue // candidate eliminated by cleaning
@@ -54,15 +86,19 @@ func (e *Engine) scan(sc *Scratch, pins []int32, useMC bool) int64 {
 		}
 		a := float64(alpha[i]) / float64(mEff)
 		tr := sc.trees[labels[i]]
-		p := rowPos[i]
+		p := int(slot[i])
 		// Force row i onto the boundary: it contributes exactly one top-K
 		// slot, with probability 1/mEff of picking this candidate. Read the
 		// supports, then restore the leaf to its scanned state [α/M, 1−α/M].
 		tr.SetLeaf(p, 0, 1/float64(mEff))
-		if useMC {
+		switch {
+		case hypRow >= 0:
+			tallySupports(sc, sc.cumPost)
+			sc.tallyPre(lHyp, sc.cumPre)
+		case useMC:
 			e.mcSupports(sc, sc.counts)
-		} else {
-			tallySupports(sc, sc.rootsNormal, sc.counts)
+		default:
+			tallySupports(sc, sc.counts)
 		}
 		tr.SetLeaf(p, a, 1-a)
 		scanned++
@@ -70,10 +106,25 @@ func (e *Engine) scan(sc *Scratch, pins []int32, useMC bool) int64 {
 	return scanned
 }
 
-// tallySupports enumerates every label tally against the given per-label root
-// polynomials (Algorithm 1, lines 9-12), adding each nonzero support to
-// out[winner].
-func tallySupports(sc *Scratch, roots [][]float64, out []float64) {
+// tallyPre is tallySupports against the pre-state roots of a hypothesis
+// scan: label l's root is its post root shifted up one degree, the root
+// with the hypothesis row's leaf [0,1] instead of [1,0], bit for bit
+// (segtree package doc, "Tree arithmetic"). sc.roots[l] views the shifted
+// copy for the tally only.
+func (sc *Scratch) tallyPre(l int, out []float64) {
+	post := sc.roots[l]
+	sc.shifted[0] = 0
+	copy(sc.shifted[1:], post[:sc.k])
+	sc.roots[l] = sc.shifted
+	tallySupports(sc, out)
+	sc.roots[l] = post
+}
+
+// tallySupports enumerates every label tally against the per-label root
+// polynomials sc.roots (Algorithm 1, lines 9-12), adding each nonzero
+// support to out[winner].
+func tallySupports(sc *Scratch, out []float64) {
+	roots := sc.roots
 	for ti, g := range sc.tallies {
 		prod := 1.0
 		for l, c := range g {
@@ -99,7 +150,7 @@ func tallySupports(sc *Scratch, roots [][]float64, out []float64) {
 func (e *Engine) mcSupports(sc *Scratch, out []float64) {
 	k := sc.k
 	for l := 0; l < e.numLabels; l++ {
-		rootL := sc.trees[l].Root()
+		rootL := sc.roots[l]
 		for c := 1; c <= k; c++ {
 			wl := rootL[c]
 			if wl == 0 {
@@ -122,7 +173,7 @@ func (e *Engine) mcSupports(sc *Scratch, out []float64) {
 				if lp < l {
 					capL = c - 1
 				}
-				rootP := sc.trees[lp].Root()
+				rootP := sc.roots[lp]
 				for s := 0; s <= rem; s++ {
 					acc := 0.0
 					hi := s

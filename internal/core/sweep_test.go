@@ -7,9 +7,9 @@ import (
 	"repro/internal/knn"
 )
 
-// BenchmarkScan measures the scan kernel's accumulate sink, its only sink,
-// over a full scan — Engine.Counts, the work of every Q2 sweep including a
-// Retained memo's — from the seeded α state, on an untruncated engine
+// BenchmarkScan measures the scan kernel's accumulate walk over a full
+// scan — Engine.Counts, the work of every Q2 sweep including a Retained
+// memo's — from the seeded α state, on an untruncated engine
 // (full) and one truncated for K = 3 (trunc/K3). Two shapes: a mid-sized random
 // engine (N=400, M≤4, three labels, K=3), where most positions lie past the
 // zero-support transition, and a Supreme-shaped one (supreme/…, N=1000,
@@ -43,8 +43,9 @@ func BenchmarkScan(b *testing.B) {
 	}
 }
 
-// BenchmarkHypothesisCounts measures CPClean's inner loop — one combined
-// scan answering the pin of every candidate of one row — on the
+// BenchmarkHypothesisCounts measures CPClean's inner loop — the scan
+// kernel's hypothesis walk, answering the pin of every candidate of one
+// row in one scan — on the
 // Supreme-shaped engine truncated for K = 3, for the uncertain row with kept
 // candidates that has the most candidates.
 func BenchmarkHypothesisCounts(b *testing.B) {

@@ -393,9 +393,17 @@ func TestTruncatedEngineOnSupremeShape(t *testing.T) {
 	}
 }
 
-// FuzzTruncatedEngine decodes an instance, a K and a pin sequence from the
-// input and checks every query of the truncated engine against the
-// untruncated one with == after each pin operation.
+// maxFuzzPinOps bounds the pin operations one fuzz input decodes: the
+// truncation fuzz targets check every query after each, so an input grown
+// to a few KB would otherwise cost hundreds of full checks. Bytes past the
+// bound are ignored. Every committed seed decodes fewer operations (at most
+// 55), so each still runs whole.
+const maxFuzzPinOps = 64
+
+// FuzzTruncatedEngine decodes an instance, a K and a pin sequence of up to
+// maxFuzzPinOps operations from the input and checks every query of the
+// truncated engine against the untruncated one with == after each pin
+// operation.
 func FuzzTruncatedEngine(f *testing.F) {
 	f.Add([]byte{1, 0, 5, 3, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15})
 	f.Add([]byte{3, 1, 0, 0x84, 0x90, 0xa0, 0x01, 0x02, 0x03, 0x10, 0x20, 0x33})
@@ -432,7 +440,7 @@ func FuzzTruncatedEngine(f *testing.F) {
 		p := newTruncPair(t, inst, k)
 		rng := rand.New(rand.NewSource(int64(len(data))))
 		p.check(t, rng, "unpinned")
-		for len(data) > 0 {
+		for ops := 0; len(data) > 0 && ops < maxFuzzPinOps; ops++ {
 			switch op, row := next(), next()%n; op % 8 {
 			case 0:
 				pinAll(-1, -1, p.ref, p.tr)

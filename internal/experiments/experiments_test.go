@@ -1,8 +1,13 @@
 package experiments
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"strings"
 	"testing"
+
+	"repro/internal/serve"
 )
 
 func TestScaleByName(t *testing.T) {
@@ -194,4 +199,42 @@ func TestRunFigure9TinySmoke(t *testing.T) {
 			r.CleanedToCertifyCP, r.CleanedToCertifyRandom)
 	}
 	_ = Figure9Report(r).String()
+}
+
+// TestBuildTaskOutputPinned pins what BuildTask generates — the dataset
+// fingerprint (serve.Fingerprint: every candidate's bits and every label)
+// and a SHA-256 of the oracle's truth choices — for Supreme at two
+// training sizes. The values were taken before repair's oracle stopped
+// re-sorting a column per numeric cell; any change to the generated data
+// fails here.
+func TestBuildTaskOutputPinned(t *testing.T) {
+	spec, err := SpecByName("Supreme")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		trainN      int
+		fingerprint string
+		truth       string
+	}{
+		{400, "a68a1a860aad642897fe21b4a584a8aafa9cbd34ce8cb58d8d0887e1a202b6a9", "5d61ca9d2ac56551ecc761b06c83d61c522d415c572d8e398dd35980cfcfbeec"},
+		{1500, "f55361a9d7d2cd2a713c46f93afc0bbf652f68a3ab7914b584279b2927c6f172", "9b76716eef783d2fda8dc5fc37e061dc8e72b286bd163cde13596e89997c0f42"},
+	} {
+		task, err := BuildTask(spec, Scale{Name: "pinned", TrainN: tc.trainN, ValN: 20, TestN: 20, MissingCellRate: 0.2}, 7, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := sha256.New()
+		var buf [8]byte
+		for _, v := range task.OracleWorld() {
+			binary.LittleEndian.PutUint64(buf[:], uint64(v))
+			h.Write(buf[:])
+		}
+		if got := serve.Fingerprint(task.Dataset(), Kernel(), ModelK); got != tc.fingerprint {
+			t.Errorf("N=%d: dataset fingerprint %s, want %s", tc.trainN, got, tc.fingerprint)
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != tc.truth {
+			t.Errorf("N=%d: oracle truth hash %s, want %s", tc.trainN, got, tc.truth)
+		}
+	}
 }

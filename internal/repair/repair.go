@@ -106,14 +106,21 @@ func Generate(dirty, truth *table.Table, enc *table.Encoder, opts Options) (*Rep
 	if truth != nil && truth.NumRows() != dirty.NumRows() {
 		return nil, fmt.Errorf("repair: truth has %d rows, dirty has %d", truth.NumRows(), dirty.NumRows())
 	}
-	// Per-column candidate pools, computed once.
+	// Per-column candidate pools and the oracle's numeric scales (each
+	// column's observed range), computed once.
 	pools := make([][]table.Cell, dirty.NumCols())
+	scales := make([]float64, dirty.NumCols())
 	for ci, c := range dirty.Cols {
 		if c.MissingCount() == 0 {
 			continue
 		}
 		if c.Kind == table.Numeric {
 			pools[ci] = NumericCandidates(c)
+			st := c.Stats()
+			scales[ci] = st.Max - st.Min
+			if scales[ci] <= 0 {
+				scales[ci] = 1
+			}
 		} else {
 			pools[ci] = CategoricalCandidates(c, opts.TopCategories)
 		}
@@ -145,7 +152,7 @@ func Generate(dirty, truth *table.Table, enc *table.Encoder, opts Options) (*Rep
 		out.Overrides[i] = combos
 		out.DirtyRows = append(out.DirtyRows, i)
 		if truth != nil {
-			out.Truth[i] = closestToTruth(dirty, truth, i, combos, pools)
+			out.Truth[i] = closestToTruth(truth, i, combos, pools, scales)
 		}
 	}
 	d, err := dataset.New(examples, dirty.NumLabels)
@@ -197,22 +204,18 @@ func cartesian(missCols []int, pools [][]table.Cell, limit int) []map[int]table.
 
 // closestToTruth implements the simulated human: among the row's candidates,
 // pick the one minimizing per-cell distance to the ground truth. Numeric
-// cells use |v − truth| scaled by the column range; categorical cells cost 0
-// on exact match, 0.5 for OtherCategory when the truth is not a frequent
-// category (OtherCategory is the honest answer then), and 1 otherwise.
-func closestToTruth(dirty, truth *table.Table, row int, combos []map[int]table.Cell, pools [][]table.Cell) int {
+// cells use |v − truth| divided by scales[ci], the dirty column's observed
+// range (1 when empty); categorical cells cost 0 on exact match, 0.5 for
+// OtherCategory when the truth is not a frequent category (OtherCategory is
+// the honest answer then), and 1 otherwise.
+func closestToTruth(truth *table.Table, row int, combos []map[int]table.Cell, pools [][]table.Cell, scales []float64) int {
 	best, bestDist := 0, math.Inf(1)
 	for j, ov := range combos {
 		d := 0.0
 		for ci, cell := range ov {
 			col := truth.Cols[ci]
 			if cell.Kind == table.Numeric {
-				st := dirty.Cols[ci].Stats()
-				scale := st.Max - st.Min
-				if scale <= 0 {
-					scale = 1
-				}
-				d += math.Abs(cell.Num-col.Nums[row]) / scale
+				d += math.Abs(cell.Num-col.Nums[row]) / scales[ci]
 			} else {
 				tv := col.Cats[row]
 				switch {

@@ -6,32 +6,55 @@
 //	T(c, a, b) = Σ_k T(k, a, m) · T(c−k, m+1, b)
 //
 // so the root coefficient T(c, 1, N) is the total weight of choosing exactly
-// c rows into the top-K. Updating one leaf costs O(K² log N); reading the
+// c rows into the top-K. Updating one leaf costs O(K² · depth); reading the
 // root is O(1).
+//
+// # Path-collapsed trees
+//
+// The dense tree is a padded power-of-two heap over every row of a label,
+// but SS-DC sets only a few leaves to anything but the identity
+// [1, 0, ..., 0]: the live rows, whose candidates reach a top-K boundary.
+// A Tree keeps, of the dense tree over those leaves, only the live leaves
+// and the branching nodes — the nodes with a live leaf under both children —
+// and collapses every other node. A collapsed node's value is its one live
+// child's value times identities, which is that value exactly (see "Tree
+// arithmetic"), and a node over identity leaves only is the identity; so
+// each branching node convolves the same two values, left before right, as
+// its dense counterpart, and the root carries the dense root's bits. A
+// SetLeaf walks the leaf's branching ancestors only: at most
+// min(live−1, log₂ N) nodes. NewShape derives the structure from the live
+// leaves' dense indices; a Tree is storage for any shape.
 //
 // # Purity invariant
 //
 // Every internal node is always the exact truncated convolution of its two
-// children (each update fully recomputes the nodes on the changed leaf's
-// path), so node values — the root above all — are a pure function of the
-// current leaf values: any sequence of SetLeaf / ResetLeaves / CopyFrom
-// calls that ends in the same leaf state yields bit-identical node values,
-// regardless of the path taken. The SS-DC scan (internal/core) depends on
-// exactly this property to bulk-build its trees at the first position with
-// tree work and still match a leaf-by-leaf scan bit for bit;
-// TestPathIndependence pins it.
+// children (Build computes every one, and SetLeaf recomputes the nodes on
+// the changed leaf's path), so node values — the root above all — are a
+// pure function of the shape and the current leaf values: any sequence of
+// Build and SetLeaf calls that ends in the same leaf state yields
+// bit-identical node values, regardless of the path taken or of what the
+// storage held before. The SS-DC scan (internal/core) depends on exactly
+// this property to bulk-build its trees at the first position with tree
+// work and still match a leaf-by-leaf scan bit for bit; TestPathIndependence
+// pins it.
 //
 // # Tree arithmetic
 //
 // SS-DC's leaves come from one domain: α/M, 1−α/M, 1/M, 0 and 1 — finite
 // values ≥ +0 — and every node is built from them by products and sums,
-// which keep the domain. Three facts follow, and the answer bits rest on
+// which keep the domain. Four facts follow, and the answer bits rest on
 // them:
 //
 //   - A product with the identity [1, 0, ..., 0] is exact: 1·x = x and
 //     x + (+0) = x for x ≥ +0. So a node over identity leaves only is the
-//     identity, and ResetLeaves may skip every node with no non-identity
-//     leaf below it.
+//     identity, and a node with one identity child equals its other child:
+//     the collapse above changes no bit.
+//   - Replacing one leaf [1, 0] by [0, 1] shifts every node on its path up
+//     one degree: each new term is an old product, summed in the old order,
+//     plus +0 terms (the shifted child's zero coefficient times the
+//     sibling). So the root with that leaf [0, 1] is [0, r₀, ..., r_{K−1}]
+//     for the root r with it [1, 0], exactly; internal/core's hypothesis
+//     scan reads its "pre" root that way instead of keeping a second tree.
 //   - The zero-skip in the generic convolution drops only +0 terms, which
 //     leave the sum unchanged; so the K = 3 kernel (the paper's K, and the
 //     serving default), which keeps all eight child coefficients in
@@ -44,168 +67,185 @@
 //     checks the compiled arm64 code for fused instructions.
 package segtree
 
-// PolyTree is a fixed-size segment tree over n leaves, each node storing a
-// polynomial of k+1 coefficients.
-type PolyTree struct {
-	n     int // number of real leaves
-	k     int // polynomial degree bound (top-K capacity)
-	size  int // number of leaves in the padded (power-of-two) tree
-	nodes []float64
-	work  []int // ResetLeaves' per-level ancestor list
+import "math/bits"
+
+// Shape is the structure of a path-collapsed tree over n live leaves. It
+// has 2n−1 slots (one when n = 0): slot 0 is the root, and slots 2q+1 and
+// 2q+2 are pair q, the left and right child of the node in slot up[q].
+// Children are allocated in adjacent pairs so the K = 3 kernel reads its
+// eight coefficients from one contiguous run, and pairs are numbered in
+// preorder, so every node's pair follows its parent's.
+type Shape struct {
+	up []int32
 }
 
-// New creates a tree with n leaves and capacity k. All real leaves start as
-// [1, 0, ..., 0] (the identity weight); padding leaves are identities too.
-func New(n, k int) *PolyTree {
-	if n < 0 || k < 0 {
-		panic("segtree: negative size")
-	}
-	size := 1
-	for size < n {
-		size *= 2
-	}
+// NewShape derives the collapsed shape over len(leaves) live leaves of a
+// dense tree. On entry leaves[j] is the dense index of the j-th live leaf,
+// strictly ascending; on return it is that leaf's slot. up must have room
+// for len(leaves)−1 entries; the shape keeps it.
+func NewShape(leaves, up []int32) Shape {
+	n := len(leaves)
 	if n == 0 {
-		size = 1
+		return Shape{}
 	}
-	t := &PolyTree{n: n, k: k, size: size,
-		nodes: make([]float64, 2*size*(k+1)),
-		work:  make([]int, 0, size),
-	}
-	t.ResetIdentity()
-	return t
-}
-
-// Len returns the number of real leaves.
-func (t *PolyTree) Len() int { return t.n }
-
-// K returns the capacity bound.
-func (t *PolyTree) K() int { return t.k }
-
-// node returns the coefficient slice of tree node idx (1-based heap layout).
-func (t *PolyTree) node(idx int) []float64 {
-	w := t.k + 1
-	return t.nodes[idx*w : idx*w+w]
-}
-
-// ResetIdentity sets every leaf to the identity polynomial [1, 0, ..., 0]
-// and rebuilds internal nodes. O(size·K).
-func (t *PolyTree) ResetIdentity() {
-	w := t.k + 1
-	for i := range t.nodes {
-		t.nodes[i] = 0
-	}
-	// All nodes are [1,0,...]: identity products of identities.
-	for idx := 1; idx < 2*t.size; idx++ {
-		t.nodes[idx*w] = 1
-	}
-}
-
-// ResetLeaves sets leaf pos[j] to [p0[j], p1[j], 0, ...] for every j, sets
-// every other leaf to the identity [1, 0, ..., 0], and recomputes only the
-// ancestors of the given leaves, level by level. pos must be strictly
-// ascending leaf indices. A node with no given leaf below it is the product
-// of identities, which is the identity exactly (see the package doc), so
-// the result equals a build that sets every leaf and recomputes every
-// internal node, node for node. O(size·K + |pos|·K²·log(n/|pos|)).
-func (t *PolyTree) ResetLeaves(pos []int32, p0, p1 []float64) {
-	if len(p0) != len(pos) || len(p1) != len(pos) {
-		panic("segtree: ResetLeaves length mismatch")
-	}
-	t.ResetIdentity()
-	cur := t.work[:0]
-	last := -1
-	for j, p := range pos {
-		i := int(p)
-		if i <= last || i >= t.n {
-			panic("segtree: ResetLeaves positions not strictly ascending within range")
-		}
-		last = i
-		leaf := t.node(t.size + i)
-		leaf[0] = p0[j]
-		if t.k >= 1 {
-			leaf[1] = p1[j]
-		}
-		if idx := (t.size + i) / 2; len(cur) == 0 || cur[len(cur)-1] != idx {
-			cur = append(cur, idx)
+	for j, p := range leaves {
+		if p < 0 || (j > 0 && p <= leaves[j-1]) {
+			panic("segtree: NewShape leaves not strictly ascending non-negative indices")
 		}
 	}
-	// cur holds one level's distinct ancestors in ascending order; their
-	// parents, deduplicated, are the next level up. next overwrites cur in
-	// place: its write index never passes the read index.
-	for len(cur) > 0 && cur[0] >= 1 {
-		next := cur[:0]
-		for _, idx := range cur {
-			t.recompute(idx)
-			if up := idx / 2; len(next) == 0 || next[len(next)-1] != up {
-				next = append(next, up)
+	b := shapeBuilder{leaves: leaves, up: up[:n-1]}
+	b.node(0, n-1, 0)
+	return Shape{up: b.up}
+}
+
+// Slots returns the number of slots a tree of this shape uses.
+func (s Shape) Slots() int { return 2*len(s.up) + 1 }
+
+// shapeBuilder assigns slots in preorder over the branching structure of a
+// run of dense leaf indices.
+type shapeBuilder struct {
+	leaves []int32
+	up     []int32
+	next   int32 // next unallocated pair
+}
+
+// node lays out the subtree over leaves[lo..hi] rooted at slot. The dense
+// subtree over a range branches at the highest bit where its first and last
+// index differ; its right child's leaves are those with that bit set, and
+// the first of them starts the right half. Leaves left of lo already hold
+// their slots and the ones from lo on still hold indices, so the binary
+// search reads indices only. The recursion depth is at most 32: each level
+// strictly lowers the branching bit.
+func (b *shapeBuilder) node(lo, hi int, slot int32) {
+	for lo < hi {
+		h := bits.Len32(uint32(b.leaves[lo]^b.leaves[hi])) - 1
+		mid := b.leaves[hi] >> h << h // smallest index in the right child
+		l, r := lo+1, hi
+		for l < r {
+			if m := int(uint(l+r) >> 1); b.leaves[m] >= mid {
+				r = m
+			} else {
+				l = m + 1
 			}
 		}
-		cur = next
+		q := b.next
+		b.next++
+		b.up[q] = slot
+		b.node(lo, l-1, 2*q+1)
+		lo, slot = l, 2*q+2
+	}
+	b.leaves[lo] = slot
+}
+
+// Tree is a path-collapsed segment tree, each node storing a polynomial of
+// k+1 coefficients. Its storage grows to the largest shape it is given and
+// is reused across shapes.
+type Tree struct {
+	k     int
+	up    []int32   // the current shape's pair parents
+	nodes []float64 // slot s holds coefficients [s·(k+1), (s+1)·(k+1))
+}
+
+// NewTree returns an empty tree of capacity k, to be given a shape by Reset.
+func NewTree(k int) *Tree {
+	if k < 0 {
+		panic("segtree: negative capacity")
+	}
+	return &Tree{k: k}
+}
+
+// ApproxBytes returns the footprint of the tree's coefficient storage.
+func (t *Tree) ApproxBytes() int64 { return int64(cap(t.nodes)) * 8 }
+
+// node returns the coefficient slice of slot s.
+func (t *Tree) node(s int) []float64 {
+	w := t.k + 1
+	return t.nodes[s*w : s*w+w]
+}
+
+// Reset gives the tree shape sh and makes slot 0 the identity, the root of
+// a tree with no live leaf. Each of the shape's leaves must then be set by
+// InitLeaf, and Build called, before the root is read: storage keeps
+// whatever the previous shape left in it. O(K) plus any growth.
+func (t *Tree) Reset(sh Shape) {
+	t.up = sh.up
+	need := sh.Slots() * (t.k + 1)
+	if cap(t.nodes) < need {
+		t.nodes = append(t.nodes[:cap(t.nodes)], make([]float64, need-cap(t.nodes))...)
+	}
+	t.nodes = t.nodes[:need]
+	root := t.node(0)
+	clear(root)
+	root[0] = 1
+}
+
+// InitLeaf sets the leaf in slot s to [p0, p1, 0, ...] without updating its
+// ancestors; Build does that for every leaf at once.
+func (t *Tree) InitLeaf(s int, p0, p1 float64) {
+	leaf := t.node(s)
+	leaf[0] = p0
+	if t.k >= 1 {
+		leaf[1] = p1
+		clear(leaf[2:])
 	}
 }
 
-// SetLeaf sets leaf i to the polynomial [p0, p1, 0, ...] and updates the
-// path to the root. O(K² log n).
-func (t *PolyTree) SetLeaf(i int, p0, p1 float64) {
-	if i < 0 || i >= t.n {
-		panic("segtree: SetLeaf out of range")
+// Build recomputes every internal node from the leaves, children before
+// parents (pairs in reverse preorder). O(live·K²).
+func (t *Tree) Build() {
+	if t.k == 3 {
+		for q := len(t.up) - 1; q >= 0; q-- {
+			t.recompute3(q)
+		}
+		return
 	}
-	leaf := t.node(t.size + i)
-	for j := range leaf {
-		leaf[j] = 0
+	for q := len(t.up) - 1; q >= 0; q-- {
+		t.recomputeGeneric(q)
 	}
+}
+
+// SetLeaf sets the leaf in slot s to [p0, p1, 0, ...] and updates its path
+// to the root. Its higher coefficients are still zero from InitLeaf, so
+// only the first two are written. O(K² · depth).
+func (t *Tree) SetLeaf(s int, p0, p1 float64) {
+	leaf := t.node(s)
 	leaf[0] = p0
 	if t.k >= 1 {
 		leaf[1] = p1
 	}
 	// The kernel choice is hoisted out of the path loop, so the generic
-	// path pays no per-node dispatch.
-	idx := (t.size + i) / 2
+	// path pays no per-node dispatch. Slot s belongs to pair (s−1)/2, whose
+	// parent is up of that pair.
 	if t.k == 3 {
-		for ; idx >= 1; idx /= 2 {
-			t.recompute3(idx)
+		for s > 0 {
+			q := (s - 1) >> 1
+			t.recompute3(q)
+			s = int(t.up[q])
 		}
 		return
 	}
-	for ; idx >= 1; idx /= 2 {
-		t.recomputeGeneric(idx)
+	for s > 0 {
+		q := (s - 1) >> 1
+		t.recomputeGeneric(q)
+		s = int(t.up[q])
 	}
 }
 
-// CopyFrom makes t a bitwise copy of src, which must have identical n and k.
-// O(size·K) — cheaper than replaying src's update history.
-func (t *PolyTree) CopyFrom(src *PolyTree) {
-	if t.n != src.n || t.k != src.k {
-		panic("segtree: CopyFrom shape mismatch")
-	}
-	copy(t.nodes, src.nodes)
-}
-
-// recompute sets node idx to the truncated convolution of its children, by
-// the K = 3 kernel when it applies and the generic loop otherwise.
+// recomputeGeneric sets pair q's parent to the truncated convolution of the
+// pair, for any K, and is the reference the K = 3 kernel is tested against:
+// dst[c] = Σ_a l[a]·r[c−a], summed left to right over a, skipping terms
+// whose l[a] is zero. dst never aliases the children (a parent's slot
+// precedes its pair's), so it writes straight into dst. Every product is
+// rounded before it is added (float64(...)), so the compiler never fuses
+// the two into one FMA and every architecture computes the same bits.
 //
-// Precondition for the kernel: every coefficient in the tree is finite and
-// ≥ +0 — the leaf domain α/M, 1−α/M, 1/M, 0 and 1, closed under the
-// products and sums below. On that domain the generic loop's zero-skip
-// drops only +0 terms, which leave a sum ≥ +0 unchanged, so the two paths
-// agree bit for bit.
-func (t *PolyTree) recompute(idx int) {
-	if t.k == 3 {
-		t.recompute3(idx)
-		return
-	}
-	t.recomputeGeneric(idx)
-}
-
-// recomputeGeneric is the convolution for any K, and the reference the
-// K = 3 kernel is tested against: dst[c] = Σ_a l[a]·r[c−a], summed left
-// to right over a, skipping terms whose l[a] is zero. dst never aliases
-// the children (idx < 2·idx), so it writes straight into dst. Every
-// product is rounded before it is added (float64(...)), so the compiler
-// never fuses the two into one FMA and every architecture computes the
-// same bits.
-func (t *PolyTree) recomputeGeneric(idx int) {
-	l, r, dst := t.node(2*idx), t.node(2*idx+1), t.node(idx)
+// Precondition for the K = 3 kernel: every coefficient in the tree is
+// finite and ≥ +0 — the leaf domain α/M, 1−α/M, 1/M, 0 and 1, closed under
+// the products and sums below. On that domain the zero-skip drops only +0
+// terms, which leave a sum ≥ +0 unchanged, so the two paths agree bit for
+// bit.
+func (t *Tree) recomputeGeneric(q int) {
+	l, r, dst := t.node(2*q+1), t.node(2*q+2), t.node(int(t.up[q]))
 	for c := t.k; c >= 0; c-- {
 		s := 0.0
 		for a := 0; a <= c; a++ {
@@ -220,13 +260,14 @@ func (t *PolyTree) recomputeGeneric(idx int) {
 
 // recompute3 is recomputeGeneric for K = 3 with the eight child
 // coefficients held in registers: the same products, added in the same
-// left-to-right order, without the zero-skip (see recompute for why that
-// changes no bit). The children 2·idx and 2·idx+1 are adjacent in nodes.
-func (t *PolyTree) recompute3(idx int) {
-	ch := t.nodes[8*idx : 8*idx+8 : 8*idx+8]
+// left-to-right order, without the zero-skip (see recomputeGeneric for why
+// that changes no bit). Pair q's two slots are adjacent in nodes.
+func (t *Tree) recompute3(q int) {
+	ch := t.nodes[8*q+4 : 8*q+12 : 8*q+12]
 	l0, l1, l2, l3 := ch[0], ch[1], ch[2], ch[3]
 	r0, r1, r2, r3 := ch[4], ch[5], ch[6], ch[7]
-	dst := t.nodes[4*idx : 4*idx+4 : 4*idx+4]
+	p := 4 * int(t.up[q])
+	dst := t.nodes[p : p+4 : p+4]
 	dst[0] = float64(l0 * r0)
 	dst[1] = float64(l0*r1) + float64(l1*r0)
 	dst[2] = float64(l0*r2) + float64(l1*r1) + float64(l2*r0)
@@ -235,7 +276,8 @@ func (t *PolyTree) recompute3(idx int) {
 
 // Root returns the root polynomial: Root()[c] is the total weight of
 // configurations placing exactly c rows in the top-K. The returned slice
-// aliases internal storage; do not modify or retain across updates.
-func (t *PolyTree) Root() []float64 {
-	return t.node(1)
+// aliases internal storage: it follows SetLeaf updates and stays valid
+// until the next Reset.
+func (t *Tree) Root() []float64 {
+	return t.node(0)
 }

@@ -8,6 +8,92 @@ import (
 	"testing/quick"
 )
 
+// denseTree is the dense segment tree the collapsed Tree replaced, kept as
+// the reference its roots are compared against bit for bit: a padded
+// power-of-two heap over n leaves, every leaf set by SetLeaf and every
+// ancestor recomputed by the generic convolution.
+type denseTree struct {
+	n, k, size int
+	nodes      []float64
+}
+
+// newDense returns a dense tree over n identity leaves.
+func newDense(n, k int) *denseTree {
+	size := 1
+	for size < n {
+		size *= 2
+	}
+	t := &denseTree{n: n, k: k, size: size, nodes: make([]float64, 2*size*(k+1))}
+	for idx := 1; idx < 2*size; idx++ {
+		t.nodes[idx*(k+1)] = 1
+	}
+	return t
+}
+
+func (t *denseTree) node(idx int) []float64 {
+	w := t.k + 1
+	return t.nodes[idx*w : idx*w+w]
+}
+
+func (t *denseTree) setLeaf(i int, p0, p1 float64) {
+	leaf := t.node(t.size + i)
+	clear(leaf)
+	leaf[0] = p0
+	if t.k >= 1 {
+		leaf[1] = p1
+	}
+	for idx := (t.size + i) / 2; idx >= 1; idx /= 2 {
+		l, r, dst := t.node(2*idx), t.node(2*idx+1), t.node(idx)
+		for c := t.k; c >= 0; c-- {
+			s := 0.0
+			for a := 0; a <= c; a++ {
+				if l[a] == 0 {
+					continue
+				}
+				s += float64(l[a] * r[c-a])
+			}
+			dst[c] = s
+		}
+	}
+}
+
+func (t *denseTree) root() []float64 { return t.node(1) }
+
+// collapsed builds a Tree over the given dense leaf indices (ascending) with
+// leaf values p0, p1, returning it with each leaf's slot.
+func collapsed(k int, live []int32, p0, p1 []float64) (*Tree, []int32) {
+	t := NewTree(k)
+	slots := build(t, live, p0, p1)
+	return t, slots
+}
+
+// build gives t the shape over live and the leaf values, and returns the
+// leaves' slots.
+func build(t *Tree, live []int32, p0, p1 []float64) []int32 {
+	slots := append([]int32(nil), live...)
+	sh := NewShape(slots, make([]int32, max(len(live)-1, 0)))
+	t.Reset(sh)
+	for j, s := range slots {
+		t.InitLeaf(int(s), p0[j], p1[j])
+	}
+	t.Build()
+	return slots
+}
+
+// sameBits reports whether a and b are equal coefficient for coefficient
+// by Float64bits.
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
 // refConvolve computes the truncated product of leaf polynomials directly.
 func refConvolve(leaves [][2]float64, k int) []float64 {
 	acc := make([]float64, k+1)
@@ -35,17 +121,32 @@ func almostEq(a, b []float64, eps float64) bool {
 	return true
 }
 
+// randomLive draws a random live subset of n dense leaves with leaf-domain
+// values.
+func randomLive(rng *rand.Rand, n int, keep float64) (live []int32, p0, p1 []float64) {
+	for i := 0; i < n; i++ {
+		if rng.Float64() < keep {
+			live = append(live, int32(i))
+			p0, p1 = append(p0, leafValue(rng)), append(p1, leafValue(rng))
+		}
+	}
+	return live, p0, p1
+}
+
 func TestRootMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 100; trial++ {
 		n := 1 + rng.Intn(12)
 		k := 1 + rng.Intn(4)
-		tr := New(n, k)
+		live := make([]int32, n)
+		p0, p1 := make([]float64, n), make([]float64, n)
 		leaves := make([][2]float64, n)
 		for i := range leaves {
-			leaves[i] = [2]float64{rng.Float64(), rng.Float64()}
-			tr.SetLeaf(i, leaves[i][0], leaves[i][1])
+			live[i] = int32(i)
+			p0[i], p1[i] = rng.Float64(), rng.Float64()
+			leaves[i] = [2]float64{p0[i], p1[i]}
 		}
+		tr, _ := collapsed(k, live, p0, p1)
 		want := refConvolve(leaves, k)
 		if !almostEq(tr.Root(), want, 1e-12) {
 			t.Fatalf("trial %d (n=%d k=%d): root %v want %v", trial, n, k, tr.Root(), want)
@@ -56,16 +157,18 @@ func TestRootMatchesReference(t *testing.T) {
 func TestIncrementalUpdatesMatchRebuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	n, k := 9, 3
-	tr := New(n, k)
+	live := []int32{0, 1, 2, 3, 4, 5, 6, 7, 8}
 	leaves := make([][2]float64, n)
+	p0, p1 := make([]float64, n), make([]float64, n)
 	for i := range leaves {
-		leaves[i] = [2]float64{rng.Float64(), rng.Float64()}
-		tr.SetLeaf(i, leaves[i][0], leaves[i][1])
+		p0[i], p1[i] = rng.Float64(), rng.Float64()
+		leaves[i] = [2]float64{p0[i], p1[i]}
 	}
+	tr, slots := collapsed(k, live, p0, p1)
 	for step := 0; step < 200; step++ {
 		i := rng.Intn(n)
 		leaves[i] = [2]float64{rng.Float64(), rng.Float64()}
-		tr.SetLeaf(i, leaves[i][0], leaves[i][1])
+		tr.SetLeaf(int(slots[i]), leaves[i][0], leaves[i][1])
 		want := refConvolve(leaves, k)
 		if !almostEq(tr.Root(), want, 1e-12) {
 			t.Fatalf("step %d: root %v want %v", step, tr.Root(), want)
@@ -73,37 +176,92 @@ func TestIncrementalUpdatesMatchRebuild(t *testing.T) {
 	}
 }
 
-func TestResetLeaves(t *testing.T) {
+// TestNewShapeKeepsBranchingNodes pins the layout on small cases: only the
+// dense tree's branching nodes survive, children sit in adjacent pairs
+// numbered in preorder, and each leaf learns its slot.
+func TestNewShapeKeepsBranchingNodes(t *testing.T) {
+	for _, tc := range []struct {
+		live, slots, up []int32
+	}{
+		{live: nil, slots: nil, up: nil},
+		{live: []int32{5}, slots: []int32{0}, up: nil},
+		{live: []int32{0, 5}, slots: []int32{1, 2}, up: []int32{0}},
+		// 0 and 1 branch below 4: the root's left child is their parent.
+		{live: []int32{0, 1, 4}, slots: []int32{3, 4, 2}, up: []int32{0, 1}},
+		// A full dense tree over four leaves keeps every node.
+		{live: []int32{0, 1, 2, 3}, slots: []int32{3, 4, 5, 6}, up: []int32{0, 1, 2}},
+		// 6 and 7 branch at bit 0; 2 joins them at bit 2.
+		{live: []int32{2, 6, 7}, slots: []int32{1, 3, 4}, up: []int32{0, 2}},
+	} {
+		slots := append([]int32(nil), tc.live...)
+		sh := NewShape(slots, make([]int32, max(len(tc.live)-1, 0)))
+		if fmt.Sprint(slots) != fmt.Sprint(tc.slots) || fmt.Sprint(sh.up) != fmt.Sprint(tc.up) {
+			t.Errorf("live %v: slots %v up %v, want slots %v up %v", tc.live, slots, sh.up, tc.slots, tc.up)
+		}
+		if want := max(2*len(tc.live)-1, 1); sh.Slots() != want {
+			t.Errorf("live %v: %d slots, want %d", tc.live, sh.Slots(), want)
+		}
+	}
+}
+
+// TestResetReusesStorage checks that Reset gives a used tree a new shape:
+// a bulk build over five leaves, then an empty shape (the identity root),
+// then one leaf (the root is that leaf).
+func TestResetReusesStorage(t *testing.T) {
 	n, k := 5, 2
-	tr := New(n, k)
 	p0 := []float64{1, 2, 3, 4, 5}
 	p1 := []float64{5, 4, 3, 2, 1}
-	tr.ResetLeaves([]int32{0, 1, 2, 3, 4}, p0, p1)
+	tr, _ := collapsed(k, []int32{0, 1, 2, 3, 4}, p0, p1)
 	leaves := make([][2]float64, n)
 	for i := range leaves {
 		leaves[i] = [2]float64{p0[i], p1[i]}
 	}
 	if !almostEq(tr.Root(), refConvolve(leaves, k), 1e-9) {
-		t.Fatalf("root after reset = %v", tr.Root())
+		t.Fatalf("root after build = %v", tr.Root())
 	}
-	// ResetIdentity: root must be [1, 0, 0].
-	tr.ResetIdentity()
-	root := tr.Root()
-	if root[0] != 1 || root[1] != 0 || root[2] != 0 {
+	build(tr, nil, nil, nil)
+	if root := tr.Root(); root[0] != 1 || root[1] != 0 || root[2] != 0 {
 		t.Fatalf("identity root = %v", root)
+	}
+	build(tr, []int32{3}, []float64{0.25}, []float64{0.75})
+	if root := tr.Root(); root[0] != 0.25 || root[1] != 0.75 || root[2] != 0 {
+		t.Fatalf("one-leaf root = %v", root)
 	}
 }
 
 func TestLeafReadback(t *testing.T) {
-	tr := New(3, 2)
-	tr.SetLeaf(1, 0.25, 0.75)
-	if leaf := tr.node(tr.size + 1); leaf[0] != 0.25 || leaf[1] != 0.75 || leaf[2] != 0 {
+	tr, slots := collapsed(2, []int32{0, 1, 2}, []float64{1, 1, 1}, []float64{0, 0, 0})
+	tr.SetLeaf(int(slots[1]), 0.25, 0.75)
+	if leaf := tr.node(int(slots[1])); leaf[0] != 0.25 || leaf[1] != 0.75 || leaf[2] != 0 {
 		t.Fatalf("leaf = %v", leaf)
 	}
 }
 
+func TestSetLeafOutOfRangePanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("no panic for out-of-range leaf")
+		}
+	}()
+	tr, _ := collapsed(1, []int32{0, 1}, []float64{1, 1}, []float64{0, 0})
+	tr.SetLeaf(5, 0, 0)
+}
+
+func TestNewShapeRejectsUnsortedLeaves(t *testing.T) {
+	for _, live := range [][]int32{{1, 0}, {2, 2}, {-1, 3}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("no panic for leaves %v", live)
+				}
+			}()
+			NewShape(live, make([]int32, len(live)-1))
+		}()
+	}
+}
+
 func TestEmptyTreeIsIdentity(t *testing.T) {
-	tr := New(0, 3)
+	tr, _ := collapsed(3, nil, nil, nil)
 	root := tr.Root()
 	if root[0] != 1 {
 		t.Fatalf("empty root = %v", root)
@@ -116,125 +274,107 @@ func TestEmptyTreeIsIdentity(t *testing.T) {
 }
 
 func TestK0Tree(t *testing.T) {
-	tr := New(4, 0)
-	for i := 0; i < 4; i++ {
-		tr.SetLeaf(i, 0.5, 0.5) // p1 is dropped at k=0
-	}
-	root := tr.Root()
-	if math.Abs(root[0]-0.0625) > 1e-15 {
+	half := []float64{0.5, 0.5, 0.5, 0.5}
+	tr, _ := collapsed(0, []int32{0, 1, 2, 3}, half, half) // p1 is dropped at k=0
+	if root := tr.Root(); math.Abs(root[0]-0.0625) > 1e-15 {
 		t.Fatalf("k=0 root = %v", root)
 	}
 }
 
-func TestSetLeafOutOfRangePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic for out-of-range leaf")
-		}
-	}()
-	New(2, 1).SetLeaf(5, 0, 0)
-}
-
-// TestPathIndependence pins the purity invariant the retained-tree Q2 mode
-// relies on: node values depend only on the final leaf state, bit for bit,
-// no matter how that state was reached — incremental SetLeaf paths, a bulk
-// ResetLeaves over every leaf, a sparse ResetLeaves over only the
-// non-identity leaves of a tree holding stale state, or CopyFrom.
+// TestPathIndependence pins the purity invariant the SS-DC scan relies on:
+// node values depend only on the shape and the final leaf state, bit for
+// bit, no matter how that state was reached — a bulk Build, incremental
+// SetLeaf paths with detours, or a Build into storage another shape left
+// stale.
 func TestPathIndependence(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	for trial := 0; trial < 100; trial++ {
-		n := 1 + rng.Intn(12)
+		n := 1 + rng.Intn(40)
 		k := 1 + rng.Intn(4)
-		// A random live subset holds random leaves; the rest are [1, 0].
-		p0 := make([]float64, n)
-		p1 := make([]float64, n)
-		all := make([]int32, n)
-		var live []int32
-		var l0, l1 []float64
-		for i := range p0 {
-			all[i] = int32(i)
-			p0[i], p1[i] = 1, 0
-			if rng.Intn(3) > 0 {
-				p0[i], p1[i] = rng.Float64(), rng.Float64()
-				live = append(live, int32(i))
-				l0, l1 = append(l0, p0[i]), append(l1, p1[i])
-			}
+		live, p0, p1 := randomLive(rng, n, rng.Float64())
+		// Path A: bulk build.
+		a, slots := collapsed(k, live, p0, p1)
+		// Path B: a build of other values, then incremental updates in
+		// random order with detours.
+		b := NewTree(k)
+		build(b, live, make([]float64, len(live)), make([]float64, len(live)))
+		for _, j := range rng.Perm(len(live)) {
+			b.SetLeaf(int(slots[j]), leafValue(rng), leafValue(rng)) // detour
+			b.SetLeaf(int(slots[j]), p0[j], p1[j])
 		}
-		// Path A: bulk rebuild over every leaf.
-		a := New(n, k)
-		a.ResetLeaves(all, p0, p1)
-		// Path B: incremental updates in random order with detours.
-		b := New(n, k)
-		for _, i := range rng.Perm(n) {
-			b.SetLeaf(i, rng.Float64(), rng.Float64()) // detour
-			b.SetLeaf(i, p0[i], p1[i])
+		for _, j := range rng.Perm(len(live)) { // redundant re-application
+			b.SetLeaf(int(slots[j]), p0[j], p1[j])
 		}
-		for _, i := range rng.Perm(n) { // redundant re-application
-			b.SetLeaf(i, p0[i], p1[i])
+		// Path C: a build into storage another shape filled.
+		c := NewTree(k)
+		other, o0, o1 := randomLive(rng, 1+rng.Intn(60), 0.8)
+		build(c, other, o0, o1)
+		build(c, live, p0, p1)
+		if len(a.nodes) != len(b.nodes) || len(a.nodes) != len(c.nodes) {
+			t.Fatalf("trial %d: node counts %d / %d / %d", trial, len(a.nodes), len(b.nodes), len(c.nodes))
 		}
-		// Path C: copy of A.
-		c := New(n, k)
-		c.CopyFrom(a)
-		// Path D: sparse rebuild of a tree holding stale leaves.
-		d := New(n, k)
-		for i := 0; i < n; i++ {
-			d.SetLeaf(i, rng.Float64(), rng.Float64())
-		}
-		d.ResetLeaves(live, l0, l1)
 		for j := range a.nodes {
-			if a.nodes[j] != b.nodes[j] || a.nodes[j] != c.nodes[j] || a.nodes[j] != d.nodes[j] {
-				t.Fatalf("trial %d: node %d diverged: bulk=%v incremental=%v copy=%v sparse=%v",
-					trial, j, a.nodes[j], b.nodes[j], c.nodes[j], d.nodes[j])
+			if a.nodes[j] != b.nodes[j] || a.nodes[j] != c.nodes[j] {
+				t.Fatalf("trial %d: node word %d diverged: bulk=%v incremental=%v stale=%v",
+					trial, j, a.nodes[j], b.nodes[j], c.nodes[j])
 			}
 		}
 	}
 }
 
-// TestSparseBuildMatchesDense checks ResetLeaves over a random live subset
-// node for node against a fresh tree given the same leaves by SetLeaf, on
-// trees large enough for whole identity subtrees, with tiny live sets and
-// empty ones.
+// TestSparseBuildMatchesDense checks the collapsed tree's root bit for bit
+// against the dense reference given the same leaves, on trees large enough
+// for whole identity subtrees and long collapsed chains, with tiny live
+// sets and empty ones.
 func TestSparseBuildMatchesDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for trial := 0; trial < 200; trial++ {
 		n := 1 + rng.Intn(70)
 		k := rng.Intn(8)
-		keep := rng.Float64()
-		var live []int32
-		var p0, p1 []float64
-		ref := New(n, k)
-		for i := 0; i < n; i++ {
-			if rng.Float64() < keep {
-				v0, v1 := leafValue(rng), leafValue(rng)
-				live = append(live, int32(i))
-				p0, p1 = append(p0, v0), append(p1, v1)
-				ref.SetLeaf(i, v0, v1)
-			}
+		live, p0, p1 := randomLive(rng, n, rng.Float64())
+		ref := newDense(n, k)
+		for j, i := range live {
+			ref.setLeaf(int(i), p0[j], p1[j])
 		}
-		got := New(n, k)
-		for i := 0; i < n; i++ { // stale state the build must clear
-			got.SetLeaf(i, rng.Float64(), rng.Float64())
-		}
-		got.ResetLeaves(live, p0, p1)
-		for j := range ref.nodes {
-			if math.Float64bits(got.nodes[j]) != math.Float64bits(ref.nodes[j]) {
-				t.Fatalf("trial %d (n=%d k=%d live=%d): node word %d = %v, SetLeaf reference %v",
-					trial, n, k, len(live), j, got.nodes[j], ref.nodes[j])
-			}
+		got, _ := collapsed(k, live, p0, p1)
+		if !sameBits(got.Root(), ref.root()) {
+			t.Fatalf("trial %d (n=%d k=%d live=%d): root %v, dense reference %v",
+				trial, n, k, len(live), got.Root(), ref.root())
 		}
 	}
 }
 
-func TestResetLeavesRejectsUnsortedPositions(t *testing.T) {
-	for _, pos := range [][]int32{{1, 0}, {2, 2}, {0, 5}} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("no panic for positions %v", pos)
-				}
-			}()
-			New(4, 2).ResetLeaves(pos, make([]float64, len(pos)), make([]float64, len(pos)))
-		}()
+// TestShiftedLeafShiftsRoot pins the identity the hypothesis scan reads its
+// "pre" root by: with one leaf [0, 1] instead of [1, 0], the root is the
+// [1, 0] root shifted up one degree, bit for bit, on the dense tree and the
+// collapsed one alike.
+func TestShiftedLeafShiftsRoot(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	for trial := 0; trial < 300; trial++ {
+		n := 1 + rng.Intn(40)
+		k := 1 + rng.Intn(7)
+		live, p0, p1 := randomLive(rng, n, 0.5)
+		if len(live) == 0 {
+			continue
+		}
+		row := rng.Intn(len(live))
+		post, pre := newDense(n, k), newDense(n, k)
+		for j, i := range live {
+			switch {
+			case j != row:
+				post.setLeaf(int(i), p0[j], p1[j])
+				pre.setLeaf(int(i), p0[j], p1[j])
+			default:
+				post.setLeaf(int(i), 1, 0)
+				pre.setLeaf(int(i), 0, 1)
+			}
+		}
+		p0[row], p1[row] = 1, 0
+		tr, _ := collapsed(k, live, p0, p1)
+		shifted := append([]float64{0}, tr.Root()[:k]...)
+		if !sameBits(shifted, pre.root()) || !sameBits(tr.Root(), post.root()) {
+			t.Fatalf("trial %d (n=%d k=%d): shifted %v, pre tree %v", trial, n, k, shifted, pre.root())
+		}
 	}
 }
 
@@ -260,9 +400,11 @@ func leafValue(rng *rand.Rand) float64 {
 // subnormals and rounding residue accumulate).
 func TestRecomputeMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
-	kernel, ref := New(2, 3), New(2, 3)
+	two := []int32{0, 1}
+	kernel, _ := collapsed(3, two, []float64{1, 1}, []float64{0, 0})
+	ref, _ := collapsed(3, two, []float64{1, 1}, []float64{0, 0})
 	for trial := 0; trial < 20000; trial++ {
-		ch := kernel.nodes[8:16]
+		ch := kernel.nodes[4:12]
 		for j := range ch {
 			switch rng.Intn(3) {
 			case 0:
@@ -273,37 +415,110 @@ func TestRecomputeMatchesReference(t *testing.T) {
 				ch[j] = 0
 			}
 		}
-		copy(ref.nodes[8:16], ch)
-		kernel.recompute3(1)
-		ref.recomputeGeneric(1)
-		for c := 0; c < 4; c++ {
-			if math.Float64bits(kernel.nodes[4+c]) != math.Float64bits(ref.nodes[4+c]) {
-				t.Fatalf("trial %d: children %v: kernel[%d] = %v, generic %v",
-					trial, ch, c, kernel.nodes[4+c], ref.nodes[4+c])
-			}
+		copy(ref.nodes[4:12], ch)
+		kernel.recompute3(0)
+		ref.recomputeGeneric(0)
+		if !sameBits(kernel.Root(), ref.Root()) {
+			t.Fatalf("trial %d: children %v: kernel %v, generic %v", trial, ch, kernel.Root(), ref.Root())
 		}
 	}
 }
 
-// BenchmarkRecompute measures one SetLeaf — O(log n) node recomputes — on a
-// 512-leaf tree, the per-candidate tree cost of an SS-DC scan, for K = 1,
-// 3 (the kernel) and 7.
+// FuzzCollapsedTree decodes a dense size, a K, a live set and leaf values,
+// then a sequence of SetLeaf updates, and compares every root coefficient
+// of the collapsed tree by bits against the dense reference after the build
+// and after each update, and the updated tree against a fresh build of its
+// final leaves.
+func FuzzCollapsedTree(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0, 2, 0xff})                          // one dense leaf, live
+	f.Add([]byte{12, 2, 0x00, 0x00, 5, 3, 9})          // thirteen leaves, none live
+	f.Add([]byte{36, 2, 0x55, 0xaa, 0x0f, 0xf0, 1, 7}) // K = 3, half live
+	f.Add([]byte{69, 6, 0xff, 0xff, 0x81, 0x42, 0x24, 0x18, 0xff, 0x01, 3, 0xff, 2, 4, 6, 8})
+	f.Add([]byte{4, 0, 0x10, 0, 0xff, 0xff}) // K = 1, one live leaf of five
+	f.Fuzz(func(t *testing.T, data []byte) {
+		next := func() int {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return int(b)
+		}
+		value := func() float64 {
+			b := next()
+			if b&0x80 != 0 {
+				return leafSpecials[b%len(leafSpecials)]
+			}
+			return float64(b) / 127 // [0, 1]
+		}
+		n := 1 + next()%70
+		k := 1 + next()%7
+		var live []int32
+		for i := 0; i < n; i += 8 {
+			mask := next()
+			for b := 0; b < 8 && i+b < n; b++ {
+				if mask>>b&1 != 0 {
+					live = append(live, int32(i+b))
+				}
+			}
+		}
+		p0, p1 := make([]float64, len(live)), make([]float64, len(live))
+		ref := newDense(n, k)
+		for j, i := range live {
+			p0[j], p1[j] = value(), value()
+			ref.setLeaf(int(i), p0[j], p1[j])
+		}
+		tr, slots := collapsed(k, live, p0, p1)
+		if !sameBits(tr.Root(), ref.root()) {
+			t.Fatalf("n=%d k=%d live=%v: built root %v, dense %v", n, k, live, tr.Root(), ref.root())
+		}
+		for len(data) > 0 && len(live) > 0 {
+			j := next() % len(live)
+			p0[j], p1[j] = value(), value()
+			tr.SetLeaf(int(slots[j]), p0[j], p1[j])
+			ref.setLeaf(int(live[j]), p0[j], p1[j])
+			if !sameBits(tr.Root(), ref.root()) {
+				t.Fatalf("n=%d k=%d live=%v: root after SetLeaf(%d) %v, dense %v", n, k, live, live[j], tr.Root(), ref.root())
+			}
+		}
+		fresh, _ := collapsed(k, live, p0, p1)
+		if !sameBits(fresh.nodes, tr.nodes) {
+			t.Fatalf("n=%d k=%d live=%v: updated nodes %v, fresh build %v", n, k, live, tr.nodes, fresh.nodes)
+		}
+	})
+}
+
+// BenchmarkRecompute measures one SetLeaf — a path of node recomputes, the
+// per-candidate tree cost of an SS-DC scan — for K = 1, 3 (the kernel) and
+// 7: on a tree with all 512 leaves live (a 9-node path, as in a dense
+// tree) and, for K = 3, on 36 live leaves spread over 512, the shape of a
+// validation engine's label tree on the loadbench data (sparse/K3).
 func BenchmarkRecompute(b *testing.B) {
-	for _, k := range []int{1, 3, 7} {
-		b.Run(fmt.Sprintf("K%d", k), func(b *testing.B) {
-			rng := rand.New(rand.NewSource(11))
-			const n = 512
-			tr := New(n, k)
-			for i := 0; i < n; i++ {
-				tr.SetLeaf(i, rng.Float64(), rng.Float64())
+	const n = 512
+	run := func(b *testing.B, k int, keep float64) {
+		rng := rand.New(rand.NewSource(11))
+		var live []int32
+		for i := 0; i < n; i++ {
+			if rng.Float64() < keep {
+				live = append(live, int32(i))
 			}
-			i := 0
-			for b.Loop() {
-				tr.SetLeaf(i, 0.25, 0.75)
-				i = (i + 97) % n
-			}
-		})
+		}
+		p0, p1 := make([]float64, len(live)), make([]float64, len(live))
+		for j := range live {
+			p0[j], p1[j] = rng.Float64(), rng.Float64()
+		}
+		tr, slots := collapsed(k, live, p0, p1)
+		j := 0
+		for b.Loop() {
+			tr.SetLeaf(int(slots[j]), 0.25, 0.75)
+			j = (j + 97) % len(slots)
+		}
 	}
+	for _, k := range []int{1, 3, 7} {
+		b.Run(fmt.Sprintf("K%d", k), func(b *testing.B) { run(b, k, 1) })
+	}
+	b.Run("sparse/K3", func(b *testing.B) { run(b, 3, 36.0/n) })
 }
 
 func TestRootSumProperty(t *testing.T) {
@@ -314,14 +529,16 @@ func TestRootSumProperty(t *testing.T) {
 			return true
 		}
 		n := len(raw)
-		tr := New(n, n)
+		live := make([]int32, n)
+		p0, p1 := make([]float64, n), make([]float64, n)
 		for i, r := range raw {
 			p := math.Abs(math.Mod(r, 1))
 			if math.IsNaN(p) || math.IsInf(p, 0) {
 				p = 0.5
 			}
-			tr.SetLeaf(i, p, 1-p)
+			live[i], p0[i], p1[i] = int32(i), p, 1-p
 		}
+		tr, _ := collapsed(n, live, p0, p1)
 		sum := 0.0
 		for _, v := range tr.Root() {
 			sum += v

@@ -19,7 +19,8 @@
 # Environment:
 #   BENCH_REGRESSION_PCT   regression threshold in percent (default 15)
 #   BENCH_COMPARE_MATCH    comma-separated benchmark name substrings
-#                          (default the pinned sweep benchmarks)
+#                          (default the pinned sweep benchmarks);
+#                          CleanSession_Loadbench is always compared too
 #   BENCH_COMPARE_TIME     -benchtime for the comparison run (default 50x, best of BENCH_COMPARE_COUNT=5 runs)
 #   BENCH_BASELINE         baseline path (default bench/BENCH_baseline.json)
 set -euo pipefail
@@ -27,7 +28,7 @@ cd "$(dirname "$0")/.."
 
 BASELINE=${BENCH_BASELINE:-bench/BENCH_baseline.json}
 PCT=${BENCH_REGRESSION_PCT:-15}
-MATCH=${BENCH_COMPARE_MATCH:-Q2_SSDC_K3_N1000,Q2_SSDCMC_K3_N1000_Y2,BatchQ2_Incremental,EngineBuild,Scan,Q1_MM_Engine}
+MATCH=${BENCH_COMPARE_MATCH:-Q2_SSDC_K3_N1000,Q2_SSDCMC_K3_N1000_Y2,BatchQ2_Incremental,EngineBuild,Scan,HypothesisCounts,Q1_MM_Engine}
 TIME=${BENCH_COMPARE_TIME:-50x}
 COUNT=${BENCH_COMPARE_COUNT:-5}
 
@@ -43,10 +44,14 @@ out=$(mktemp)
 trap 'rm -f "$out" "$out.json"' EXIT
 
 # The pinned benchmarks live in the repro root package (Q2_SSDC_K3_N1000,
-# Q2_SSDCMC_K3_N1000_Y2, BatchQ2_Incremental) and internal/core
-# (EngineBuild, Scan, Q1_MM_Engine — each with untruncated and truncated
-# sub-benchmarks).
+# Q2_SSDCMC_K3_N1000_Y2, BatchQ2_Incremental, CleanSession_Loadbench) and
+# internal/core (EngineBuild, Scan, Q1_MM_Engine — each with untruncated
+# and truncated sub-benchmarks — and HypothesisCounts, CPClean's inner
+# loop). CleanSession_Loadbench runs a whole clean-live session per
+# iteration (seconds, not microseconds), so it runs on its own at 2x, the
+# count `make bench-baseline` records it at.
 go test -run XXX -bench "${MATCH//,/|}" -benchtime "$TIME" -count "$COUNT" . ./internal/core/ | tee "$out"
+go test -run XXX -bench '^BenchmarkCleanSession_Loadbench$' -benchtime 2x -count "$COUNT" . | tee -a "$out"
 go run ./internal/tools/benchjson -in "$out" -out "$out.json"
 go run ./internal/tools/benchcompare \
-  -baseline "$BASELINE" -current "$out.json" -pct "$PCT" -match "$MATCH"
+  -baseline "$BASELINE" -current "$out.json" -pct "$PCT" -match "$MATCH,CleanSession_Loadbench"
