@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test race bench bench-baseline bench-compare verify verify-static verify-docs clean
+.PHONY: build vet test race bench bench-compare verify verify-static verify-docs clean
 
 build:
 	$(GO) build ./...
@@ -26,28 +26,20 @@ race:
 # in bench.out and a machine-readable summary (name, ns/op, custom metrics
 # like scans/op) in BENCH_<date>.json for trend tracking / CI artifacts.
 # Two sequenced commands, not a pipe, so a benchmark failure fails the
-# target instead of being masked by the parser's exit code.
+# target instead of being masked by the parser's exit code. -short skips
+# EngineBuild_Scale/N16000, whose data takes ≈15 s to generate.
 BENCH_JSON = BENCH_$(shell date +%Y-%m-%d).json
 
 bench:
-	$(GO) test -run XXX -bench . -benchtime 1x ./... > bench.out || (cat bench.out; exit 1)
+	$(GO) test -short -run XXX -bench . -benchtime 1x ./... > bench.out || (cat bench.out; exit 1)
 	@cat bench.out
 	$(GO) run ./internal/tools/benchjson -in bench.out -out $(BENCH_JSON)
 	@echo "bench: wrote $(BENCH_JSON)"
 
-# Refresh the committed regression baseline for the pinned sweep benchmarks
-# (same benchmark set and iteration counts bench-compare measures against:
-# one whole clean session per CleanSession_Loadbench iteration, so 2x).
-bench-baseline:
-	$(GO) test -run XXX -bench 'Q2_SSDC_K3_N1000|Q2_SSDCMC_K3_N1000_Y2|BatchQ2_Incremental|EngineBuild|Scan|HypothesisCounts|Q1_MM_Engine' -benchtime 50x -count 5 . ./internal/core/ > bench-baseline.out || (cat bench-baseline.out; exit 1)
-	$(GO) test -run XXX -bench '^BenchmarkCleanSession_Loadbench$$' -benchtime 2x -count 5 . >> bench-baseline.out || (cat bench-baseline.out; exit 1)
-	@cat bench-baseline.out
-	$(GO) run ./internal/tools/benchjson -in bench-baseline.out -out bench/BENCH_baseline.json
-	@rm -f bench-baseline.out
-	@echo "bench-baseline: wrote bench/BENCH_baseline.json"
-
-# Diff the pinned sweep benchmarks against the committed baseline; fails on
-# a >15% ns/op regression (override with BENCH_REGRESSION_PCT).
+# Paired regression gate: the pinned benchmarks (core EngineBuild,
+# HypothesisCounts/trunc/K3, CleanSession_Loadbench) at the merge base and
+# at the working tree, run in 10 alternating pairs; fails when the tree is
+# >15% slower in at least 8 pairs (see scripts/bench_compare.sh).
 bench-compare:
 	./scripts/bench_compare.sh
 

@@ -8,6 +8,7 @@ package repro
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -402,6 +403,63 @@ func BenchmarkCleanSession_Loadbench(b *testing.B) {
 	}
 	b.ReportMetric(float64(st.Steps), "steps")
 	b.ReportMetric(float64(st.ExaminedHypotheses), "hyp/run")
+}
+
+// --- Engine build at scale ----------------------------------------------------
+
+// scaleTask returns the Supreme generator's task with n training rows, 20%
+// MNAR cells and 200 test points (data seed 1).
+func scaleTask(b *testing.B, n int) *cleaning.Task {
+	spec, err := experiments.SpecByName("Supreme")
+	if err != nil {
+		b.Fatal(err)
+	}
+	scale := experiments.Scale{Name: "scale", TrainN: n, ValN: 20, TestN: 200, MissingCellRate: 0.20}
+	t, err := experiments.BuildTask(spec, scale, 1, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return t
+}
+
+// BenchmarkEngineBuild_Scale measures one bound-first engine build
+// (core.NewTruncatedEngine for K = 3 under neg-euclidean, the serving
+// build) on the Supreme generator's data with 20% MNAR cells at N = 1k, 4k
+// and 16k, cycling through 200 test points. Besides ns/op, B/op and
+// allocs/op it reports, over the 200 points, the mean engine footprint
+// (B/engine, Engine.ApproxBytes) and the mean share of rows the build
+// evaluated the kernel for (evaluated%). Each size's data is generated
+// before its timed loop (b.Loop runs the body once per -count). N16000's
+// generation takes ≈11–15 s, so it is skipped under -short, which the
+// one-iteration smoke pass (make bench) sets.
+func BenchmarkEngineBuild_Scale(b *testing.B) {
+	for _, n := range []int{1000, 4000, 16000} {
+		b.Run(fmt.Sprintf("N%d", n), func(b *testing.B) {
+			if n > 4000 && testing.Short() {
+				b.Skip("N > 4000 generates its data for ≈15 s; run without -short")
+			}
+			task := scaleTask(b, n)
+			d, points := task.Dataset(), task.TestX
+			var bytes, evaluated float64
+			for _, p := range points {
+				e := core.NewTruncatedEngine(d, knn.NegEuclidean{}, p, 3)
+				bytes += float64(e.ApproxBytes())
+				for i := 0; i < e.N(); i++ {
+					if e.Instance().Row(i) != nil {
+						evaluated++
+					}
+				}
+			}
+			b.ReportAllocs()
+			i := 0
+			for b.Loop() {
+				core.NewTruncatedEngine(d, knn.NegEuclidean{}, points[i%len(points)], 3)
+				i++
+			}
+			b.ReportMetric(bytes/float64(len(points)), "B/engine")
+			b.ReportMetric(100*evaluated/float64(len(points)*d.N()), "evaluated%")
+		})
+	}
 }
 
 // --- CPClean ablations --------------------------------------------------------

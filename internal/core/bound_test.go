@@ -95,7 +95,8 @@ func checkBoundFirst(t testing.TB, c boundCase) (ref, tr *Engine, absent int) {
 	if tr.t != exact.t {
 		t.Fatalf("%s k=%d: bound-first T %+v, exact %+v", c.kernel.Name(), c.k, tr.t, exact.t)
 	}
-	for i, row := range tr.inst.Sims {
+	for i := 0; i < tr.N(); i++ {
+		row := tr.inst.Row(i)
 		if tr.inst.M(i) != c.d.Examples[i].M() {
 			t.Fatalf("row %d: M %d, dataset %d", i, tr.inst.M(i), c.d.Examples[i].M())
 		}
@@ -103,7 +104,7 @@ func checkBoundFirst(t testing.TB, c boundCase) (ref, tr *Engine, absent int) {
 			continue
 		}
 		absent++
-		for j, s := range exactInst.Sims[i] {
+		for j, s := range exactInst.Row(i) {
 			if !exact.t.below(simKey(s), int32(i), int32(j)) {
 				t.Fatalf("%s k=%d: absent row %d candidate %d (sim %v) is not below T %+v",
 					c.kernel.Name(), c.k, i, j, s, exact.t)

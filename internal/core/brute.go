@@ -68,7 +68,7 @@ func classifyWorld(inst *Instance, choice []int, k int) int {
 			}
 		}
 		inTop[best] = true
-		tally[inst.Labels[best]]++
+		tally[inst.Label(best)]++
 	}
 	return argmaxTally(tally)
 }

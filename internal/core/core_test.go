@@ -32,9 +32,10 @@ func randomInstance(rng *rand.Rand, n, maxM, numLabels int) *Instance {
 func tiedInstance(rng *rand.Rand, n, maxM, numLabels int) *Instance {
 	inst := randomInstance(rng, n, maxM, numLabels)
 	vals := []float64{-1, 0, 0.5, 1}
-	for i, row := range inst.Sims {
+	for i := 0; i < inst.N(); i++ {
+		row := inst.Row(i)
 		for j := range row {
-			inst.Sims[i][j] = vals[rng.Intn(len(vals))]
+			row[j] = vals[rng.Intn(len(vals))]
 		}
 	}
 	return inst
@@ -242,17 +243,19 @@ func TestEnginePinsMatchPinnedBruteForce(t *testing.T) {
 		}
 		// Reference: brute force over the reduced instance.
 		redSims := make([][]float64, inst.N())
+		labels := make([]int, inst.N())
 		for i := range redSims {
+			labels[i] = inst.Label(i)
 			if c, ok := pinned[i]; ok {
-				redSims[i] = []float64{inst.Sims[i][c]}
+				redSims[i] = []float64{inst.Row(i)[c]}
 			} else {
-				redSims[i] = inst.Sims[i]
+				redSims[i] = inst.Row(i)
 			}
 		}
 		// NOTE: pinning must preserve the total order, so the reduced
 		// instance is only a valid reference when similarities are unique;
 		// NormFloat64 candidates are unique almost surely.
-		red := MustNewInstance(redSims, inst.Labels, inst.NumLabels)
+		red := MustNewInstance(redSims, labels, inst.NumLabels)
 		want, err := BruteForceCounts(red, k)
 		if err != nil {
 			t.Fatalf("brute force: %v", err)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/big"
+	"slices"
 
 	"repro/internal/dataset"
 	"repro/internal/knn"
@@ -29,34 +30,43 @@ type Engine struct {
 	inst      *Instance
 	numLabels int
 	// order holds the candidates at or above the truncation threshold T,
-	// ascending in similarity. A candidate below T (the (K+1)-th most
-	// similar row minimum, for the K the engine was built for) can never sit
-	// on a top-K boundary under any pins, so a scan of it would only add 1
-	// to its row's α: below[i] counts row i's candidates below T, and every
+	// ascending in similarity, each naming its row by evaluated index
+	// (Instance). A candidate below T (the (K+1)-th most similar row
+	// minimum, for the K the engine was built for) can never sit on a top-K
+	// boundary under any pins, so a scan of it would only add 1 to its row's
+	// α: below[e] counts evaluated row e's candidates below T, and every
 	// scan starts from that α (seedAlpha) instead of from position 0. An
 	// untruncated engine has T = −∞, below all zero and every candidate in
 	// order.
 	order []candRef
 	t     threshold
-	below []int32
 	maxK  int // largest K the truncation is sound for
-	// argMin/argMax are each row's least and most similar candidate under
-	// the total order, over all its candidates (MM, RelevantRows); unset for
-	// an absent row (Instance), which MM and RelevantRows never read.
+	// below, argMin, argMax and slot hold one entry per evaluated row, by
+	// evaluated index; an absent row has none and stays implicit: below =
+	// M, never live, never relevant. argMin/argMax are the row's least and
+	// most similar candidate under the total order (MM, RelevantRows).
+	below          []int32
 	argMin, argMax []int32
-	pins           []int32 // pins[i] = candidate index row i is cleaned to, or -1
-	pinGen         uint64  // bumped on every pin mutation (SetPin, ResetPins)
-	// liveRows[l] lists, ascending, label l's rows with kept candidates, and
-	// shapes[l] is the path-collapsed tree over their leaves (segtree.Shape),
-	// in which slot[i] is live row i's leaf (slot is meaningless for other
-	// rows). The collapsed tree carries the bits of a dense tree over every
-	// row of the label, leaves in row order: every other row's leaf is
-	// exactly [1,0] at any position that does tree work — α = below[i] =
-	// M_i, or the row is pinned to a candidate below T (α = 1, M_eff = 1).
-	// An untruncated engine lists every row.
+	// live lists the evaluated rows with kept candidates (the live rows),
+	// grouped by label, ascending within a label; liveRows[l] is label l's
+	// run of it, and shapes[l] is the path-collapsed tree over their leaves
+	// (segtree.Shape), in which slot[e] is live row e's leaf (slot is
+	// meaningless for other rows). The collapsed tree carries the bits of a
+	// dense tree over every row of the label, leaves in row order (the
+	// rows' dataset.RowFact ranks): every other row's leaf is exactly [1,0]
+	// at any position that does tree work — α = M_i, or the row is pinned
+	// to a candidate below T (α = 1, M_eff = 1). An untruncated engine
+	// lists every row. zeroRows counts the live rows with below = 0, the
+	// rows with α = 0 when nothing is pinned.
+	live     []int32
 	liveRows [][]int32
 	shapes   []segtree.Shape
 	slot     []int32
+	zeroRows int
+	// pins[i] is the candidate index row i is cleaned to, or -1; nil until
+	// the first SetPin (or Fork), so a pooled engine never pinned has none.
+	pins   []int32
+	pinGen uint64 // bumped on every pin mutation (SetPin, ResetPins)
 }
 
 // NewEngine builds an untruncated engine for incomplete dataset d and test
@@ -84,11 +94,10 @@ func NewTruncatedEngine(d *dataset.Incomplete, kernel knn.Kernel, t []float64, k
 }
 
 // NewTruncatedEngineFromInstance is NewTruncatedEngine over a precomputed
-// similarity view.
+// similarity view. Its cost past the view is O(evaluated rows + kept
+// candidates·log): nothing is allocated or visited per absent row.
 func NewTruncatedEngineFromInstance(inst *Instance, k int) *Engine {
-	n := inst.N()
 	v := inst.scanView(k)
-	rowState := make([]int32, 2*n)
 	e := &Engine{
 		inst:      inst,
 		numLabels: inst.NumLabels,
@@ -98,53 +107,55 @@ func NewTruncatedEngineFromInstance(inst *Instance, k int) *Engine {
 		maxK:      math.MaxInt,
 		argMin:    v.argMin,
 		argMax:    v.argMax,
-		pins:      rowState[:n:n],
-		slot:      rowState[n:],
 		liveRows:  make([][]int32, inst.NumLabels),
 		shapes:    make([]segtree.Shape, inst.NumLabels),
 	}
 	if v.t != noThreshold {
 		e.maxK = k
 	}
-	// slot first holds each row's dense leaf index, its rank among its
-	// label's rows; the shapes below turn the live rows' into slots.
-	counts := make([]int32, 2*inst.NumLabels) // rows, then live rows, per label
-	rows, live := counts[:inst.NumLabels], counts[inst.NumLabels:]
+	sc := radixScratchPool.Get().(*radixScratch)
+	defer radixScratchPool.Put(sc)
+	sc.live = slices.Grow(sc.live[:0], inst.NumLabels)[:inst.NumLabels]
+	counts := sc.live // live rows per label
+	clear(counts)
+	ne := len(inst.rows)
 	total := 0
-	for i := 0; i < n; i++ {
-		e.pins[i] = -1
-		l := inst.Labels[i]
-		e.slot[i] = rows[l]
-		rows[l]++
-		if e.hasKept(i) {
-			live[l]++
+	for ev, b := range e.below {
+		if f := inst.facts[inst.rows[ev]]; b < f.M {
+			counts[f.Label]++
 			total++
+			if b == 0 {
+				e.zeroRows++
+			}
 		}
 	}
-	// One backing array holds every label's live rows, then their shapes'
+	// One backing array holds the slots, the live rows, then the shapes'
 	// pair parents (live−1 per label).
-	flat := make([]int32, 2*total)
+	flat := make([]int32, ne+2*total)
+	e.slot, e.live, flat = flat[:ne:ne], flat[ne:ne+total:ne+total], flat[ne+total:]
 	maxLive := int32(0)
-	for l, c := range live {
-		e.liveRows[l], flat = flat[:0:c], flat[c:]
+	rest := e.live
+	for l, c := range counts {
+		e.liveRows[l], rest = rest[:0:c], rest[c:]
 		maxLive = max(maxLive, c)
 	}
-	for i := 0; i < n; i++ {
-		if e.hasKept(i) {
-			l := inst.Labels[i]
-			e.liveRows[l] = append(e.liveRows[l], int32(i))
+	for ev, b := range e.below {
+		if f := inst.facts[inst.rows[ev]]; b < f.M {
+			e.liveRows[f.Label] = append(e.liveRows[f.Label], int32(ev))
 		}
 	}
-	leaves := make([]int32, maxLive)
+	sc.leaves = slices.Grow(sc.leaves[:0], int(maxLive))
 	for l, rs := range e.liveRows {
-		lv := leaves[:len(rs)]
-		for j, r := range rs {
-			lv[j] = e.slot[r]
+		// A live row's leaf in the dense tree is its rank among its label's
+		// rows; the shape turns the ranks into slots.
+		lv := sc.leaves[:len(rs)]
+		for j, ev := range rs {
+			lv[j] = inst.facts[inst.rows[ev]].Rank
 		}
 		e.shapes[l] = segtree.NewShape(lv, flat)
 		flat = flat[e.shapes[l].Slots()/2:]
-		for j, r := range rs {
-			e.slot[r] = lv[j]
+		for j, ev := range rs {
+			e.slot[ev] = lv[j]
 		}
 	}
 	return e
@@ -171,23 +182,33 @@ func (e *Engine) mustFit(sc *Scratch) {
 	}
 }
 
-// seedAlpha writes into alpha the α state a scan of every candidate below T
-// leaves under pins — below[i] for an uncertain row; 1 or 0 for a pinned
-// row, as its chosen candidate lies below T or not (always 1 for an absent
-// row) — and returns the number of rows with α = 0. No position below T
-// does tree work (at least K+1 rows still have α = 0 there), so a scan of
-// order from this state equals a scan of every candidate from zero, bit
-// for bit.
-func (e *Engine) seedAlpha(alpha, pins []int32) int {
+// seedAlpha writes into alpha, for every live row by evaluated index, the
+// α state a scan of every candidate below T leaves under pins — below[e]
+// for an uncertain row; 1 or 0 for a pinned row, as its chosen candidate
+// lies below T or not — and returns the number of rows with α = 0. It
+// visits the live rows only: every other row's α is at least 1 (M for an
+// uncertain row, 1 for a pinned one, whose every candidate lies below T),
+// so it is never 0, and no scan reads it. No position below T does tree
+// work (at least K+1 rows still have α = 0 there), so a scan of order from
+// this state equals a scan of every candidate from zero, bit for bit.
+func (e *Engine) seedAlpha(alpha []int32, pins pinView) int {
+	if !pins.any() {
+		for _, ev := range e.live {
+			alpha[ev] = e.below[ev]
+		}
+		return e.zeroRows
+	}
 	zero := 0
-	for i, b := range e.below {
-		if ch := pins[i]; ch >= 0 && b > 0 {
+	for _, ev := range e.live {
+		b := e.below[ev]
+		i := e.inst.rows[ev]
+		if ch := pins.at(i); ch >= 0 && b > 0 {
 			b = 0
-			if row := e.inst.Sims[i]; row == nil || e.t.below(simKey(row[ch]), int32(i), ch) {
+			if e.t.below(simKey(e.inst.evalRow(int(ev))[ch]), i, ch) {
 				b = 1
 			}
 		}
-		alpha[i] = b
+		alpha[ev] = b
 		if b == 0 {
 			zero++
 		}
@@ -195,10 +216,13 @@ func (e *Engine) seedAlpha(alpha, pins []int32) int {
 	return zero
 }
 
-// hasKept reports whether any of row's candidates lies in the kept order
-// (at or above T).
-func (e *Engine) hasKept(row int) bool {
-	return int(e.below[row]) < e.inst.M(row)
+// liveIndex returns row's evaluated index when the row is live (has a kept
+// candidate), and −1 otherwise.
+func (e *Engine) liveIndex(row int) int {
+	if ev, ok := e.inst.evalIndex(row); ok && e.below[ev] < int32(e.inst.M(row)) {
+		return ev
+	}
+	return -1
 }
 
 // Fork returns an engine over e's read-only view (similarities, scan order,
@@ -208,12 +232,26 @@ func (e *Engine) hasKept(row int) bool {
 // with pin mutations of e.
 func (e *Engine) Fork() *Engine {
 	f := *e
-	f.pins = append([]int32(nil), e.pins...)
+	f.pins = nil
+	f.allocPins()
+	copy(f.pins, e.pins)
 	return &f
 }
 
+// allocPins gives the engine its pin array, every row unpinned, unless it
+// has one.
+func (e *Engine) allocPins() {
+	if e.pins != nil {
+		return
+	}
+	e.pins = make([]int32, e.N())
+	for i := range e.pins {
+		e.pins[i] = -1
+	}
+}
+
 // Instance returns the similarity view the engine answers queries over. A
-// bound-first engine's view has absent rows (Sims[i] == nil, M(i) kept):
+// bound-first engine's view has absent rows (Row(i) == nil, M(i) kept):
 // rows whose every candidate lies below T, whose similarities were never
 // computed. It can back another engine only for K up to the one this
 // engine was built for.
@@ -228,12 +266,18 @@ func (e *Engine) SetPin(row, cand int) {
 	if cand >= 0 && cand >= e.inst.M(row) {
 		panic(fmt.Sprintf("core: pin candidate %d out of range for row %d (M=%d)", cand, row, e.inst.M(row)))
 	}
+	e.allocPins()
 	e.pins[row] = int32(cand)
 	e.pinGen++
 }
 
 // Pin returns the pinned candidate of row, or -1.
-func (e *Engine) Pin(row int) int { return int(e.pins[row]) }
+func (e *Engine) Pin(row int) int {
+	if e.pins == nil {
+		return -1
+	}
+	return int(e.pins[row])
+}
 
 // PinGeneration returns a counter bumped by every pin mutation (SetPin,
 // ResetPins). Caches keyed on an engine's cleaning state — the selection
@@ -256,7 +300,7 @@ func (e *Engine) PinnedCount() int {
 func (e *Engine) WorldCount() *big.Int {
 	total := big.NewInt(1)
 	for i := 0; i < e.N(); i++ {
-		if e.pins[i] < 0 {
+		if e.Pin(i) < 0 {
 			total.Mul(total, big.NewInt(int64(e.inst.M(i))))
 		}
 	}
@@ -269,10 +313,12 @@ func (e *Engine) WorldCount() *big.Int {
 // — CPClean exploits this across validation-point engines: its trees are
 // storage that each scan gives the engine's tree shapes.
 type Scratch struct {
-	k       int
-	trees   []*segtree.Tree
+	k     int
+	trees []*segtree.Tree
+	// alpha holds each live row's α by evaluated index. seedAlpha writes
+	// the entries of the engine a scan runs on; entries of other rows are
+	// left over from earlier scans and never read.
 	alpha   []int32
-	pins    []int32 // pin vector with a per-query override (pinsFor)
 	counts  []float64
 	tallies [][]int
 	winners []int
@@ -346,15 +392,6 @@ func (e *Engine) MustScratch(k int) *Scratch {
 	return sc
 }
 
-// chosen returns the forced candidate of row under pins and the per-query
-// override, or -1 if the row is uncertain.
-func (e *Engine) chosen(row int, overrideRow, overrideCand int) int {
-	if row == overrideRow {
-		return overrideCand
-	}
-	return int(e.pins[row])
-}
-
 // Counts answers Q2 with SS-DC. overrideRow/overrideCand (-1,-1 for none)
 // hypothetically clean one row for the duration of the query. The returned
 // slice (owned by sc) holds normalized fractions: out[y] = Q2/|worlds|.
@@ -375,42 +412,55 @@ func (e *Engine) CountsMC(sc *Scratch, overrideRow, overrideCand int) []float64 
 // override's pins, returning the number of positions that did tree work.
 func (e *Engine) fullScan(sc *Scratch, overrideRow, overrideCand int, useMC bool) int64 {
 	e.mustFit(sc)
-	pins := e.pinsFor(sc, overrideRow, overrideCand)
 	clear(sc.counts)
-	return e.scan(sc, pins, useMC, -1)
+	return e.scan(sc, e.pinsFor(overrideRow, overrideCand), useMC, -1)
 }
 
-// pinsFor returns the pin vector a query scans under: the engine's own pins,
-// or, with a per-query override, a copy in sc with overrideRow pinned to
-// overrideCand — the shared engine is never written during a query.
-func (e *Engine) pinsFor(sc *Scratch, overrideRow, overrideCand int) []int32 {
-	if overrideRow < 0 {
-		return e.pins
-	}
-	if len(sc.pins) != len(e.pins) {
-		sc.pins = make([]int32, len(e.pins))
-	}
-	copy(sc.pins, e.pins)
-	sc.pins[overrideRow] = int32(overrideCand)
-	return sc.pins
+// pinView is the pin vector a query runs under: the engine's pins (nil when
+// it has none) with row, unless it is −1, pinned to cand for this query
+// only — the shared engine is never written during a query.
+type pinView struct {
+	pins      []int32
+	row, cand int32
 }
+
+// pinsFor returns the engine's pins with the per-query override
+// (overrideRow −1 for none).
+func (e *Engine) pinsFor(overrideRow, overrideCand int) pinView {
+	return pinView{pins: e.pins, row: int32(overrideRow), cand: int32(overrideCand)}
+}
+
+// at returns row i's pinned candidate under the view, or −1.
+func (p pinView) at(i int32) int32 {
+	if i == p.row {
+		return p.cand
+	}
+	if p.pins == nil {
+		return -1
+	}
+	return p.pins[i]
+}
+
+// any reports whether the view may pin a row.
+func (p pinView) any() bool { return p.pins != nil || p.row >= 0 }
 
 // buildLeaves bulk-builds every label tree from the current α state: the
 // tree takes the engine's collapsed shape for the label, and the leaf of
-// each live row n is [α_n/M_n, 1−α_n/M_n] with M_n = 1 for rows pinned in
-// pins (every other row's leaf is [1,0]; see liveRows). It points sc.roots
-// at the trees' roots.
-func (e *Engine) buildLeaves(sc *Scratch, pins []int32) {
+// each live row is [α/M, 1−α/M] with M = 1 for rows pinned in pins (every
+// other row's leaf is [1,0]; see live). It points sc.roots at the trees'
+// roots.
+func (e *Engine) buildLeaves(sc *Scratch, pins pinView) {
+	inst := e.inst
 	for l, tr := range sc.trees {
 		tr.Reset(e.shapes[l])
-		for _, r := range e.liveRows[l] {
-			i := int(r)
-			mEff := e.inst.M(i)
-			if pins[i] >= 0 {
+		for _, ev := range e.liveRows[l] {
+			i := inst.rows[ev]
+			mEff := inst.facts[i].M
+			if pins.at(i) >= 0 {
 				mEff = 1
 			}
-			a := float64(sc.alpha[i]) / float64(mEff)
-			tr.InitLeaf(int(e.slot[i]), a, 1-a)
+			a := float64(sc.alpha[ev]) / float64(mEff)
+			tr.InitLeaf(int(e.slot[ev]), a, 1-a)
 		}
 		tr.Build()
 		sc.roots[l] = tr.Root()
@@ -461,7 +511,7 @@ func (sc *Scratch) ensureHyp(m, numLabels int) {
 // The returned slice holds M normalized distributions (aliasing sc buffers;
 // valid until the next call).
 func (e *Engine) HypothesisCounts(sc *Scratch, row int) [][]float64 {
-	if e.pins[row] >= 0 {
+	if e.Pin(row) >= 0 {
 		panic("core: HypothesisCounts on a pinned row")
 	}
 	e.mustFit(sc)
@@ -476,7 +526,7 @@ func (e *Engine) HypothesisCounts(sc *Scratch, row int) [][]float64 {
 		clear(sc.snapPost[j])
 		clear(sc.own[j])
 	}
-	e.scan(sc, e.pins, false, row)
+	e.scan(sc, e.pinsFor(-1, -1), false, row)
 	// Assemble the per-pin distributions.
 	for j := 0; j < m; j++ {
 		out := sc.hyp[j]
@@ -500,11 +550,11 @@ func (e *Engine) HypothesisCounts(sc *Scratch, row int) [][]float64 {
 // can offer, so row i is never in the top-K. Ties are kept relevant
 // (conservative).
 //
-// An absent row (Instance) counts worst = −Inf and is irrelevant. Its every
-// candidate lies strictly below T in value (boundedInstance), and the K+1
-// rows whose minima define T each have worst ≥ T: so the bound is ≥ T, above
-// the row's true worst and best alike, and neither the bound nor the row's
-// verdict changes.
+// An absent row (Instance) is irrelevant and takes no part in the bound,
+// so only the evaluated rows are visited. Its every candidate lies strictly
+// below T in value (boundedInstance), and the K+1 rows whose minima define
+// T each have worst ≥ T: so the bound is ≥ T, above the row's true worst
+// and best alike, and neither the bound nor the row's verdict changes.
 func (e *Engine) RelevantRows(k int) []bool {
 	n := e.N()
 	rel := make([]bool, n)
@@ -515,31 +565,29 @@ func (e *Engine) RelevantRows(k int) []bool {
 		return rel
 	}
 	// The per-row extremes come precomputed from the build; the bound is
-	// found by selection, which permutes worst.
-	worst := make([]float64, n)
-	for i := range worst {
-		row := e.inst.Sims[i]
-		if row == nil {
-			worst[i] = math.Inf(-1)
-			continue
-		}
-		j := e.pins[i]
+	// found by selection, which permutes worst. With at most k evaluated
+	// rows the (k+1)-th largest worst over all N rows is an absent row's,
+	// −Inf.
+	inst := e.inst
+	pins := e.pinsFor(-1, -1)
+	worst := make([]float64, len(inst.rows))
+	for ev, i := range inst.rows {
+		j := pins.at(i)
 		if j < 0 {
-			j = e.argMin[i]
+			j = e.argMin[ev]
 		}
-		worst[i] = boundSim(row[j])
+		worst[ev] = boundSim(inst.evalRow(ev)[j])
 	}
-	bound := kthLargest(worst, k)
-	for i := range rel {
-		row := e.inst.Sims[i]
-		if row == nil {
-			continue
-		}
-		j := e.pins[i]
+	bound := math.Inf(-1)
+	if k < len(worst) {
+		bound = kthLargest(worst, k)
+	}
+	for ev, i := range inst.rows {
+		j := pins.at(i)
 		if j < 0 {
-			j = e.argMax[i]
+			j = e.argMax[ev]
 		}
-		rel[i] = boundSim(row[j]) >= bound
+		rel[i] = boundSim(inst.evalRow(ev)[j]) >= bound
 	}
 	return rel
 }

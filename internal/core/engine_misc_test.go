@@ -85,8 +85,8 @@ func TestInstanceForComputesKernelSims(t *testing.T) {
 		{Candidates: [][]float64{{0}, {3}}, Label: 0},
 	}, 2)
 	inst := InstanceFor(d, knn.NegEuclidean{}, []float64{1})
-	if inst.Sims[0][0] != -1 || inst.Sims[0][1] != -2 {
-		t.Fatalf("sims %v", inst.Sims[0])
+	if inst.Row(0)[0] != -1 || inst.Row(0)[1] != -2 {
+		t.Fatalf("sims %v", inst.Row(0))
 	}
 }
 

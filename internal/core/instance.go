@@ -35,25 +35,33 @@ import (
 )
 
 // Instance is an incomplete training set viewed through the lens of a single
-// test point: only the candidate similarities and the labels remain.
-// Sims[i][j] is κ(x_{i,j}, t) for candidate j of training example i.
+// test point: only the candidate similarities and the per-row facts remain.
+// Row(i)[j] is κ(x_{i,j}, t) for candidate j of training example i.
 //
-// A row may be absent: Sims[i] == nil while M(i) still reports its candidate
-// count. Only a bound-first engine build (NewTruncatedEngine) leaves rows
-// absent, and only rows it proved to lie wholly below the truncation
-// threshold T for every K up to the one it was built for; InstanceFor and
-// NewInstance leave every row present.
+// Layout: the evaluated rows are numbered 0..E−1 in ascending row order
+// (their evaluated index); rows[e] is the e-th evaluated row and its
+// similarities are sims[off[e]:off[e+1]], one flat array with no per-row
+// pointer. Each row's label, candidate count M and leaf rank come from one
+// dataset.RowFact array, which an instance of a dataset shares with the
+// dataset and with every other instance of it.
+//
+// A row may be absent: not evaluated, so Row(i) == nil while M(i) still
+// reports its candidate count. Only a bound-first engine build
+// (NewTruncatedEngine) leaves rows absent, and only rows it proved to lie
+// wholly below the truncation threshold T for every K up to the one it was
+// built for; InstanceFor and NewInstance evaluate every row.
 type Instance struct {
-	Sims      [][]float64
-	Labels    []int
 	NumLabels int
-	// absentM[i] is absent row i's candidate count; nil when every row is
-	// present. boundK is the largest K the absent rows were proven for.
-	absentM []int32
-	boundK  int
+	facts     []dataset.RowFact
+	rows      []int32 // evaluated rows, ascending
+	off       []int32 // len(rows)+1 offsets into sims
+	sims      []float64
+	// boundK is the largest K the absent rows were proven for.
+	boundK int
 }
 
-// NewInstance validates shapes and label ranges.
+// NewInstance validates shapes and label ranges. sims[i] holds example i's
+// candidate similarities; the instance keeps a copy.
 func NewInstance(sims [][]float64, labels []int, numLabels int) (*Instance, error) {
 	if len(sims) != len(labels) {
 		return nil, fmt.Errorf("core: %d similarity rows but %d labels", len(sims), len(labels))
@@ -61,6 +69,7 @@ func NewInstance(sims [][]float64, labels []int, numLabels int) (*Instance, erro
 	if numLabels < 2 {
 		return nil, fmt.Errorf("core: need at least 2 labels, got %d", numLabels)
 	}
+	n, total := len(sims), 0
 	for i, row := range sims {
 		if len(row) == 0 {
 			return nil, fmt.Errorf("core: example %d has no candidates", i)
@@ -68,8 +77,33 @@ func NewInstance(sims [][]float64, labels []int, numLabels int) (*Instance, erro
 		if labels[i] < 0 || labels[i] >= numLabels {
 			return nil, fmt.Errorf("core: label %d at example %d out of range [0,%d)", labels[i], i, numLabels)
 		}
+		total += len(row)
 	}
-	return &Instance{Sims: sims, Labels: labels, NumLabels: numLabels}, nil
+	in := newInstance(numLabels, make([]dataset.RowFact, n), n, total)
+	rank := make([]int32, numLabels)
+	p := 0
+	for i, row := range sims {
+		l := labels[i]
+		in.facts[i] = dataset.RowFact{Label: int32(l), M: int32(len(row)), Rank: rank[l]}
+		rank[l]++
+		in.rows[i], in.off[i] = int32(i), int32(p)
+		p += copy(in.sims[p:], row)
+	}
+	in.off[n] = int32(p)
+	return in, nil
+}
+
+// newInstance allocates an instance over facts with room for e evaluated
+// rows holding nm similarities in total.
+func newInstance(numLabels int, facts []dataset.RowFact, e, nm int) *Instance {
+	idx := make([]int32, 2*e+1)
+	return &Instance{
+		NumLabels: numLabels,
+		facts:     facts,
+		rows:      idx[:e:e],
+		off:       idx[e:],
+		sims:      make([]float64, nm),
+	}
 }
 
 // MustNewInstance is NewInstance but panics on error.
@@ -109,8 +143,8 @@ type boxBounder interface {
 // dataset without boxes, brackets every row by ±Inf (T_lo = −Inf) and every
 // row is evaluated; so is every row for k < 1 or N ≤ k.
 func boundedInstance(d *dataset.Incomplete, kernel knn.Kernel, t []float64, k int) *Instance {
-	n := d.N()
-	in := &Instance{Sims: make([][]float64, n), Labels: make([]int, n), NumLabels: d.NumLabels}
+	facts := d.RowFacts()
+	n := len(facts)
 	var upper []float64
 	tLo := math.Inf(-1)
 	if k >= 1 && k < n {
@@ -118,34 +152,31 @@ func boundedInstance(d *dataset.Incomplete, kernel knn.Kernel, t []float64, k in
 		defer radixScratchPool.Put(sc)
 		upper, tLo = rowBounds(sc, d, kernel, t, k)
 	}
-	absent := func(i int) bool { return upper != nil && upper[i] < tLo }
-	total := 0
-	for i := range d.Examples {
-		if !absent(i) {
-			total += d.Examples[i].M()
-		} else if in.absentM == nil {
-			in.absentM = make([]int32, n)
-			in.boundK = k
+	evaluated := func(i int) bool { return upper == nil || upper[i] >= tLo }
+	e, nm := 0, 0
+	for i, f := range facts {
+		if evaluated(i) {
+			e++
+			nm += int(f.M)
 		}
 	}
-	// Every present row is a sub-slice of one backing array, allocated once
-	// per build rather than once per row.
-	flat := make([]float64, total)
-	for i := range d.Examples {
-		ex := &d.Examples[i]
-		in.Labels[i] = ex.Label
-		m := ex.M()
-		if absent(i) {
-			in.absentM[i] = int32(m)
+	in := newInstance(d.NumLabels, facts, e, nm)
+	if e < n {
+		in.boundK = k
+	}
+	e, p := 0, 0
+	for i := range facts {
+		if !evaluated(i) {
 			continue
 		}
-		row := flat[:m:m]
-		flat = flat[m:]
-		for j, c := range ex.Candidates {
-			row[j] = kernel.Similarity(c, t)
+		in.rows[e], in.off[e] = int32(i), int32(p)
+		e++
+		for _, c := range d.Examples[i].Candidates {
+			in.sims[p] = kernel.Similarity(c, t)
+			p++
 		}
-		in.Sims[i] = row
 	}
+	in.off[e] = int32(p)
 	return in
 }
 
@@ -169,31 +200,42 @@ func rowBounds(sc *radixScratch, d *dataset.Incomplete, kernel knn.Kernel, t []f
 }
 
 // N returns the number of training examples.
-func (in *Instance) N() int { return len(in.Labels) }
+func (in *Instance) N() int { return len(in.facts) }
 
 // M returns the candidate count of example i, present or absent.
-func (in *Instance) M(i int) int {
-	if row := in.Sims[i]; row != nil || in.absentM == nil {
-		return len(row)
+func (in *Instance) M(i int) int { return int(in.facts[i].M) }
+
+// Label returns the label of example i.
+func (in *Instance) Label(i int) int { return int(in.facts[i].Label) }
+
+// Row returns example i's candidate similarities, or nil for an absent
+// row. The slice aliases the instance.
+func (in *Instance) Row(i int) []float64 {
+	e, ok := in.evalIndex(i)
+	if !ok {
+		return nil
 	}
-	return int(in.absentM[i])
+	return in.evalRow(e)
+}
+
+// evalIndex returns row i's evaluated index, and false for an absent row.
+func (in *Instance) evalIndex(i int) (int, bool) {
+	if len(in.rows) == len(in.facts) {
+		return i, true // every row evaluated
+	}
+	return slices.BinarySearch(in.rows, int32(i))
+}
+
+// evalRow returns the similarities of the evaluated row with index e.
+func (in *Instance) evalRow(e int) []float64 {
+	return in.sims[in.off[e]:in.off[e+1]]
 }
 
 // TotalCandidates returns Σ_i M_i.
 func (in *Instance) TotalCandidates() int {
 	s := 0
-	for i := range in.Sims {
-		s += in.M(i)
-	}
-	return s
-}
-
-// presentCandidates returns the number of candidates with a similarity:
-// TotalCandidates less the absent rows'.
-func (in *Instance) presentCandidates() int {
-	s := 0
-	for _, row := range in.Sims {
-		s += len(row)
+	for _, f := range in.facts {
+		s += int(f.M)
 	}
 	return s
 }
@@ -205,9 +247,23 @@ func (in *Instance) presentCandidates() int {
 // the order stays a strict total order whatever the kernel returns (a finite
 // input can still overflow to Inf − Inf). The paper assumes no ties ("we can
 // always break a tie by favoring a smaller i and j"); this order realizes
-// that assumption.
+// that assumption. Both rows must be present and both candidates exist: an
+// absent row or a candidate index outside [0, M) panics.
 func (in *Instance) MoreSimilar(i1, j1, i2, j2 int) bool {
-	s1, s2 := in.Sims[i1][j1], in.Sims[i2][j2]
+	e1, e2 := i1, i2
+	if len(in.rows) != len(in.facts) {
+		var ok1, ok2 bool
+		e1, ok1 = slices.BinarySearch(in.rows, int32(i1))
+		e2, ok2 = slices.BinarySearch(in.rows, int32(i2))
+		if !ok1 || !ok2 {
+			panic("core: MoreSimilar of a row absent from the instance")
+		}
+	}
+	return moreSimilar(in.evalRow(e1)[j1], i1, j1, in.evalRow(e2)[j2], i2, j2)
+}
+
+// moreSimilar is MoreSimilar over the candidates' similarities s1 and s2.
+func moreSimilar(s1 float64, i1, j1 int, s2 float64, i2, j2 int) bool {
 	if s1 > s2 {
 		return true
 	}
@@ -223,7 +279,9 @@ func (in *Instance) MoreSimilar(i1, j1, i2, j2 int) bool {
 	return j1 < j2
 }
 
-// candRef identifies one candidate value.
+// candRef identifies one candidate value: candidate cand of the evaluated
+// row with index row (the row itself in an instance that evaluates every
+// row).
 type candRef struct {
 	row, cand int32
 }
@@ -256,15 +314,16 @@ const (
 )
 
 // radixScratch holds an engine build's temporaries between builds: the row
-// bounds and scanView's sort buffers. Everything but the returned view is
-// garbage the moment a build ends; reusing it keeps a burst of engine builds
-// from inflating the peak heap.
+// bounds, scanView's sort buffers and the engine's tree-shape buffers.
+// Everything but the returned view is garbage the moment a build ends;
+// reusing it keeps a burst of engine builds from inflating the peak heap.
 type radixScratch struct {
 	hist          [radixPasses][1 << radixBits]int32
 	keys, keysTmp []uint64
 	refs          []candRef
 	mins          []threshold
 	lower, upper  []float64
+	live, leaves  []int32
 }
 
 var radixScratchPool = sync.Pool{New: func() any { return new(radixScratch) }}
@@ -304,9 +363,10 @@ func (t threshold) moreSimilar(u threshold) bool {
 }
 
 // scanView is what engine build derives from an instance in two passes over
-// its candidates: each row's least and most similar candidate under the
-// total order, the truncation threshold T, each row's count of candidates
-// below T, and the scan order of the candidates that remain.
+// its candidates: each evaluated row's least and most similar candidate
+// under the total order, the truncation threshold T, each evaluated row's
+// count of candidates below T, and the scan order of the candidates that
+// remain. The per-row arrays are indexed by evaluated index (Instance).
 type scanView struct {
 	order          []candRef // kept candidates, ascending similarity
 	argMin, argMax []int32
@@ -321,9 +381,9 @@ type scanView struct {
 // top-K boundary and only adds to its row's starting α. Those candidates
 // are counted in below and left out of order. With k < 1 or N ≤ k there is
 // no K+1-th row, T = −∞ and order holds every candidate. An absent row lies
-// wholly below T (boundedInstance): below holds its M and its extremes are
-// left unset. Its absence is proven only for 1 ≤ k ≤ boundK; any other k
-// is a caller bug and panics.
+// wholly below T (boundedInstance) and has no entry: its below is
+// implicitly its M. Its absence is proven only for 1 ≤ k ≤ boundK; any
+// other k is a caller bug and panics.
 //
 // order is a stable LSD radix sort on simKey: a comes before b iff
 // MoreSimilar(b, a). Candidates are enumerated in descending (row, cand)
@@ -331,15 +391,16 @@ type scanView struct {
 // exactly MoreSimilar's tie-break. A pass whose digit is the same in every
 // key would be the identity and is skipped.
 func (in *Instance) scanView(k int) scanView {
-	n := in.N()
-	if in.absentM != nil && (k < 1 || k > in.boundK) {
+	ne := len(in.rows)
+	if ne < in.N() && (k < 1 || k > in.boundK) {
 		panic(fmt.Sprintf("core: instance with rows absent for K ≤ %d viewed for K=%d", in.boundK, k))
 	}
-	nm := in.presentCandidates()
+	nm := len(in.sims)
+	state := make([]int32, 3*ne)
 	v := scanView{
-		argMin: make([]int32, n),
-		argMax: make([]int32, n),
-		below:  make([]int32, n),
+		argMin: state[:ne:ne],
+		argMax: state[ne : 2*ne : 2*ne],
+		below:  state[2*ne:],
 		t:      noThreshold,
 	}
 	sc := radixScratchPool.Get().(*radixScratch)
@@ -351,11 +412,8 @@ func (in *Instance) scanView(k int) scanView {
 	// extremes. j descends, so on equal keys the argmax moves to the smaller
 	// (more similar) j and the argmin stays on the larger one.
 	p := 0
-	for i := n - 1; i >= 0; i-- {
-		row := in.Sims[i]
-		if row == nil {
-			continue // absent
-		}
+	for e := ne - 1; e >= 0; e-- {
+		row := in.evalRow(e)
 		last := len(row) - 1 // every present row has a candidate (NewInstance)
 		lo := simKey(row[last])
 		hi, loJ, hiJ := lo, last, last
@@ -372,8 +430,8 @@ func (in *Instance) scanView(k int) scanView {
 				hi, hiJ = key, j
 			}
 		}
-		v.argMin[i], v.argMax[i] = int32(loJ), int32(hiJ)
-		mins = append(mins, threshold{key: lo, row: int32(i), cand: int32(loJ)})
+		v.argMin[e], v.argMax[e] = int32(loJ), int32(hiJ)
+		mins = append(mins, threshold{key: lo, row: in.rows[e], cand: int32(loJ)})
 	}
 	sc.mins = mins
 	// Absent rows' minima are all below T, so it is the (k+1)-th most
@@ -388,19 +446,17 @@ func (in *Instance) scanView(k int) scanView {
 	refs := sc.refs
 	q := 0
 	p = 0
-	for i := n - 1; i >= 0; i-- {
-		row := in.Sims[i]
-		lo, hi := v.argMin[i], v.argMax[i]
+	for e := ne - 1; e >= 0; e-- {
+		row, i := in.evalRow(e), in.rows[e]
+		lo, hi := v.argMin[e], v.argMax[e]
 		switch {
-		case row == nil:
-			v.below[i] = int32(in.M(i))
-		case v.t.below(simKey(row[hi]), int32(i), hi):
-			v.below[i] = int32(len(row))
+		case v.t.below(simKey(row[hi]), i, hi):
+			v.below[e] = int32(len(row))
 			p += len(row)
-		case !v.t.below(simKey(row[lo]), int32(i), lo):
+		case !v.t.below(simKey(row[lo]), i, lo):
 			for j := len(row) - 1; j >= 0; j-- {
 				keys[q] = keys[p]
-				refs[q] = candRef{int32(i), int32(j)}
+				refs[q] = candRef{int32(e), int32(j)}
 				p++
 				q++
 			}
@@ -408,12 +464,12 @@ func (in *Instance) scanView(k int) scanView {
 			for j := len(row) - 1; j >= 0; j-- {
 				key := keys[p]
 				p++
-				if v.t.below(key, int32(i), int32(j)) {
-					v.below[i]++
+				if v.t.below(key, i, int32(j)) {
+					v.below[e]++
 					continue
 				}
 				keys[q] = key
-				refs[q] = candRef{int32(i), int32(j)}
+				refs[q] = candRef{int32(e), int32(j)}
 				q++
 			}
 		}

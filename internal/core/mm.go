@@ -8,26 +8,27 @@ import (
 // extremePrediction classifies the l-extreme world E_l (§3.2, appendix B):
 // each row with label l takes its *most* similar valid candidate, every
 // other row its *least* similar valid candidate; a pinned or overridden row
-// takes its chosen candidate. Rows whose every candidate lies below T are
-// skipped: at least K+1 other rows beat each of their candidates in every
-// world, so they never enter a top-K. Returns the K-NN prediction of E_l.
-func (e *Engine) extremePrediction(l, k, overrideRow, overrideCand int) int {
+// takes its chosen candidate. Only the live rows are visited: a row whose
+// every candidate lies below T (an absent row among them) has at least K+1
+// other rows beating each of its candidates in every world, so it never
+// enters a top-K. The K most similar visited rows are the same set in any
+// visiting order, since the order is strict. Returns the K-NN prediction
+// of E_l.
+func (e *Engine) extremePrediction(l, k int, pins pinView) int {
 	inst := e.inst
 	// h keeps the K most similar rows; root = least similar kept.
 	h := make(mmHeap, 0, k)
-	w := &mmHeapWrap{inst: inst, h: &h}
-	for i := 0; i < inst.N(); i++ {
-		if int(e.below[i]) == inst.M(i) {
-			continue
-		}
-		j := e.chosen(i, overrideRow, overrideCand)
+	w := &mmHeapWrap{h: &h}
+	for _, ev := range e.live {
+		i := inst.rows[ev]
+		j := pins.at(i)
 		if j < 0 {
-			j = int(e.argMin[i])
-			if inst.Labels[i] == l {
-				j = int(e.argMax[i])
+			j = e.argMin[ev]
+			if inst.Label(int(i)) == l {
+				j = e.argMax[ev]
 			}
 		}
-		nb := mmNeighbor{row: i, cand: j}
+		nb := mmNeighbor{sim: inst.evalRow(int(ev))[j], row: i, cand: j}
 		if len(h) < k {
 			h = append(h, nb)
 			if len(h) == k {
@@ -35,34 +36,42 @@ func (e *Engine) extremePrediction(l, k, overrideRow, overrideCand int) int {
 			}
 			continue
 		}
-		if inst.MoreSimilar(nb.row, nb.cand, h[0].row, h[0].cand) {
+		if nb.moreSimilar(h[0]) {
 			h[0] = nb
 			heap.Fix(w, 0)
 		}
 	}
 	tally := make([]int, inst.NumLabels)
 	for _, nb := range h {
-		tally[inst.Labels[nb.row]]++
+		tally[inst.Label(int(nb.row))]++
 	}
 	return argmaxTally(tally)
 }
 
-// mmNeighbor is a (row, chosen candidate) pair inside an MM extreme world.
-type mmNeighbor struct{ row, cand int }
+// mmNeighbor is a (row, chosen candidate) pair inside an MM extreme world,
+// with the candidate's similarity.
+type mmNeighbor struct {
+	sim       float64
+	row, cand int32
+}
+
+// moreSimilar is MoreSimilar between two neighbors.
+func (a mmNeighbor) moreSimilar(b mmNeighbor) bool {
+	return moreSimilar(a.sim, int(a.row), int(a.cand), b.sim, int(b.row), int(b.cand))
+}
 
 type mmHeap []mmNeighbor
 
-// mmHeapWrap implements heap.Interface with access to the instance's total
-// order; the root is the least similar kept neighbor.
+// mmHeapWrap implements heap.Interface under the total order; the root is
+// the least similar kept neighbor.
 type mmHeapWrap struct {
-	inst *Instance
-	h    *mmHeap
+	h *mmHeap
 }
 
 func (w *mmHeapWrap) Len() int { return len(*w.h) }
 func (w *mmHeapWrap) Less(i, j int) bool {
 	a, b := (*w.h)[i], (*w.h)[j]
-	return w.inst.MoreSimilar(b.row, b.cand, a.row, a.cand)
+	return b.moreSimilar(a)
 }
 func (w *mmHeapWrap) Swap(i, j int)      { (*w.h)[i], (*w.h)[j] = (*w.h)[j], (*w.h)[i] }
 func (w *mmHeapWrap) Push(x interface{}) { *w.h = append(*w.h, x.(mmNeighbor)) }
@@ -101,7 +110,7 @@ func (e *Engine) CheckMM(k, overrideRow, overrideCand int) ([]bool, error) {
 	possible := make([]bool, e.numLabels)
 	for l := range possible {
 		// ∃ world predicting l ⟺ E_l predicts l (Lemma B.2).
-		possible[l] = e.extremePrediction(l, k, overrideRow, overrideCand) == l
+		possible[l] = e.extremePrediction(l, k, e.pinsFor(overrideRow, overrideCand)) == l
 	}
 	out := make([]bool, e.numLabels)
 	for l := range out {

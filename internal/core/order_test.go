@@ -13,18 +13,24 @@ import (
 )
 
 // sortedCandidatesRef is the comparator reference for sortedCandidates: a
-// plain sort under MoreSimilar. Any strict total order has one sorted
-// permutation, so the radix order must equal it exactly.
+// plain sort under MoreSimilar's order (moreSimilar), over a per-row table
+// of the similarities read once up front — the [][]float64 view the
+// comparator sort ran over before the radix order replaced it, so
+// BenchmarkEngineBuild/order-ref times the sort, not Instance's row lookup.
+// Any strict total order has one sorted permutation, so the radix order
+// must equal it exactly.
 func sortedCandidatesRef(in *Instance) []candRef {
 	out := make([]candRef, 0, in.TotalCandidates())
-	for i, row := range in.Sims {
-		for j := range row {
+	sims := make([][]float64, in.N())
+	for i := range sims {
+		sims[i] = in.Row(i)
+		for j := range sims[i] {
 			out = append(out, candRef{int32(i), int32(j)})
 		}
 	}
 	sort.Slice(out, func(x, y int) bool {
 		a, b := out[x], out[y]
-		return in.MoreSimilar(int(b.row), int(b.cand), int(a.row), int(a.cand))
+		return moreSimilar(sims[b.row][b.cand], int(b.row), int(b.cand), sims[a.row][a.cand], int(a.row), int(a.cand))
 	})
 	return out
 }
@@ -138,8 +144,8 @@ func TestMoreSimilarStrictTotalOrderWithNaN(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		inst := specialInstance(rng, 6, 3)
 		var refs []candRef
-		for i, row := range inst.Sims {
-			for j := range row {
+		for i := 0; i < inst.N(); i++ {
+			for j := range inst.Row(i) {
 				refs = append(refs, candRef{int32(i), int32(j)})
 			}
 		}
@@ -177,7 +183,7 @@ func TestNaNSimilarityBruteForceAgree(t *testing.T) {
 		{Candidates: [][]float64{{-3, 0}}, Label: 1},
 	}, 2)
 	inst := InstanceFor(d, knn.Linear{}, []float64{1e308, -1e308})
-	if s := inst.Sims[0][0]; !math.IsNaN(s) {
+	if s := inst.Row(0)[0]; !math.IsNaN(s) {
 		t.Fatalf("fixture no longer produces NaN: sim %v", s)
 	}
 	for k := 1; k <= 3; k++ {

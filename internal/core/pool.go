@@ -6,37 +6,43 @@ import (
 	"sync/atomic"
 )
 
-// ApproxBytes estimates the engine's heap footprint — the similarities of
-// its present rows (O(NM) untruncated, the rows a bound-first build
-// evaluated truncated), the kept scan order, the O(N) row arrays and the
-// per-label live rows and tree shapes — so byte-budgeted caches can account
-// engines instead of merely counting them.
+// ApproxBytes estimates the engine's heap footprint, so byte-budgeted
+// caches can account engines instead of merely counting them. It counts
+// what the engine holds per evaluated row — the similarities (O(NM)
+// untruncated, the rows a bound-first build evaluated truncated), their
+// row and offset index, below/argMin/argMax/slot — plus the kept scan
+// order, the live rows and tree shapes, and the pins once the engine has
+// been pinned. Absent rows cost nothing. The dataset's row facts
+// (dataset.RowFact: label, M, leaf rank) are shared by every engine over
+// the dataset and are not counted.
 func (e *Engine) ApproxBytes() int64 {
-	n := int64(e.N())
 	const sliceHeader = 24
-	b := int64(e.inst.presentCandidates()) * 8 // inst.Sims values
-	b += int64(len(e.order)) * 8               // order candRefs
-	b += n * sliceHeader                       // Sims row headers
-	b += n * 8                                 // inst.Labels
-	b += int64(len(e.inst.absentM)) * 4        // inst.absentM
-	b += n * (4 + 4)                           // pins, slot
-	b += n * (4 + 4 + 4)                       // below, argMin, argMax
-	for _, rows := range e.liveRows {
-		b += int64(len(rows)) * (4 + 4) // liveRows, shape pair parents
-	}
+	inst := e.inst
+	ne := int64(len(inst.rows))
+	b := int64(len(inst.sims)) * 8            // similarities
+	b += (2*ne + 1) * 4                       // rows, off
+	b += int64(len(e.order)) * 8              // order candRefs
+	b += 4 * ne * 4                           // below, argMin, argMax, slot
+	b += int64(len(e.live)) * (4 + 4)         // live rows, shape pair parents
+	b += int64(len(e.pins)) * 4               // pins, once pinned
 	b += int64(e.numLabels) * 2 * sliceHeader // liveRows and shapes headers
+	b += engineStructBytes
 	return b
 }
 
+// engineStructBytes approximates the Engine and Instance structs
+// themselves, which dominate a build that evaluates only a few rows.
+const engineStructBytes = 320
+
 // ApproxBytes estimates the scratch's heap footprint: the per-label tree
 // storage (grown to the largest collapsed tree it has held, O(live·K)
-// floats), the O(N) α and pin vectors, and the hypothesis buffers.
+// floats), the O(N) α vector, and the hypothesis buffers.
 func (sc *Scratch) ApproxBytes() int64 {
 	var b int64
 	for _, tr := range sc.trees {
 		b += tr.ApproxBytes()
 	}
-	b += int64(len(sc.alpha)+len(sc.pins)) * 4
+	b += int64(len(sc.alpha)) * 4
 	b += int64(len(sc.tallies)) * (24 + int64(len(sc.counts))) // tally slices
 	for _, h := range sc.hyp {
 		b += int64(len(h)) * 8 * 4 // hyp, own, snapPre, snapPost

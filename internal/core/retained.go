@@ -148,7 +148,11 @@ func (r *Retained) Counts() []float64 {
 // such pins.
 func (r *Retained) pinsPreserveMemo() bool {
 	for i, p := range r.e.pins {
-		if old := r.pins[i]; p != old && (old >= 0 || r.relevant[i]) {
+		old := int32(-1)
+		if i < len(r.pins) {
+			old = r.pins[i]
+		}
+		if p != old && (old >= 0 || r.relevant[i]) {
 			return false
 		}
 	}

@@ -38,7 +38,7 @@ func SSFastCounts(inst *Instance) []float64 {
 		}
 		// Normalized boundary mass of (i,j):
 		//   (1/M_i)·Π_{n≠i} α[n]/M_n = exp(logP)/α[i].
-		out[inst.Labels[i]] += math.Exp(logP) / float64(newA)
+		out[inst.Label(i)] += math.Exp(logP) / float64(newA)
 	}
 	return out
 }
@@ -74,7 +74,7 @@ func SSFastExactCounts(inst *Instance) *ExactCounts {
 		// Boundary count of (i,j): Π_{n≠i} α[n] = prod / α[i].
 		tmp.SetInt64(int64(newA))
 		boundary := new(big.Int).Quo(prod, tmp)
-		y := inst.Labels[i]
+		y := inst.Label(i)
 		counts.PerLabel[y].Add(counts.PerLabel[y], boundary)
 	}
 	return counts

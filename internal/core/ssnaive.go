@@ -106,7 +106,7 @@ func ssExactDP(inst *Instance, alpha []int, boundaryRow, l, k int) []*big.Int {
 	tmp := new(big.Int)
 	for nn := 0; nn < inst.N(); nn++ {
 		if nn == boundaryRow {
-			if inst.Labels[nn] != l {
+			if inst.Label(nn) != l {
 				continue
 			}
 			// The boundary row is always in the top-K: consume one slot.
@@ -116,7 +116,7 @@ func ssExactDP(inst *Instance, alpha []int, boundaryRow, l, k int) []*big.Int {
 			c[0].SetInt64(0)
 			continue
 		}
-		if inst.Labels[nn] != l {
+		if inst.Label(nn) != l {
 			continue
 		}
 		in := int64(inst.M(nn) - alpha[nn]) // candidates more similar than the boundary

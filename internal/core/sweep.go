@@ -11,39 +11,43 @@ package core
 // (the row's pre-state root is the post root shifted one degree).
 
 // scan walks every kept scan position with real tree work under the given
-// pin vector (e.pins, or pinsFor's copy carrying a per-query override),
-// from the α state seedAlpha derives. With hypRow = −1 it adds each
-// position's supports into sc.counts; useMC selects the appendix-A.3
-// winner-cap accumulator instead of tally enumeration. With an unpinned
-// hypRow ≥ 0 it is HypothesisCounts' walk: the row's leaf stays [1,0]
-// (α = M) throughout, each position adds its supports with the row after
-// the boundary into sc.cumPost and with it before the boundary (the
-// shifted root) into sc.cumPre, and each of the row's own candidates j
-// snapshots both sums and adds its own boundary term into sc.own[j]. The
-// trees are bulk-built at the first position whose boundary support is not
-// provably zero. Returns the number of positions that performed tree work.
-func (e *Engine) scan(sc *Scratch, pins []int32, useMC bool, hypRow int) int64 {
+// pins (the engine's, with an optional per-query override), from the α
+// state seedAlpha derives. With hypRow = −1 it adds each position's
+// supports into sc.counts; useMC selects the appendix-A.3 winner-cap
+// accumulator instead of tally enumeration. With an unpinned hypRow ≥ 0 it
+// is HypothesisCounts' walk: the row's leaf stays [1,0] (α = M) throughout,
+// each position adds its supports with the row after the boundary into
+// sc.cumPost and with it before the boundary (the shifted root) into
+// sc.cumPre, and each of the row's own candidates j snapshots both sums and
+// adds its own boundary term into sc.own[j]. A hypothesis row without kept
+// candidates (absent ones included) has no scan position and an α that is
+// never 0, so only its label is read. The trees are bulk-built at the first
+// position whose boundary support is not provably zero. Returns the number
+// of positions that performed tree work.
+func (e *Engine) scan(sc *Scratch, pins pinView, useMC bool, hypRow int) int64 {
 	inst := e.inst
-	labels := inst.Labels
+	rows, facts := inst.rows, inst.facts
 	slot := e.slot
 	alpha := sc.alpha
 	k := sc.k
 	zeroRows := e.seedAlpha(alpha, pins)
-	lHyp := -1
+	hypEv, lHyp := -1, -1
 	if hypRow >= 0 {
 		// The hypothesis row's α = M makes its leaf [1,0], and takes it
 		// out of zeroRows, which then counts the other rows with α = 0.
-		if alpha[hypRow] == 0 {
-			zeroRows--
+		lHyp = inst.Label(hypRow)
+		if hypEv = e.liveIndex(hypRow); hypEv >= 0 {
+			if alpha[hypEv] == 0 {
+				zeroRows--
+			}
+			alpha[hypEv] = int32(inst.M(hypRow))
 		}
-		alpha[hypRow] = int32(inst.M(hypRow))
-		lHyp = labels[hypRow]
 	}
 	built := false
 	var scanned int64
 	for _, ref := range e.order {
-		i := int(ref.row)
-		if i == hypRow {
+		ev := int(ref.row)
+		if ev == hypEv {
 			// Snapshot the prefix sums for pin j and compute its own
 			// boundary term: the row forced onto the boundary, a pinned
 			// row's leaf [0, 1/1], is the pre state.
@@ -59,16 +63,13 @@ func (e *Engine) scan(sc *Scratch, pins []int32, useMC bool, hypRow int) int64 {
 			}
 			continue
 		}
-		ch := int(pins[i])
-		if ch >= 0 && int(ref.cand) != ch {
+		i := rows[ev]
+		ch := pins.at(i)
+		if ch >= 0 && ref.cand != ch {
 			continue // candidate eliminated by cleaning
 		}
-		mEff := inst.M(i)
-		if ch >= 0 {
-			mEff = 1
-		}
-		alpha[i]++
-		if alpha[i] == 1 {
+		alpha[ev]++
+		if alpha[ev] == 1 {
 			zeroRows--
 		}
 		// zeroRows counts rows with α = 0. Every such row must place a
@@ -84,9 +85,14 @@ func (e *Engine) scan(sc *Scratch, pins []int32, useMC bool, hypRow int) int64 {
 			e.buildLeaves(sc, pins)
 			built = true
 		}
-		a := float64(alpha[i]) / float64(mEff)
-		tr := sc.trees[labels[i]]
-		p := int(slot[i])
+		f := facts[i]
+		mEff := f.M
+		if ch >= 0 {
+			mEff = 1
+		}
+		a := float64(alpha[ev]) / float64(mEff)
+		tr := sc.trees[f.Label]
+		p := int(slot[ev])
 		// Force row i onto the boundary: it contributes exactly one top-K
 		// slot, with probability 1/mEff of picking this candidate. Read the
 		// supports, then restore the leaf to its scanned state [α/M, 1−α/M].

@@ -53,7 +53,7 @@ func BenchmarkHypothesisCounts(b *testing.B) {
 	e := NewTruncatedEngineFromInstance(InstanceFor(d, knn.NegEuclidean{}, p), 3)
 	row := -1
 	for i := 0; i < e.N(); i++ {
-		if e.hasKept(i) && (row < 0 || e.inst.M(i) > e.inst.M(row)) {
+		if e.liveIndex(i) >= 0 && (row < 0 || e.inst.M(i) > e.inst.M(row)) {
 			row = i
 		}
 	}

@@ -251,12 +251,12 @@ func relevantRowsRef(e *Engine, k int) []bool {
 	best := make([]float64, n)
 	for i := 0; i < n; i++ {
 		if ch := e.Pin(i); ch >= 0 {
-			worst[i] = boundSim(e.inst.Sims[i][ch])
+			worst[i] = boundSim(e.inst.Row(i)[ch])
 			best[i] = worst[i]
 			continue
 		}
 		lo, hi := math.Inf(1), math.Inf(-1)
-		for _, s := range e.inst.Sims[i] {
+		for _, s := range e.inst.Row(i) {
 			s = boundSim(s)
 			lo = math.Min(lo, s)
 			hi = math.Max(hi, s)

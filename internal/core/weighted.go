@@ -121,7 +121,7 @@ func weightedDP(wi *WeightedInstance, below []float64, boundaryRow, l, k int) []
 	c[0] = 1
 	for nn := 0; nn < wi.N(); nn++ {
 		if nn == boundaryRow {
-			if wi.Labels[nn] != l {
+			if wi.Label(nn) != l {
 				continue
 			}
 			for x := k; x >= 1; x-- {
@@ -130,7 +130,7 @@ func weightedDP(wi *WeightedInstance, below []float64, boundaryRow, l, k int) []
 			c[0] = 0
 			continue
 		}
-		if wi.Labels[nn] != l {
+		if wi.Label(nn) != l {
 			continue
 		}
 		in := 1 - below[nn]

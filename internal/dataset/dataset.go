@@ -36,6 +36,18 @@ type Incomplete struct {
 	// persisted); a struct literal has none.
 	boxes []float64
 	dim   int
+	// facts holds each example's RowFact. New derives it next to the boxes
+	// (never persisted); a struct literal has none, and RowFacts computes
+	// them on each call.
+	facts []RowFact
+}
+
+// RowFact is what an engine build reads of one example besides its
+// candidates: its label, its candidate count M and its rank among the
+// examples with the same label (the example's leaf in a per-label tree).
+// Every engine over one dataset shares one RowFact array.
+type RowFact struct {
+	Label, M, Rank int32
 }
 
 // New validates and constructs an incomplete dataset.
@@ -60,7 +72,35 @@ func New(examples []Example, numLabels int) (*Incomplete, error) {
 			}
 		}
 	}
-	return &Incomplete{Examples: examples, NumLabels: numLabels, boxes: candidateBoxes(examples, dim), dim: dim}, nil
+	return &Incomplete{
+		Examples:  examples,
+		NumLabels: numLabels,
+		boxes:     candidateBoxes(examples, dim),
+		dim:       dim,
+		facts:     rowFacts(examples, numLabels),
+	}, nil
+}
+
+// rowFacts computes every example's RowFact.
+func rowFacts(examples []Example, numLabels int) []RowFact {
+	facts := make([]RowFact, len(examples))
+	rank := make([]int32, numLabels)
+	for i := range examples {
+		l := examples[i].Label
+		facts[i] = RowFact{Label: int32(l), M: int32(examples[i].M()), Rank: rank[l]}
+		rank[l]++
+	}
+	return facts
+}
+
+// RowFacts returns every example's RowFact: the array New derived, shared
+// by every caller and never to be written, or for a struct literal a fresh
+// one computed on the spot.
+func (d *Incomplete) RowFacts() []RowFact {
+	if d.facts != nil {
+		return d.facts
+	}
+	return rowFacts(d.Examples, d.NumLabels)
 }
 
 // candidateBoxes computes every example's candidate box (see
@@ -160,14 +200,20 @@ func (d *Incomplete) WorldCount() *big.Int {
 
 // Pin returns a copy of d with example row fixed to its cand-th candidate
 // (the effect of cleaning that row to a specific repair). The copy shares
-// d's boxes: the pinned candidate lies inside its row's old box.
+// d's boxes: the pinned candidate lies inside its row's old box. Its row
+// facts are d's with the row's M set to 1.
 func (d *Incomplete) Pin(row, cand int) *Incomplete {
 	ex := append([]Example(nil), d.Examples...)
 	ex[row] = Example{
 		Candidates: [][]float64{d.Examples[row].Candidates[cand]},
 		Label:      d.Examples[row].Label,
 	}
-	return &Incomplete{Examples: ex, NumLabels: d.NumLabels, boxes: d.boxes, dim: d.dim}
+	var facts []RowFact
+	if d.facts != nil {
+		facts = append([]RowFact(nil), d.facts...)
+		facts[row].M = 1
+	}
+	return &Incomplete{Examples: ex, NumLabels: d.NumLabels, boxes: d.boxes, dim: d.dim, facts: facts}
 }
 
 // World materializes the possible world selected by choice (choice[i] is the

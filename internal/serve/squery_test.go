@@ -308,9 +308,9 @@ func TestSessionQueryCacheBounded(t *testing.T) {
 	// Caching "disabled" still bounds the session cache (single entry).
 	run(Config{EngineCacheSize: -1}, 1)
 	// A byte budget about half the 30-point sweep's total footprint
-	// (≈95 KB of forks and memos) must evict: the cache may keep however
+	// (≈49 KB of forks and memos) must evict: the cache may keep however
 	// many entries fit, but not all.
-	run(Config{MaxEngineBytes: 50_000}, 29)
+	run(Config{MaxEngineBytes: 25_000}, 29)
 }
 
 // TestSessionQueryAfterRelease checks a released session refuses queries

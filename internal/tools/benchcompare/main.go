@@ -1,10 +1,16 @@
 // Command benchcompare diffs two benchjson files (see internal/tools/benchjson)
-// and fails when a benchmark regressed: any benchmark present in both files
-// whose current ns/op exceeds the baseline's by more than -pct percent exits
-// nonzero, with a one-line verdict per compared benchmark either way.
+// holding the same benchmarks run in alternating pairs on one host
+// (scripts/bench_compare.sh runs the merge base and HEAD that way) and fails
+// when a benchmark regressed. The i-th result of a name in -baseline pairs
+// with its i-th result in -current; every benchmark present in both files
+// must have exactly Pairs results on each side. A benchmark fails when the
+// current run is slower by more than -pct percent in at least FailPairs of
+// its Pairs pairs — a sign test, which a host whose speed drifts between
+// pairs cannot trip by itself the way a single best-of comparison can. The
+// exit code is nonzero on any failure, with a one-line verdict per compared
+// benchmark either way.
 //
-//	benchcompare -baseline bench/BENCH_baseline.json -current BENCH_2026-08-07.json \
-//	             -pct 15 -match Q2_SSDC_K3_N1000,BatchQ2_Incremental
+//	benchcompare -baseline base.json -current head.json -pct 15
 //
 // Both files must carry the same host stamp (nproc, GOMAXPROCS, Go version,
 // GOOS/GOARCH): numbers from differently shaped hosts or toolchains do not
@@ -13,12 +19,8 @@
 // are printed, with a warning — not a failure — when one is more than
 // 1.25× the other: a verdict then may reflect the host, not the code.
 //
-// -match restricts the comparison to benchmarks whose name contains one of
-// the comma-separated substrings (empty = compare everything). Benchmarks
-// missing from one side are reported as warnings, not failures: a rename or
-// a new benchmark should update the committed baseline, not break CI.
-// Improvements beyond the threshold are called out too — a committed
-// baseline that lags a big win under-protects every later change.
+// A benchmark missing from one side is reported as a warning, not a
+// failure: the merge base cannot run a benchmark HEAD adds.
 package main
 
 import (
@@ -26,9 +28,15 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
 	"repro/internal/tools/benchfmt"
+)
+
+// Pairs is the number of alternating pairs each benchmark must have, and
+// FailPairs the number of them in which a slower current run fails it.
+const (
+	Pairs     = 10
+	FailPairs = 8
 )
 
 func main() {
@@ -36,15 +44,14 @@ func main() {
 }
 
 // run is the command body: it returns the process exit code — 0 when every
-// compared benchmark is within the threshold, 1 on a regression, a host
-// mismatch or an unreadable file, 2 on a usage error.
+// compared benchmark passes the sign test, 1 on a regression, a host
+// mismatch, a wrong pair count or an unreadable file, 2 on a usage error.
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("benchcompare", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	baselinePath := fs.String("baseline", "", "baseline benchjson file (required)")
 	currentPath := fs.String("current", "", "current benchjson file (required)")
 	pct := fs.Float64("pct", 15, "ns/op regression threshold in percent")
-	match := fs.String("match", "", "comma-separated name substrings to compare (empty = all)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -63,58 +70,72 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	if diff := baseFile.Host.Mismatch(curFile.Host); diff != "" {
-		fmt.Fprintf(stderr, "benchcompare: refusing to compare runs from different hosts (baseline/current: %s); refresh the baseline on this host with 'make bench-baseline'\n", diff)
+		fmt.Fprintf(stderr, "benchcompare: refusing to compare runs from different hosts (baseline/current: %s); run both sides on one host\n", diff)
 		return 1
 	}
 	reportSpeeds(stdout, baseFile.Speed, curFile.Speed)
-	base := bestOf(baseFile.Results)
-	var filters []string
-	for _, f := range strings.Split(*match, ",") {
-		if f = strings.TrimSpace(f); f != "" {
-			filters = append(filters, f)
-		}
-	}
+	return comparePairs(stdout, baseFile.Results, curFile.Results, *pct)
+}
 
-	regressions := 0
-	compared := 0
-	for _, c := range bestOf(curFile.Results) {
-		if !matches(c.Name, filters) {
-			continue
+// comparePairs is the verdict: per benchmark, the i-th baseline and current
+// results form pair i, and the benchmark regressed when the current one is
+// slower by more than pct percent in at least FailPairs pairs. A benchmark
+// without exactly Pairs results on both sides fails too: fewer pairs could
+// never reach the failure count. Returns the exit code.
+func comparePairs(w io.Writer, baseResults, curResults []benchfmt.Result, pct float64) int {
+	series := func(results []benchfmt.Result) (map[string][]float64, []string) {
+		byName := map[string][]float64{}
+		var names []string
+		for _, r := range results {
+			if _, ok := byName[r.Name]; !ok {
+				names = append(names, r.Name)
+			}
+			byName[r.Name] = append(byName[r.Name], r.NsPerOp)
 		}
-		b, ok := base[c.Name]
+		return byName, names
+	}
+	base, baseNames := series(baseResults)
+	cur, names := series(curResults)
+	failures, compared := 0, 0
+	for _, name := range names {
+		b, ok := base[name]
 		if !ok {
-			fmt.Fprintf(stdout, "benchcompare: WARN %s: not in baseline (new benchmark? refresh the baseline)\n", c.Name)
+			fmt.Fprintf(w, "benchcompare: WARN %s: not in the baseline run (new benchmark?)\n", name)
 			continue
 		}
-		delete(base, c.Name)
-		if b.NsPerOp <= 0 || c.NsPerOp <= 0 {
-			continue
-		}
+		c := cur[name]
 		compared++
-		delta := (c.NsPerOp - b.NsPerOp) / b.NsPerOp * 100
-		switch {
-		case delta > *pct:
-			fmt.Fprintf(stdout, "benchcompare: FAIL %s: %.0f ns/op vs baseline %.0f (%+.1f%%, threshold %+.1f%%)\n",
-				c.Name, c.NsPerOp, b.NsPerOp, delta, *pct)
-			regressions++
-		case delta < -*pct:
-			fmt.Fprintf(stdout, "benchcompare: ok   %s: %.0f ns/op vs baseline %.0f (%+.1f%%) — faster than baseline; consider refreshing it\n",
-				c.Name, c.NsPerOp, b.NsPerOp, delta)
-		default:
-			fmt.Fprintf(stdout, "benchcompare: ok   %s: %.0f ns/op vs baseline %.0f (%+.1f%%)\n",
-				c.Name, c.NsPerOp, b.NsPerOp, delta)
+		if len(b) != Pairs || len(c) != Pairs {
+			fmt.Fprintf(w, "benchcompare: FAIL %s: %d baseline and %d current results, want %d pairs\n", name, len(b), len(c), Pairs)
+			failures++
+			continue
+		}
+		slower, faster := 0, 0
+		for i := range Pairs {
+			switch {
+			case c[i] > b[i]*(1+pct/100):
+				slower++
+			case c[i] < b[i]:
+				faster++
+			}
+		}
+		verdict := "ok  "
+		if slower >= FailPairs {
+			verdict = "FAIL"
+			failures++
+		}
+		fmt.Fprintf(w, "benchcompare: %s %s: slower by >%.1f%% in %d of %d pairs, faster in %d\n", verdict, name, pct, slower, Pairs, faster)
+	}
+	for _, name := range baseNames {
+		if _, ok := cur[name]; !ok {
+			fmt.Fprintf(w, "benchcompare: WARN %s: in the baseline run but not the current one (renamed or deleted?)\n", name)
 		}
 	}
-	for name := range base {
-		if matches(name, filters) {
-			fmt.Fprintf(stdout, "benchcompare: WARN %s: in baseline but not in current run (renamed or deleted? refresh the baseline)\n", name)
-		}
-	}
-	if regressions > 0 {
-		fmt.Fprintf(stdout, "benchcompare: %d of %d compared benchmark(s) regressed more than %.1f%%\n", regressions, compared, *pct)
+	if failures > 0 {
+		fmt.Fprintf(w, "benchcompare: %d of %d compared benchmark(s) failed the %d-of-%d-pair sign test at %.1f%%\n", failures, compared, FailPairs, Pairs, pct)
 		return 1
 	}
-	fmt.Fprintf(stdout, "benchcompare: %d benchmark(s) within %.1f%% of baseline\n", compared, *pct)
+	fmt.Fprintf(w, "benchcompare: %d benchmark(s) pass the %d-of-%d-pair sign test at %.1f%%\n", compared, FailPairs, Pairs, pct)
 	return 0
 }
 
@@ -140,31 +161,4 @@ func speedText(ms float64) string {
 		return "?"
 	}
 	return fmt.Sprintf("%.1f", ms)
-}
-
-// bestOf indexes results by name. A -count run repeats each name; the
-// minimum ns/op wins — the best-of-N statistic is far more robust to
-// scheduler noise than any single sample, so both sides of the diff should
-// be produced with the same -count.
-func bestOf(results []benchfmt.Result) map[string]benchfmt.Result {
-	out := make(map[string]benchfmt.Result, len(results))
-	for _, r := range results {
-		if prev, ok := out[r.Name]; ok && prev.NsPerOp > 0 && (r.NsPerOp <= 0 || prev.NsPerOp <= r.NsPerOp) {
-			continue
-		}
-		out[r.Name] = r
-	}
-	return out
-}
-
-func matches(name string, filters []string) bool {
-	if len(filters) == 0 {
-		return true
-	}
-	for _, f := range filters {
-		if strings.Contains(name, f) {
-			return true
-		}
-	}
-	return false
 }

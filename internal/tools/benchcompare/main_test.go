@@ -24,13 +24,31 @@ func writeBench(t *testing.T, name string, v any) string {
 	return path
 }
 
+// series returns one result per ns value, all named name.
+func series(name string, ns ...float64) []benchfmt.Result {
+	out := make([]benchfmt.Result, len(ns))
+	for i, v := range ns {
+		out[i] = benchfmt.Result{Name: name, Iterations: 50, NsPerOp: v}
+	}
+	return out
+}
+
+// steady returns Pairs results named name, each ns ns/op.
+func steady(name string, ns float64) []benchfmt.Result {
+	vals := make([]float64, Pairs)
+	for i := range vals {
+		vals[i] = ns
+	}
+	return series(name, vals...)
+}
+
 // TestRefusesMismatchedHosts checks benchcompare exits nonzero, naming the
 // host difference, when the two files' stamps differ in any field or one
 // file has no stamp — even when the numbers themselves would pass — and
 // still compares same-host files.
 func TestRefusesMismatchedHosts(t *testing.T) {
 	host := benchfmt.Host{NumCPU: 2, GOMAXPROCS: 2, GoVersion: "go1.24.0", GOOS: "linux", GOARCH: "amd64"}
-	results := []benchfmt.Result{{Name: "BenchmarkScan-2", Iterations: 50, NsPerOp: 1000}}
+	results := steady("BenchmarkScan-2", 1000)
 	base := writeBench(t, "base.json", benchfmt.File{Host: host, Results: results})
 	compare := func(current string) (int, string) {
 		var stderr strings.Builder
@@ -60,7 +78,7 @@ func TestRefusesMismatchedHosts(t *testing.T) {
 	if code, msg := compare(writeBench(t, "nostamp.json", benchfmt.File{Results: results})); code == 0 || !strings.Contains(msg, "no host stamp") {
 		t.Fatalf("file without a stamp: exit %d, stderr %q; want a nonzero refusal", code, msg)
 	}
-	slow := []benchfmt.Result{{Name: "BenchmarkScan-2", Iterations: 50, NsPerOp: 2000}}
+	slow := steady("BenchmarkScan-2", 2000)
 	if code, _ := compare(writeBench(t, "slow.json", benchfmt.File{Host: host, Results: slow})); code != 1 {
 		t.Fatalf("same host, 2x slower: exit %d, want 1", code)
 	}
@@ -71,7 +89,7 @@ func TestRefusesMismatchedHosts(t *testing.T) {
 // stays quiet within it or when a file records no speed.
 func TestReportsHostSpeeds(t *testing.T) {
 	host := benchfmt.Host{NumCPU: 2, GOMAXPROCS: 2, GoVersion: "go1.24.0", GOOS: "linux", GOARCH: "amd64"}
-	results := []benchfmt.Result{{Name: "BenchmarkScan-2", Iterations: 50, NsPerOp: 1000}}
+	results := steady("BenchmarkScan-2", 1000)
 	file := func(name string, speed float64) string {
 		return writeBench(t, name, benchfmt.File{Host: host, Speed: speed, Results: results})
 	}
@@ -96,6 +114,38 @@ func TestReportsHostSpeeds(t *testing.T) {
 		}
 		if got := strings.Contains(out, "WARN host speed"); got != tc.warn {
 			t.Fatalf("speed %v: output %q; want a speed warning: %v", tc.speed, out, tc.warn)
+		}
+	}
+}
+
+// TestPairedSignTest checks the verdict: a benchmark fails only when the
+// current run is slower by more than -pct in at least FailPairs of its
+// Pairs pairs, however slow its single worst pair is; a benchmark with
+// fewer than Pairs results on a side fails, since it could never reach the
+// failure count; and a benchmark missing from one run only warns.
+func TestPairedSignTest(t *testing.T) {
+	host := benchfmt.Host{NumCPU: 2, GOMAXPROCS: 2, GoVersion: "go1.24.0", GOOS: "linux", GOARCH: "amd64"}
+	base := writeBench(t, "base.json", benchfmt.File{Host: host, Results: append(
+		steady("BenchmarkScan-2", 100), series("BenchmarkGone-2", 100)...)})
+	for _, tc := range []struct {
+		name string
+		cur  []float64
+		code int
+	}{
+		{"8 of 10 pairs 20% slower", []float64{120, 120, 120, 120, 120, 120, 120, 120, 100, 100}, 1},
+		{"7 of 10 pairs 20% slower", []float64{120, 120, 120, 120, 120, 120, 120, 90, 100, 100}, 0},
+		{"10 of 10 pairs 10% slower", []float64{110, 110, 110, 110, 110, 110, 110, 110, 110, 110}, 0},
+		{"one pair 5x slower", []float64{500, 90, 90, 90, 90, 90, 90, 90, 90, 90}, 0},
+		{"2 equal pairs", []float64{100, 100}, 1},
+	} {
+		cur := writeBench(t, "cur.json", benchfmt.File{Host: host, Results: series("BenchmarkScan-2", tc.cur...)})
+		var stdout strings.Builder
+		code := run([]string{"-baseline", base, "-current", cur, "-pct", "15"}, &stdout, io.Discard)
+		if code != tc.code {
+			t.Fatalf("%s: exit %d, want %d\n%s", tc.name, code, tc.code, stdout.String())
+		}
+		if !strings.Contains(stdout.String(), "WARN BenchmarkGone-2") {
+			t.Fatalf("%s: no warning for the benchmark missing from the current run:\n%s", tc.name, stdout.String())
 		}
 	}
 }

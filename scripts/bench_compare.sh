@@ -1,57 +1,77 @@
 #!/usr/bin/env bash
-# Guards the pinned sweep benchmarks against ns/op regressions: re-runs them
-# at a steadier iteration count than the `make bench` smoke pass, converts
-# the transcript with benchjson, and diffs it against the committed baseline
-# with benchcompare — failing on any >BENCH_REGRESSION_PCT% (default 15)
-# ns/op regression. Both files carry benchjson's host stamp (nproc,
-# GOMAXPROCS, Go version, GOOS/GOARCH), and benchcompare fails when the
-# stamps differ: a baseline only gates runs on a host of its own shape.
-# Each file also records the host's speed on a fixed loop; benchcompare
-# prints both and warns (without failing) when they differ by over 1.25×.
-# With no committed baseline the script warns and exits 0,
-# so a fresh checkout is never broken by a missing artifact; under GitHub
-# Actions the warning is also a ::warning:: annotation naming the file, so
-# the skipped gate shows on the run page instead of passing silently.
+# Paired benchmark regression gate. Builds the pinned benchmarks' test
+# binaries at the merge base and at HEAD, runs them on this host in 10
+# alternating pairs (base first in odd pairs, HEAD first in even ones), and
+# fails when, for any pinned benchmark, HEAD is slower than the merge base
+# by more than BENCH_REGRESSION_PCT percent (default 15) in at least 8 of
+# the 10 pairs (a sign test; see internal/tools/benchcompare, which fails a
+# benchmark that does not have exactly 10 pairs). Both sides run on the same
+# host within minutes of each other, so no baseline file is kept, and a host
+# whose speed drifts between pairs slows both sides alike.
 #
-# Refresh the baseline after an intentional perf change:
-#   make bench-baseline && git add bench/BENCH_baseline.json
+# The pinned set: internal/core's BenchmarkEngineBuild (every
+# sub-benchmark) and BenchmarkHypothesisCounts/trunc/K3 at 50x, and the root
+# package's BenchmarkCleanSession_Loadbench (one clean-live session on
+# loadbench's data) at 2x.
 #
-# Environment:
-#   BENCH_REGRESSION_PCT   regression threshold in percent (default 15)
-#   BENCH_COMPARE_MATCH    comma-separated benchmark name substrings
-#                          (default the pinned sweep benchmarks);
-#                          CleanSession_Loadbench is always compared too
-#   BENCH_COMPARE_TIME     -benchtime for the comparison run (default 50x, best of BENCH_COMPARE_COUNT=5 runs)
-#   BENCH_BASELINE         baseline path (default bench/BENCH_baseline.json)
+# The HEAD side is built from the working tree (HEAD itself in CI). The
+# merge base is that of HEAD and origin/main; when HEAD is itself on
+# origin/main (a push to it), it is HEAD's first parent. The one skip is a
+# missing merge base (a shallow clone, an unrelated history, a root
+# commit): the script warns, under GitHub Actions as a ::warning::
+# annotation, and exits 0.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-BASELINE=${BENCH_BASELINE:-bench/BENCH_baseline.json}
 PCT=${BENCH_REGRESSION_PCT:-15}
-MATCH=${BENCH_COMPARE_MATCH:-Q2_SSDC_K3_N1000,Q2_SSDCMC_K3_N1000_Y2,BatchQ2_Incremental,EngineBuild,Scan,HypothesisCounts,Q1_MM_Engine}
-TIME=${BENCH_COMPARE_TIME:-50x}
-COUNT=${BENCH_COMPARE_COUNT:-5}
+PAIRS=10
 
-if [[ ! -f "$BASELINE" ]]; then
-  echo "bench_compare: no baseline at $BASELINE; skipping (create one with 'make bench-baseline')" >&2
+skip() {
+  echo "bench_compare: $1; skipping" >&2
   if [[ -n "${GITHUB_ACTIONS:-}" ]]; then
-    echo "::warning file=$BASELINE::bench regression gate skipped: no baseline at $BASELINE (create one with 'make bench-baseline')"
+    echo "::warning::bench regression gate skipped: $1"
   fi
   exit 0
+}
+
+head=$(git rev-parse HEAD)
+base=$(git merge-base HEAD origin/main 2>/dev/null) || skip "no merge base of HEAD and origin/main"
+if [[ "$base" == "$head" ]]; then
+  base=$(git rev-parse -q --verify 'HEAD^') || skip "HEAD is on origin/main and has no parent"
 fi
+echo "bench_compare: merge base $base, HEAD $head, $PAIRS pairs"
 
-out=$(mktemp)
-trap 'rm -f "$out" "$out.json"' EXIT
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+mkdir "$tmp/src"
+git archive "$base" | tar -x -C "$tmp/src"
+# build DIR NAME compiles DIR's pinned test binaries into $tmp/NAME-*.test.
+build() {
+  (cd "$1" && go test -c -o "$tmp/$2-core.test" ./internal/core && go test -c -o "$tmp/$2-root.test" .)
+}
+build "$tmp/src" base
+build "$PWD" head
 
-# The pinned benchmarks live in the repro root package (Q2_SSDC_K3_N1000,
-# Q2_SSDCMC_K3_N1000_Y2, BatchQ2_Incremental, CleanSession_Loadbench) and
-# internal/core (EngineBuild, Scan, Q1_MM_Engine — each with untruncated
-# and truncated sub-benchmarks — and HypothesisCounts, CPClean's inner
-# loop). CleanSession_Loadbench runs a whole clean-live session per
-# iteration (seconds, not microseconds), so it runs on its own at 2x, the
-# count `make bench-baseline` records it at.
-go test -run XXX -bench "${MATCH//,/|}" -benchtime "$TIME" -count "$COUNT" . ./internal/core/ | tee "$out"
-go test -run XXX -bench '^BenchmarkCleanSession_Loadbench$' -benchtime 2x -count "$COUNT" . | tee -a "$out"
-go run ./internal/tools/benchjson -in "$out" -out "$out.json"
+# bench NAME appends one run of the pinned set by NAME's binaries to
+# $tmp/NAME.out.
+bench() {
+  local out="$tmp/$1.out"
+  "$tmp/$1-core.test" -test.run '^$' -test.bench '^BenchmarkEngineBuild$' -test.benchtime 50x -test.benchmem >>"$out"
+  "$tmp/$1-core.test" -test.run '^$' -test.bench '^BenchmarkHypothesisCounts$/^trunc$/^K3$' -test.benchtime 50x >>"$out"
+  "$tmp/$1-root.test" -test.run '^$' -test.bench '^BenchmarkCleanSession_Loadbench$' -test.benchtime 2x >>"$out"
+}
+for ((i = 1; i <= PAIRS; i++)); do
+  if ((i % 2)); then
+    bench base
+    bench head
+  else
+    bench head
+    bench base
+  fi
+  echo "bench_compare: pair $i of $PAIRS done"
+done
+
+go run ./internal/tools/benchjson -in "$tmp/base.out" -out "$tmp/base.json"
+go run ./internal/tools/benchjson -in "$tmp/head.out" -out "$tmp/head.json"
 go run ./internal/tools/benchcompare \
-  -baseline "$BASELINE" -current "$out.json" -pct "$PCT" -match "$MATCH,CleanSession_Loadbench"
+  -baseline "$tmp/base.json" -current "$tmp/head.json" -pct "$PCT"
