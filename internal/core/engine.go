@@ -324,8 +324,12 @@ type Scratch struct {
 	winners []int
 	// SS-DC-MC winner-cap DP buffers.
 	dpA, dpB []float64
-	// roots views each tree's root, set by buildLeaves.
+	// roots views each tree's root, set by buildLeaves; a scan position
+	// points its forced row's label at probe for the tally.
 	roots [][]float64
+	// probe holds the root of the forced row's label tree with the row
+	// forced onto the boundary (segtree.Tree.SetLeafProbe).
+	probe []float64
 	// HypothesisCounts state: the shifted pre-state root of the row's
 	// label, prefix sums, prefix snapshots and per-pin outputs.
 	shifted  []float64
@@ -360,6 +364,7 @@ func newScratchFromShape(sh scratchShape, k int) *Scratch {
 		dpA:     make([]float64, k+1),
 		dpB:     make([]float64, k+1),
 		roots:   make([][]float64, numLabels),
+		probe:   make([]float64, k+1),
 		shifted: make([]float64, k+1),
 		cumPre:  make([]float64, numLabels),
 		cumPost: make([]float64, numLabels),

@@ -2,13 +2,16 @@ package core
 
 // This file holds the SS-DC scan kernel (§3.1.3 + appendix A.2): the one
 // ordered walk over the engine's sorted kept candidates (all NM of them
-// untruncated), from the seeded α state, that forces each scanned
-// candidate's row onto the boundary, reads the boundary supports off the
-// per-label path-collapsed tree roots, adds them up, and restores the row's
-// leaf. Every Q2 path runs it — Engine.Counts, Engine.CountsMC and a
-// Retained memo's full sweep into the Scratch's counts, and
-// HypothesisCounts, with a hypothesis row, into the pre/post prefix sums
-// (the row's pre-state root is the post root shifted one degree).
+// untruncated), from the seeded α state, that at each scanned candidate
+// walks its row's tree path once — setting the row's leaf to its scanned
+// state and probing the root with the row forced onto the boundary
+// (segtree.Tree.SetLeafProbe) — reads the boundary supports off the
+// per-label path-collapsed tree roots, with the probe standing in for the
+// row's label, and adds them up. Every Q2 path runs it — Engine.Counts,
+// Engine.CountsMC and a Retained memo's full sweep into the Scratch's
+// counts, and HypothesisCounts, with a hypothesis row, into the pre/post
+// prefix sums in one tally pass (the row's pre-state root is the post root
+// shifted one degree).
 
 // scan walks every kept scan position with real tree work under the given
 // pins (the engine's, with an optional per-query override), from the α
@@ -18,8 +21,9 @@ package core
 // is HypothesisCounts' walk: the row's leaf stays [1,0] (α = M) throughout,
 // each position adds its supports with the row after the boundary into
 // sc.cumPost and with it before the boundary (the shifted root) into
-// sc.cumPre, and each of the row's own candidates j snapshots both sums and
-// adds its own boundary term into sc.own[j]. A hypothesis row without kept
+// sc.cumPre, both in one tallyHypothesis pass, and each of the row's own
+// candidates j snapshots both sums and adds its own boundary term (tallyPre)
+// into sc.own[j]. A hypothesis row without kept
 // candidates (absent ones included) has no scan position and an α that is
 // never 0, so only its label is read. The trees are bulk-built at the first
 // position whose boundary support is not provably zero. Returns the number
@@ -91,22 +95,23 @@ func (e *Engine) scan(sc *Scratch, pins pinView, useMC bool, hypRow int) int64 {
 			mEff = 1
 		}
 		a := float64(alpha[ev]) / float64(mEff)
-		tr := sc.trees[f.Label]
-		p := int(slot[ev])
-		// Force row i onto the boundary: it contributes exactly one top-K
-		// slot, with probability 1/mEff of picking this candidate. Read the
-		// supports, then restore the leaf to its scanned state [α/M, 1−α/M].
-		tr.SetLeaf(p, 0, 1/float64(mEff))
+		// One walk of row i's path sets its leaf to the scanned state
+		// [α/M, 1−α/M] and probes the root with the row forced onto the
+		// boundary, [0, 1/mEff]: it contributes exactly one top-K slot,
+		// with probability 1/mEff of picking this candidate. The supports
+		// are read with the label's root pointed at the probe.
+		sc.trees[f.Label].SetLeafProbe(int(slot[ev]), 0, 1/float64(mEff), a, 1-a, sc.probe)
+		root := sc.roots[f.Label]
+		sc.roots[f.Label] = sc.probe
 		switch {
 		case hypRow >= 0:
-			tallySupports(sc, sc.cumPost)
-			sc.tallyPre(lHyp, sc.cumPre)
+			tallyHypothesis(sc, lHyp)
 		case useMC:
 			e.mcSupports(sc, sc.counts)
 		default:
 			tallySupports(sc, sc.counts)
 		}
-		tr.SetLeaf(p, a, 1-a)
+		sc.roots[f.Label] = root
 		scanned++
 	}
 	return scanned
@@ -116,7 +121,9 @@ func (e *Engine) scan(sc *Scratch, pins pinView, useMC bool, hypRow int) int64 {
 // scan: label l's root is its post root shifted up one degree, the root
 // with the hypothesis row's leaf [0,1] instead of [1,0], bit for bit
 // (segtree package doc, "Tree arithmetic"). sc.roots[l] views the shifted
-// copy for the tally only.
+// copy for the tally only. It serves the hypothesis row's own candidates,
+// which tally the pre state alone; every other position tallies both states
+// in one tallyHypothesis pass.
 func (sc *Scratch) tallyPre(l int, out []float64) {
 	post := sc.roots[l]
 	sc.shifted[0] = 0
@@ -124,6 +131,73 @@ func (sc *Scratch) tallyPre(l int, out []float64) {
 	sc.roots[l] = sc.shifted
 	tallySupports(sc, out)
 	sc.roots[l] = post
+}
+
+// tallyHypothesis is one pass of tallySupports for a hypothesis scan
+// position: each tally's product against the post roots sc.roots goes into
+// sc.cumPost, and its product against the pre roots — label lHyp's shifted
+// one degree, so tally c reads roots[lHyp][c−1], or 0 when c = 0 (see
+// tallyPre) — into sc.cumPre, each under the same nonzero rule and in the
+// same tally order as two separate passes. Unlike tallySupports it does not
+// stop a product at its first zero factor, which is exact on the tree
+// domain: every root coefficient is finite and ≥ +0, and at most 1 up to
+// rounding (each leaf's coefficients sum to at most 1, and so do the
+// truncated products'), so no product overflows; a product with a +0
+// factor is +0 whatever follows, and one without multiplies the same values
+// in the same order.
+func tallyHypothesis(sc *Scratch, lHyp int) {
+	roots, post, pre := sc.roots, sc.cumPost, sc.cumPre
+	if sc.k == 3 && len(roots) == 2 {
+		tallyHypothesis2x3(roots[0], roots[1], lHyp, post, pre)
+		return
+	}
+	for ti, g := range sc.tallies {
+		prodPost, prodPre := 1.0, 1.0
+		for l, c := range g {
+			v := roots[l][c]
+			prodPost *= v
+			switch {
+			case l != lHyp:
+				prodPre *= v
+			case c == 0:
+				prodPre = 0
+			default:
+				prodPre *= roots[l][c-1]
+			}
+		}
+		if prodPost != 0 {
+			post[sc.winners[ti]] += prodPost
+		}
+		if prodPre != 0 {
+			pre[sc.winners[ti]] += prodPre
+		}
+	}
+}
+
+// tallyHypothesis2x3 is tallyHypothesis for two labels and K = 3 with the
+// roots in registers: the tallies (0,3), (1,2), (2,1), (3,0) in
+// compositions' order, won by labels 1, 1, 0, 0, each product 1·x·y = x·y
+// (rounded before it is added, so it is never fused) and added under the
+// same nonzero rule in the same order.
+func tallyHypothesis2x3(x, y []float64, lHyp int, post, pre []float64) {
+	x0, x1, x2, x3 := x[0], x[1], x[2], x[3]
+	y0, y1, y2, y3 := y[0], y[1], y[2], y[3]
+	add := func(out []float64, w int, v float64) {
+		if v != 0 {
+			out[w] += v
+		}
+	}
+	add(post, 1, float64(x0*y3))
+	add(post, 1, float64(x1*y2))
+	add(post, 0, float64(x2*y1))
+	add(post, 0, float64(x3*y0))
+	// With label lHyp's root shifted one degree, the tally giving lHyp
+	// none has product 0 and adds nothing; the other three read x0·y2,
+	// x1·y1 and x2·y0, the middle one from tally (2,1) or (1,2), which
+	// lHyp wins.
+	add(pre, 1, float64(x0*y2))
+	add(pre, lHyp, float64(x1*y1))
+	add(pre, 0, float64(x2*y0))
 }
 
 // tallySupports enumerates every label tally against the per-label root

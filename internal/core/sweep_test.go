@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -64,4 +66,57 @@ func BenchmarkHypothesisCounts(b *testing.B) {
 			e.HypothesisCounts(sc, row)
 		}
 	})
+}
+
+// TestTallyHypothesisMatchesTwoPasses checks the fused hypothesis tally
+// against the two passes it replaces — tallySupports into the post sums,
+// then tallyPre into the pre sums — by bits, on random roots from the tree
+// domain with zeros (whole zero roots too), 2–4 labels and K = 1..7, from
+// nonzero running sums; and that the roots are left as they were.
+func TestTallyHypothesisMatchesTwoPasses(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	value := func() float64 {
+		switch rng.Intn(5) {
+		case 0:
+			return 0
+		case 1:
+			return 1
+		case 2: // a deep node's coefficient: a product of leaf values
+			return rng.Float64() * rng.Float64() * rng.Float64()
+		}
+		return rng.Float64()
+	}
+	for trial := 0; trial < 2000; trial++ {
+		labels, k := 2+rng.Intn(3), 1+rng.Intn(7)
+		sc := newScratchFromShape(scratchShape{n: 1, numLabels: labels}, k)
+		for l := range sc.roots {
+			sc.roots[l] = make([]float64, k+1)
+			if rng.Intn(8) != 0 {
+				for c := range sc.roots[l] {
+					sc.roots[l][c] = value()
+				}
+			}
+		}
+		before := fmt.Sprint(sc.roots)
+		lHyp := rng.Intn(labels)
+		wantPost, wantPre := make([]float64, labels), make([]float64, labels)
+		for y := range wantPost {
+			wantPost[y], wantPre[y] = value(), value()
+		}
+		copy(sc.cumPost, wantPost)
+		copy(sc.cumPre, wantPre)
+		tallySupports(sc, wantPost)
+		sc.tallyPre(lHyp, wantPre)
+		tallyHypothesis(sc, lHyp)
+		for y := range wantPost {
+			if math.Float64bits(sc.cumPost[y]) != math.Float64bits(wantPost[y]) ||
+				math.Float64bits(sc.cumPre[y]) != math.Float64bits(wantPre[y]) {
+				t.Fatalf("trial %d (K=%d, %d labels, lHyp=%d, roots %v): post %v pre %v, two passes post %v pre %v",
+					trial, k, labels, lHyp, sc.roots, sc.cumPost, sc.cumPre, wantPost, wantPre)
+			}
+		}
+		if after := fmt.Sprint(sc.roots); after != before {
+			t.Fatalf("trial %d: roots %s changed to %s", trial, before, after)
+		}
+	}
 }

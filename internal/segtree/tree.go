@@ -7,7 +7,10 @@
 //
 // so the root coefficient T(c, 1, N) is the total weight of choosing exactly
 // c rows into the top-K. Updating one leaf costs O(K² · depth); reading the
-// root is O(1).
+// root is O(1). SetLeafProbe, the one leaf update, also returns in the same
+// walk the root the tree would have with that leaf set to a second value:
+// the SS-DC scan restores a row's leaf and reads the root with the row
+// forced onto the boundary in one pass.
 //
 // # Path-collapsed trees
 //
@@ -21,17 +24,17 @@
 // arithmetic"), and a node over identity leaves only is the identity; so
 // each branching node convolves the same two values, left before right, as
 // its dense counterpart, and the root carries the dense root's bits. A
-// SetLeaf walks the leaf's branching ancestors only: at most
+// SetLeafProbe walks the leaf's branching ancestors only: at most
 // min(live−1, log₂ N) nodes. NewShape derives the structure from the live
 // leaves' dense indices; a Tree is storage for any shape.
 //
 // # Purity invariant
 //
 // Every internal node is always the exact truncated convolution of its two
-// children (Build computes every one, and SetLeaf recomputes the nodes on
-// the changed leaf's path), so node values — the root above all — are a
+// children (Build computes every one, and SetLeafProbe recomputes the nodes
+// on the changed leaf's path), so node values — the root above all — are a
 // pure function of the shape and the current leaf values: any sequence of
-// Build and SetLeaf calls that ends in the same leaf state yields
+// Build and SetLeafProbe calls that ends in the same leaf state yields
 // bit-identical node values, regardless of the path taken or of what the
 // storage held before. The SS-DC scan (internal/core) depends on exactly
 // this property to bulk-build its trees at the first position with tree
@@ -42,7 +45,7 @@
 //
 // SS-DC's leaves come from one domain: α/M, 1−α/M, 1/M, 0 and 1 — finite
 // values ≥ +0 — and every node is built from them by products and sums,
-// which keep the domain. Four facts follow, and the answer bits rest on
+// which keep the domain. Five facts follow, and the answer bits rest on
 // them:
 //
 //   - A product with the identity [1, 0, ..., 0] is exact: 1·x = x and
@@ -55,6 +58,17 @@
 //     sibling). So the root with that leaf [0, 1] is [0, r₀, ..., r_{K−1}]
 //     for the root r with it [1, 0], exactly; internal/core's hypothesis
 //     scan reads its "pre" root that way instead of keeping a second tree.
+//   - By purity, the root with one leaf set to [f0, f1] is the convolution,
+//     bottom up, of [f0, f1] with the siblings on that leaf's path, each
+//     pair left before right, as the nodes are. So SetLeafProbe, which
+//     writes the leaf's new value [p0, p1] and recomputes its path, carries
+//     a second chain from [f0, f1] through the same siblings in the same
+//     order (in registers for K = 3, in the probe buffer otherwise) and
+//     returns the root that setting the leaf to [f0, f1] would have
+//     produced, bit for bit, without writing it. A leaf that is the root
+//     has an empty path, and its probe is [f0, f1] itself. The plain leaf
+//     update, SetLeaf — two of which, forcing and then restoring, one
+//     probe replaces — lives on only as the test reference (tree_test.go).
 //   - The zero-skip in the generic convolution drops only +0 terms, which
 //     leave the sum unchanged; so the K = 3 kernel (the paper's K, and the
 //     serving default), which keeps all eight child coefficients in
@@ -204,49 +218,87 @@ func (t *Tree) Build() {
 	}
 }
 
-// SetLeaf sets the leaf in slot s to [p0, p1, 0, ...] and updates its path
-// to the root. Its higher coefficients are still zero from InitLeaf, so
-// only the first two are written. O(K² · depth).
-func (t *Tree) SetLeaf(s int, p0, p1 float64) {
+// SetLeafProbe sets the leaf in slot s to [p0, p1, 0, ...] and updates its
+// path to the root, and in the same walk writes into probe (K+1
+// coefficients) the root the tree would have with that leaf [f0, f1, 0, ...]
+// instead: a second chain, started from [f0, f1], convolved with the same
+// siblings in the same order (see "Tree arithmetic"). The leaf's higher
+// coefficients are still zero from InitLeaf, so only the first two are
+// written. A leaf that is the root (one live leaf) has an empty path: probe
+// is the leaf [f0, f1] itself. O(K² · depth).
+func (t *Tree) SetLeafProbe(s int, f0, f1, p0, p1 float64, probe []float64) {
 	leaf := t.node(s)
-	leaf[0] = p0
+	probe = probe[:t.k+1]
+	clear(probe)
+	leaf[0], probe[0] = p0, f0
 	if t.k >= 1 {
-		leaf[1] = p1
+		leaf[1], probe[1] = p1, f1
 	}
 	// The kernel choice is hoisted out of the path loop, so the generic
 	// path pays no per-node dispatch. Slot s belongs to pair (s−1)/2, whose
-	// parent is up of that pair.
+	// parent is up of that pair; an odd slot is the pair's left child.
 	if t.k == 3 {
-		for s > 0 {
-			q := (s - 1) >> 1
-			t.recompute3(q)
-			s = int(t.up[q])
-		}
+		t.probe3(s, probe)
 		return
 	}
 	for s > 0 {
 		q := (s - 1) >> 1
-		t.recomputeGeneric(q)
+		l, r := t.node(2*q+1), t.node(2*q+2)
+		convolve(l, r, t.node(int(t.up[q])))
+		if s&1 != 0 {
+			convolve(probe, r, probe)
+		} else {
+			convolve(l, probe, probe)
+		}
 		s = int(t.up[q])
 	}
 }
 
+// probe3 is SetLeafProbe's path walk for K = 3: the probe chain stays in
+// registers, and each pair's eight coefficients are loaded once for both
+// the stored parent and the chain, which takes the walked child's place.
+func (t *Tree) probe3(s int, probe []float64) {
+	x0, x1, x2, x3 := probe[0], probe[1], probe[2], probe[3]
+	for s > 0 {
+		q := (s - 1) >> 1
+		ch := t.nodes[8*q+4 : 8*q+12 : 8*q+12]
+		l0, l1, l2, l3 := ch[0], ch[1], ch[2], ch[3]
+		r0, r1, r2, r3 := ch[4], ch[5], ch[6], ch[7]
+		p := 4 * int(t.up[q])
+		dst := t.nodes[p : p+4 : p+4]
+		dst[0], dst[1], dst[2], dst[3] = convolve3(l0, l1, l2, l3, r0, r1, r2, r3)
+		if s&1 != 0 {
+			x0, x1, x2, x3 = convolve3(x0, x1, x2, x3, r0, r1, r2, r3)
+		} else {
+			x0, x1, x2, x3 = convolve3(l0, l1, l2, l3, x0, x1, x2, x3)
+		}
+		s = int(t.up[q])
+	}
+	probe[0], probe[1], probe[2], probe[3] = x0, x1, x2, x3
+}
+
 // recomputeGeneric sets pair q's parent to the truncated convolution of the
-// pair, for any K, and is the reference the K = 3 kernel is tested against:
-// dst[c] = Σ_a l[a]·r[c−a], summed left to right over a, skipping terms
-// whose l[a] is zero. dst never aliases the children (a parent's slot
-// precedes its pair's), so it writes straight into dst. Every product is
-// rounded before it is added (float64(...)), so the compiler never fuses
-// the two into one FMA and every architecture computes the same bits.
+// pair, for any K; see convolve.
+func (t *Tree) recomputeGeneric(q int) {
+	convolve(t.node(2*q+1), t.node(2*q+2), t.node(int(t.up[q])))
+}
+
+// convolve sets dst to the truncated convolution of l and r, for any K, and
+// is the reference the K = 3 kernel is tested against: dst[c] = Σ_a
+// l[a]·r[c−a], summed left to right over a, skipping terms whose l[a] is
+// zero. Coefficients are computed from the highest down, and dst[c] reads
+// only l[0..c] and r[0..c], so dst may alias l or r: SetLeafProbe
+// convolves its chain in place. Every product is rounded before it is
+// added (float64(...)), so the compiler never fuses the two into one FMA
+// and every architecture computes the same bits.
 //
 // Precondition for the K = 3 kernel: every coefficient in the tree is
 // finite and ≥ +0 — the leaf domain α/M, 1−α/M, 1/M, 0 and 1, closed under
 // the products and sums below. On that domain the zero-skip drops only +0
 // terms, which leave a sum ≥ +0 unchanged, so the two paths agree bit for
 // bit.
-func (t *Tree) recomputeGeneric(q int) {
-	l, r, dst := t.node(2*q+1), t.node(2*q+2), t.node(int(t.up[q]))
-	for c := t.k; c >= 0; c-- {
+func convolve(l, r, dst []float64) {
+	for c := len(dst) - 1; c >= 0; c-- {
 		s := 0.0
 		for a := 0; a <= c; a++ {
 			if l[a] == 0 {
@@ -259,25 +311,29 @@ func (t *Tree) recomputeGeneric(q int) {
 }
 
 // recompute3 is recomputeGeneric for K = 3 with the eight child
-// coefficients held in registers: the same products, added in the same
-// left-to-right order, without the zero-skip (see recomputeGeneric for why
-// that changes no bit). Pair q's two slots are adjacent in nodes.
+// coefficients held in registers. Pair q's two slots are adjacent in nodes.
 func (t *Tree) recompute3(q int) {
 	ch := t.nodes[8*q+4 : 8*q+12 : 8*q+12]
-	l0, l1, l2, l3 := ch[0], ch[1], ch[2], ch[3]
-	r0, r1, r2, r3 := ch[4], ch[5], ch[6], ch[7]
 	p := 4 * int(t.up[q])
 	dst := t.nodes[p : p+4 : p+4]
-	dst[0] = float64(l0 * r0)
-	dst[1] = float64(l0*r1) + float64(l1*r0)
-	dst[2] = float64(l0*r2) + float64(l1*r1) + float64(l2*r0)
-	dst[3] = float64(l0*r3) + float64(l1*r2) + float64(l2*r1) + float64(l3*r0)
+	dst[0], dst[1], dst[2], dst[3] = convolve3(ch[0], ch[1], ch[2], ch[3], ch[4], ch[5], ch[6], ch[7])
+}
+
+// convolve3 is convolve for K = 3 on coefficients held in registers: the
+// same products, added in the same left-to-right order, without the
+// zero-skip (see convolve for why that changes no bit).
+func convolve3(l0, l1, l2, l3, r0, r1, r2, r3 float64) (d0, d1, d2, d3 float64) {
+	d0 = float64(l0 * r0)
+	d1 = float64(l0*r1) + float64(l1*r0)
+	d2 = float64(l0*r2) + float64(l1*r1) + float64(l2*r0)
+	d3 = float64(l0*r3) + float64(l1*r2) + float64(l2*r1) + float64(l3*r0)
+	return
 }
 
 // Root returns the root polynomial: Root()[c] is the total weight of
 // configurations placing exactly c rows in the top-K. The returned slice
-// aliases internal storage: it follows SetLeaf updates and stays valid
-// until the next Reset.
+// aliases internal storage: it follows SetLeafProbe updates and stays
+// valid until the next Reset.
 func (t *Tree) Root() []float64 {
 	return t.node(0)
 }

@@ -59,6 +59,52 @@ func (t *denseTree) setLeaf(i int, p0, p1 float64) {
 
 func (t *denseTree) root() []float64 { return t.node(1) }
 
+// SetLeaf sets the leaf in slot s to [p0, p1, 0, ...] and recomputes its
+// path node by node: the plain walk that SetLeafProbe fuses with its probe
+// chain, kept as the reference SetLeafProbe is tested against (a forcing
+// SetLeaf, the root read, then a restoring SetLeaf).
+func (t *Tree) SetLeaf(s int, p0, p1 float64) {
+	leaf := t.node(s)
+	leaf[0] = p0
+	if t.k >= 1 {
+		leaf[1] = p1
+	}
+	for s > 0 {
+		q := (s - 1) >> 1
+		if t.k == 3 {
+			t.recompute3(q)
+		} else {
+			t.recomputeGeneric(q)
+		}
+		s = int(t.up[q])
+	}
+}
+
+// clone returns a copy of t with its own storage.
+func (t *Tree) clone() *Tree {
+	return &Tree{k: t.k, up: t.up, nodes: append([]float64(nil), t.nodes...)}
+}
+
+// checkProbe runs SetLeafProbe on tr and the reference sequence — SetLeaf
+// to [f0, f1], read the root, SetLeaf to [p0, p1] — on a copy, and
+// reports a mismatch in the probe or in any node afterwards, by bits. It
+// returns the probe.
+func checkProbe(tr *Tree, s int, f0, f1, p0, p1 float64) ([]float64, error) {
+	ref := tr.clone()
+	ref.SetLeaf(s, f0, f1)
+	want := append([]float64(nil), ref.Root()...)
+	ref.SetLeaf(s, p0, p1)
+	probe := make([]float64, tr.k+1)
+	tr.SetLeafProbe(s, f0, f1, p0, p1, probe)
+	if !sameBits(probe, want) {
+		return nil, fmt.Errorf("SetLeafProbe(%d, %v, %v, %v, %v): probe %v, forced root %v", s, f0, f1, p0, p1, probe, want)
+	}
+	if !sameBits(tr.nodes, ref.nodes) {
+		return nil, fmt.Errorf("SetLeafProbe(%d, %v, %v, %v, %v): nodes %v, restored reference %v", s, f0, f1, p0, p1, tr.nodes, ref.nodes)
+	}
+	return probe, nil
+}
+
 // collapsed builds a Tree over the given dense leaf indices (ascending) with
 // leaf values p0, p1, returning it with each leaf's slot.
 func collapsed(k int, live []int32, p0, p1 []float64) (*Tree, []int32) {
@@ -378,6 +424,51 @@ func TestShiftedLeafShiftsRoot(t *testing.T) {
 	}
 }
 
+// TestSetLeafProbeMatchesSetLeaf checks SetLeafProbe against the two-walk
+// sequence it replaces — SetLeaf(force), Root, SetLeaf(restore) — by bits,
+// the probe and every node afterwards, for K = 0..7 on one live leaf (an
+// empty path: the leaf is the root), two, and many, dense or sparse over
+// the dense tree, with leaves from the SS-DC domain: a scan's forced leaf
+// [0, 1/M] probed while the leaf is restored to [α/M, 1−α/M], and the
+// extremes 0 and 1.
+func TestSetLeafProbeMatchesSetLeaf(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for _, tc := range []struct {
+		name string
+		n    int
+		keep float64
+	}{
+		{"one", 1, 1},
+		{"one-of-40", 40, 0},
+		{"two", 2, 1},
+		{"sparse", 70, 0.2},
+		{"dense", 64, 1},
+	} {
+		for k := 0; k <= 7; k++ {
+			live, p0, p1 := randomLive(rng, tc.n, tc.keep)
+			if len(live) == 0 {
+				live, p0, p1 = []int32{int32(rng.Intn(tc.n))}, []float64{leafValue(rng)}, []float64{leafValue(rng)}
+			}
+			tr, slots := collapsed(k, live, p0, p1)
+			for step := 0; step < 200; step++ {
+				j := rng.Intn(len(live))
+				m := 1 + rng.Intn(25)
+				a := float64(1+rng.Intn(m)) / float64(m)
+				f0, f1, q0, q1 := 0.0, 1/float64(m), a, 1-a
+				switch rng.Intn(4) {
+				case 0: // a pinned row: M = 1
+					f0, f1, q0, q1 = 0, 1, 1, 0
+				case 1:
+					f0, f1, q0, q1 = leafValue(rng), leafValue(rng), leafValue(rng), leafValue(rng)
+				}
+				if _, err := checkProbe(tr, int(slots[j]), f0, f1, q0, q1); err != nil {
+					t.Fatalf("%s K=%d live=%d step %d: %v", tc.name, k, len(live), step, err)
+				}
+			}
+		}
+	}
+}
+
 // leafSpecials are adversarial values from the leaf domain (finite, ≥ +0):
 // zero, one, subnormals, and α/M fractions that round.
 var leafSpecials = []float64{
@@ -425,10 +516,12 @@ func TestRecomputeMatchesReference(t *testing.T) {
 }
 
 // FuzzCollapsedTree decodes a dense size, a K, a live set and leaf values,
-// then a sequence of SetLeaf updates, and compares every root coefficient
-// of the collapsed tree by bits against the dense reference after the build
-// and after each update, and the updated tree against a fresh build of its
-// final leaves.
+// then a sequence of updates, each a SetLeaf or (odd op byte) a
+// SetLeafProbe, and compares every root coefficient of the collapsed tree
+// by bits against the dense reference after the build and after each
+// update, a probe also against the dense root with the forced leaf and
+// against the SetLeaf sequence it replaces (checkProbe), and the updated
+// tree against a fresh build of its final leaves.
 func FuzzCollapsedTree(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 2, 0xff})                          // one dense leaf, live
@@ -436,6 +529,9 @@ func FuzzCollapsedTree(f *testing.F) {
 	f.Add([]byte{36, 2, 0x55, 0xaa, 0x0f, 0xf0, 1, 7}) // K = 3, half live
 	f.Add([]byte{69, 6, 0xff, 0xff, 0x81, 0x42, 0x24, 0x18, 0xff, 0x01, 3, 0xff, 2, 4, 6, 8})
 	f.Add([]byte{4, 0, 0x10, 0, 0xff, 0xff}) // K = 1, one live leaf of five
+	// K = 3, four live of five: two probes, then a SetLeaf.
+	f.Add([]byte{4, 2, 0x1b, 10, 0x81, 50, 60, 0x88, 0x89, 127, 0, 3, 0, 0x84, 40, 80, 5, 0, 63, 0x8a, 0x8b, 2, 9, 9})
+	f.Add([]byte{0, 4, 0xff, 30, 40, 1, 0, 127, 20, 90}) // K = 5, a probe of the root leaf
 	f.Fuzz(func(t *testing.T, data []byte) {
 		next := func() int {
 			if len(data) == 0 {
@@ -474,9 +570,23 @@ func FuzzCollapsedTree(f *testing.F) {
 			t.Fatalf("n=%d k=%d live=%v: built root %v, dense %v", n, k, live, tr.Root(), ref.root())
 		}
 		for len(data) > 0 && len(live) > 0 {
-			j := next() % len(live)
-			p0[j], p1[j] = value(), value()
-			tr.SetLeaf(int(slots[j]), p0[j], p1[j])
+			op := next()
+			j := (op >> 1) % len(live)
+			if op&1 != 0 {
+				f0, f1 := value(), value()
+				p0[j], p1[j] = value(), value()
+				probe, err := checkProbe(tr, int(slots[j]), f0, f1, p0[j], p1[j])
+				if err != nil {
+					t.Fatalf("n=%d k=%d live=%v: %v", n, k, live, err)
+				}
+				ref.setLeaf(int(live[j]), f0, f1)
+				if !sameBits(probe, ref.root()) {
+					t.Fatalf("n=%d k=%d live=%v: probe of %d %v, dense %v", n, k, live, live[j], probe, ref.root())
+				}
+			} else {
+				p0[j], p1[j] = value(), value()
+				tr.SetLeaf(int(slots[j]), p0[j], p1[j])
+			}
 			ref.setLeaf(int(live[j]), p0[j], p1[j])
 			if !sameBits(tr.Root(), ref.root()) {
 				t.Fatalf("n=%d k=%d live=%v: root after SetLeaf(%d) %v, dense %v", n, k, live, live[j], tr.Root(), ref.root())
@@ -489,14 +599,16 @@ func FuzzCollapsedTree(f *testing.F) {
 	})
 }
 
-// BenchmarkRecompute measures one SetLeaf — a path of node recomputes, the
-// per-candidate tree cost of an SS-DC scan — for K = 1, 3 (the kernel) and
-// 7: on a tree with all 512 leaves live (a 9-node path, as in a dense
-// tree) and, for K = 3, on 36 live leaves spread over 512, the shape of a
-// validation engine's label tree on the loadbench data (sparse/K3).
+// BenchmarkRecompute measures one path of node recomputes (the reference
+// SetLeaf) for K = 1, 3 (the kernel) and 7: on a tree with all 512 leaves
+// live (a 9-node path, as in a dense tree) and, for K = 3, on 36 live
+// leaves spread over 512, the shape of a validation engine's label tree on
+// the loadbench data (sparse/K3). probe/K3 is one SetLeafProbe on that
+// sparse shape — the per-position tree cost of an SS-DC scan, which walks
+// the path once for both the restored leaf and the forced-leaf root.
 func BenchmarkRecompute(b *testing.B) {
 	const n = 512
-	run := func(b *testing.B, k int, keep float64) {
+	run := func(b *testing.B, k int, keep float64, probe bool) {
 		rng := rand.New(rand.NewSource(11))
 		var live []int32
 		for i := 0; i < n; i++ {
@@ -509,16 +621,22 @@ func BenchmarkRecompute(b *testing.B) {
 			p0[j], p1[j] = rng.Float64(), rng.Float64()
 		}
 		tr, slots := collapsed(k, live, p0, p1)
+		buf := make([]float64, k+1)
 		j := 0
 		for b.Loop() {
-			tr.SetLeaf(int(slots[j]), 0.25, 0.75)
+			if probe {
+				tr.SetLeafProbe(int(slots[j]), 0, 0.5, 0.25, 0.75, buf)
+			} else {
+				tr.SetLeaf(int(slots[j]), 0.25, 0.75)
+			}
 			j = (j + 97) % len(slots)
 		}
 	}
 	for _, k := range []int{1, 3, 7} {
-		b.Run(fmt.Sprintf("K%d", k), func(b *testing.B) { run(b, k, 1) })
+		b.Run(fmt.Sprintf("K%d", k), func(b *testing.B) { run(b, k, 1, false) })
 	}
-	b.Run("sparse/K3", func(b *testing.B) { run(b, 3, 36.0/n) })
+	b.Run("sparse/K3", func(b *testing.B) { run(b, 3, 36.0/n, false) })
+	b.Run("probe/K3", func(b *testing.B) { run(b, 3, 36.0/n, true) })
 }
 
 func TestRootSumProperty(t *testing.T) {

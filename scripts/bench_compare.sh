@@ -10,9 +10,11 @@
 # whose speed drifts between pairs slows both sides alike.
 #
 # The pinned set: internal/core's BenchmarkEngineBuild (every
-# sub-benchmark) and BenchmarkHypothesisCounts/trunc/K3 at 50x, and the root
-# package's BenchmarkCleanSession_Loadbench (one clean-live session on
-# loadbench's data) at 2x.
+# sub-benchmark), BenchmarkHypothesisCounts/trunc/K3 (CPClean's hypothesis
+# scan) and BenchmarkScan/supreme/trunc/K3 (the plain scan behind session
+# queries and batch sweeps) at 50x, and the root package's
+# BenchmarkCleanSession_Loadbench (one clean-live session on loadbench's
+# data) at 2x.
 #
 # The HEAD side is built from the working tree (HEAD itself in CI). The
 # merge base is that of HEAD and origin/main; when HEAD is itself on
@@ -58,6 +60,7 @@ bench() {
   local out="$tmp/$1.out"
   "$tmp/$1-core.test" -test.run '^$' -test.bench '^BenchmarkEngineBuild$' -test.benchtime 50x -test.benchmem >>"$out"
   "$tmp/$1-core.test" -test.run '^$' -test.bench '^BenchmarkHypothesisCounts$/^trunc$/^K3$' -test.benchtime 50x >>"$out"
+  "$tmp/$1-core.test" -test.run '^$' -test.bench '^BenchmarkScan$/^supreme$/^trunc$/^K3$' -test.benchtime 50x >>"$out"
   "$tmp/$1-root.test" -test.run '^$' -test.bench '^BenchmarkCleanSession_Loadbench$' -test.benchtime 2x >>"$out"
 }
 for ((i = 1; i <= PAIRS; i++)); do
