@@ -37,7 +37,8 @@ bench:
 	@echo "bench: wrote $(BENCH_JSON)"
 
 # Paired regression gate: the pinned benchmarks (core EngineBuild,
-# HypothesisCounts/trunc/K3, Scan/supreme/trunc/K3, CleanSession_Loadbench)
+# HypothesisCounts/trunc/K3, HypothesisTape/trunc/K3, Scan/supreme/trunc/K3,
+# CleanSession_Loadbench)
 # at the merge base and at the working tree, run in 10 alternating pairs;
 # fails when the tree is >15% slower in at least 8 pairs (see
 # scripts/bench_compare.sh).

@@ -339,6 +339,9 @@ type Scratch struct {
 	snapPost [][]float64
 	own      [][]float64
 	hyp      [][]float64
+	// tape is the hypothesis tape of the last engine state HypothesisCounts
+	// ran on.
+	tape hypTape
 }
 
 // scratchShape is the structural signature a Scratch is sized by: the row
@@ -418,7 +421,7 @@ func (e *Engine) CountsMC(sc *Scratch, overrideRow, overrideCand int) []float64 
 func (e *Engine) fullScan(sc *Scratch, overrideRow, overrideCand int, useMC bool) int64 {
 	e.mustFit(sc)
 	clear(sc.counts)
-	return e.scan(sc, e.pinsFor(overrideRow, overrideCand), useMC, -1)
+	return e.scan(sc, e.pinsFor(overrideRow, overrideCand), useMC, nil)
 }
 
 // pinView is the pin vector a query runs under: the engine's pins (nil when
@@ -476,70 +479,6 @@ func (e *Engine) buildLeaves(sc *Scratch, pins pinView) {
 // the given override — the quantity CPClean greedily minimizes (§4, Eq. 3).
 func (e *Engine) Entropy(sc *Scratch, overrideRow, overrideCand int) float64 {
 	return Entropy(e.Counts(sc, overrideRow, overrideCand))
-}
-
-// ensureHyp sizes the per-pin HypothesisCounts buffers.
-func (sc *Scratch) ensureHyp(m, numLabels int) {
-	for len(sc.snapPre) < m {
-		sc.snapPre = append(sc.snapPre, make([]float64, numLabels))
-		sc.snapPost = append(sc.snapPost, make([]float64, numLabels))
-		sc.own = append(sc.own, make([]float64, numLabels))
-		sc.hyp = append(sc.hyp, make([]float64, numLabels))
-	}
-}
-
-// HypothesisCounts answers, for *every* candidate j of the given row, the Q2
-// query under the hypothetical cleaning "pin row to j" — the inner loop of
-// CPClean's expected-entropy computation (Eq. 4) — in a single combined scan
-// instead of M separate ones.
-//
-// Key observation: across the M pinned worlds, only two things vary —
-//
-//  1. when another candidate (n, m) is the boundary, row `row`'s chosen value
-//     is either still unscanned (more similar ⇒ row occupies a top-K slot;
-//     its DP leaf is [0,1] — the *pre* state) or already scanned (less
-//     similar ⇒ leaf [1,0] — the *post* state), determined solely by whether
-//     (n, m) precedes candidate (row, j) in the scan order; and
-//  2. row `row`'s own boundary term, which for pin j is the support of
-//     candidate (row, j) with the row forced onto the boundary.
-//
-// So one scan (Engine.scan with the row as its hypothesis row) keeps the
-// row's leaf in the post state [1,0] and reads the pre state's root for the
-// row's label as the post root shifted up one degree, [0, post[0..K−1]] —
-// exact in the tree arithmetic (see the segtree package doc), so no second
-// tree is kept. It accumulates *both* supports per scanned candidate into
-// running prefix sums, snapshots the prefixes at each (row, j), and
-// assembles
-//
-//	Q2_j = cumPre(before j) + [cumPost(total) − cumPost(before j)] + own_j.
-//
-// The returned slice holds M normalized distributions (aliasing sc buffers;
-// valid until the next call).
-func (e *Engine) HypothesisCounts(sc *Scratch, row int) [][]float64 {
-	if e.Pin(row) >= 0 {
-		panic("core: HypothesisCounts on a pinned row")
-	}
-	e.mustFit(sc)
-	m := e.inst.M(row)
-	sc.ensureHyp(m, e.numLabels)
-	clear(sc.cumPre)
-	clear(sc.cumPost)
-	// A pin of a candidate below T sits in the zero prefix: zero snapshots
-	// and a zero own term. Kept candidates fill theirs in during the scan.
-	for j := 0; j < m; j++ {
-		clear(sc.snapPre[j])
-		clear(sc.snapPost[j])
-		clear(sc.own[j])
-	}
-	e.scan(sc, e.pinsFor(-1, -1), false, row)
-	// Assemble the per-pin distributions.
-	for j := 0; j < m; j++ {
-		out := sc.hyp[j]
-		for y := 0; y < e.numLabels; y++ {
-			out[y] = sc.snapPre[j][y] + (sc.cumPost[y] - sc.snapPost[j][y]) + sc.own[j][y]
-		}
-	}
-	return sc.hyp[:m]
 }
 
 // RelevantRows reports, per training row, whether the row can appear in the

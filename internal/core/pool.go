@@ -36,7 +36,8 @@ const engineStructBytes = 320
 
 // ApproxBytes estimates the scratch's heap footprint: the per-label tree
 // storage (grown to the largest collapsed tree it has held, O(live·K)
-// floats), the O(N) α vector, and the hypothesis buffers.
+// floats), the O(N) α vector, the hypothesis buffers and the hypothesis
+// tape (O(kept positions·K) plus two tree snapshots).
 func (sc *Scratch) ApproxBytes() int64 {
 	var b int64
 	for _, tr := range sc.trees {
@@ -47,7 +48,7 @@ func (sc *Scratch) ApproxBytes() int64 {
 	for _, h := range sc.hyp {
 		b += int64(len(h)) * 8 * 4 // hyp, own, snapPre, snapPost
 	}
-	return b
+	return b + sc.tape.approxBytes()
 }
 
 // ResetPins clears every persistent pin, returning the engine to the fully
@@ -103,7 +104,8 @@ func (p *ScratchPool) Get() *Scratch {
 // Put returns a Scratch to the pool. The Scratch must have been produced by
 // a pool of the same shape and K. Put checks only K — a Scratch of another
 // K panics rather than silently corrupt later queries; a shape mismatch is
-// the caller's bug and is not detected.
+// the caller's bug and is not detected. Put drops the Scratch's hypothesis
+// tape (keeping its storage), so a pooled Scratch keeps no engine alive.
 func (p *ScratchPool) Put(sc *Scratch) {
 	if sc == nil {
 		return
@@ -111,6 +113,7 @@ func (p *ScratchPool) Put(sc *Scratch) {
 	if sc.k != p.k {
 		panic(fmt.Sprintf("core: returning K=%d scratch to K=%d pool", sc.k, p.k))
 	}
+	sc.tape.e = nil
 	p.pool.Put(sc)
 }
 

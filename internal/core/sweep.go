@@ -7,66 +7,39 @@ package core
 // state and probing the root with the row forced onto the boundary
 // (segtree.Tree.SetLeafProbe) — reads the boundary supports off the
 // per-label path-collapsed tree roots, with the probe standing in for the
-// row's label, and adds them up. Every Q2 path runs it — Engine.Counts,
-// Engine.CountsMC and a Retained memo's full sweep into the Scratch's
-// counts, and HypothesisCounts, with a hypothesis row, into the pre/post
-// prefix sums in one tally pass (the row's pre-state root is the post root
-// shifted one degree).
+// row's label, and adds them up. Every Q2 path runs it: Engine.Counts,
+// Engine.CountsMC and a Retained memo's full sweep tally into the Scratch's
+// counts, and HypothesisCounts records it as the Scratch's hypothesis tape
+// (tape.go), which every hypothesis row of the engine's pin state then
+// replays, walking only its own label's tree and tallying the pre/post
+// prefix sums in one pass per position (the row's pre-state root is the
+// post root shifted one degree).
 
 // scan walks every kept scan position with real tree work under the given
 // pins (the engine's, with an optional per-query override), from the α
-// state seedAlpha derives. With hypRow = −1 it adds each position's
-// supports into sc.counts; useMC selects the appendix-A.3 winner-cap
-// accumulator instead of tally enumeration. With an unpinned hypRow ≥ 0 it
-// is HypothesisCounts' walk: the row's leaf stays [1,0] (α = M) throughout,
-// each position adds its supports with the row after the boundary into
-// sc.cumPost and with it before the boundary (the shifted root) into
-// sc.cumPre, both in one tallyHypothesis pass, and each of the row's own
-// candidates j snapshots both sums and adds its own boundary term (tallyPre)
-// into sc.own[j]. A hypothesis row without kept
-// candidates (absent ones included) has no scan position and an α that is
-// never 0, so only its label is read. The trees are bulk-built at the first
-// position whose boundary support is not provably zero. Returns the number
-// of positions that performed tree work.
-func (e *Engine) scan(sc *Scratch, pins pinView, useMC bool, hypRow int) int64 {
+// state seedAlpha derives. With tape nil it adds each position's supports
+// into sc.counts; useMC selects the appendix-A.3 winner-cap accumulator
+// instead of tally enumeration. With a tape it tallies nothing and records
+// the scan into it instead (hypTape.record), from one zero row earlier: the
+// tape serves hypothesis scans, whose row's own α = 0 does not count (see
+// HypothesisCounts). The trees are bulk-built at the first position whose
+// boundary support is not provably zero. Returns the number of positions
+// that performed tree work.
+func (e *Engine) scan(sc *Scratch, pins pinView, useMC bool, tape *hypTape) int64 {
 	inst := e.inst
 	rows, facts := inst.rows, inst.facts
 	slot := e.slot
 	alpha := sc.alpha
 	k := sc.k
 	zeroRows := e.seedAlpha(alpha, pins)
-	hypEv, lHyp := -1, -1
-	if hypRow >= 0 {
-		// The hypothesis row's α = M makes its leaf [1,0], and takes it
-		// out of zeroRows, which then counts the other rows with α = 0.
-		lHyp = inst.Label(hypRow)
-		if hypEv = e.liveIndex(hypRow); hypEv >= 0 {
-			if alpha[hypEv] == 0 {
-				zeroRows--
-			}
-			alpha[hypEv] = int32(inst.M(hypRow))
-		}
+	limit := k - 1
+	if tape != nil {
+		limit = k
 	}
 	built := false
 	var scanned int64
 	for _, ref := range e.order {
 		ev := int(ref.row)
-		if ev == hypEv {
-			// Snapshot the prefix sums for pin j and compute its own
-			// boundary term: the row forced onto the boundary, a pinned
-			// row's leaf [0, 1/1], is the pre state.
-			j := ref.cand
-			copy(sc.snapPre[j], sc.cumPre)
-			copy(sc.snapPost[j], sc.cumPost)
-			if zeroRows <= k-1 {
-				if !built {
-					e.buildLeaves(sc, pins)
-					built = true
-				}
-				sc.tallyPre(lHyp, sc.own[j])
-			}
-			continue
-		}
 		i := rows[ev]
 		ch := pins.at(i)
 		if ch >= 0 && ref.cand != ch {
@@ -81,13 +54,17 @@ func (e *Engine) scan(sc *Scratch, pins pinView, useMC bool, hypRow int) int64 {
 		// the boundary), so while zeroRows > K−1 (excluding the boundary row,
 		// whose α has just been incremented) the boundary support is
 		// identically zero. During that prefix only α is maintained; the
-		// trees are built in one bulk pass at the transition.
-		if zeroRows > k-1 {
+		// trees are built in one bulk pass at the transition (a tape's,
+		// for hypothesis scans, one zero row earlier).
+		if zeroRows > limit {
 			continue
 		}
 		if !built {
 			e.buildLeaves(sc, pins)
 			built = true
+			if tape != nil {
+				tape.snapStart(e, sc)
+			}
 		}
 		f := facts[i]
 		mEff := f.M
@@ -101,18 +78,19 @@ func (e *Engine) scan(sc *Scratch, pins pinView, useMC bool, hypRow int) int64 {
 		// with probability 1/mEff of picking this candidate. The supports
 		// are read with the label's root pointed at the probe.
 		sc.trees[f.Label].SetLeafProbe(int(slot[ev]), 0, 1/float64(mEff), a, 1-a, sc.probe)
+		scanned++
+		if tape != nil {
+			tape.record(sc, tapePos{ev: int32(ev), cand: ref.cand, label: int32(f.Label), slot: slot[ev], alpha: alpha[ev], mEff: mEff}, zeroRows)
+			continue
+		}
 		root := sc.roots[f.Label]
 		sc.roots[f.Label] = sc.probe
-		switch {
-		case hypRow >= 0:
-			tallyHypothesis(sc, lHyp)
-		case useMC:
+		if useMC {
 			e.mcSupports(sc, sc.counts)
-		default:
+		} else {
 			tallySupports(sc, sc.counts)
 		}
 		sc.roots[f.Label] = root
-		scanned++
 	}
 	return scanned
 }

@@ -45,12 +45,42 @@ func BenchmarkScan(b *testing.B) {
 	}
 }
 
-// BenchmarkHypothesisCounts measures CPClean's inner loop — the scan
-// kernel's hypothesis walk, answering the pin of every candidate of one
-// row in one scan — on the
-// Supreme-shaped engine truncated for K = 3, for the uncertain row with kept
-// candidates that has the most candidates.
+// BenchmarkHypothesisCounts measures CPClean's inner loop — one
+// hypothesis scan, answering the pin of every candidate of one row — on
+// the Supreme-shaped engine truncated for K = 3, for the uncertain row with
+// kept candidates that has the most candidates. The engine's pins do not
+// change between iterations, so each one replays the Scratch's cached
+// hypothesis tape (BenchmarkHypothesisTape times the recording).
 func BenchmarkHypothesisCounts(b *testing.B) {
+	e, row := hypothesisBenchEngine()
+	b.Run("trunc/K3", func(b *testing.B) {
+		sc := e.MustScratch(3)
+		b.ReportAllocs()
+		for b.Loop() {
+			e.HypothesisCounts(sc, row)
+		}
+	})
+}
+
+// BenchmarkHypothesisTape measures one recording of the hypothesis tape
+// HypothesisCounts replays — one plain scan from one zero row earlier, with
+// its positions and two tree snapshots stored — on BenchmarkHypothesisCounts'
+// engine, and reports the tape's footprint (tape-B).
+func BenchmarkHypothesisTape(b *testing.B) {
+	e, _ := hypothesisBenchEngine()
+	b.Run("trunc/K3", func(b *testing.B) {
+		sc := e.MustScratch(3)
+		b.ReportAllocs()
+		for b.Loop() {
+			sc.tape.e = nil
+			sc.tapeFor(e)
+		}
+		b.ReportMetric(float64(sc.tape.approxBytes()), "tape-B")
+	})
+}
+
+// hypothesisBenchEngine returns the hypothesis benchmarks' engine and row.
+func hypothesisBenchEngine() (*Engine, int) {
 	d, p := supremeShaped(1304)
 	e := NewTruncatedEngineFromInstance(InstanceFor(d, knn.NegEuclidean{}, p), 3)
 	row := -1
@@ -59,13 +89,7 @@ func BenchmarkHypothesisCounts(b *testing.B) {
 			row = i
 		}
 	}
-	b.Run("trunc/K3", func(b *testing.B) {
-		sc := e.MustScratch(3)
-		b.ReportAllocs()
-		for b.Loop() {
-			e.HypothesisCounts(sc, row)
-		}
-	})
+	return e, row
 }
 
 // TestTallyHypothesisMatchesTwoPasses checks the fused hypothesis tally

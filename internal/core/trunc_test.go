@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -403,10 +404,15 @@ const maxFuzzPinOps = 64
 // FuzzTruncatedEngine decodes an instance, a K and a pin sequence of up to
 // maxFuzzPinOps operations from the input and checks every query of the
 // truncated engine against the untruncated one with == after each pin
-// operation.
+// operation, and both engines' HypothesisCounts of every unpinned row,
+// replayed off their Scratches' tapes, against the walk reference by bits.
 func FuzzTruncatedEngine(f *testing.F) {
 	f.Add([]byte{1, 0, 5, 3, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15})
 	f.Add([]byte{3, 1, 0, 0x84, 0x90, 0xa0, 0x01, 0x02, 0x03, 0x10, 0x20, 0x33})
+	// Grid ties over two labels (K = 3) and three (K = 5), with pins,
+	// unpins and resets between the hypothesis checks.
+	f.Add([]byte{0x02, 0x00, 0x0e, 0x03, 0x5d, 0x85, 0x95, 0x96, 0x84, 0x02, 0x06, 0x97, 0x01, 0x85, 0x03, 0xe3, 0x8f, 0x01, 0x88, 0x85, 0x02, 0x9c, 0x94, 0x81, 0x05, 0x02, 0x23, 0x87, 0x84, 0x8f, 0x02, 0x88, 0x88, 0x01, 0x84, 0x01, 0xa6, 0x95, 0x84, 0x03, 0x84, 0x0c, 0x87, 0x84, 0x94, 0x04, 0x75, 0x89, 0x8f, 0x8a, 0x85, 0x8d, 0x02, 0x7f, 0x00, 0x8e, 0x8e, 0x03, 0x2d, 0x8a, 0x8c, 0x92, 0x8c, 0x01, 0x90, 0x89, 0x97, 0x00, 0x08, 0x08, 0x00, 0xd6, 0x8c, 0x02, 0x88, 0x95, 0x8a, 0x00, 0x03, 0x09, 0x82, 0x87, 0x90, 0x92, 0x01, 0xe4, 0x81, 0x82, 0x00, 0x07, 0x00, 0x0f, 0x00, 0x05, 0x02, 0x09, 0x35, 0x04, 0x05, 0x38, 0x01, 0x10, 0x04, 0x02, 0xfe, 0x02, 0x09, 0x82, 0x03, 0x0e, 0xeb, 0x03, 0x0c, 0xd2})
+	f.Add([]byte{0x04, 0x01, 0x09, 0x01, 0xae, 0x90, 0x84, 0x03, 0xae, 0x87, 0x84, 0x89, 0x0a, 0x04, 0x79, 0x07, 0x86, 0x93, 0x8f, 0x8e, 0x01, 0x17, 0x02, 0x97, 0x01, 0x06, 0x89, 0x93, 0x04, 0x7a, 0x04, 0x8f, 0x80, 0x94, 0x89, 0x01, 0xba, 0x90, 0x82, 0x00, 0xb7, 0x8e, 0x02, 0xe5, 0x8d, 0x83, 0x80, 0x02, 0x23, 0x8b, 0x0b, 0x93, 0x01, 0xb6, 0x83, 0x90, 0x01, 0x81, 0x96, 0x88, 0x04, 0xe5, 0x85, 0x92, 0x93, 0x82, 0x80, 0x01, 0xf8, 0x0c, 0x91, 0x03, 0x03, 0xb3, 0x00, 0x09, 0x03, 0x0a, 0x39, 0x02, 0x0a, 0x5b, 0x03, 0x09, 0x74, 0x02, 0x03, 0xaf, 0x01, 0x09, 0x02, 0x03, 0x82})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		next := func() int {
 			if len(data) == 0 {
@@ -439,7 +445,14 @@ func FuzzTruncatedEngine(f *testing.F) {
 		}
 		p := newTruncPair(t, inst, k)
 		rng := rand.New(rand.NewSource(int64(len(data))))
+		walk := p.ref.MustScratch(k)
+		var cov tapeCoverage
+		checkHyp := func(what string) {
+			checkReplay(t, p.ref, p.rsc, walk, &cov, what+" untruncated")
+			checkReplay(t, p.tr, p.tsc, walk, &cov, what+" truncated")
+		}
 		p.check(t, rng, "unpinned")
+		checkHyp("unpinned")
 		for ops := 0; len(data) > 0 && ops < maxFuzzPinOps; ops++ {
 			switch op, row := next(), next()%n; op % 8 {
 			case 0:
@@ -450,6 +463,7 @@ func FuzzTruncatedEngine(f *testing.F) {
 				pinAll(row, next()%inst.M(row), p.ref, p.tr)
 			}
 			p.check(t, rng, "pinned")
+			checkHyp(fmt.Sprintf("after pin op %d", ops))
 		}
 	})
 }

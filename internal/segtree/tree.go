@@ -39,7 +39,10 @@
 // storage held before. The SS-DC scan (internal/core) depends on exactly
 // this property to bulk-build its trees at the first position with tree
 // work and still match a leaf-by-leaf scan bit for bit; TestPathIndependence
-// pins it.
+// pins it. A copy (CopyFrom) carries the same bits, so a tree snapshotted
+// mid-scan and continued later, or continued with one leaf changed, holds
+// what a tree that reached the same leaf state any other way holds: the
+// hypothesis tape (internal/core) replays its scans from such snapshots.
 //
 // # Tree arithmetic
 //
@@ -191,6 +194,20 @@ func (t *Tree) Reset(sh Shape) {
 	root := t.node(0)
 	clear(root)
 	root[0] = 1
+}
+
+// CopyFrom makes t a copy of src: src's shape and, bit for bit, its node
+// values, in t's own storage (grown if it is too small; the shape's pair
+// parents are shared, as every tree of a shape shares them). By purity the
+// copy then behaves as src would: the same SetLeafProbe calls on either
+// write the same nodes and probes. The trees must have the same capacity.
+// O(slots·K).
+func (t *Tree) CopyFrom(src *Tree) {
+	if t.k != src.k {
+		panic("segtree: CopyFrom between trees of different capacity")
+	}
+	t.up = src.up
+	t.nodes = append(t.nodes[:0], src.nodes...)
 }
 
 // InitLeaf sets the leaf in slot s to [p0, p1, 0, ...] without updating its

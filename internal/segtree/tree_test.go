@@ -368,6 +368,46 @@ func TestPathIndependence(t *testing.T) {
 	}
 }
 
+// TestCopyFromContinuesAsSource checks the tree copy the hypothesis tape
+// snapshots by: a copy into storage another shape left larger or smaller
+// holds the source's nodes bit for bit, and the same SetLeafProbe sequence
+// on source and copy yields the same probes and nodes, while neither
+// disturbs the other's storage.
+func TestCopyFromContinuesAsSource(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for trial := 0; trial < 200; trial++ {
+		k := rng.Intn(8)
+		live, p0, p1 := randomLive(rng, 1+rng.Intn(60), rng.Float64())
+		if len(live) == 0 {
+			continue
+		}
+		src, slots := collapsed(k, live, p0, p1)
+		cp := NewTree(k)
+		other, o0, o1 := randomLive(rng, 1+rng.Intn(80), 0.7)
+		build(cp, other, o0, o1)
+		cp.CopyFrom(src)
+		if !sameBits(cp.nodes, src.nodes) {
+			t.Fatalf("trial %d: copy %v, source %v", trial, cp.nodes, src.nodes)
+		}
+		want, got := make([]float64, k+1), make([]float64, k+1)
+		for step := 0; step < 20; step++ {
+			s := int(slots[rng.Intn(len(slots))])
+			f0, f1, q0, q1 := leafValue(rng), leafValue(rng), leafValue(rng), leafValue(rng)
+			src.SetLeafProbe(s, f0, f1, q0, q1, want)
+			cp.SetLeafProbe(s, f0, f1, q0, q1, got)
+			if !sameBits(got, want) || !sameBits(cp.nodes, src.nodes) {
+				t.Fatalf("trial %d step %d: copy diverged from its source", trial, step)
+			}
+		}
+		// Writes to the copy leave the source alone.
+		before := append([]float64(nil), src.nodes...)
+		cp.SetLeafProbe(int(slots[0]), 1, 0, 0.5, 0.5, got)
+		if !sameBits(src.nodes, before) {
+			t.Fatalf("trial %d: a write to the copy changed the source", trial)
+		}
+	}
+}
+
 // TestSparseBuildMatchesDense checks the collapsed tree's root bit for bit
 // against the dense reference given the same leaves, on trees large enough
 // for whole identity subtrees and long collapsed chains, with tiny live

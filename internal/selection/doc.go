@@ -29,6 +29,18 @@
 // CountsMC) and core.Engine.RelevantRows: after a relevant pin the point's
 // answer may have changed, so there is nothing left to reuse.
 //
+// # Point-major scoring
+//
+// SelectBatch scores only the stale (point, row) pairs, and hands them to
+// its workers point-major over one channel: a worker receives a point's
+// pairs in a run, so its Scratch records the point's hypothesis tape once
+// and replays it for each row (core.Engine.HypothesisCounts), instead of
+// walking every label's tree per row. Each row's score is then summed
+// sequentially over the points in order — the current entropy of an
+// irrelevant point, the memoized sum of any other — so it carries the same
+// bits, and examined/reused the same counts, however the pairs were
+// scheduled.
+//
 // # Invariants
 //
 //   - PinGeneration staleness: a memo is trusted only while its recorded

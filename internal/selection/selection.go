@@ -177,93 +177,89 @@ func (s *Selector) SelectBatch(rows []int, batch int) (bestRows []int, bestEntro
 	}
 	s.refresh(valIdx)
 
-	type rowScore struct {
-		row     int
-		entropy float64
-		queries int64
-		reused  int64
+	// The stale (point, row) pairs — relevant, not memoized — point-major,
+	// so the pairs of one point reach the workers consecutively and each
+	// worker's Scratch records the point's hypothesis tape once and replays
+	// it for the rest (core.Engine.HypothesisCounts). The pairs' entropy
+	// sums land in the memos; memo hits and irrelevant pairs are counted
+	// here.
+	type pair struct{ v, row int }
+	var stale []pair
+	var reused int64
+	for _, v := range valIdx {
+		memo := &s.memos[v]
+		for _, row := range rows {
+			switch {
+			case !memo.relevant[row]:
+			case math.IsNaN(memo.hypSum[row]):
+				stale = append(stale, pair{v, row})
+				examined += int64(inst.M(row))
+			default:
+				reused += int64(inst.M(row))
+			}
+		}
 	}
-	scores := make([]rowScore, len(rows))
-	workers := s.cfg.Parallelism
-	if workers > len(rows) {
-		workers = len(rows)
-	}
+	workers := min(s.cfg.Parallelism, len(stale))
 	var wg sync.WaitGroup
-	work := make(chan int)
+	work := make(chan pair)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var sc *core.Scratch
-			defer func() {
-				if sc != nil {
-					s.scratches.Put(sc)
+			sc := s.scratches.Get()
+			defer s.scratches.Put(sc)
+			for p := range work {
+				e := s.engines[p.v]
+				sum := 0.0
+				if s.cfg.UseMC {
+					// The multi-class path answers each pin separately.
+					for j := 0; j < inst.M(p.row); j++ {
+						sum += core.Entropy(e.CountsMC(sc, p.row, j))
+					}
+				} else {
+					// All M pins from one combined scan.
+					for _, q := range e.HypothesisCounts(sc, p.row) {
+						sum += core.Entropy(q)
+					}
 				}
-			}()
-			for ri := range work {
-				row := rows[ri]
-				m := inst.M(row)
-				total := 0.0
-				var queries, reused int64
-				for _, v := range valIdx {
-					memo := &s.memos[v]
-					if !memo.relevant[row] {
-						// Cleaning this row cannot change this validation
-						// point's distribution: every candidate yields the
-						// current entropy.
-						total += float64(memo.curH * float64(m))
-						continue
-					}
-					if sum := memo.hypSum[row]; !math.IsNaN(sum) {
-						// Memoized from an earlier round; still exact because
-						// no relevant pin has landed on this point since.
-						total += sum
-						reused += int64(m)
-						continue
-					}
-					e := s.engines[v]
-					if sc == nil {
-						sc = s.scratches.Get()
-					}
-					sum := 0.0
-					if s.cfg.UseMC {
-						// The multi-class path answers each pin separately.
-						for j := 0; j < m; j++ {
-							sum += core.Entropy(e.CountsMC(sc, row, j))
-						}
-					} else {
-						// All M pins from one combined scan.
-						for _, p := range e.HypothesisCounts(sc, row) {
-							sum += core.Entropy(p)
-						}
-					}
-					memo.hypSum[row] = sum
-					total += sum
-					queries += int64(m)
-				}
-				// Uniform prior over the M candidates, averaged over the
-				// validation set (certain examples contribute zero).
-				scores[ri] = rowScore{
-					row:     row,
-					entropy: total / float64(m) / float64(len(s.certain)),
-					queries: queries,
-					reused:  reused,
-				}
+				s.memos[p.v].hypSum[p.row] = sum
 			}
 		}()
 	}
-	for ri := range rows {
-		work <- ri
+	for _, p := range stale {
+		work <- p
 	}
 	close(work)
 	wg.Wait()
-	var reused int64
-	for _, rs := range scores {
-		examined += rs.queries
-		reused += rs.reused
-	}
 	s.examined += examined
 	s.reused += reused
+
+	// Each row's score sums its points in valIdx order, so it carries the
+	// same bits however the pairs were scheduled.
+	type rowScore struct {
+		row     int
+		entropy float64
+	}
+	scores := make([]rowScore, len(rows))
+	for ri, row := range rows {
+		m := inst.M(row)
+		total := 0.0
+		for _, v := range valIdx {
+			memo := &s.memos[v]
+			if !memo.relevant[row] {
+				// Cleaning this row cannot change this validation point's
+				// distribution: every candidate yields the current entropy.
+				total += float64(memo.curH * float64(m))
+				continue
+			}
+			// Scored above, or memoized from an earlier round and still
+			// exact because no relevant pin has landed on this point since.
+			total += memo.hypSum[row]
+		}
+		// Uniform prior over the M candidates, averaged over the validation
+		// set (certain examples contribute zero).
+		scores[ri] = rowScore{row: row, entropy: total / float64(m) / float64(len(s.certain))}
+	}
 	// Ascending entropy, ties toward the smaller row index (deterministic).
 	sort.Slice(scores, func(a, b int) bool {
 		if scores[a].entropy != scores[b].entropy {

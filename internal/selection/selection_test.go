@@ -1,8 +1,10 @@
 package selection
 
 import (
+	"math"
 	"math/rand"
 	"slices"
+	"sort"
 	"testing"
 
 	"repro/internal/core"
@@ -327,5 +329,139 @@ func TestNewValidation(t *testing.T) {
 	}
 	if _, err := New([]*core.Engine{e}, make([]bool, 1), nil, Config{K: 3}); err == nil {
 		t.Fatal("accepted nil scratch pool")
+	}
+}
+
+// rowMajorSelectBatch is the reference SelectBatch's point-major scoring is
+// tested against: the row-major loop it replaced, run sequentially. For
+// each row in turn it walks the validation points in order, adding the
+// current entropy of an irrelevant point, the memo of a memoized pair, or
+// the pair's freshly scored entropy sum (stored in the memo), and counts
+// the scored and memoized hypotheses. It shares s's memos, refresh and
+// counters, and sorts and cuts the batch as SelectBatch does.
+func rowMajorSelectBatch(s *Selector, rows []int, batch int) (bestRows []int, bestEntropies []float64, examined int64) {
+	inst := s.engines[0].Instance()
+	var valIdx []int
+	for v, c := range s.certain {
+		if !c || s.cfg.DisableSkipCertain {
+			valIdx = append(valIdx, v)
+		}
+	}
+	s.refresh(valIdx)
+	sc := s.scratches.Get()
+	defer s.scratches.Put(sc)
+	type rowScore struct {
+		row     int
+		entropy float64
+	}
+	var scores []rowScore
+	var reused int64
+	for _, row := range rows {
+		m := inst.M(row)
+		total := 0.0
+		for _, v := range valIdx {
+			memo := &s.memos[v]
+			if !memo.relevant[row] {
+				total += float64(memo.curH * float64(m))
+				continue
+			}
+			if sum := memo.hypSum[row]; !math.IsNaN(sum) {
+				total += sum
+				reused += int64(m)
+				continue
+			}
+			e := s.engines[v]
+			sum := 0.0
+			if s.cfg.UseMC {
+				for j := 0; j < m; j++ {
+					sum += core.Entropy(e.CountsMC(sc, row, j))
+				}
+			} else {
+				for _, p := range e.HypothesisCounts(sc, row) {
+					sum += core.Entropy(p)
+				}
+			}
+			memo.hypSum[row] = sum
+			total += sum
+			examined += int64(m)
+		}
+		scores = append(scores, rowScore{row, total / float64(m) / float64(len(s.certain))})
+	}
+	s.examined += examined
+	s.reused += reused
+	sort.Slice(scores, func(a, b int) bool {
+		if scores[a].entropy != scores[b].entropy {
+			return scores[a].entropy < scores[b].entropy
+		}
+		return scores[a].row < scores[b].row
+	})
+	for _, rs := range scores[:min(batch, len(scores))] {
+		bestRows = append(bestRows, rs.row)
+		bestEntropies = append(bestEntropies, rs.entropy)
+	}
+	return bestRows, bestEntropies, examined
+}
+
+// TestPointMajorMatchesRowMajor runs SelectBatch and the row-major
+// reference side by side through whole cleaning runs — binary and
+// three-label data, the default configuration, UseMC, DisableCache and
+// DisableSkipCertain, two scoring workers — and checks that every round
+// selects the same rows with the same entropies, bit for bit, and that the
+// per-round examined count and the lifetime examined and reused counts are
+// the same.
+func TestPointMajorMatchesRowMajor(t *testing.T) {
+	cases := []struct {
+		name      string
+		numLabels int
+		cfg       Config
+	}{
+		{"default", 2, Config{}},
+		{"multiclass", 3, Config{}},
+		{"mc", 2, Config{UseMC: true}},
+		{"no-cache", 2, Config{DisableCache: true}},
+		{"no-skip-certain", 3, Config{DisableSkipCertain: true}},
+	}
+	for ci, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			seed := int64(2501 + 10*ci)
+			d := randDataset(t, 30, 3, c.numLabels, 2, 0.6, seed)
+			valPts := randPoints(10, 2, seed+1)
+			c.cfg.Parallelism = 2
+			a := newHarness(t, d, valPts, 3, c.cfg)
+			b := newHarness(t, d, valPts, 3, c.cfg)
+			rng := rand.New(rand.NewSource(seed + 2))
+			rounds := 0
+			for ; rounds <= d.N() && !a.allCertain(); rounds++ {
+				rows := a.candidateRows()
+				if len(rows) == 0 {
+					break
+				}
+				batch := 1 + rng.Intn(3)
+				rowsA, hA, exA := a.sel.SelectBatch(rows, batch)
+				rowsB, hB, exB := rowMajorSelectBatch(b.sel, rows, batch)
+				if !slices.Equal(rowsA, rowsB) || exA != exB {
+					t.Fatalf("round %d: point-major %v (examined %d), row-major %v (examined %d)", rounds, rowsA, exA, rowsB, exB)
+				}
+				for i := range hA {
+					if math.Float64bits(hA[i]) != math.Float64bits(hB[i]) {
+						t.Fatalf("round %d: row %d entropy %v, row-major %v", rounds, rowsA[i], hA[i], hB[i])
+					}
+				}
+				cand := rng.Intn(d.Examples[rowsA[0]].M())
+				a.sel.Pin(rowsA[0], cand)
+				b.sel.Pin(rowsB[0], cand)
+				a.refreshCertainty(t)
+				b.refreshCertainty(t)
+			}
+			exA, reA := a.sel.Stats()
+			exB, reB := b.sel.Stats()
+			if exA != exB || reA != reB {
+				t.Fatalf("lifetime examined/reused %d/%d, row-major %d/%d", exA, reA, exB, reB)
+			}
+			if rounds < 2 || exA == 0 {
+				t.Fatalf("only %d rounds with %d examined: the run exercised nothing", rounds, exA)
+			}
+			t.Logf("%d rounds, examined %d, reused %d", rounds, exA, reA)
+		})
 	}
 }

@@ -11,28 +11,36 @@
 #
 # The pinned set: internal/core's BenchmarkEngineBuild (every
 # sub-benchmark), BenchmarkHypothesisCounts/trunc/K3 (CPClean's hypothesis
-# scan) and BenchmarkScan/supreme/trunc/K3 (the plain scan behind session
-# queries and batch sweeps) at 50x, and the root package's
-# BenchmarkCleanSession_Loadbench (one clean-live session on loadbench's
-# data) at 2x.
+# scan, a replay of a cached hypothesis tape), BenchmarkHypothesisTape/trunc/K3
+# (one recording of that tape) and BenchmarkScan/supreme/trunc/K3 (the
+# plain scan behind session queries and batch sweeps) at 50x, and the root
+# package's BenchmarkCleanSession_Loadbench (one clean-live session on
+# loadbench's data) at 2x.
 #
 # The HEAD side is built from the working tree (HEAD itself in CI). The
 # merge base is that of HEAD and origin/main; when HEAD is itself on
-# origin/main (a push to it), it is HEAD's first parent. The one skip is a
-# missing merge base (a shallow clone, an unrelated history, a root
-# commit): the script warns, under GitHub Actions as a ::warning::
-# annotation, and exits 0.
+# origin/main (a push to it), it is HEAD's first parent. The script prints
+# the base's one-line log and how many commits lie between it and HEAD, and
+# warns (under GitHub Actions as a ::warning:: annotation) when the base is
+# not HEAD's first parent: a local origin/main ref that lags behind the
+# branch's real parent makes the gate measure HEAD against an older commit.
+# The one skip is a missing merge base (a shallow clone, an unrelated
+# history, a root commit): the script warns the same way and exits 0.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 PCT=${BENCH_REGRESSION_PCT:-15}
 PAIRS=10
 
-skip() {
-  echo "bench_compare: $1; skipping" >&2
+warn() {
+  echo "bench_compare: WARNING: $1" >&2
   if [[ -n "${GITHUB_ACTIONS:-}" ]]; then
-    echo "::warning::bench regression gate skipped: $1"
+    echo "::warning::bench regression gate: $1"
   fi
+}
+
+skip() {
+  warn "skipped: $1"
   exit 0
 }
 
@@ -42,6 +50,11 @@ if [[ "$base" == "$head" ]]; then
   base=$(git rev-parse -q --verify 'HEAD^') || skip "HEAD is on origin/main and has no parent"
 fi
 echo "bench_compare: merge base $base, HEAD $head, $PAIRS pairs"
+echo "bench_compare: base is $(git log -1 --format='%h %s' "$base")"
+echo "bench_compare: $(git rev-list --count "$base..HEAD") commit(s) from base to HEAD"
+if [[ "$base" != "$(git rev-parse -q --verify 'HEAD^' || true)" ]]; then
+  warn "merge base $base is not HEAD's parent; origin/main may be stale (git fetch origin main)"
+fi
 
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
@@ -60,6 +73,7 @@ bench() {
   local out="$tmp/$1.out"
   "$tmp/$1-core.test" -test.run '^$' -test.bench '^BenchmarkEngineBuild$' -test.benchtime 50x -test.benchmem >>"$out"
   "$tmp/$1-core.test" -test.run '^$' -test.bench '^BenchmarkHypothesisCounts$/^trunc$/^K3$' -test.benchtime 50x >>"$out"
+  "$tmp/$1-core.test" -test.run '^$' -test.bench '^BenchmarkHypothesisTape$/^trunc$/^K3$' -test.benchtime 50x >>"$out"
   "$tmp/$1-core.test" -test.run '^$' -test.bench '^BenchmarkScan$/^supreme$/^trunc$/^K3$' -test.benchtime 50x >>"$out"
   "$tmp/$1-root.test" -test.run '^$' -test.bench '^BenchmarkCleanSession_Loadbench$' -test.benchtime 2x >>"$out"
 }
