@@ -3,8 +3,6 @@ package cleaning
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/knn"
@@ -92,206 +90,100 @@ func DefaultOptions() Options {
 	return Options{BatchSize: 1}
 }
 
-func (o Options) withDefaults() Options {
-	if o.Parallelism <= 0 {
-		o.Parallelism = runtime.GOMAXPROCS(0)
-	}
-	return o
+// cleaner is one iterative cleaner's run: the shared CPClean loop state
+// (selection.Run), the world the cleaned rows define, and the trajectory.
+type cleaner struct {
+	task *Task
+	opts Options
+	run  *selection.Run
+	// choice is the current world: the oracle candidate once cleaned, the
+	// default candidate before.
+	choice []int
+	res    Result
 }
 
-// runState holds the shared machinery of the iterative cleaners.
-type runState struct {
-	task    *Task
-	opts    Options
-	engines []*core.Engine // one per validation example
-	// scratches pools query Scratches shared across all engines (identical
-	// shape: same dataset, same label order) and across selection rounds.
-	scratches *core.ScratchPool
-	// sel is the shared incremental entropy-selection engine. All pins route
-	// through it (even RandomClean's, which never scores) so its per-point
-	// memos stay coherent with the engines.
-	sel     *selection.Selector
-	certain []bool
-	cleaned []bool
-	dirty   []int
-	choice  []int // current world: oracle candidate once cleaned, default before
-}
-
-// newRunState builds per-validation-point engines and the initial certainty
-// mask.
-func newRunState(t *Task, opts Options) (*runState, error) {
+// newCleaner starts a run over the task's validation set and records step 0.
+// Every pin goes through the run's Selector (even RandomClean's, which never
+// scores), so its per-point memos stay coherent with the engines.
+func newCleaner(t *Task, opts Options) (*cleaner, error) {
 	if t.Val == nil || t.Test == nil {
 		return nil, fmt.Errorf("cleaning: task needs validation and test sets")
 	}
-	if t.Dirty.NumLabels != 2 {
-		return nil, fmt.Errorf("cleaning: iterative cleaners require binary labels (MM-based Q1), got %d", t.Dirty.NumLabels)
-	}
-	st := &runState{
-		task:    t,
-		opts:    opts.withDefaults(),
-		engines: make([]*core.Engine, len(t.ValX)),
-		certain: make([]bool, len(t.ValX)),
-		cleaned: make([]bool, t.Dirty.NumRows()),
-		dirty:   append([]int(nil), t.Repairs.DirtyRows...),
-		choice:  t.DefaultWorld(),
-	}
-	d := t.Dataset()
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, st.opts.Parallelism)
-	errs := make([]error, len(t.ValX))
-	for v := range t.ValX {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(v int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			st.engines[v] = core.NewTruncatedEngine(d, t.Kernel, t.ValX[v], t.K)
-			c, err := st.engines[v].IsCertainMM(t.K)
-			if err != nil {
-				errs[v] = err
-				return
-			}
-			st.certain[v] = c
-		}(v)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	if len(st.engines) > 0 {
-		pool, err := core.NewScratchPool(st.engines[0], t.K)
-		if err != nil {
-			return nil, err
-		}
-		st.scratches = pool
-		sel, err := selection.New(st.engines, st.certain, pool, selection.Config{
+	run, err := selection.NewRun(t.Dataset(), t.Kernel, t.ValX, t.Repairs.Truth,
+		func(e *core.Engine) (*core.ScratchPool, error) { return core.NewScratchPool(e, t.K) },
+		selection.Config{
 			K:                  t.K,
-			Parallelism:        st.opts.Parallelism,
-			UseMC:              st.opts.UseMC,
-			DisableSkipCertain: st.opts.DisableSkipCertain,
-			DisableCache:       st.opts.DisableIncremental,
+			Parallelism:        opts.Parallelism,
+			UseMC:              opts.UseMC,
+			DisableSkipCertain: opts.DisableSkipCertain,
+			DisableCache:       opts.DisableIncremental,
 		})
-		if err != nil {
-			return nil, err
-		}
-		st.sel = sel
+	if err != nil {
+		return nil, err
 	}
-	return st, nil
+	c := &cleaner{task: t, opts: opts, run: run, choice: t.DefaultWorld(), res: Result{AllCertainStep: -1}}
+	if err := c.record(-1, 0); err != nil {
+		return nil, err
+	}
+	return c, nil
 }
 
-// certainFrac returns the fraction of CP'ed validation examples.
-func (st *runState) certainFrac() float64 {
-	n := 0
-	for _, c := range st.certain {
-		if c {
-			n++
-		}
-	}
-	return float64(n) / float64(len(st.certain))
+// more reports whether another step runs: a validation example is still
+// uncertain, a dirty row is left, and the budget allows it.
+func (c *cleaner) more() bool {
+	return !c.run.Done() && (c.opts.MaxSteps <= 0 || len(c.res.Order) < c.opts.MaxSteps)
 }
 
-// allCertain reports whether every validation example is CP'ed.
-func (st *runState) allCertain() bool {
-	for _, c := range st.certain {
-		if !c {
-			return false
-		}
-	}
-	return true
-}
-
-// uncleanedDirty lists dirty rows not yet cleaned.
-func (st *runState) uncleanedDirty() []int {
-	var out []int
-	for _, i := range st.dirty {
-		if !st.cleaned[i] {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// clean performs the cleaning of row i: the oracle reveals the closest
-// candidate, all engines pin it, and certainty is refreshed.
-func (st *runState) clean(row int) error {
-	truth := st.task.Repairs.Truth[row]
-	st.cleaned[row] = true
-	st.choice[row] = truth
-	if st.sel != nil {
-		// The selector pins every engine and selectively invalidates its
-		// per-validation-point memos.
-		st.sel.Pin(row, truth)
-	}
-	// Refresh certainty of still-uncertain validation examples (certain ones
-	// stay certain — the paper's key observation).
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, st.opts.Parallelism)
-	errs := make([]error, len(st.engines))
-	for v, e := range st.engines {
-		if st.certain[v] {
-			continue
-		}
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(v int, e *core.Engine) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			c, err := e.IsCertainMM(st.task.K)
-			if err != nil {
-				errs[v] = err
-				return
-			}
-			st.certain[v] = c
-		}(v, e)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// testAccuracy evaluates the current world's test accuracy.
-func (st *runState) testAccuracy() (float64, error) {
-	x, y := st.task.WorldX(st.choice)
-	return st.task.AccuracyOnEncoded(x, y)
-}
-
-// finish computes the final metrics shared by both cleaners.
-func (st *runState) finish(res *Result) error {
-	acc, err := st.testAccuracy()
+// clean cleans row (the oracle reveals its candidate, every engine pins it,
+// certainty is refreshed) and records the step.
+func (c *cleaner) clean(row int, entropy float64) error {
+	cand, err := c.run.Clean(row)
 	if err != nil {
 		return err
 	}
-	res.FinalAccuracy = acc
-	return nil
+	c.choice[row] = cand
+	c.res.Order = append(c.res.Order, row)
+	return c.record(row, entropy)
 }
 
-// recordStep appends a StepInfo for the just-performed step.
-func (st *runState) recordStep(res *Result, row int, entropy float64) error {
+// testAccuracy evaluates the current world's test accuracy.
+func (c *cleaner) testAccuracy() (float64, error) {
+	x, y := c.task.WorldX(c.choice)
+	return c.task.AccuracyOnEncoded(x, y)
+}
+
+// record appends a StepInfo for the just-performed step.
+func (c *cleaner) record(row int, entropy float64) error {
 	info := StepInfo{
-		Step:           len(res.Order),
+		Step:           len(c.res.Order),
 		Row:            row,
-		FracCleaned:    float64(len(res.Order)) / float64(len(st.dirty)),
-		ValCertainFrac: st.certainFrac(),
+		FracCleaned:    float64(len(c.res.Order)) / float64(len(c.task.Repairs.DirtyRows)),
+		ValCertainFrac: c.run.CertainFraction(),
 		Entropy:        entropy,
 	}
-	if st.opts.EvalTestEachStep {
-		acc, err := st.testAccuracy()
+	if c.opts.EvalTestEachStep {
+		acc, err := c.testAccuracy()
 		if err != nil {
 			return err
 		}
 		info.TestAccuracy = acc
 	}
-	res.Steps = append(res.Steps, info)
-	if res.AllCertainStep < 0 && st.allCertain() {
-		res.AllCertainStep = len(res.Order)
+	c.res.Steps = append(c.res.Steps, info)
+	if c.res.AllCertainStep < 0 && c.run.AllCertain() {
+		c.res.AllCertainStep = len(c.res.Order)
 	}
 	return nil
+}
+
+// finish computes the final metrics shared by both cleaners.
+func (c *cleaner) finish() (*Result, error) {
+	acc, err := c.testAccuracy()
+	if err != nil {
+		return nil, err
+	}
+	c.res.FinalAccuracy = acc
+	c.res.ExaminedHypotheses = c.run.Examined()
+	return &c.res, nil
 }
 
 // CPClean runs Algorithm 3: at every step it cleans the training example
@@ -303,54 +195,22 @@ func (st *runState) recordStep(res *Result, row int, entropy float64) error {
 // hypothesis sums across rounds and rescans only the pairs each pin could
 // actually have changed.
 func CPClean(t *Task, opts Options) (*Result, error) {
-	st, err := newRunState(t, opts)
+	c, err := newCleaner(t, opts)
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{AllCertainStep: -1}
-	if err := st.recordStep(res, -1, 0); err != nil {
-		return nil, err
-	}
-	res.Steps[0].Step = 0
-	res.Steps[0].Row = -1
-
-	for {
-		if st.allCertain() {
-			break
-		}
-		remaining := st.uncleanedDirty()
-		if len(remaining) == 0 {
-			break
-		}
-		if opts.MaxSteps > 0 && len(res.Order) >= opts.MaxSteps {
-			break
-		}
-		batch := opts.BatchSize
-		if batch <= 0 {
-			batch = 1
-		}
-		rows, entropies, examined := st.sel.SelectBatch(remaining, batch)
-		res.ExaminedHypotheses += examined
+	for c.more() {
+		rows, entropies, _ := c.run.Select(max(opts.BatchSize, 1))
 		for bi, row := range rows {
-			if opts.MaxSteps > 0 && len(res.Order) >= opts.MaxSteps {
+			if bi > 0 && !c.more() {
 				break
 			}
-			if bi > 0 && st.allCertain() {
-				break
-			}
-			if err := st.clean(row); err != nil {
-				return nil, err
-			}
-			res.Order = append(res.Order, row)
-			if err := st.recordStep(res, row, entropies[bi]); err != nil {
+			if err := c.clean(row, entropies[bi]); err != nil {
 				return nil, err
 			}
 		}
 	}
-	if err := st.finish(res); err != nil {
-		return nil, err
-	}
-	return res, nil
+	return c.finish()
 }
 
 // RandomClean cleans uniformly random dirty rows — the Figure 9 baseline.
@@ -358,36 +218,15 @@ func RandomClean(t *Task, opts Options) (*Result, error) {
 	if opts.Rand == nil {
 		return nil, fmt.Errorf("cleaning: RandomClean requires Options.Rand")
 	}
-	st, err := newRunState(t, opts)
+	c, err := newCleaner(t, opts)
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{AllCertainStep: -1}
-	if err := st.recordStep(res, -1, 0); err != nil {
-		return nil, err
-	}
-	for {
-		if st.allCertain() {
-			break
-		}
-		remaining := st.uncleanedDirty()
-		if len(remaining) == 0 {
-			break
-		}
-		if opts.MaxSteps > 0 && len(res.Order) >= opts.MaxSteps {
-			break
-		}
-		row := remaining[opts.Rand.Intn(len(remaining))]
-		if err := st.clean(row); err != nil {
-			return nil, err
-		}
-		res.Order = append(res.Order, row)
-		if err := st.recordStep(res, row, 0); err != nil {
+	for c.more() {
+		rows := c.run.Candidates()
+		if err := c.clean(rows[opts.Rand.Intn(len(rows))], 0); err != nil {
 			return nil, err
 		}
 	}
-	if err := st.finish(res); err != nil {
-		return nil, err
-	}
-	return res, nil
+	return c.finish()
 }

@@ -85,16 +85,12 @@ func TestCPCleanConvergesAndMatchesGroundTruthValAccuracy(t *testing.T) {
 	// remaining possible world has the same *validation* accuracy as the
 	// ground-truth world. Verify against the oracle world vs the current
 	// mixed world.
-	st, err := newRunState(task, Options{}.withDefaults())
-	if err != nil {
-		t.Fatalf("state: %v", err)
-	}
+	choiceA := task.DefaultWorld()
 	for _, row := range res.Order {
-		st.choice[row] = task.Repairs.Truth[row]
-		st.cleaned[row] = true
+		choiceA[row] = task.Repairs.Truth[row]
 	}
 	// World A: cleaned rows → oracle, uncleaned → default candidate.
-	xa, ya := task.WorldX(st.choice)
+	xa, ya := task.WorldX(choiceA)
 	accA, err := task.ValAccuracyOnEncoded(xa, ya)
 	if err != nil {
 		t.Fatalf("accuracy: %v", err)

@@ -51,7 +51,9 @@ type RetainedStats struct {
 	// pins, or only fresh pins of provably irrelevant rows since.
 	MemoHits int64 `json:"memo_hits"`
 	// DeltaScans is always 0. It counted windowed delta replays, which a
-	// full sweep now replaces; the field stays for wire compatibility.
+	// full sweep now replaces. The field stays for wire compatibility:
+	// loadbench reads it for its core.retained.delta_scans_per_query
+	// metric, so it can go only after a benchmark change drops that metric.
 	DeltaScans int64 `json:"delta_scans"`
 	// CandidatesScanned counts boundary candidates evaluated with real
 	// segment-tree work; CandidatesAvoided counts the kept scan positions

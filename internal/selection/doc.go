@@ -4,10 +4,15 @@
 // expected conditional entropy of the validation predictions under the
 // hypothetical cleaning of each row, and returns the minimizers.
 //
-// Both iterative cleaners — the library loop (cleaning.CPClean and the
-// shared runState of RandomClean) and the serving layer's streaming
-// CleanSession — drive the same Selector, so the selection logic and its
-// exact prunings live in one place.
+// Run is the whole greedy loop of Algorithm 3 and its only implementation:
+// it builds one truncated engine per validation point (in parallel), keeps
+// the certainty mask (exact MM for binary labels, threshold certainty over
+// the Q2 counts otherwise), the cleaned rows and the oracle's truth, and
+// cleans a row by pinning it through its Selector and refreshing certainty.
+// Every iterative cleaner steps a Run: cleaning.CPClean and RandomClean add
+// only the world choice and the trajectory, and the serving layer's
+// CleanSession only the step budget and the wire-format step. So the two
+// drivers make the same decisions by construction.
 //
 // # Prunings and the cross-round memo
 //
@@ -59,6 +64,7 @@
 //     one goroutine; internal scoring fans out across a bounded worker pool,
 //     but Pin/SelectBatch themselves are not safe for concurrent use.
 //   - The certainty mask passed to New is aliased, not copied: the caller
-//     refreshes it after each pin (binary-MM and threshold callers use
-//     different predicates) and the Selector reads it at selection time.
+//     refreshes it after each pin and the Selector reads it at selection
+//     time. A Run keeps this invariant itself; it binds only callers that
+//     drive a Selector directly.
 package selection

@@ -47,10 +47,10 @@ type valMemo struct {
 }
 
 // Selector owns the scoring machinery of one cleaning run. It shares the
-// caller's engines and certainty mask: the caller refreshes certainty after
-// each pin (the predicate differs between binary-MM and threshold callers)
-// and the Selector reads the mask at selection time. Not safe for
-// concurrent use; one cleaning run must drive it from one goroutine.
+// caller's engines and certainty mask: the caller (a Run, or a direct
+// user) refreshes certainty after each pin and the Selector reads the mask
+// at selection time. Not safe for concurrent use; one cleaning run must
+// drive it from one goroutine.
 type Selector struct {
 	engines   []*core.Engine
 	certain   []bool

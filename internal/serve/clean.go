@@ -2,8 +2,6 @@ package serve
 
 import (
 	"fmt"
-	"math/big"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/selection"
@@ -48,22 +46,13 @@ type CleanStep struct {
 
 // CleanSession is an in-progress CPClean run (Algorithm 3) whose steps the
 // caller pulls one at a time — the serving layer streams them out as they
-// complete. Sessions own private (pinnable) engines but draw Scratches from
-// the dataset's shared pool. A session must be driven from one goroutine.
+// complete. The run's state is a selection.Run (private, pinnable engines;
+// Scratches from the dataset's shared pool); the session adds the step
+// budget and count. A session must be driven from one goroutine.
 type CleanSession struct {
-	ds        *Dataset
-	cfg       Config
-	k         int
-	truth     []int
-	maxSteps  int
-	engines   []*core.Engine
-	scratches *core.ScratchPool
-	sel       *selection.Selector
-	certain   []bool
-	cleaned   []bool
-	steps     int
-	examined  int64
-	closed    bool
+	run      *selection.Run // nil once closed
+	maxSteps int
+	steps    int
 }
 
 // validateCleanRequest checks a CleanRequest against the dataset without
@@ -109,137 +98,25 @@ func (s *Server) NewCleanSession(name string, req CleanRequest) (*CleanSession, 
 	return s.buildCleanSession(ds, k, req)
 }
 
-// buildCleanSession does the expensive part of session construction — the
-// per-validation-point engines (in parallel), the scratch pool hookup, the
-// initial certainty sweep, and the selection engine. req must already have
+// buildCleanSession does the expensive part of session construction: the
+// selection.Run, whose validation engines are built in parallel and whose
+// Scratches come from the dataset's pool for K. req must already have
 // passed validateCleanRequest.
 func (s *Server) buildCleanSession(ds *Dataset, k int, req CleanRequest) (*CleanSession, error) {
-	d := ds.data
-	cfg := s.cfg
-	c := &CleanSession{
-		ds:       ds,
-		cfg:      cfg,
-		k:        k,
-		truth:    append([]int(nil), req.Truth...),
-		maxSteps: req.MaxSteps,
-		engines:  make([]*core.Engine, len(req.ValPoints)),
-		certain:  make([]bool, len(req.ValPoints)),
-		cleaned:  make([]bool, d.N()),
-	}
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, cfg.Parallelism)
-	for v := range req.ValPoints {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(v int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			c.engines[v] = core.NewTruncatedEngine(d, ds.kernel, req.ValPoints[v], k)
-		}(v)
-	}
-	wg.Wait()
-	c.scratches = ds.pool(k, cfg).scratchesFor(c.engines[0])
-	if err := c.refreshCertainty(); err != nil {
-		return nil, err
-	}
-	sel, err := selection.New(c.engines, c.certain, c.scratches, selection.Config{
-		K:           k,
-		Parallelism: cfg.Parallelism,
-	})
+	pool := ds.pool(k, s.cfg)
+	run, err := selection.NewRun(ds.data, ds.kernel, req.ValPoints, req.Truth,
+		func(e *core.Engine) (*core.ScratchPool, error) { return pool.scratchesFor(e), nil },
+		selection.Config{K: k, Parallelism: s.cfg.Parallelism})
 	if err != nil {
 		return nil, err
 	}
-	c.sel = sel
-	return c, nil
+	return &CleanSession{run: run, maxSteps: req.MaxSteps}, nil
 }
-
-// isCertain answers Q1 for one session engine under its current pins: exact
-// MM for binary labels, Q2-threshold certainty otherwise.
-func (c *CleanSession) isCertain(e *core.Engine, sc *core.Scratch) (bool, error) {
-	if e.Instance().NumLabels == 2 {
-		return e.IsCertainMM(c.k)
-	}
-	return core.IsCertain(e.Counts(sc, -1, -1)), nil
-}
-
-// refreshCertainty re-checks every not-yet-certain validation point
-// (certain ones stay certain — the paper's monotonicity lemma).
-func (c *CleanSession) refreshCertainty() error {
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, c.cfg.Parallelism)
-	errs := make([]error, len(c.engines))
-	for v, e := range c.engines {
-		if c.certain[v] {
-			continue
-		}
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(v int, e *core.Engine) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			sc := c.scratches.Get()
-			defer c.scratches.Put(sc)
-			ok, err := c.isCertain(e, sc)
-			if err != nil {
-				errs[v] = err
-				return
-			}
-			c.certain[v] = ok
-		}(v, e)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// CertainFraction returns the fraction of CP'ed validation points.
-func (c *CleanSession) CertainFraction() float64 {
-	n := 0
-	for _, ok := range c.certain {
-		if ok {
-			n++
-		}
-	}
-	return float64(n) / float64(len(c.certain))
-}
-
-// WorldsRemaining returns the possible-world count under the current pins.
-func (c *CleanSession) WorldsRemaining() *big.Int {
-	return c.engines[0].WorldCount()
-}
-
-// Steps returns the number of executed steps.
-func (c *CleanSession) Steps() int { return c.steps }
-
-// ExaminedHypotheses returns the cumulative hypothesis Q2 scans across all
-// executed steps.
-func (c *CleanSession) ExaminedHypotheses() int64 { return c.examined }
 
 // Done reports whether the session has nothing left to do: every validation
 // point CP'ed, every uncertain row cleaned, or the step budget exhausted.
 func (c *CleanSession) Done() bool {
-	if c.maxSteps > 0 && c.steps >= c.maxSteps {
-		return true
-	}
-	if c.CertainFraction() == 1 {
-		return true
-	}
-	return len(c.candidateRows()) == 0
-}
-
-// candidateRows lists uncleaned rows that are actually uncertain.
-func (c *CleanSession) candidateRows() []int {
-	var out []int
-	for i := range c.cleaned {
-		if !c.cleaned[i] && c.ds.data.Examples[i].M() > 1 {
-			out = append(out, i)
-		}
-	}
-	return out
+	return c.maxSteps > 0 && c.steps >= c.maxSteps || c.run.Done()
 }
 
 // Close releases the session's serving resources: the per-validation-point
@@ -248,12 +125,7 @@ func (c *CleanSession) candidateRows() []int {
 // the whole session object to fall out of scope is what lets the store hold
 // many finished-but-not-yet-deleted sessions cheaply. Stepping a closed
 // session is an error; Close is idempotent.
-func (c *CleanSession) Close() {
-	c.closed = true
-	c.engines = nil
-	c.sel = nil
-	c.scratches = nil
-}
+func (c *CleanSession) Close() { c.run = nil }
 
 // Step executes one greedy CPClean step — the shared incremental selection
 // engine (internal/selection) scores every candidate row by expected
@@ -262,30 +134,25 @@ func (c *CleanSession) Close() {
 // minimizer is cleaned and certainty refreshed. ok is false when the session
 // was already done.
 func (c *CleanSession) Step() (step CleanStep, ok bool, err error) {
-	if c.closed {
+	if c.run == nil {
 		return CleanStep{}, false, fmt.Errorf("serve: clean session is closed")
 	}
 	if c.Done() {
 		return CleanStep{}, false, nil
 	}
-	rows := c.candidateRows()
-	bestRows, bestEntropies, examined := c.sel.SelectBatch(rows, 1)
-	c.examined += examined
-	row := bestRows[0]
-	cand := c.truth[row]
-	c.cleaned[row] = true
-	c.sel.Pin(row, cand)
-	if err := c.refreshCertainty(); err != nil {
+	rows, entropies, examined := c.run.Select(1)
+	cand, err := c.run.Clean(rows[0])
+	if err != nil {
 		return CleanStep{}, false, err
 	}
 	c.steps++
 	return CleanStep{
 		Step:               c.steps,
-		Row:                row,
+		Row:                rows[0],
 		Candidate:          cand,
-		Entropy:            bestEntropies[0],
-		CertainFraction:    c.CertainFraction(),
-		WorldsRemaining:    c.WorldsRemaining().String(),
+		Entropy:            entropies[0],
+		CertainFraction:    c.run.CertainFraction(),
+		WorldsRemaining:    c.run.WorldCount().String(),
 		ExaminedHypotheses: examined,
 	}, true, nil
 }

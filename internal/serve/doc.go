@@ -45,12 +45,15 @@
 //     step, and /stream?from=k replays are exact.
 //   - Deterministic stepping: given the same dataset, request, and pin
 //     prefix, CleanSession.Step picks the same row, candidate, and
-//     examined_hypotheses count. This is load-bearing for resume (PR 3's
-//     lockstep test) and for crash recovery (the journaled prefix is
-//     re-executed and verified, then the run continues bit-identically).
+//     examined_hypotheses count. A step is one step of a selection.Run,
+//     the loop cleaning.CPClean runs too, so a session cleans the rows
+//     the library would (TestCPCleanDriversLockstep in the root package).
+//     This is load-bearing for resume (TestSessionResumeLockstep) and for
+//     crash recovery (the journaled prefix is re-executed and verified,
+//     then the run continues bit-identically).
 //   - Engine staleness: selection memos are validated against
-//     core.Engine.PinGeneration; a session's engines are private, so pins
-//     advance only under its own driver.
+//     core.Engine.PinGeneration; a session's engines are private to its
+//     Run, so pins advance only under its own driver.
 //
 // # Durability
 //

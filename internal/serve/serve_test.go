@@ -264,79 +264,102 @@ func refExpectedEntropy(engines []*core.Engine, certain []bool, d *dataset.Incom
 // TestCleanSessionMatchesGreedyReference verifies every step cleans a row
 // whose reference expected entropy is minimal, and that the session drives
 // the validation set to full certainty while worlds shrink monotonically.
+// The reference answers certainty with MM on binary labels and with
+// threshold certainty over the Q2 counts on three.
 func TestCleanSessionMatchesGreedyReference(t *testing.T) {
-	d := randDataset(t, 24, 3, 2, 2, 0.5, 37)
-	s := NewServer(Config{})
-	if _, err := s.Register("d", d, knn.NegEuclidean{}, 3); err != nil {
-		t.Fatal(err)
-	}
-	valPts := randPoints(8, 2, 41)
-	truth := make([]int, d.N())
-	rng := rand.New(rand.NewSource(43))
-	for i := range truth {
-		truth[i] = rng.Intn(d.Examples[i].M())
-	}
-	sess, err := s.NewCleanSession("d", CleanRequest{Truth: truth, ValPoints: valPts})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Reference engines mirror the session's pins.
-	refEngines := make([]*core.Engine, len(valPts))
-	for v, p := range valPts {
-		refEngines[v] = core.NewEngine(d, knn.NegEuclidean{}, p)
-	}
-	refCertain := make([]bool, len(valPts))
-	for v, e := range refEngines {
-		ok, err := e.IsCertainMM(3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		refCertain[v] = ok
-	}
-	prevWorlds := sess.WorldsRemaining()
-	for steps := 0; ; steps++ {
-		if steps > d.N() {
-			t.Fatal("session did not terminate")
-		}
-		step, ok, err := sess.Step()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			break
-		}
-		// The cleaned row must be a reference argmin (within float noise).
-		cleanedScore := refExpectedEntropy(refEngines, refCertain, d, step.Row, 3)
-		for row := 0; row < d.N(); row++ {
-			if d.Examples[row].M() == 1 || refEngines[0].Pin(row) >= 0 || row == step.Row {
-				continue
+	for _, numLabels := range []int{2, 3} {
+		t.Run(fmt.Sprintf("labels=%d", numLabels), func(t *testing.T) {
+			d := randDataset(t, 24, 3, numLabels, 2, 0.5, 37)
+			s := NewServer(Config{})
+			if _, err := s.Register("d", d, knn.NegEuclidean{}, 3); err != nil {
+				t.Fatal(err)
 			}
-			if score := refExpectedEntropy(refEngines, refCertain, d, row, 3); score < cleanedScore-1e-9 {
-				t.Fatalf("step %d cleaned row %d (H=%.12f) but row %d scores %.12f",
-					step.Step, step.Row, cleanedScore, row, score)
+			valPts := randPoints(8, 2, 41)
+			truth := make([]int, d.N())
+			rng := rand.New(rand.NewSource(43))
+			for i := range truth {
+				truth[i] = rng.Intn(d.Examples[i].M())
 			}
-		}
-		if truth[step.Row] != step.Candidate {
-			t.Fatalf("step %d pinned candidate %d, oracle says %d", step.Step, step.Candidate, truth[step.Row])
-		}
-		for v, e := range refEngines {
-			e.SetPin(step.Row, step.Candidate)
-			if !refCertain[v] {
-				ok, err := e.IsCertainMM(3)
+			sess, err := s.NewCleanSession("d", CleanRequest{Truth: truth, ValPoints: valPts})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Reference engines mirror the session's pins.
+			refEngines := make([]*core.Engine, len(valPts))
+			for v, p := range valPts {
+				refEngines[v] = core.NewEngine(d, knn.NegEuclidean{}, p)
+			}
+			refCertain := make([]bool, len(valPts))
+			refresh := func() {
+				for v, e := range refEngines {
+					if refCertain[v] {
+						continue
+					}
+					if numLabels > 2 {
+						refCertain[v] = core.IsCertain(e.Counts(e.MustScratch(3), -1, -1))
+						continue
+					}
+					ok, err := e.IsCertainMM(3)
+					if err != nil {
+						t.Fatal(err)
+					}
+					refCertain[v] = ok
+				}
+			}
+			refresh()
+			prevWorlds := sess.run.WorldCount()
+			steps := 0
+			for ; ; steps++ {
+				if steps > d.N() {
+					t.Fatal("session did not terminate")
+				}
+				step, ok, err := sess.Step()
 				if err != nil {
 					t.Fatal(err)
 				}
-				refCertain[v] = ok
+				if !ok {
+					break
+				}
+				// The cleaned row must be a reference argmin (within float noise).
+				cleanedScore := refExpectedEntropy(refEngines, refCertain, d, step.Row, 3)
+				for row := 0; row < d.N(); row++ {
+					if d.Examples[row].M() == 1 || refEngines[0].Pin(row) >= 0 || row == step.Row {
+						continue
+					}
+					if score := refExpectedEntropy(refEngines, refCertain, d, row, 3); score < cleanedScore-1e-9 {
+						t.Fatalf("step %d cleaned row %d (H=%.12f) but row %d scores %.12f",
+							step.Step, step.Row, cleanedScore, row, score)
+					}
+				}
+				if truth[step.Row] != step.Candidate {
+					t.Fatalf("step %d pinned candidate %d, oracle says %d", step.Step, step.Candidate, truth[step.Row])
+				}
+				for _, e := range refEngines {
+					e.SetPin(step.Row, step.Candidate)
+				}
+				refresh()
+				certain := 0
+				for _, c := range refCertain {
+					if c {
+						certain++
+					}
+				}
+				if want := float64(certain) / float64(len(refCertain)); step.CertainFraction != want {
+					t.Fatalf("step %d: certain fraction %v, reference %v", step.Step, step.CertainFraction, want)
+				}
+				worlds := sess.run.WorldCount()
+				if worlds.Cmp(prevWorlds) >= 0 {
+					t.Fatalf("step %d: worlds %s did not shrink from %s", step.Step, worlds, prevWorlds)
+				}
+				prevWorlds = worlds
 			}
-		}
-		worlds := sess.WorldsRemaining()
-		if worlds.Cmp(prevWorlds) >= 0 {
-			t.Fatalf("step %d: worlds %s did not shrink from %s", step.Step, worlds, prevWorlds)
-		}
-		prevWorlds = worlds
-	}
-	if sess.CertainFraction() != 1 && len(sess.candidateRows()) > 0 {
-		t.Fatalf("session stopped at certain fraction %.3f with rows left", sess.CertainFraction())
+			if steps < 2 {
+				t.Fatalf("session ran %d steps; too few to compare with the reference", steps)
+			}
+			if !sess.run.AllCertain() && len(sess.run.Candidates()) > 0 {
+				t.Fatalf("session stopped at certain fraction %.3f with rows left", sess.run.CertainFraction())
+			}
+		})
 	}
 }
 
@@ -716,7 +739,7 @@ func TestCleanSessionReportsExaminedHypotheses(t *testing.T) {
 	if total == 0 {
 		t.Fatal("no hypothesis scans recorded across the whole session")
 	}
-	if got := sess.ExaminedHypotheses(); got != total {
+	if got := sess.run.Examined(); got != total {
 		t.Fatalf("session total %d != sum of per-step counters %d", got, total)
 	}
 

@@ -518,10 +518,7 @@ func (sess *Session) ensureBuilt() (*CleanSession, error) {
 	sess.clean = c
 	sess.suspended = false
 	sess.snap.started = true
-	sess.snap.steps = c.Steps()
-	sess.snap.certainFraction = c.CertainFraction()
-	sess.snap.worlds = c.WorldsRemaining().String()
-	sess.snap.examined = c.ExaminedHypotheses()
+	sess.snapLocked(c)
 	if sess.server.journal == nil || !sess.ds.persistable {
 		// The request was only ever needed for this build; drop the copied
 		// Truth/ValPoints so a finished session really does hold just history
@@ -533,16 +530,25 @@ func (sess *Session) ensureBuilt() (*CleanSession, error) {
 	return c, nil
 }
 
+// snapLocked refreshes the status snapshot from the live run. Caller holds
+// sess.mu.
+func (sess *Session) snapLocked(c *CleanSession) {
+	sess.snap.steps = c.steps
+	sess.snap.certainFraction = c.run.CertainFraction()
+	sess.snap.worlds = c.run.WorldCount().String()
+	sess.snap.examined = c.run.Examined()
+}
+
 // record appends an executed step to the history and refreshes the status
 // snapshot.
 func (sess *Session) record(c *CleanSession, step CleanStep) {
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
 	sess.history = append(sess.history, step)
-	sess.snap.steps = c.Steps()
+	sess.snap.steps = c.steps
 	sess.snap.certainFraction = step.CertainFraction
 	sess.snap.worlds = step.WorldsRemaining
-	sess.snap.examined = c.ExaminedHypotheses()
+	sess.snap.examined = c.run.Examined()
 	sess.lastUsed = time.Now()
 }
 
@@ -554,10 +560,7 @@ func (sess *Session) markDone(c *CleanSession) {
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
 	sess.snap.done = true
-	sess.snap.steps = c.Steps()
-	sess.snap.certainFraction = c.CertainFraction()
-	sess.snap.worlds = c.WorldsRemaining().String()
-	sess.snap.examined = c.ExaminedHypotheses()
+	sess.snapLocked(c)
 	sess.req = CleanRequest{} // a finished run is never re-materialized
 	c.Close()
 	sess.clean = nil
