@@ -280,9 +280,9 @@ func (e *Engine) Pin(row int) int {
 }
 
 // PinGeneration returns a counter bumped by every pin mutation (SetPin,
-// ResetPins). Caches keyed on an engine's cleaning state — the selection
-// memo and Retained — compare generations to detect that the engine was
-// pinned out from under them.
+// ResetPins). Retained, the cache of an engine's cleaning state, compares
+// generations to detect that the engine was pinned out from under it, and a
+// CPClean run records the generation each point's certainty holds at.
 func (e *Engine) PinGeneration() uint64 { return e.pinGen }
 
 // PinnedCount returns the number of pinned rows.

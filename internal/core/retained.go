@@ -2,12 +2,12 @@ package core
 
 import "fmt"
 
-// Retained memoizes the Q2 answer of one (engine, K) pair for one pin state:
-// it answers repeated Q2/entropy queries while the engine's pins evolve,
-// sweeping only when the pins moved in a way that can change the answer.
-// Every answer is bit-for-bit identical to a fresh Engine.Counts /
-// Engine.CountsMC call under the current pins (the property
-// TestRetainedMatchesFreshSSDC pins), via two tiers:
+// Retained memoizes the Q2 answer and relevance mask of one (engine, K)
+// pair for one pin state, and is the only code that decides whether a pin
+// leaves them valid. Session queries (internal/serve) and each validation
+// point of a CPClean run (internal/selection) keep one. Every answer is
+// bit-for-bit that of a fresh Engine.Counts / Engine.CountsMC call under the
+// current pins (TestRetainedMatchesFreshSSDC), via two tiers:
 //
 //   - Memo hit: the current pins differ from the memo's copy only in fresh
 //     pins of rows the memo's relevance mask (Engine.RelevantRows) proves
@@ -20,11 +20,9 @@ import "fmt"
 //     (the accumulate sink, as Engine.Counts runs it) plus RelevantRows,
 //     and the memo moves to the current pins.
 //
-// A Retained is bound to one engine and K and is not safe for concurrent
-// use; callers that share one across goroutines must serialize access (the
-// serving layer guards each cached instance with the owning entry's mutex).
-// Pin mutations on the engine are picked up through its pin generation and
-// pin vector; nothing needs to be told about them.
+// A Retained is not safe for concurrent use; callers that share one must
+// serialize access. Pin mutations on the engine are picked up through its
+// pin generation and pin vector; nothing needs to be told about them.
 type Retained struct {
 	e     *Engine
 	k     int
@@ -36,6 +34,7 @@ type Retained struct {
 	valid    bool
 	gen      uint64    // engine pin generation the memo was last checked at
 	pins     []int32   // engine pins the memo was computed under
+	pinsGen  uint64    // engine pin generation of pins
 	counts   []float64 // memoized Q2 fractions under pins
 	relevant []bool    // relevance mask under pins
 
@@ -105,18 +104,10 @@ func (r *Retained) Stats() RetainedStats { return r.stats }
 // the escape hatch after out-of-band engine mutation.
 func (r *Retained) Invalidate() { r.valid = false }
 
-// Entropy returns the Shannon entropy (nats) of the current Q2 distribution,
-// bit-identical to Entropy over a fresh sweep's counts.
-func (r *Retained) Entropy() float64 { return Entropy(r.Counts()) }
-
-// Relevant returns the relevance mask matching the memo state — after a
-// Counts call, the mask a fresh Engine.RelevantRows(K) would return under
-// the current pins. It is a pure accessor (no recompute, no stats): call
-// Counts first when pins may have moved since the last query. The slice
-// aliases internal state; valid until the next Counts call.
-func (r *Retained) Relevant() []bool {
-	return r.relevant
-}
+// Relevant returns the memo's relevance mask: after a Counts call, what
+// Engine.RelevantRows(K) returns under the current pins. It recomputes
+// nothing, and the slice is valid until the next Counts call.
+func (r *Retained) Relevant() []bool { return r.relevant }
 
 // Counts answers Q2 under the engine's current pins, from the memo when the
 // pins moved only by fresh pins of irrelevant rows, otherwise by one full
@@ -124,8 +115,8 @@ func (r *Retained) Relevant() []bool {
 // mutation + Counts call if it must outlive them.
 func (r *Retained) Counts() []float64 {
 	e := r.e
-	if gen := e.PinGeneration(); r.valid && (gen == r.gen || r.pinsPreserveMemo()) {
-		r.gen = gen
+	if !r.stale() {
+		r.gen = e.PinGeneration()
 		r.stats.MemoHits++
 		r.stats.CandidatesAvoided += int64(len(e.order))
 		return r.counts
@@ -137,9 +128,24 @@ func (r *Retained) Counts() []float64 {
 	r.relevant = e.RelevantRows(r.k)
 	r.pins = append(r.pins[:0], e.pins...)
 	r.gen = e.PinGeneration()
+	r.pinsGen = r.gen
 	r.valid = true
 	r.stats.FullScans++
 	return r.counts
+}
+
+// stale reports whether the next Counts runs a full sweep.
+func (r *Retained) stale() bool {
+	return !r.valid || (r.e.PinGeneration() != r.gen && !r.pinsPreserveMemo())
+}
+
+// UnchangedSince reports, without counting a query, whether the current
+// pins provably answer as the pins at generation gen did: the memo dates
+// from gen or earlier and is not stale, so every pin since is a fresh pin
+// of a row that enters no world's top-K, and the counts, the mask and Q1
+// are unchanged. It assumes no row was unpinned or repinned since gen.
+func (r *Retained) UnchangedSince(gen uint64) bool {
+	return !r.stale() && r.pinsGen <= gen
 }
 
 // pinsPreserveMemo reports whether every row whose pin differs from the

@@ -83,7 +83,7 @@ func pinAll(row, cand int, es ...*Engine) {
 // TestRetainedMatchesFreshSSDC is the exactness contract of the Retained
 // memo: across random pin/unpin/reset sequences — over generic, tied, and
 // near-zero-weight instances, with multi-pin batches between queries —
-// Retained.Counts, Retained.Entropy and Retained.Relevant (memo hits kept
+// Retained.Counts and Retained.Relevant (memo hits kept
 // across irrelevant pins, full sweeps otherwise) must equal a fresh
 // Engine.Counts / CountsMC and RelevantRows bit for bit, for both the
 // tally-enumeration and multi-class accumulators. Well over 100 distinct pin
@@ -124,9 +124,6 @@ func TestRetainedMatchesFreshSSDC(t *testing.T) {
 					t.Fatalf("trial %d step %d (mc=%v k=%d): retained[%d]=%v fresh=%v (gen %d, stats %+v)",
 						trial, step, useMC, k, y, got[y], want[y], e.PinGeneration(), rt.Stats())
 				}
-			}
-			if gotH, wantH := rt.Entropy(), Entropy(want); gotH != wantH {
-				t.Fatalf("trial %d step %d: retained entropy %v fresh %v", trial, step, gotH, wantH)
 			}
 			wantRel := e.RelevantRows(k)
 			for i, rel := range rt.Relevant() {
@@ -210,6 +207,50 @@ func TestRetainedReusesWork(t *testing.T) {
 		e.ResetPins()
 		query("ResetPins", &want.FullScans)
 		query("repeat after ResetPins", &want.MemoHits)
+	}
+}
+
+// TestRetainedUnchangedSince checks the predicate a CPClean run's
+// certainty refresh trusts: false before any query and for a generation
+// older than the memo, true across fresh pins of irrelevant rows, false
+// once a relevant row is pinned.
+func TestRetainedUnchangedSince(t *testing.T) {
+	inst := randomInstance(rand.New(rand.NewSource(98)), 60, 4, 2)
+	e := NewEngineFromInstance(inst)
+	rt, err := NewRetained(e, 3, false, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rt.UnchangedSince(e.PinGeneration()) {
+		t.Fatal("a memo never computed reports its pins unchanged")
+	}
+	e.SetPin(0, 0)
+	rt.Counts()
+	g := e.PinGeneration()
+	if !rt.UnchangedSince(g) || rt.UnchangedSince(g-1) {
+		t.Fatalf("memo at generation %d: UnchangedSince(%d)=%v, UnchangedSince(%d)=%v",
+			g, g, rt.UnchangedSince(g), g-1, rt.UnchangedSince(g-1))
+	}
+	relevant, irrelevant := -1, -1
+	for i, rel := range rt.Relevant() {
+		switch {
+		case i == 0:
+		case rel && relevant < 0:
+			relevant = i
+		case !rel && irrelevant < 0:
+			irrelevant = i
+		}
+	}
+	if relevant < 0 || irrelevant < 0 {
+		t.Fatalf("need a relevant and an irrelevant row, got %d and %d", relevant, irrelevant)
+	}
+	e.SetPin(irrelevant, inst.M(irrelevant)-1)
+	if !rt.UnchangedSince(g) {
+		t.Fatal("a fresh pin of an irrelevant row made the memo stale")
+	}
+	e.SetPin(relevant, inst.M(relevant)-1)
+	if rt.UnchangedSince(g) || rt.UnchangedSince(e.PinGeneration()) {
+		t.Fatal("a pin of a relevant row left the memo unchanged")
 	}
 }
 

@@ -364,7 +364,7 @@ func scanDir(dir string) (segs, snaps []int, err error) {
 		var seq int
 		// Sscanf reports a converted %08d even when the literal suffix then
 		// fails to match, so round-trip the name to keep strays (leftover
-		// snap-*.tmp files, backups) out of the sequence lists.
+		// temp files, backups) out of the sequence lists.
 		if n, _ := fmt.Sscanf(e.Name(), "wal-%08d.log", &seq); n == 1 && segName(seq) == e.Name() {
 			segs = append(segs, seq)
 		} else if n, _ := fmt.Sscanf(e.Name(), "snap-%08d.snap", &seq); n == 1 && snapName(seq) == e.Name() {
@@ -775,22 +775,31 @@ func (st *Store) Close() error {
 	return nil
 }
 
-// writeSnapshot writes seq's snapshot atomically: temp file, fsync, rename,
-// directory fsync.
+// writeSnapshot writes seq's snapshot atomically (WriteFileAtomic).
+func writeSnapshot(dir string, seq int, payload []byte) error {
+	var header [frameHeaderLen]byte
+	binary.LittleEndian.PutUint32(header[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(header[4:8], crc32.Checksum(payload, crcTable))
+	return WriteFileAtomic(filepath.Join(dir, snapName(seq)), []byte(snapMagic), header[:], payload)
+}
+
+// WriteFileAtomic replaces path with the concatenated chunks so that a
+// crash leaves either the old file or the new one, never a torn one: the
+// chunks go to a temp file in path's directory, which is fsynced and
+// renamed over path, and then the directory is fsynced. Snapshots and the
+// replica's cursor file are written this way.
 //
 //cpvet:allow walframe -- sanctioned helper: the atomic tmp+rename implementation itself
-func writeSnapshot(dir string, seq int, payload []byte) error {
-	tmp, err := os.CreateTemp(dir, "snap-*.tmp")
+func WriteFileAtomic(path string, chunks ...[]byte) error {
+	dir := filepath.Dir(path)
+	tmp, err := os.CreateTemp(dir, "."+filepath.Base(path)+".*.tmp")
 	if err != nil {
 		return fmt.Errorf("durable: %w", err)
 	}
 	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	var header [frameHeaderLen]byte
-	binary.LittleEndian.PutUint32(header[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(header[4:8], crc32.Checksum(payload, crcTable))
-	if _, err := tmp.WriteString(snapMagic); err == nil {
-		if _, err = tmp.Write(header[:]); err == nil {
-			_, err = tmp.Write(payload)
+	for _, c := range chunks {
+		if _, err = tmp.Write(c); err != nil {
+			break
 		}
 	}
 	if err == nil {
@@ -800,9 +809,9 @@ func writeSnapshot(dir string, seq int, payload []byte) error {
 		err = cerr
 	}
 	if err != nil {
-		return fmt.Errorf("durable: writing snapshot: %w", err)
+		return fmt.Errorf("durable: writing %s: %w", filepath.Base(path), err)
 	}
-	if err := os.Rename(tmp.Name(), filepath.Join(dir, snapName(seq))); err != nil {
+	if err := os.Rename(tmp.Name(), path); err != nil {
 		return fmt.Errorf("durable: %w", err)
 	}
 	return syncDir(dir)

@@ -150,7 +150,9 @@ func Generate(dirty, truth *table.Table, enc *table.Encoder, opts Options) (*Rep
 		}
 		examples[i] = dataset.Example{Candidates: cands, Label: dirty.Labels[i]}
 		out.Overrides[i] = combos
-		out.DirtyRows = append(out.DirtyRows, i)
+		if len(combos) > 1 {
+			out.DirtyRows = append(out.DirtyRows, i)
+		}
 		if truth != nil {
 			out.Truth[i] = closestToTruth(truth, i, combos, pools, scales)
 		}

@@ -97,6 +97,25 @@ func TestGenerateShapes(t *testing.T) {
 	}
 }
 
+// TestDirtyRowsNeedTwoCandidates checks that a row whose missing cell has
+// a single possible repair (a constant column) is not listed as dirty: no
+// cleaner can clean it.
+func TestDirtyRowsNeedTwoCandidates(t *testing.T) {
+	truth := table.MustNew([]*table.Column{table.NewNumeric("x", []float64{5, 5, 5, 5})}, []int{0, 1, 0, 1}, 2)
+	dirty := truth.Clone()
+	dirty.Cols[0].SetMissing(2)
+	reps, err := Generate(dirty, truth, table.FitEncoder(dirty, 0), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m := reps.Dataset.Examples[2].M(); m != 1 {
+		t.Fatalf("row 2 has %d candidates, want 1", m)
+	}
+	if len(reps.DirtyRows) != 0 {
+		t.Fatalf("dirty rows = %v, want none", reps.DirtyRows)
+	}
+}
+
 func TestGenerateMaxRowCandidatesCap(t *testing.T) {
 	dirty, truth := dirtyPair(12, 2)
 	enc := table.FitEncoder(dirty, 0)

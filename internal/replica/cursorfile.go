@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"path/filepath"
 
 	"repro/internal/durable"
 )
@@ -13,46 +12,18 @@ import (
 // directory.
 const CursorFileName = "replica-cursor.json"
 
-// SaveCursor atomically persists a follower's applied cursor: temp file,
-// fsync, rename, directory fsync — the same discipline the WAL uses for
-// snapshots, so a crash leaves either the old cursor or the new one, never
-// a torn file. The owner must only call this after the records up to the
-// cursor are durable locally, or a restart would skip records it never
-// journaled.
+// SaveCursor atomically persists a follower's applied cursor
+// (durable.WriteFileAtomic, the discipline the WAL uses for snapshots), so a
+// crash leaves either the old cursor or the new one, never a torn file. The
+// owner must only call this after the records up to the cursor are durable
+// locally, or a restart would skip records it never journaled.
 func SaveCursor(path string, c durable.Cursor) error {
 	b, err := json.Marshal(c)
 	if err != nil {
 		return fmt.Errorf("replica: encoding cursor: %w", err)
 	}
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".cursor-*.tmp")
-	if err != nil {
-		return fmt.Errorf("replica: %w", err)
-	}
-	defer func() { _ = os.Remove(tmp.Name()) }() // no-op after a successful rename
-	_, werr := tmp.Write(b)
-	if werr == nil {
-		werr = tmp.Sync()
-	}
-	if cerr := tmp.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr != nil {
-		return fmt.Errorf("replica: writing cursor: %w", werr)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return fmt.Errorf("replica: %w", err)
-	}
-	d, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("replica: %w", err)
-	}
-	serr := d.Sync()
-	if cerr := d.Close(); serr == nil {
-		serr = cerr
-	}
-	if serr != nil {
-		return fmt.Errorf("replica: fsync %s: %w", dir, serr)
+	if err := durable.WriteFileAtomic(path, b); err != nil {
+		return fmt.Errorf("replica: saving cursor: %w", err)
 	}
 	return nil
 }

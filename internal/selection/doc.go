@@ -19,20 +19,22 @@
 // Beyond the two per-round prunings the paper already licenses (certain
 // validation points contribute zero entropy forever; rows outside a point's
 // top-K relevance set cannot move its Q2 distribution), the Selector reuses
-// work *across* rounds: the per-(row, validation point) hypothesis entropy
-// sums are memoized, and pinning row r invalidates only the memo of
-// validation points r was relevant to. For every other point v the pin
-// provably changes nothing — r can never enter v's top-K in any world, so
-// v's Q2 distribution, v's relevance mask, and every hypothesis distribution
-// over v are bit-for-bit identical before and after the pin (the lemma
-// core.Engine.RelevantRows documents, verified by
-// core.TestIrrelevantPinLeavesHypothesesUnchanged) — so round t+1 rescans
-// only the (row, point) pairs the round-t pin actually touched.
+// work across rounds. Each point keeps a core.Retained, its Q2 memo and
+// relevance mask under the current pins, and the per-row hypothesis entropy
+// sums scored against it. A pin of a row r that cannot enter the point's
+// top-K in any world changes nothing for that point: not its Q2
+// distribution, its mask, its Q1 answer, nor any hypothesis distribution
+// over it (the lemma core.Engine.RelevantRows documents, verified by
+// core.TestIrrelevantPinLeavesHypothesesUnchanged). So the Retained keeps
+// its memo across such pins, and the sums are dropped only after it swept,
+// whoever asked for the sweep. Round t+1 rescans only the (row, point)
+// pairs the round-t pins actually touched.
 //
-// When a pin does invalidate a point's memo, the point's current entropy and
-// relevance mask are rebuilt with one SS-DC sweep (core.Engine.Counts or
-// CountsMC) and core.Engine.RelevantRows: after a relevant pin the point's
-// answer may have changed, so there is nothing left to reuse.
+// The same lemma bounds the certainty refresh: after a pin, a Run re-checks
+// only the uncertain points whose memo the pins since their last check may
+// have changed (core.Retained.UnchangedSince), ≈2.7 of ≈25.6 per step on
+// loadbench's clean-live data. Multi-label certainty reads the memo's
+// counts, so SelectBatch reuses that sweep.
 //
 // # Point-major scoring
 //
@@ -48,11 +50,11 @@
 //
 // # Invariants
 //
-//   - PinGeneration staleness: a memo is trusted only while its recorded
-//     generation equals the engine's core.Engine.PinGeneration. Any pin the
-//     Selector did not account for (or an engine reset) bumps the
-//     generation and forces a rebuild, so out-of-band pinning can degrade
-//     performance but never correctness.
+//   - One memo per point: core.Retained alone decides whether a pin left a
+//     point's memo valid, by diffing the engine's pins against the copy
+//     the memo was computed under. Pins the Selector did not make (or an
+//     engine reset) are diffed the same way, so out-of-band pinning can
+//     cost sweeps but never correctness.
 //   - Determinism: SelectBatch breaks entropy ties toward the smaller row
 //     index, and the memo only ever reuses values that are provably
 //     bit-identical to a full rescore (the relevance lemma), so a cleaning

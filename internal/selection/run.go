@@ -25,7 +25,8 @@ type Run struct {
 	scratches   *core.ScratchPool
 	sel         *Selector
 	truth       []int
-	certain     []bool // aliased by sel
+	certain     []bool   // aliased by sel
+	checkedAt   []uint64 // engine pin generation each point's certainty holds at
 	cleaned     []bool
 }
 
@@ -55,6 +56,7 @@ func NewRun(d *dataset.Incomplete, kernel knn.Kernel, points [][]float64, truth 
 		engines:     make([]*core.Engine, len(points)),
 		truth:       append([]int(nil), truth...),
 		certain:     make([]bool, len(points)),
+		checkedAt:   make([]uint64, len(points)),
 		cleaned:     make([]bool, d.N()),
 	}
 	_ = r.each(func(v int) error { // an engine build cannot fail
@@ -65,10 +67,10 @@ func NewRun(d *dataset.Incomplete, kernel knn.Kernel, points [][]float64, truth 
 	if r.scratches, err = scratches(r.engines[0]); err != nil {
 		return nil, err
 	}
-	if err := r.refreshCertainty(); err != nil {
+	if r.sel, err = New(r.engines, r.certain, r.scratches, cfg); err != nil {
 		return nil, err
 	}
-	if r.sel, err = New(r.engines, r.certain, r.scratches, cfg); err != nil {
+	if err := r.refreshCertainty(); err != nil {
 		return nil, err
 	}
 	return r, nil
@@ -98,24 +100,33 @@ func (r *Run) each(f func(v int) error) error {
 	return nil
 }
 
-// refreshCertainty re-checks every validation point not yet certain, in
-// parallel; certain ones stay certain (the paper's monotonicity lemma).
-// Binary labels answer Q1 exactly with MM; more labels use threshold
-// certainty over the Q2 counts.
+// refreshCertainty re-checks, in parallel, the uncertain validation points
+// whose answers the pins since their last check may have changed. Certain
+// points stay certain (the paper's monotonicity lemma); a point whose memo
+// is unchanged since its last check keeps its Q1 answer too
+// (core.Retained.UnchangedSince). A memo never computed is never unchanged,
+// so the first refresh checks every point. Binary labels answer Q1 exactly
+// with MM; more labels use threshold certainty over the memo's counts, a
+// sweep SelectBatch reuses, except that a UseMC memo holds multi-class
+// counts, so that case runs its own tally sweep.
 func (r *Run) refreshCertainty() error {
 	return r.each(func(v int) error {
-		if r.certain[v] {
-			return nil
-		}
-		e := r.engines[v]
-		if e.Instance().NumLabels == 2 {
+		e, rt := r.engines[v], r.sel.memos[v].rt
+		since := r.checkedAt[v]
+		r.checkedAt[v] = e.PinGeneration()
+		switch {
+		case r.certain[v] || rt.UnchangedSince(since):
+		case e.Instance().NumLabels == 2:
 			c, err := e.IsCertainMM(r.k)
 			r.certain[v] = c
 			return err
+		case rt.UseMC():
+			sc := r.scratches.Get()
+			defer r.scratches.Put(sc)
+			r.certain[v] = core.IsCertain(e.Counts(sc, -1, -1))
+		default:
+			r.certain[v] = core.IsCertain(rt.Counts())
 		}
-		sc := r.scratches.Get()
-		defer r.scratches.Put(sc)
-		r.certain[v] = core.IsCertain(e.Counts(sc, -1, -1))
 		return nil
 	})
 }
@@ -139,8 +150,8 @@ func (r *Run) Select(batch int) (rows []int, entropies []float64, examined int64
 }
 
 // Clean cleans row: the oracle reveals its candidate, every engine pins it
-// through the Selector, and certainty is refreshed. It returns the
-// candidate.
+// through the Selector, and certainty is refreshed where the pin may have
+// changed it. It returns the candidate.
 func (r *Run) Clean(row int) (cand int, err error) {
 	cand = r.truth[row]
 	r.cleaned[row] = true

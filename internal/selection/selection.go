@@ -28,21 +28,21 @@ type Config struct {
 	DisableCache bool
 }
 
-// valMemo is the per-validation-point cache. It is valid for exactly one
-// engine cleaning state, identified by the engine's pin generation.
+// valMemo is the per-validation-point cache: the point's Q2 memo and
+// relevance mask under the current pins (a core.Retained, the only code
+// that decides whether a pin left them valid) and the hypothesis entropy
+// sums scored against that memo.
 type valMemo struct {
-	// fresh marks curH/relevant/hypSum as matching the engine state with
-	// pin generation gen. Pinning a row relevant to this point clears it.
-	fresh bool
-	gen   uint64
+	rt *core.Retained
+	// sweeps is rt's FullScans count when hypSum was last reset. A sweep
+	// since then, whoever asked for it, means the point's answer may have
+	// moved, so curH is recomputed and every sum dropped.
+	sweeps int64
 	// curH is the entropy of the point's current (no-hypothesis) Q2
 	// distribution — the score contribution of every irrelevant row.
 	curH float64
-	// relevant[i] reports whether row i can enter the point's top-K in any
-	// world under the current pins (core.Engine.RelevantRows).
-	relevant []bool
 	// hypSum[i] memoizes Σ_j H(Q2 | clean row i → candidate j); NaN marks
-	// a pair not yet scanned under the current state.
+	// a pair not yet scanned since the last sweep.
 	hypSum []float64
 }
 
@@ -74,44 +74,34 @@ func New(engines []*core.Engine, certain []bool, scratches *core.ScratchPool, cf
 	if len(engines) != len(certain) {
 		return nil, fmt.Errorf("selection: %d engines but %d certainty entries", len(engines), len(certain))
 	}
-	if cfg.K <= 0 || cfg.K > engines[0].N() {
-		return nil, fmt.Errorf("selection: K=%d out of range for N=%d", cfg.K, engines[0].N())
-	}
 	if scratches == nil {
 		return nil, fmt.Errorf("selection: needs a scratch pool")
 	}
 	if cfg.Parallelism <= 0 {
 		cfg.Parallelism = runtime.GOMAXPROCS(0)
 	}
+	memos := make([]valMemo, len(engines))
+	for v, e := range engines {
+		rt, err := core.NewRetained(e, cfg.K, cfg.UseMC, scratches)
+		if err != nil {
+			return nil, fmt.Errorf("selection: %w", err)
+		}
+		memos[v].rt = rt
+	}
 	return &Selector{
 		engines:   engines,
 		certain:   certain,
 		scratches: scratches,
 		cfg:       cfg,
-		memos:     make([]valMemo, len(engines)),
+		memos:     memos,
 	}, nil
 }
 
-// Pin records the cleaning of row to cand: every engine is pinned, and each
-// validation point's memo is kept or dropped by the invalidation lemma — if
-// the row could never enter the point's top-K under the pre-pin state, the
-// pin changes neither the point's Q2 distribution nor any hypothesis
-// distribution over it, so the memoized entropies remain exact; otherwise
-// the memo is rebuilt on the next SelectBatch.
+// Pin records the cleaning of row to cand on every engine. Each point's
+// Retained finds out on its next query whether the pin left its memo valid.
 func (s *Selector) Pin(row, cand int) {
-	for v := range s.engines {
-		e := s.engines[v]
-		m := &s.memos[v]
-		wasFresh := m.fresh && e.PinGeneration() == m.gen
+	for _, e := range s.engines {
 		e.SetPin(row, cand)
-		switch {
-		case !wasFresh:
-			m.fresh = false
-		case m.relevant[row]:
-			m.fresh = false
-		default:
-			m.gen = e.PinGeneration() // memo still matches the engine
-		}
 	}
 }
 
@@ -121,39 +111,27 @@ func (s *Selector) Stats() (examined, reused int64) {
 	return s.examined, s.reused
 }
 
-// refresh rebuilds stale memos for the given validation points: relevance
-// mask, current entropy (one SS-DC sweep), and a cleared hypothesis table.
-// A memo goes stale only after a pin of a row relevant to its point (or a
-// pin the Selector did not make), when the point's answer may have changed.
-// With DisableCache every memo is rebuilt every round.
+// refresh brings the given validation points' memos to the current pins:
+// the Retained answers from its memo or sweeps once, and after any sweep
+// since the last reset the current entropy is recomputed and the hypothesis
+// table cleared. With DisableCache every memo sweeps every round.
 func (s *Selector) refresh(valIdx []int) {
-	var sc *core.Scratch
 	for _, v := range valIdx {
-		e := s.engines[v]
 		m := &s.memos[v]
-		if !s.cfg.DisableCache && m.fresh && e.PinGeneration() == m.gen {
-			continue
+		if s.cfg.DisableCache {
+			m.rt.Invalidate()
 		}
-		if sc == nil {
-			sc = s.scratches.Get()
+		counts := m.rt.Counts()
+		if n := m.rt.Stats().FullScans; n != m.sweeps {
+			m.sweeps = n
+			m.curH = core.Entropy(counts)
+			if m.hypSum == nil {
+				m.hypSum = make([]float64, s.engines[v].N())
+			}
+			for i := range m.hypSum {
+				m.hypSum[i] = math.NaN()
+			}
 		}
-		m.relevant = e.RelevantRows(s.cfg.K)
-		if s.cfg.UseMC {
-			m.curH = core.Entropy(e.CountsMC(sc, -1, -1))
-		} else {
-			m.curH = core.Entropy(e.Counts(sc, -1, -1))
-		}
-		if m.hypSum == nil {
-			m.hypSum = make([]float64, e.N())
-		}
-		for i := range m.hypSum {
-			m.hypSum[i] = math.NaN()
-		}
-		m.gen = e.PinGeneration()
-		m.fresh = true
-	}
-	if sc != nil {
-		s.scratches.Put(sc)
 	}
 }
 
@@ -188,9 +166,10 @@ func (s *Selector) SelectBatch(rows []int, batch int) (bestRows []int, bestEntro
 	var reused int64
 	for _, v := range valIdx {
 		memo := &s.memos[v]
+		relevant := memo.rt.Relevant()
 		for _, row := range rows {
 			switch {
-			case !memo.relevant[row]:
+			case !relevant[row]:
 			case math.IsNaN(memo.hypSum[row]):
 				stale = append(stale, pair{v, row})
 				examined += int64(inst.M(row))
@@ -246,14 +225,14 @@ func (s *Selector) SelectBatch(rows []int, batch int) (bestRows []int, bestEntro
 		total := 0.0
 		for _, v := range valIdx {
 			memo := &s.memos[v]
-			if !memo.relevant[row] {
+			if !memo.rt.Relevant()[row] {
 				// Cleaning this row cannot change this validation point's
 				// distribution: every candidate yields the current entropy.
 				total += float64(memo.curH * float64(m))
 				continue
 			}
 			// Scored above, or memoized from an earlier round and still
-			// exact because no relevant pin has landed on this point since.
+			// exact because the point's memo has not swept since.
 			total += memo.hypSum[row]
 		}
 		// Uniform prior over the M candidates, averaged over the validation

@@ -221,12 +221,16 @@ func TestRetainedRescoreLockstep(t *testing.T) {
 		if len(rows) == 0 {
 			break
 		}
+		sweeps := make([]int64, len(valPts))
 		for v, m := range a.sel.memos {
-			if round > 0 && !a.certain[v] && m.fresh && m.gen == a.engines[v].PinGeneration() {
+			sweeps[v] = m.rt.Stats().FullScans
+		}
+		best, _, _ := a.sel.SelectBatch(rows, 1)
+		for v, m := range a.sel.memos {
+			if round > 0 && !a.certain[v] && m.rt.Stats().FullScans == sweeps[v] {
 				kept++ // the memo survived last round's pin without a rescore
 			}
 		}
-		best, _, _ := a.sel.SelectBatch(rows, 1)
 		for v, p := range valPts {
 			m := &a.sel.memos[v]
 			if a.certain[v] {
@@ -239,7 +243,7 @@ func TestRetainedRescoreLockstep(t *testing.T) {
 				}
 			}
 			wantH := core.Entropy(fresh.Counts(fresh.MustScratch(3), -1, -1))
-			if m.curH != wantH || !slices.Equal(m.relevant, fresh.RelevantRows(3)) {
+			if m.curH != wantH || !slices.Equal(m.rt.Relevant(), fresh.RelevantRows(3)) {
 				t.Fatalf("round %d point %d: memo entropy %v, fresh engine %v (or masks differ)", round, v, m.curH, wantH)
 			}
 		}
@@ -253,8 +257,9 @@ func TestRetainedRescoreLockstep(t *testing.T) {
 }
 
 // TestSelectorSurvivesOutOfBandPins pins engines directly (bypassing
-// Selector.Pin) and checks the pin-generation staleness hook forces a
-// recompute instead of serving stale memos.
+// Selector.Pin) and checks every round's selection against a full rescore:
+// each point's Retained picks the pins up from its engine, keeping the memo
+// only across pins its relevance mask proves irrelevant.
 func TestSelectorSurvivesOutOfBandPins(t *testing.T) {
 	d := randDataset(t, 24, 3, 2, 2, 0.6, 77)
 	valPts := randPoints(8, 2, 78)
@@ -361,7 +366,7 @@ func rowMajorSelectBatch(s *Selector, rows []int, batch int) (bestRows []int, be
 		total := 0.0
 		for _, v := range valIdx {
 			memo := &s.memos[v]
-			if !memo.relevant[row] {
+			if !memo.rt.Relevant()[row] {
 				total += float64(memo.curH * float64(m))
 				continue
 			}

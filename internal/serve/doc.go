@@ -51,8 +51,8 @@
 //     This is load-bearing for resume (TestSessionResumeLockstep) and for
 //     crash recovery (the journaled prefix is re-executed and verified,
 //     then the run continues bit-identically).
-//   - Engine staleness: selection memos are validated against
-//     core.Engine.PinGeneration; a session's engines are private to its
+//   - Engine staleness: selection memos (core.Retained) are validated by
+//     diffing the engine's pins; a session's engines are private to its
 //     Run, so pins advance only under its own driver.
 //
 // # Durability

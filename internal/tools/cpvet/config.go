@@ -91,7 +91,8 @@ func DefaultConfig() *Config {
 		},
 		WALPkg: "repro/internal/durable",
 		WALClientPkgs: map[string]bool{
-			"repro/internal/serve": true,
+			"repro/internal/serve":   true,
+			"repro/internal/replica": true,
 		},
 		ConcurrencyPkgs: map[string]bool{
 			"repro/internal/serve":     true,

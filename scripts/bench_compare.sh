@@ -11,11 +11,15 @@
 #
 # The pinned set: internal/core's BenchmarkEngineBuild (every
 # sub-benchmark), BenchmarkHypothesisCounts/trunc/K3 (CPClean's hypothesis
-# scan, a replay of a cached hypothesis tape), BenchmarkHypothesisTape/trunc/K3
-# (one recording of that tape) and BenchmarkScan/supreme/trunc/K3 (the
-# plain scan behind session queries and batch sweeps) at 50x, and the root
-# package's BenchmarkCleanSession_Loadbench (one clean-live session on
-# loadbench's data) at 2x.
+# scan, a replay of a cached hypothesis tape) and
+# BenchmarkScan/supreme/trunc/K3 (the plain scan behind session queries and
+# batch sweeps) at 50x, BenchmarkHypothesisTape/trunc/K3 (one recording of
+# that tape, ≈35 µs) at 20000x, and the root package's
+# BenchmarkCleanSession_Loadbench (one clean-live session on loadbench's
+# data) at 2x. A tape sample at 50x lasted ≈2 ms, and on a shared 2-core
+# host samples that short swung by ±30% between runs of one binary, so
+# identical code read >15% slower in 6 of 10 pairs; a ≈0.7 s sample
+# averages the swings out.
 #
 # The HEAD side is built from the working tree (HEAD itself in CI). The
 # merge base is that of HEAD and origin/main; when HEAD is itself on
@@ -73,7 +77,7 @@ bench() {
   local out="$tmp/$1.out"
   "$tmp/$1-core.test" -test.run '^$' -test.bench '^BenchmarkEngineBuild$' -test.benchtime 50x -test.benchmem >>"$out"
   "$tmp/$1-core.test" -test.run '^$' -test.bench '^BenchmarkHypothesisCounts$/^trunc$/^K3$' -test.benchtime 50x >>"$out"
-  "$tmp/$1-core.test" -test.run '^$' -test.bench '^BenchmarkHypothesisTape$/^trunc$/^K3$' -test.benchtime 50x >>"$out"
+  "$tmp/$1-core.test" -test.run '^$' -test.bench '^BenchmarkHypothesisTape$/^trunc$/^K3$' -test.benchtime 20000x >>"$out"
   "$tmp/$1-core.test" -test.run '^$' -test.bench '^BenchmarkScan$/^supreme$/^trunc$/^K3$' -test.benchtime 50x >>"$out"
   "$tmp/$1-root.test" -test.run '^$' -test.bench '^BenchmarkCleanSession_Loadbench$' -test.benchtime 2x >>"$out"
 }
