@@ -36,9 +36,9 @@ bench:
 	$(GO) run ./internal/tools/benchjson -in bench.out -out $(BENCH_JSON)
 	@echo "bench: wrote $(BENCH_JSON)"
 
-# Paired regression gate: the pinned benchmarks (core EngineBuild,
-# HypothesisCounts/trunc/K3, HypothesisTape/trunc/K3, Scan/supreme/trunc/K3,
-# CleanSession_Loadbench)
+# Paired regression gate: the pinned benchmarks (core EngineBuild and
+# HypothesisCounts/trunc/K3 at 50x, HypothesisTape/trunc/K3 and
+# Scan/supreme/trunc/K3 at 20000x, CleanSession_Loadbench at 2x)
 # at the merge base and at the working tree, run in 10 alternating pairs;
 # fails when the tree is >15% slower in at least 8 pairs (see
 # scripts/bench_compare.sh).

@@ -59,9 +59,11 @@
 //	                                    but the session survives for resume
 //	POST   /v1/clean/{id}/query         batch CP query under the session's current pins —
 //	                                    answers reflect the partially cleaned state, and
-//	                                    repeated batches reuse per-point retained trees
-//	                                    across pins (see query_memo in the session status);
-//	                                    also streams NDJSON under the same Accept header
+//	                                    repeated batches answer from the per-point Q2 memo
+//	                                    (one per point, K and use_mc) across irrelevant
+//	                                    pins, never from the result cache (see query_memo
+//	                                    in the session status); also streams NDJSON under
+//	                                    the same Accept header
 //	DELETE /v1/clean/{id}               release the session
 //	GET    /v1/stats                    serving + WAL statistics (engine caches and byte
 //	                                    budgets, session query-memo reuse, result-cache hit/miss/
@@ -112,7 +114,7 @@ func main() {
 	parallelism := flag.Int("parallelism", 0, "worker goroutines per batch (0 = GOMAXPROCS)")
 	engineCache := flag.Int("engine-cache", 0, "per-dataset engine LRU size (0 = default, <0 = off)")
 	maxEngineBytes := flag.Int64("max-engine-bytes", 0, "byte budget per (dataset, K) engine cache (0 = default 1GiB, <0 = unlimited)")
-	resultCacheBytes := flag.Int64("result-cache-bytes", 64<<20, "byte budget for the server-wide query result cache (≤0 = disabled)")
+	resultCacheBytes := flag.Int64("result-cache-bytes", 64<<20, "byte budget for the server-wide dataset query result cache; session queries never use it (≤0 = disabled)")
 	maxSessions := flag.Int("max-sessions", 0, "cap on live clean sessions (0 = default, <0 = unlimited)")
 	sessionTTL := flag.Duration("session-ttl", 0, "evict clean sessions idle this long (0 = default, <0 = never)")
 	maxRegisterBytes := flag.Int64("max-register-bytes", 0, "dataset registration body cap (0 = default, <0 = unlimited)")

@@ -135,10 +135,7 @@ func TestEngineForkIsolated(t *testing.T) {
 		unpinned := append([]float64(nil), parent.Counts(psc, -1, -1)...)
 
 		fork := parent.Fork()
-		rt, err := NewRetained(fork, k, trial%2 == 1, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+		rt := mustRetained(t, fork, k, trial%2 == 1)
 		done := make(chan struct{})
 		diverged := make(chan []float64, 1)
 		go func() {

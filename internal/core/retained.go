@@ -28,8 +28,7 @@ type Retained struct {
 	k     int
 	useMC bool
 
-	pool *ScratchPool // optional; otherwise a private Scratch is kept
-	own  *Scratch
+	pool *ScratchPool // lends the Scratch of each full sweep
 
 	valid    bool
 	gen      uint64    // engine pin generation the memo was last checked at
@@ -72,16 +71,29 @@ func (s *RetainedStats) Add(other RetainedStats) {
 	s.CandidatesAvoided += other.CandidatesAvoided
 }
 
+// Sub returns the counts s gained since the earlier snapshot prev.
+func (s RetainedStats) Sub(prev RetainedStats) RetainedStats {
+	return RetainedStats{
+		FullScans:         s.FullScans - prev.FullScans,
+		MemoHits:          s.MemoHits - prev.MemoHits,
+		DeltaScans:        s.DeltaScans - prev.DeltaScans,
+		CandidatesScanned: s.CandidatesScanned - prev.CandidatesScanned,
+		CandidatesAvoided: s.CandidatesAvoided - prev.CandidatesAvoided,
+	}
+}
+
 // NewRetained builds a Q2 memo over e for the given K. useMC selects the
 // appendix-A.3 multi-class accumulator (matching Engine.CountsMC) instead of
-// tally enumeration (Engine.Counts). scratches, when non-nil, lends the
-// scan Scratch per sweep — it must be a pool of e's shape with the same K;
-// with nil a private Scratch is allocated lazily and retained.
+// tally enumeration (Engine.Counts). scratches lends the scan Scratch per
+// sweep; it must be a pool of e's shape with the same K.
 func NewRetained(e *Engine, k int, useMC bool, scratches *ScratchPool) (*Retained, error) {
 	if err := e.validateK(k); err != nil {
 		return nil, err
 	}
-	if scratches != nil && scratches.K() != k {
+	if scratches == nil {
+		return nil, fmt.Errorf("core: retained needs a scratch pool")
+	}
+	if scratches.K() != k {
 		return nil, fmt.Errorf("core: retained K=%d but scratch pool K=%d", k, scratches.K())
 	}
 	return &Retained{
@@ -121,10 +133,10 @@ func (r *Retained) Counts() []float64 {
 		r.stats.CandidatesAvoided += int64(len(e.order))
 		return r.counts
 	}
-	sc := r.getScratch()
+	sc := r.pool.Get()
 	r.stats.CandidatesScanned += e.fullScan(sc, -1, -1, r.useMC)
 	copy(r.counts, sc.counts)
-	r.putScratch(sc)
+	r.pool.Put(sc)
 	r.relevant = e.RelevantRows(r.k)
 	r.pins = append(r.pins[:0], e.pins...)
 	r.gen = e.PinGeneration()
@@ -167,29 +179,8 @@ func (r *Retained) pinsPreserveMemo() bool {
 	return true
 }
 
-func (r *Retained) getScratch() *Scratch {
-	if r.pool != nil {
-		return r.pool.Get()
-	}
-	if r.own == nil {
-		r.own = newScratchFromShape(r.e.shape(), r.k)
-	}
-	return r.own
-}
-
-func (r *Retained) putScratch(sc *Scratch) {
-	if r.pool != nil {
-		r.pool.Put(sc)
-	}
-}
-
-// ApproxBytes estimates the memo's heap footprint — O(N) for the pin copy
-// and mask, plus a private Scratch when no pool lends one — for
-// byte-budgeted caches.
+// ApproxBytes estimates the memo's heap footprint for byte-budgeted caches:
+// O(N) for the pin copy and mask. The Scratch belongs to the pool.
 func (r *Retained) ApproxBytes() int64 {
-	b := int64(len(r.counts))*8 + int64(len(r.relevant)) + int64(cap(r.pins))*4
-	if r.own != nil {
-		b += r.own.ApproxBytes()
-	}
-	return b
+	return int64(len(r.counts))*8 + int64(len(r.relevant)) + int64(cap(r.pins))*4
 }

@@ -98,10 +98,7 @@ func TestRetainedMatchesFreshSSDC(t *testing.T) {
 		k := 1 + rng.Intn(3)
 		useMC := trial%2 == 1
 		e := NewEngineFromInstance(inst)
-		rt, err := NewRetained(e, k, useMC, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+		rt := mustRetained(t, e, k, useMC)
 		sc := e.MustScratch(k)
 		sequences++
 		for step := 0; step < 12; step++ {
@@ -148,10 +145,7 @@ func TestRetainedReusesWork(t *testing.T) {
 		rng := rand.New(rand.NewSource(99))
 		inst := randomInstance(rng, 60, 4, 2)
 		e := NewEngineFromInstance(inst)
-		rt, err := NewRetained(e, 3, useMC, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+		rt := mustRetained(t, e, 3, useMC)
 		sc := e.MustScratch(3)
 		var want RetainedStats
 		query := func(what string, tier *int64) {
@@ -217,10 +211,7 @@ func TestRetainedReusesWork(t *testing.T) {
 func TestRetainedUnchangedSince(t *testing.T) {
 	inst := randomInstance(rand.New(rand.NewSource(98)), 60, 4, 2)
 	e := NewEngineFromInstance(inst)
-	rt, err := NewRetained(e, 3, false, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rt := mustRetained(t, e, 3, false)
 	if rt.UnchangedSince(e.PinGeneration()) {
 		t.Fatal("a memo never computed reports its pins unchanged")
 	}
@@ -254,9 +245,10 @@ func TestRetainedUnchangedSince(t *testing.T) {
 	}
 }
 
-// TestRetainedWithScratchPool runs the mode against a shared scratch pool
-// (the serving configuration) and cross-checks a pooled and a private-scratch
-// instance stay bitwise in lockstep.
+// TestRetainedWithScratchPool runs two memos of one engine against one
+// shared scratch pool (the serving configuration), checks both stay bitwise
+// equal to a fresh sweep, and that a nil pool or a pool of another K is
+// rejected.
 func TestRetainedWithScratchPool(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	inst := randomInstance(rng, 12, 3, 3)
@@ -265,27 +257,49 @@ func TestRetainedWithScratchPool(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pooled, err := NewRetained(e, 2, false, pool)
-	if err != nil {
-		t.Fatal(err)
+	var memos [2]*Retained
+	for i, useMC := range []bool{false, true} {
+		if memos[i], err = NewRetained(e, 2, useMC, pool); err != nil {
+			t.Fatal(err)
+		}
 	}
-	private, err := NewRetained(e, 2, false, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sc := e.MustScratch(2)
 	for step := 0; step < 8; step++ {
 		if step > 0 {
 			applyRandomPinOp(rng, e)
 		}
-		a := pooled.Counts()
-		b := private.Counts()
-		for y := range a {
-			if a[y] != b[y] {
-				t.Fatalf("step %d: pooled %v private %v", step, a, b)
+		for i, rt := range memos {
+			got := rt.Counts()
+			want := e.Counts(sc, -1, -1)
+			if rt.UseMC() {
+				want = e.CountsMC(sc, -1, -1)
+			}
+			for y := range want {
+				if got[y] != want[y] {
+					t.Fatalf("step %d memo %d: pooled %v fresh %v", step, i, got, want)
+				}
 			}
 		}
+	}
+	if _, err := NewRetained(e, 2, false, nil); err == nil {
+		t.Fatal("a nil scratch pool must be rejected")
 	}
 	if _, err := NewRetained(e, 3, false, pool); err == nil {
 		t.Fatal("mismatched pool K must be rejected")
 	}
+}
+
+// mustRetained builds a Retained over e whose sweeps borrow Scratches from
+// a fresh pool of e's shape.
+func mustRetained(t testing.TB, e *Engine, k int, useMC bool) *Retained {
+	t.Helper()
+	pool, err := NewScratchPool(e, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt, err := NewRetained(e, k, useMC, pool)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rt
 }

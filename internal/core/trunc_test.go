@@ -75,13 +75,8 @@ func pairEngines(t testing.TB, ref, tr *Engine, k int) *truncPair {
 	p := &truncPair{ref: ref, tr: tr, k: k}
 	p.rsc = p.ref.MustScratch(k)
 	p.tsc = p.tr.MustScratch(k)
-	var err error
-	if p.rt, err = NewRetained(p.tr, k, false, nil); err != nil {
-		t.Fatal(err)
-	}
-	if p.rtMC, err = NewRetained(p.tr, k, true, nil); err != nil {
-		t.Fatal(err)
-	}
+	p.rt = mustRetained(t, p.tr, k, false)
+	p.rtMC = mustRetained(t, p.tr, k, true)
 	return p
 }
 
@@ -339,7 +334,11 @@ func TestTruncatedEngineGuardsK(t *testing.T) {
 	if _, err := NewScratchPool(tr, 4); err == nil {
 		t.Fatal("NewScratchPool(K=4) on an engine truncated for K=3 succeeded")
 	}
-	if _, err := NewRetained(tr, 4, false, nil); err == nil {
+	pool4, err := NewScratchPool(NewEngineFromInstance(inst), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewRetained(tr, 4, false, pool4); err == nil {
 		t.Fatal("NewRetained(K=4) on an engine truncated for K=3 succeeded")
 	}
 	if _, err := tr.CheckMM(4, -1, -1); err == nil {
@@ -349,7 +348,11 @@ func TestTruncatedEngineGuardsK(t *testing.T) {
 		if _, err := tr.NewScratch(k); err != nil {
 			t.Fatalf("NewScratch(%d): %v", k, err)
 		}
-		if _, err := NewRetained(tr, k, false, nil); err != nil {
+		pool, err := NewScratchPool(tr, k)
+		if err != nil {
+			t.Fatalf("NewScratchPool(%d): %v", k, err)
+		}
+		if _, err := NewRetained(tr, k, false, pool); err != nil {
 			t.Fatalf("NewRetained(%d): %v", k, err)
 		}
 	}

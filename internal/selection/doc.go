@@ -10,8 +10,8 @@
 // the Q2 counts otherwise), the cleaned rows and the oracle's truth, and
 // cleans a row by pinning it through its Selector and refreshing certainty.
 // Every iterative cleaner steps a Run: cleaning.CPClean and RandomClean add
-// only the world choice and the trajectory, and the serving layer's
-// CleanSession only the step budget and the wire-format step. So the two
+// only the world choice and the trajectory, and the serving layer's clean
+// session only the step budget and the wire-format step. So the two
 // drivers make the same decisions by construction.
 //
 // # Prunings and the cross-round memo

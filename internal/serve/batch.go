@@ -109,28 +109,40 @@ func collect(n int, stream func(yield func(int, PointResult) error) (BatchSummar
 
 // StreamBatchQuery answers the request point by point, invoking yield in
 // request order as results complete. Pooled engines are never pinned, so a
-// dataset-level answer can never go stale: its result-cache scope is "" at
-// a constant generation 0, and a hit skips the engine layer entirely.
+// dataset-level answer can never go stale: each point is looked up in the
+// result cache (when one is configured) first, and a hit skips the engine
+// layer entirely.
 func (d *Dataset) StreamBatchQuery(ctx context.Context, req BatchRequest, cfg Config, yield func(i int, r PointResult) error) (BatchSummary, error) {
 	cfg = cfg.withDefaults()
 	k, err := d.resolveK(req.K)
 	if err != nil {
 		return BatchSummary{}, err
 	}
-	return d.batchQuery(ctx, cfg, req, k, "", 0, func(pt []float64, _ string) (PointResult, error) {
+	results := cfg.results
+	return d.batchQuery(ctx, cfg, req, k, func(pt []float64, pk string) (PointResult, error) {
+		var key string
+		if results != nil {
+			key = resultKey(d.fingerprint, k, req.UseMC, pk)
+			if r, ok := results.get(key); ok {
+				return r, nil
+			}
+		}
 		pool := d.pool(k, cfg)
-		return pool.query(pool.engine(pt), k, req.UseMC)
+		r, err := pool.query(pool.engine(pt), k, req.UseMC)
+		if err == nil && results != nil {
+			results.put(key, r)
+		}
+		return r, err
 	}, yield)
 }
 
 // batchQuery is the one batch pipeline behind dataset and session queries:
 // it checks every point's dimension, then fans the points out (runOrdered's
 // reorder buffer over the worker pool) and yields their answers in request
-// order. Each point is looked up in the result cache under (scope, gen)
-// first; answer computes a miss, given the point and its pointKey. On a
+// order; answer computes one point, given the point and its pointKey. On a
 // query error the lowest failing point index's error is returned —
 // deterministically, regardless of worker scheduling.
-func (d *Dataset) batchQuery(ctx context.Context, cfg Config, req BatchRequest, k int, scope string, gen uint64,
+func (d *Dataset) batchQuery(ctx context.Context, cfg Config, req BatchRequest, k int,
 	answer func(pt []float64, pk string) (PointResult, error), yield func(i int, r PointResult) error) (BatchSummary, error) {
 	dim := d.dim()
 	for i, t := range req.Points {
@@ -138,24 +150,11 @@ func (d *Dataset) batchQuery(ctx context.Context, cfg Config, req BatchRequest, 
 			return BatchSummary{}, fmt.Errorf("serve: point %d has dim %d, dataset expects %d", i, len(t), dim)
 		}
 	}
-	results := cfg.resultCacheFor()
 	certain := 0
 	err := runOrdered(ctx, len(req.Points), batchWorkers(cfg, len(req.Points)), cfg.streams,
 		func(i int) (PointResult, error) {
 			pt := req.Points[i]
-			pk := pointKey(pt)
-			var key string
-			if results != nil {
-				key = resultKey(d.fingerprint, scope, k, req.UseMC, gen, pk)
-				if r, ok := results.get(key); ok {
-					return r, nil
-				}
-			}
-			r, err := answer(pt, pk)
-			if err == nil && results != nil {
-				results.put(key, r)
-			}
-			return r, err
+			return answer(pt, pointKey(pt))
 		},
 		func(i int, r PointResult) error {
 			if r.Certain {

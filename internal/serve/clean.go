@@ -44,17 +44,6 @@ type CleanStep struct {
 	ExaminedHypotheses int64 `json:"examined_hypotheses"`
 }
 
-// CleanSession is an in-progress CPClean run (Algorithm 3) whose steps the
-// caller pulls one at a time — the serving layer streams them out as they
-// complete. The run's state is a selection.Run (private, pinnable engines;
-// Scratches from the dataset's shared pool); the session adds the step
-// budget and count. A session must be driven from one goroutine.
-type CleanSession struct {
-	run      *selection.Run // nil once closed
-	maxSteps int
-	steps    int
-}
-
 // validateCleanRequest checks a CleanRequest against the dataset without
 // building any engine state, so session creation can reject bad input
 // immediately while deferring the expensive build to the first step.
@@ -84,91 +73,41 @@ func validateCleanRequest(ds *Dataset, req CleanRequest) (k int, err error) {
 	return k, nil
 }
 
-// NewCleanSession validates the request and builds the per-validation-point
-// engines (in parallel) plus the initial certainty mask.
-func (s *Server) NewCleanSession(name string, req CleanRequest) (*CleanSession, error) {
-	ds, err := s.Dataset(name)
-	if err != nil {
-		return nil, err
-	}
-	k, err := validateCleanRequest(ds, req)
-	if err != nil {
-		return nil, err
-	}
-	return s.buildCleanSession(ds, k, req)
-}
-
-// buildCleanSession does the expensive part of session construction: the
+// buildRun does the expensive part of session construction: the
 // selection.Run, whose validation engines are built in parallel and whose
 // Scratches come from the dataset's pool for K. req must already have
 // passed validateCleanRequest.
-func (s *Server) buildCleanSession(ds *Dataset, k int, req CleanRequest) (*CleanSession, error) {
+func (s *Server) buildRun(ds *Dataset, k int, req CleanRequest) (*selection.Run, error) {
 	pool := ds.pool(k, s.cfg)
-	run, err := selection.NewRun(ds.data, ds.kernel, req.ValPoints, req.Truth,
+	return selection.NewRun(ds.data, ds.kernel, req.ValPoints, req.Truth,
 		func(e *core.Engine) (*core.ScratchPool, error) { return pool.scratchesFor(e), nil },
 		selection.Config{K: k, Parallelism: s.cfg.Parallelism})
-	if err != nil {
-		return nil, err
-	}
-	return &CleanSession{run: run, maxSteps: req.MaxSteps}, nil
 }
 
-// Done reports whether the session has nothing left to do: every validation
-// point CP'ed, every uncertain row cleaned, or the step budget exhausted.
-func (c *CleanSession) Done() bool {
-	return c.maxSteps > 0 && c.steps >= c.maxSteps || c.run.Done()
-}
-
-// Close releases the session's serving resources: the per-validation-point
-// engines and the selection engine's memos dominate session memory
-// (O(valpoints · NM log NM)), and dropping them here instead of waiting for
-// the whole session object to fall out of scope is what lets the store hold
-// many finished-but-not-yet-deleted sessions cheaply. Stepping a closed
-// session is an error; Close is idempotent.
-func (c *CleanSession) Close() { c.run = nil }
-
-// Step executes one greedy CPClean step — the shared incremental selection
-// engine (internal/selection) scores every candidate row by expected
-// conditional entropy (Eq. 4), reusing memoized hypothesis sums from earlier
-// steps wherever the last pin provably left them unchanged — then the
-// minimizer is cleaned and certainty refreshed. ok is false when the session
-// was already done.
-func (c *CleanSession) Step() (step CleanStep, ok bool, err error) {
-	if c.run == nil {
-		return CleanStep{}, false, fmt.Errorf("serve: clean session is closed")
-	}
-	if c.Done() {
+// step executes one greedy CPClean step on run, whose first executed steps
+// are already done: the shared incremental selection engine
+// (internal/selection) scores every candidate row by expected conditional
+// entropy (Eq. 4), reusing memoized hypothesis sums from earlier steps
+// wherever the last pin provably left them unchanged, then the minimizer is
+// cleaned and certainty refreshed. ok is false when the run has nothing left
+// to do: every validation point CP'ed, every uncertain row cleaned, or the
+// step budget exhausted.
+func (sess *Session) step(run *selection.Run, executed int) (step CleanStep, ok bool, err error) {
+	if sess.maxSteps > 0 && executed >= sess.maxSteps || run.Done() {
 		return CleanStep{}, false, nil
 	}
-	rows, entropies, examined := c.run.Select(1)
-	cand, err := c.run.Clean(rows[0])
+	rows, entropies, examined := run.Select(1)
+	cand, err := run.Clean(rows[0])
 	if err != nil {
 		return CleanStep{}, false, err
 	}
-	c.steps++
 	return CleanStep{
-		Step:               c.steps,
+		Step:               executed + 1,
 		Row:                rows[0],
 		Candidate:          cand,
 		Entropy:            entropies[0],
-		CertainFraction:    c.run.CertainFraction(),
-		WorldsRemaining:    c.run.WorldCount().String(),
+		CertainFraction:    run.CertainFraction(),
+		WorldsRemaining:    run.WorldCount().String(),
 		ExaminedHypotheses: examined,
 	}, true, nil
-}
-
-// Order is a convenience that runs the session to completion and returns
-// the cleaned rows in order.
-func (c *CleanSession) Order() ([]int, error) {
-	var out []int
-	for {
-		step, ok, err := c.Step()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			return out, nil
-		}
-		out = append(out, step.Row)
-	}
 }

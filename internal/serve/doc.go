@@ -44,10 +44,12 @@
 //     handed to the client, so a disconnect can never lose an acknowledged
 //     step, and /stream?from=k replays are exact.
 //   - Deterministic stepping: given the same dataset, request, and pin
-//     prefix, CleanSession.Step picks the same row, candidate, and
-//     examined_hypotheses count. A step is one step of a selection.Run,
-//     the loop cleaning.CPClean runs too, so a session cleans the rows
-//     the library would (TestCPCleanDriversLockstep in the root package).
+//     prefix, a session's step picks the same row, candidate, and
+//     examined_hypotheses count. A step is one Select(1) + Clean of the
+//     session's selection.Run, the loop cleaning.CPClean runs too, so a
+//     session cleans the rows the library would
+//     (TestCPCleanDriversLockstep in the root package). The history is the
+//     step count: step n is history[n-1].
 //     This is load-bearing for resume (TestSessionResumeLockstep) and for
 //     crash recovery (the journaled prefix is re-executed and verified,
 //     then the run continues bit-identically).

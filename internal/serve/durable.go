@@ -343,7 +343,7 @@ func (s *Server) journalSessionCreateStart(sess *Session) (commit func() error, 
 		K:         sess.k,
 		Truth:     sess.req.Truth,
 		ValPoints: sess.req.ValPoints,
-		MaxSteps:  sess.req.MaxSteps,
+		MaxSteps:  sess.maxSteps,
 		Created:   sess.created,
 	})
 }
@@ -368,7 +368,7 @@ func (s *Server) journalSessionDone(sess *Session) {
 	sess.mu.Lock()
 	rec := doneRecord{
 		ID:              sess.id,
-		Steps:           sess.snap.steps,
+		Steps:           len(sess.history),
 		CertainFraction: sess.snap.certainFraction,
 		Worlds:          sess.snap.worlds,
 		Examined:        sess.snap.examined,
@@ -466,7 +466,7 @@ func (s *Server) snapshotState() ([]byte, error) {
 			// Only a resumable session needs its request re-materialized.
 			p.Truth = sess.req.Truth
 			p.ValPoints = sess.req.ValPoints
-			p.MaxSteps = sess.req.MaxSteps
+			p.MaxSteps = sess.maxSteps
 		}
 		sess.mu.Unlock()
 		ps.Sessions = append(ps.Sessions, p)
@@ -579,7 +579,6 @@ func (s *Server) applyRecord(rec durable.Record) error {
 			// Overlap or redelivery; already applied.
 		case sr.Step.Step == n+1:
 			sess.history = append(sess.history, sr.Step)
-			sess.snap.steps = len(sess.history)
 			sess.snap.certainFraction = sr.Step.CertainFraction
 			sess.snap.worlds = sr.Step.WorldsRemaining
 			sess.snap.examined += sr.Step.ExaminedHypotheses
@@ -771,10 +770,10 @@ func (s *Server) buildRecoveredSession(ps persistedSession) (*Session, error) {
 		ds:       ds,
 		k:        ps.K,
 		created:  ps.Created,
+		maxSteps: ps.MaxSteps,
 		lastUsed: time.Now(), //cpvet:allow nowalltime -- idle clock restarts at recovery; never persisted or replayed
 		history:  ps.History,
 	}
-	sess.snap.steps = len(ps.History)
 	var examined int64
 	for i := range ps.History {
 		examined += ps.History[i].ExaminedHypotheses
@@ -798,7 +797,7 @@ func (s *Server) buildRecoveredSession(ps persistedSession) (*Session, error) {
 		}
 	default:
 		sess.suspended = true
-		sess.req = CleanRequest{Truth: ps.Truth, ValPoints: ps.ValPoints, K: ps.K, MaxSteps: ps.MaxSteps}
+		sess.req = CleanRequest{Truth: ps.Truth, ValPoints: ps.ValPoints, K: ps.K}
 		if _, err := validateCleanRequest(ds, sess.req); err != nil {
 			return nil, err
 		}

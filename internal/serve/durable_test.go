@@ -54,25 +54,20 @@ func crashCopy(t *testing.T, src string) string {
 }
 
 // runReference executes the same clean workload uninterrupted and returns
-// its full step sequence.
+// its full step sequence. It runs on a fresh in-memory server holding s's
+// dataset, so the reference session never reaches s's journal.
 func runReference(t *testing.T, s *Server, name string, req CleanRequest) []CleanStep {
 	t.Helper()
-	ref, err := s.NewCleanSession(name, req)
+	ds, err := s.Dataset(name)
 	if err != nil {
 		t.Fatal(err)
 	}
+	ref := NewServer(Config{})
 	defer ref.Close()
-	var steps []CleanStep
-	for {
-		step, ok, err := ref.Step()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			return steps
-		}
-		steps = append(steps, step)
+	if _, err := ref.Register(name, ds.Data(), ds.Kernel(), ds.K()); err != nil {
+		t.Fatal(err)
 	}
+	return runSession(t, ref, name, req)
 }
 
 // TestDurableKillRestartLockstep is the acceptance test for the durability

@@ -7,17 +7,14 @@ import (
 	"sync/atomic"
 )
 
-// resultCache is the server-wide query result cache: finished PointResults
-// keyed by everything that determines a CP answer — dataset fingerprint,
-// session scope, K, accumulator mode, pin generation, and the test point's
-// exact bit pattern — so a repeated query is answered without touching an
-// engine, a Scratch, or a session's retained memo at all. It sits in front of
-// Dataset.StreamBatchQuery (scope "", generation 0: pooled engines are never
-// pinned, so a dataset-level answer can never go stale) and
-// Session.StreamQuery (scope = session ID, generation = executed-step count:
-// the history is append-only, so the prefix length identifies the pin state
-// exactly — a cleaning step bumps the generation and the stale entry is
-// simply never keyed again, aging out through the byte budget).
+// resultCache is the server-wide dataset query result cache: finished
+// PointResults keyed by everything that determines an unpinned CP answer —
+// dataset fingerprint, K, accumulator mode, and the test point's exact bit
+// pattern — so a repeated dataset query is answered without touching an
+// engine or a Scratch at all. It sits in front of Dataset.StreamBatchQuery
+// only: pooled engines are never pinned, so a dataset-level answer can never
+// go stale. Session queries answer from their own per-point memo
+// (sessionQueryCache) and never consult it.
 //
 // The cache is byte-budgeted through the same lruBudget accounting as the
 // engine LRU and opt-in via Config.ResultCacheBytes; cached Fractions slices
@@ -39,16 +36,12 @@ func newResultCache(maxBytes int64) *resultCache {
 	}
 }
 
-// resultKey builds the cache key. scope is "" for dataset-level queries and
-// the session ID for session-level ones; gen is the pin-state generation the
-// answer is valid for (0 at dataset level, the executed-step count at session
-// level). point is the pointKey encoding of the test point.
-func resultKey(fingerprint, scope string, k int, useMC bool, gen uint64, point string) string {
+// resultKey builds the cache key; point is the pointKey encoding of the
+// test point.
+func resultKey(fingerprint string, k int, useMC bool, point string) string {
 	var b strings.Builder
-	b.Grow(len(fingerprint) + len(scope) + len(point) + 32)
+	b.Grow(len(fingerprint) + len(point) + 32)
 	b.WriteString(fingerprint)
-	b.WriteByte('|')
-	b.WriteString(scope)
 	b.WriteByte('|')
 	b.WriteString(strconv.Itoa(k))
 	if useMC {
@@ -56,8 +49,6 @@ func resultKey(fingerprint, scope string, k int, useMC bool, gen uint64, point s
 	} else {
 		b.WriteString("|tally|")
 	}
-	b.WriteString(strconv.FormatUint(gen, 10))
-	b.WriteByte('|')
 	b.WriteString(point)
 	return b.String()
 }
@@ -82,16 +73,6 @@ func (rc *resultCache) put(key string, r PointResult) {
 	rc.mu.Lock()
 	rc.cache.put(key, r, bytes)
 	rc.mu.Unlock()
-}
-
-// resultCacheFor returns the result cache a query path should consult: nil
-// when the cache is disabled or the query-memo ablation is on (the ablation
-// must keep every sweep counter comparable, so no layer may short-circuit).
-func (c Config) resultCacheFor() *resultCache {
-	if c.DisableQueryMemo {
-		return nil
-	}
-	return c.results
 }
 
 // ResultCacheStats is the /v1/stats result-cache block.

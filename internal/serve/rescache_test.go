@@ -94,54 +94,6 @@ func TestResultCacheBatchRoundTrip(t *testing.T) {
 	}
 }
 
-// TestResultCacheSessionGeneration checks the invalidation contract at the
-// session level: an unchanged session answers repeats from cache, a cleaning
-// step bumps the generation so the next query misses — and the fresh answer
-// matches a reference pinned-engine sweep bit for bit, never the stale entry.
-func TestResultCacheSessionGeneration(t *testing.T) {
-	s, d, sess := cleanFixture(t, Config{ResultCacheBytes: 1 << 20}, 404)
-	defer s.Close()
-	points := randPoints(4, 2, 405)
-	req := BatchRequest{Points: points}
-	var executed []CleanStep
-	for round := 0; round < 3; round++ {
-		if round > 0 {
-			steps, _, err := sess.Next(1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			executed = append(executed, steps...)
-		}
-		before := s.Stats().ResultCache.Hits
-		res, err := sess.Query(context.Background(), req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		st := s.Stats().ResultCache
-		if st.Hits != before {
-			t.Fatalf("round %d: first query at a new pin state got %d cache hits", round, st.Hits-before)
-		}
-		repeat, err := sess.Query(context.Background(), req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		st = s.Stats().ResultCache
-		if st.Hits != before+int64(len(points)) {
-			t.Fatalf("round %d: repeat query got %d hits, want %d", round, st.Hits-before, len(points))
-		}
-		samePointResults(t, "repeat vs fresh", repeat.Results, res.Results)
-		for i := range points {
-			want := referencePinned(d, executed, points[i], 3)
-			for y, v := range want {
-				if res.Results[i].Fractions[y] != v {
-					t.Fatalf("round %d point %d label %d: cached-path answer %v, reference pinned sweep %v",
-						round, i, y, res.Results[i].Fractions, want)
-				}
-			}
-		}
-	}
-}
-
 // TestResultCacheEviction checks the byte budget: a budget far below the
 // sweep's footprint evicts (keeping at least the most recent entry) and the
 // accounted bytes stay at or under the budget whenever more than one entry is
@@ -166,27 +118,5 @@ func TestResultCacheEviction(t *testing.T) {
 	}
 	if st.Entries > 1 && st.Bytes > st.MaxBytes {
 		t.Fatalf("cache holds %d bytes above the %d budget with %d entries", st.Bytes, st.MaxBytes, st.Entries)
-	}
-}
-
-// TestResultCacheAblationBypass checks DisableQueryMemo turns the result
-// cache off too: the ablation baseline's sweep counters must stay comparable,
-// so no layer may short-circuit a repeated query.
-func TestResultCacheAblationBypass(t *testing.T) {
-	d := randDataset(t, 24, 3, 2, 2, 0.5, 408)
-	s := NewServer(Config{ResultCacheBytes: 1 << 20, DisableQueryMemo: true})
-	defer s.Close()
-	if _, err := s.Register("d", d, nil, 3); err != nil {
-		t.Fatal(err)
-	}
-	points := randPoints(5, 2, 409)
-	for i := 0; i < 2; i++ {
-		if _, err := s.BatchQuery(context.Background(), "d", BatchRequest{Points: points}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st := s.Stats().ResultCache
-	if st.Hits != 0 || st.Misses != 0 || st.Entries != 0 {
-		t.Fatalf("ablation run touched the result cache: %+v", st)
 	}
 }

@@ -85,18 +85,18 @@ type Config struct {
 	// DisableQueryMemo turns off the Q2 memo (core.Retained) of session queries:
 	// every session-query Q2 runs a full SS-DC sweep — the pre-incremental
 	// behavior, kept as the benchmark/ablation baseline
-	// (BenchmarkBatchQ2_FullSweep). It also bypasses the result cache for
-	// dataset and session queries alike, so the ablation's sweep counters
-	// stay comparable. Dataset queries always sweep their unpinned engines.
+	// (BenchmarkBatchQ2_FullSweep). Dataset queries always sweep their
+	// unpinned engines, so it changes nothing there.
 	DisableQueryMemo bool
-	// ResultCacheBytes enables the server-wide query result cache with this
-	// approximate byte budget: finished PointResults are kept by (dataset
-	// fingerprint, session, K, accumulator mode, pin generation, test point),
-	// so a repeated batch or session query is answered without touching an
-	// engine at all. Unlike the other knobs, 0 does not mean "default" — it
-	// (and any negative value) disables the cache. The cache is opt-in
-	// because a hit skips the engine and session-memo layers entirely, changing which
-	// /v1/stats counters a repeated query advances.
+	// ResultCacheBytes enables the server-wide dataset query result cache
+	// with this approximate byte budget: finished PointResults are kept by
+	// (dataset fingerprint, K, accumulator mode, test point), so a repeated
+	// dataset batch is answered without touching an engine at all. Session
+	// queries never use it; their per-point memo answers repeats. Unlike the
+	// other knobs, 0 does not mean "default" — it (and any negative value)
+	// disables the cache. The cache is opt-in because a hit skips the engine
+	// layer entirely, changing which /v1/stats counters a repeated query
+	// advances.
 	ResultCacheBytes int64
 	// MaxCleanSessions caps concurrently live clean sessions
 	// (0 = DefaultMaxCleanSessions, negative = unlimited). Creation beyond

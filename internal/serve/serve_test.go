@@ -18,6 +18,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/knn"
+	"repro/internal/selection"
 )
 
 // randDataset builds a deterministic random incomplete dataset: label-
@@ -280,7 +281,7 @@ func TestCleanSessionMatchesGreedyReference(t *testing.T) {
 			for i := range truth {
 				truth[i] = rng.Intn(d.Examples[i].M())
 			}
-			sess, err := s.NewCleanSession("d", CleanRequest{Truth: truth, ValPoints: valPts})
+			sess, err := s.StartCleanSession("d", CleanRequest{Truth: truth, ValPoints: valPts})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -307,19 +308,24 @@ func TestCleanSessionMatchesGreedyReference(t *testing.T) {
 				}
 			}
 			refresh()
-			prevWorlds := sess.run.WorldCount()
+			prevWorlds := d.WorldCount()
+			var run *selection.Run // the session's run after its latest step
 			steps := 0
 			for ; ; steps++ {
 				if steps > d.N() {
 					t.Fatal("session did not terminate")
 				}
-				step, ok, err := sess.Step()
+				next, _, err := sess.Next(1)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !ok {
+				if len(next) == 0 {
 					break
 				}
+				step := next[0]
+				sess.mu.Lock()
+				run = sess.run
+				sess.mu.Unlock()
 				// The cleaned row must be a reference argmin (within float noise).
 				cleanedScore := refExpectedEntropy(refEngines, refCertain, d, step.Row, 3)
 				for row := 0; row < d.N(); row++ {
@@ -347,7 +353,7 @@ func TestCleanSessionMatchesGreedyReference(t *testing.T) {
 				if want := float64(certain) / float64(len(refCertain)); step.CertainFraction != want {
 					t.Fatalf("step %d: certain fraction %v, reference %v", step.Step, step.CertainFraction, want)
 				}
-				worlds := sess.run.WorldCount()
+				worlds := run.WorldCount()
 				if worlds.Cmp(prevWorlds) >= 0 {
 					t.Fatalf("step %d: worlds %s did not shrink from %s", step.Step, worlds, prevWorlds)
 				}
@@ -356,8 +362,8 @@ func TestCleanSessionMatchesGreedyReference(t *testing.T) {
 			if steps < 2 {
 				t.Fatalf("session ran %d steps; too few to compare with the reference", steps)
 			}
-			if !sess.run.AllCertain() && len(sess.run.Candidates()) > 0 {
-				t.Fatalf("session stopped at certain fraction %.3f with rows left", sess.run.CertainFraction())
+			if !run.AllCertain() && len(run.Candidates()) > 0 {
+				t.Fatalf("session stopped at certain fraction %.3f with rows left", run.CertainFraction())
 			}
 		})
 	}
@@ -370,20 +376,13 @@ func TestCleanSessionMaxSteps(t *testing.T) {
 	if _, err := s.Register("d", d, knn.NegEuclidean{}, 3); err != nil {
 		t.Fatal(err)
 	}
-	sess, err := s.NewCleanSession("d", CleanRequest{
+	steps := runSession(t, s, "d", CleanRequest{
 		Truth:     make([]int, d.N()),
 		ValPoints: randPoints(6, 2, 53),
 		MaxSteps:  2,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	order, err := sess.Order()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(order) > 2 {
-		t.Fatalf("budget 2, cleaned %d rows", len(order))
+	if len(steps) > 2 {
+		t.Fatalf("budget 2, cleaned %d rows", len(steps))
 	}
 }
 
@@ -639,14 +638,7 @@ func TestCleanStreamStopsOnClientCancel(t *testing.T) {
 	truth := make([]int, d.N())
 	// Control: the same session run to completion takes several steps, so an
 	// uncanceled stream would emit several lines.
-	ctrl, err := s.NewCleanSession("d", CleanRequest{Truth: truth, ValPoints: valPts})
-	if err != nil {
-		t.Fatal(err)
-	}
-	order, err := ctrl.Order()
-	if err != nil {
-		t.Fatal(err)
-	}
+	order := runSession(t, s, "d", CleanRequest{Truth: truth, ValPoints: valPts})
 	if len(order) < 2 {
 		t.Fatalf("workload finishes in %d steps; too short to observe cancellation", len(order))
 	}
@@ -713,25 +705,21 @@ func TestCleanSessionReportsExaminedHypotheses(t *testing.T) {
 		t.Fatal(err)
 	}
 	truth := make([]int, d.N())
-	sess, err := s.NewCleanSession("d", CleanRequest{Truth: truth, ValPoints: randPoints(8, 2, 101)})
+	sess, err := s.StartCleanSession("d", CleanRequest{Truth: truth, ValPoints: randPoints(8, 2, 101)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var total int64
 	steps := 0
-	for {
-		step, ok, err := sess.Step()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			break
-		}
+	if _, err := sess.DriveFrom(0, func(step CleanStep) bool {
 		if step.ExaminedHypotheses < 0 {
 			t.Fatalf("step %d: negative examined_hypotheses %d", step.Step, step.ExaminedHypotheses)
 		}
 		total += step.ExaminedHypotheses
 		steps++
+		return true
+	}); err != nil {
+		t.Fatal(err)
 	}
 	if steps == 0 {
 		t.Fatal("session executed no steps")
@@ -739,7 +727,7 @@ func TestCleanSessionReportsExaminedHypotheses(t *testing.T) {
 	if total == 0 {
 		t.Fatal("no hypothesis scans recorded across the whole session")
 	}
-	if got := sess.run.Examined(); got != total {
+	if got := sess.Status().ExaminedHypotheses; got != total {
 		t.Fatalf("session total %d != sum of per-step counters %d", got, total)
 	}
 

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"sync"
 	"time"
+
+	"repro/internal/selection"
 )
 
 // tombstoneTTL is how long an expired session's ID keeps answering ErrGone
@@ -48,9 +50,11 @@ func newSessionStore(max int, ttl time.Duration) *sessionStore {
 // survives client disconnects, and dies only by DELETE, idle-TTL eviction,
 // or server shutdown.
 //
-// The underlying CleanSession is built lazily by the first driver, so
+// The underlying selection.Run is built lazily by the first driver, so
 // creation returns immediately and validation errors still surface at
-// creation time (validateCleanRequest runs up front).
+// creation time (validateCleanRequest runs up front). Its private, pinnable
+// engines take Scratches from the dataset's shared pool; the session adds
+// the step budget, and the history's length is its step count.
 //
 // Every executed step is recorded in an append-only history, which is what
 // makes disconnects harmless: a client that lost the stream after step k
@@ -64,6 +68,8 @@ type Session struct {
 	k       int
 	req     CleanRequest
 	created time.Time
+	// maxSteps caps executed steps (0 = until the run is done).
+	maxSteps int
 
 	mu             sync.Mutex
 	lastUsed       time.Time // guarded by mu
@@ -78,9 +84,11 @@ type Session struct {
 	// was never interrupted.
 	suspended bool
 	failed    error
-	clean     *CleanSession // nil until the first driver builds it
-	history   []CleanStep   // every executed step, in order
-	snap      sessionSnap
+	// run is the live CPClean run: nil until the first driver builds it,
+	// and again once the run is done, failed or closed.
+	run     *selection.Run
+	history []CleanStep // every executed step, in order
+	snap    sessionSnap
 	// queries is the session's batch-query state: per-point engines pinned
 	// to the executed step history, each with a Q2 memo of its pin state
 	// (see squery.go). Built on first Query; dropped on close.
@@ -88,11 +96,10 @@ type Session struct {
 }
 
 // sessionSnap caches the summary fields a driver refreshes after every step
-// so Status never has to touch the (single-goroutine) CleanSession.
+// so Status never has to touch the (single-goroutine) run.
 type sessionSnap struct {
 	started         bool
 	done            bool
-	steps           int
 	certainFraction float64
 	worlds          string
 	examined        int64
@@ -216,6 +223,7 @@ func (st *sessionStore) create(srv *Server, ds *Dataset, k int, req CleanRequest
 		k:        k,
 		req:      req,
 		created:  now,
+		maxSteps: req.MaxSteps,
 		lastUsed: now,
 	}
 	st.live[sess.id] = sess
@@ -400,9 +408,9 @@ func (st *sessionStore) close() {
 func (sess *Session) ID() string { return sess.id }
 
 // closeWhenIdle closes the session now, or, while a driver is attached (an
-// in-flight driver or replaying /stream reader still holds the
-// CleanSession, and closing under it would race), marks it so
-// releaseDriver finishes the close.
+// in-flight driver or replaying /stream reader still holds the run, and
+// closing under it would race), marks it so releaseDriver finishes the
+// close.
 func (sess *Session) closeWhenIdle() {
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
@@ -413,17 +421,18 @@ func (sess *Session) closeWhenIdle() {
 	}
 }
 
-// closeLocked releases the underlying CleanSession. Caller holds sess.mu
-// and must guarantee no driver is attached.
+// closeLocked releases the session's serving resources. Caller holds
+// sess.mu and must guarantee no driver is attached. The run's
+// per-validation-point engines and selection memos dominate session memory
+// (O(valpoints · NM log NM)); dropping them here instead of waiting for the
+// whole session object to fall out of scope is what lets the store hold
+// many finished-but-not-yet-deleted sessions cheaply.
 func (sess *Session) closeLocked() {
 	if sess.closed {
 		return
 	}
 	sess.closed = true
-	if sess.clean != nil {
-		sess.clean.Close()
-		sess.clean = nil
-	}
+	sess.run = nil
 	// The query cache holds per-point engines + Q2 memos — the bulk of
 	// a queried session's footprint.
 	sess.queries = nil
@@ -456,36 +465,36 @@ func (sess *Session) releaseDriver() {
 	}
 }
 
-// ensureBuilt constructs the CleanSession on first drive. Runs outside
+// ensureBuilt constructs the run on first drive. Runs outside
 // sess.mu (construction is expensive) but inside the driver slot, so no
 // other goroutine can observe a half-built session.
 //
 // For a suspended session (re-materialized from the journal after a
 // restart) it additionally re-executes the journaled step history through
-// the freshly built selection engine, verifying each re-executed step —
+// the freshly built run, verifying each re-executed step —
 // row, candidate, examined_hypotheses — against the journal. Because the
 // step function is deterministic, this leaves the engines, pins, and
 // selector memos in exactly the state an uninterrupted run would have, so
 // every remaining step is bit-identical; a divergence means the data
 // directory does not match the process (or a determinism bug) and fails the
 // session rather than silently continuing from inconsistent state.
-func (sess *Session) ensureBuilt() (*CleanSession, error) {
+func (sess *Session) ensureBuilt() (*selection.Run, error) {
 	sess.mu.Lock()
-	c := sess.clean
+	run := sess.run
 	started := sess.snap.started
 	suspended := sess.suspended
 	// history is append-only and this goroutine holds the only driver slot.
 	prefix := sess.history
 	sess.mu.Unlock()
-	if c != nil {
-		return c, nil
+	if run != nil {
+		return run, nil
 	}
 	if started && !suspended {
 		// Built once and released since — done and failed sessions drop their
-		// CleanSession, and drive returns before reaching here for both.
+		// run, and drive returns before reaching here for both.
 		return nil, fmt.Errorf("serve: internal: clean session %q has no live engine state", sess.id)
 	}
-	c, err := sess.server.buildCleanSession(sess.ds, sess.k, sess.req)
+	run, err := sess.server.buildRun(sess.ds, sess.k, sess.req)
 	if err != nil {
 		// The request already passed validation, so a build failure is a
 		// server-side fault — same 500 contract as a step failure.
@@ -494,19 +503,16 @@ func (sess *Session) ensureBuilt() (*CleanSession, error) {
 	if suspended {
 		for i := range prefix {
 			want := &prefix[i]
-			step, ok, err := c.Step()
+			step, ok, err := sess.step(run, i)
 			if err != nil {
-				c.Close()
 				return nil, sess.setFailed(fmt.Errorf("replaying journaled step %d: %w", i+1, err))
 			}
 			if !ok {
-				c.Close()
 				return nil, sess.setFailed(fmt.Errorf(
 					"journal has %d steps but the rebuilt run finished after %d", len(prefix), i))
 			}
 			if step.Row != want.Row || step.Candidate != want.Candidate ||
 				step.ExaminedHypotheses != want.ExaminedHypotheses {
-				c.Close()
 				return nil, sess.setFailed(fmt.Errorf(
 					"recovery diverged from the journal at step %d: re-executed (row %d, candidate %d, examined %d), journal has (row %d, candidate %d, examined %d)",
 					i+1, step.Row, step.Candidate, step.ExaminedHypotheses,
@@ -515,10 +521,10 @@ func (sess *Session) ensureBuilt() (*CleanSession, error) {
 		}
 	}
 	sess.mu.Lock()
-	sess.clean = c
+	sess.run = run
 	sess.suspended = false
 	sess.snap.started = true
-	sess.snapLocked(c)
+	sess.snapLocked(run)
 	if sess.server.journal == nil || !sess.ds.persistable {
 		// The request was only ever needed for this build; drop the copied
 		// Truth/ValPoints so a finished session really does hold just history
@@ -527,47 +533,43 @@ func (sess *Session) ensureBuilt() (*CleanSession, error) {
 		sess.req = CleanRequest{}
 	}
 	sess.mu.Unlock()
-	return c, nil
+	return run, nil
 }
 
 // snapLocked refreshes the status snapshot from the live run. Caller holds
 // sess.mu.
-func (sess *Session) snapLocked(c *CleanSession) {
-	sess.snap.steps = c.steps
-	sess.snap.certainFraction = c.run.CertainFraction()
-	sess.snap.worlds = c.run.WorldCount().String()
-	sess.snap.examined = c.run.Examined()
+func (sess *Session) snapLocked(run *selection.Run) {
+	sess.snap.certainFraction = run.CertainFraction()
+	sess.snap.worlds = run.WorldCount().String()
+	sess.snap.examined = run.Examined()
 }
 
 // record appends an executed step to the history and refreshes the status
 // snapshot.
-func (sess *Session) record(c *CleanSession, step CleanStep) {
+func (sess *Session) record(run *selection.Run, step CleanStep) {
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
 	sess.history = append(sess.history, step)
-	sess.snap.steps = c.steps
 	sess.snap.certainFraction = step.CertainFraction
 	sess.snap.worlds = step.WorldsRemaining
-	sess.snap.examined = c.run.Examined()
+	sess.snap.examined = run.Examined()
 	sess.lastUsed = time.Now()
 }
 
-// markDone finalizes the snapshot and releases the underlying CleanSession
-// immediately: replay and the summary need only history + snap, so a
-// finished run must not pin its engines and selection memos until DELETE or
-// the idle TTL.
-func (sess *Session) markDone(c *CleanSession) {
+// markDone finalizes the snapshot and releases the run immediately: replay
+// and the summary need only history + snap, so a finished run must not pin
+// its engines and selection memos until DELETE or the idle TTL.
+func (sess *Session) markDone(run *selection.Run) {
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
 	sess.snap.done = true
-	sess.snapLocked(c)
+	sess.snapLocked(run)
 	sess.req = CleanRequest{} // a finished run is never re-materialized
-	c.Close()
-	sess.clean = nil
+	sess.run = nil
 }
 
-// setFailed records a server-side step/build error and releases the
-// CleanSession (it is in an indeterminate state and will never step again);
+// setFailed records a server-side step/build error and releases the run
+// (it is in an indeterminate state and will never step again);
 // the history stays replayable. Returns the ErrSessionFailed-wrapped error
 // so the failing driver reports the same 500 every later driver will see.
 func (sess *Session) setFailed(err error) error {
@@ -575,10 +577,7 @@ func (sess *Session) setFailed(err error) error {
 	sess.failed = fmt.Errorf("%w: %v", ErrSessionFailed, err)
 	sess.suspended = false
 	sess.req = CleanRequest{}
-	if sess.clean != nil {
-		sess.clean.Close()
-		sess.clean = nil
-	}
+	sess.run = nil
 	failed := sess.failed
 	sess.mu.Unlock()
 	// Best-effort: when journaling itself is what failed this only logs.
@@ -641,21 +640,21 @@ func (sess *Session) drive(from int, fn func(CleanStep) bool) (done bool, err er
 	if err := sess.server.writeGate(); err != nil {
 		return false, err
 	}
-	c, err := sess.ensureBuilt()
+	run, err := sess.ensureBuilt()
 	if err != nil {
 		return false, err
 	}
-	for {
-		step, ok, err := c.Step()
+	for executed := n; ; executed++ {
+		step, ok, err := sess.step(run, executed)
 		if err != nil {
 			return false, sess.setFailed(err)
 		}
 		if !ok {
-			sess.markDone(c)
+			sess.markDone(run)
 			sess.server.journalSessionDone(sess)
 			return true, nil
 		}
-		sess.record(c, step)
+		sess.record(run, step)
 		// Journaled asynchronously (group commit): a crash can lose the
 		// freshest steps, and recovery re-executes them identically. A WAL
 		// that cannot accept the record at all fails the session — continuing
@@ -685,8 +684,9 @@ func (sess *Session) Next(n int) (steps []CleanStep, done bool, err error) {
 	return steps, done, err
 }
 
-// Status snapshots the session without touching the underlying CleanSession,
-// so it is safe (and cheap) while a driver is mid-step.
+// Status snapshots the session without touching the run, so it is safe (and
+// cheap) while a driver is mid-step. It takes the query cache's leaf lock
+// under sess.mu for the query-memo totals.
 func (sess *Session) Status() SessionStatus {
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
@@ -694,7 +694,7 @@ func (sess *Session) Status() SessionStatus {
 		ID:                 sess.id,
 		Dataset:            sess.ds.Name(),
 		Busy:               sess.driving,
-		Steps:              sess.snap.steps,
+		Steps:              len(sess.history),
 		CertainFraction:    sess.snap.certainFraction,
 		WorldsRemaining:    sess.snap.worlds,
 		ExaminedHypotheses: sess.snap.examined,
@@ -702,7 +702,7 @@ func (sess *Session) Status() SessionStatus {
 		LastUsedAt:         sess.lastUsed.UTC().Format(time.RFC3339Nano),
 	}
 	if sess.queries != nil {
-		qs := sess.queries.statsSnapshot() // atomic counters; no extra locks
+		qs := sess.queries.statsSnapshot()
 		st.QueryMemo = &qs
 	}
 	switch {

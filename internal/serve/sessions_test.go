@@ -18,6 +18,25 @@ import (
 	"repro/internal/knn"
 )
 
+// runSession starts a clean session on s and drives it to completion in one
+// uninterrupted DriveFrom, returning every executed step.
+func runSession(t *testing.T, s *Server, name string, req CleanRequest) []CleanStep {
+	t.Helper()
+	sess, err := s.StartCleanSession(name, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var steps []CleanStep
+	done, err := sess.DriveFrom(0, func(step CleanStep) bool {
+		steps = append(steps, step)
+		return true
+	})
+	if err != nil || !done {
+		t.Fatalf("driving session to completion: done %v, err %v", done, err)
+	}
+	return steps
+}
+
 // cleanBody builds the POST /clean payload shared by the session tests.
 func cleanBody(t *testing.T, truth []int, valPts [][]float64) map[string]interface{} {
 	t.Helper()
@@ -52,21 +71,7 @@ func TestSessionResumeLockstep(t *testing.T) {
 	truth := make([]int, d.N())
 
 	// Reference: the same workload run uninterrupted.
-	ref, err := s.NewCleanSession("d", CleanRequest{Truth: truth, ValPoints: valPts})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var refSteps []CleanStep
-	for {
-		step, ok, err := ref.Step()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			break
-		}
-		refSteps = append(refSteps, step)
-	}
+	refSteps := runSession(t, s, "d", CleanRequest{Truth: truth, ValPoints: valPts})
 	if len(refSteps) < 4 {
 		t.Fatalf("reference run has %d steps; too short to interrupt meaningfully", len(refSteps))
 	}
@@ -551,10 +556,10 @@ func TestStreamOfFinishedSessionEmitsSummaryOnly(t *testing.T) {
 	// A finished run must not pin its engines until DELETE/TTL: replay and
 	// the summary need only the history + snapshot.
 	sess.mu.Lock()
-	leaked := sess.clean != nil
+	leaked := sess.run != nil
 	sess.mu.Unlock()
 	if leaked {
-		t.Fatal("finished session still holds its CleanSession (engines + memos)")
+		t.Fatal("finished session still holds its run (engines + memos)")
 	}
 	srv := httptest.NewServer(Handler(s))
 	defer srv.Close()

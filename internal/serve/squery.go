@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -13,16 +12,18 @@ import (
 
 // sessionQueryCache answers batch CP queries against a clean session's
 // *current* pin state. A session query is a dataset query under the session's
-// pins: per (K, test point) the cache keeps a fork of the dataset pool's
-// engine (core.Engine.Fork — the pooled similarity view and scan order are
-// shared, only the pins are the session's) with the session's executed
-// cleaning steps applied, plus a Q2 memo of one pin state (core.Retained).
-// A batch Q2 repeated while the session pins rows therefore reuses the
-// prior answer — an unchanged session is a pure memo hit, a session that
-// pinned only irrelevant rows since is too — and a relevant pin costs one
-// ordinary SS-DC sweep.
+// pins: per (K, accumulator mode, test point) the cache keeps a fork of the
+// dataset pool's engine (core.Engine.Fork — the pooled similarity view and
+// scan order are shared, only the pins are the session's) with the session's
+// executed cleaning steps applied, plus a Q2 memo of one pin state
+// (core.Retained) in that entry's mode. A batch Q2 repeated while the session
+// pins rows therefore reuses the prior answer — an unchanged session is a
+// pure memo hit, a session that pinned only irrelevant rows since is too —
+// and a relevant pin costs one ordinary SS-DC sweep. The memo is the only
+// cache a session answer passes through: session queries never touch the
+// server-wide result cache.
 //
-// The cache is independent of the session's cleaning engines, so queries run
+// The cache is independent of the session's run, so queries run
 // concurrently with the (single-goroutine) driver: the driver appends to the
 // session history under sess.mu, queries snapshot that history and catch
 // their forks up pin by pin under each entry's own lock.
@@ -32,22 +33,18 @@ type sessionQueryCache struct {
 
 	mu    sync.Mutex
 	cache *lruBudget[*squeryEntry] // guarded by mu
-
-	// Lifetime counters, surviving entry eviction. queries counts points
-	// answered; the rest mirror core.RetainedStats (DeltaScans is always 0).
-	queries   atomic.Int64
-	fullScans atomic.Int64
-	memoHits  atomic.Int64
-	scanned   atomic.Int64
-	avoided   atomic.Int64
+	// stats is the session's lifetime total, surviving entry eviction;
+	// guarded by mu.
+	stats SessionQueryStats
 }
 
-// squeryEntry is one (K, point) pinned fork + Q2 memo. mu serializes use;
-// last holds the memo stats already folded into the cache counters.
+// squeryEntry is one (K, mode, point) pinned fork + Q2 memo. mu serializes
+// use; last holds the memo counters already folded into the cache's stats.
 type squeryEntry struct {
-	key string
-	k   int
-	pt  []float64
+	key   string
+	k     int
+	useMC bool
+	pt    []float64
 
 	mu       sync.Mutex
 	engine   *core.Engine
@@ -82,51 +79,55 @@ type SessionQueryStats struct {
 }
 
 func (q *sessionQueryCache) statsSnapshot() SessionQueryStats {
-	return SessionQueryStats{
-		Queries: q.queries.Load(),
-		Retained: core.RetainedStats{
-			FullScans:         q.fullScans.Load(),
-			MemoHits:          q.memoHits.Load(),
-			CandidatesScanned: q.scanned.Load(),
-			CandidatesAvoided: q.avoided.Load(),
-		},
-	}
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return q.stats
 }
 
-// entry returns (creating if needed) the cache entry for (pt, k); pk is
-// pt's pointKey. Eviction runs the engine pool's policy through the shared
-// lruBudget accounting.
-func (q *sessionQueryCache) entry(pt []float64, pk string, k int) *squeryEntry {
-	key := strconv.Itoa(k) + "|" + pk
+// entry returns (creating if needed) the cache entry for (pt, k, useMC);
+// pk is pt's pointKey. Eviction runs the engine pool's policy through the
+// shared lruBudget accounting.
+func (q *sessionQueryCache) entry(pt []float64, pk string, k int, useMC bool) *squeryEntry {
+	mode := "|tally|"
+	if useMC {
+		mode = "|mc|"
+	}
+	key := strconv.Itoa(k) + mode + pk
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if ent, ok := q.cache.get(key); ok {
 		return ent
 	}
-	ent := &squeryEntry{key: key, k: k, pt: pt}
+	ent := &squeryEntry{key: key, k: k, useMC: useMC, pt: pt}
 	q.cache.put(key, ent, 0)
 	return ent
 }
 
-// reaccount refreshes an entry's byte estimate after a query grew its
-// memo state, re-applying the byte budget.
-func (q *sessionQueryCache) reaccount(ent *squeryEntry, newBytes int64) {
+// account folds one answered point into the session's stats — the entry's
+// memo counters since its last query — and refreshes the entry's byte
+// estimate, re-applying the byte budget. Caller holds ent.mu.
+func (q *sessionQueryCache) account(ent *squeryEntry) {
+	s := ent.retained.Stats()
+	bytes := ent.engine.ApproxBytes() + ent.retained.ApproxBytes()
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	q.cache.reaccount(ent.key, newBytes)
+	q.stats.Queries++
+	q.stats.Retained.Add(s.Sub(ent.last))
+	ent.last = s
+	q.cache.reaccount(ent.key, bytes)
 }
 
 // queryPoint answers one point under the pins of hist (the session's
 // executed steps): the entry's fork of the pooled engine is caught up on any
 // steps it has not seen, then the memo answers — O(N) when nothing relevant
 // changed, one sweep otherwise.
-func (q *sessionQueryCache) queryPoint(ent *squeryEntry, hist []CleanStep, useMC bool) (PointResult, error) {
+func (q *sessionQueryCache) queryPoint(ent *squeryEntry, hist []CleanStep) (PointResult, error) {
 	ent.mu.Lock()
 	defer ent.mu.Unlock()
-	pool := q.ds.pool(ent.k, q.cfg)
 	if ent.engine == nil {
+		pool := q.ds.pool(ent.k, q.cfg)
 		e := pool.engine(ent.pt).Fork()
-		rt, err := core.NewRetained(e, ent.k, useMC, pool.scratchesFor(e))
+		rt, err := core.NewRetained(e, ent.k, ent.useMC, pool.scratchesFor(e))
 		if err != nil {
 			return PointResult{}, err
 		}
@@ -139,12 +140,6 @@ func (q *sessionQueryCache) queryPoint(ent *squeryEntry, hist []CleanStep, useMC
 		st := hist[ent.applied]
 		ent.engine.SetPin(st.Row, st.Candidate)
 	}
-	q.queries.Add(1)
-	if ent.retained.UseMC() != useMC {
-		// Mode flip on a warm entry: answer with a plain sweep rather than
-		// thrash the retained accumulator.
-		return pool.query(ent.engine, ent.k, useMC)
-	}
 	if q.cfg.DisableQueryMemo {
 		// Ablation baseline: force the full sweep through the same code path
 		// so the scan counters stay comparable.
@@ -152,13 +147,7 @@ func (q *sessionQueryCache) queryPoint(ent *squeryEntry, hist []CleanStep, useMC
 	}
 	counts := ent.retained.Counts()
 	r, err := assemblePointResult(ent.engine, ent.k, append([]float64(nil), counts...))
-	s := ent.retained.Stats()
-	q.fullScans.Add(s.FullScans - ent.last.FullScans)
-	q.memoHits.Add(s.MemoHits - ent.last.MemoHits)
-	q.scanned.Add(s.CandidatesScanned - ent.last.CandidatesScanned)
-	q.avoided.Add(s.CandidatesAvoided - ent.last.CandidatesAvoided)
-	ent.last = s
-	q.reaccount(ent, ent.engine.ApproxBytes()+ent.retained.ApproxBytes())
+	q.account(ent)
 	return r, err
 }
 
@@ -199,12 +188,9 @@ func (sess *Session) StreamQuery(ctx context.Context, req BatchRequest, yield fu
 			return BatchSummary{}, err
 		}
 	}
-	// Session answers are valid for one pin-state prefix: the history is
-	// append-only, so its snapshot length is the result-cache generation —
-	// a cleaning step bumps it and stale entries are simply never keyed again.
-	return sess.ds.batchQuery(ctx, sess.server.cfg.withDefaults(), req, k, sess.id, uint64(len(hist)),
+	return sess.ds.batchQuery(ctx, sess.server.cfg.withDefaults(), req, k,
 		func(pt []float64, pk string) (PointResult, error) {
-			return q.queryPoint(q.entry(pt, pk, k), hist, req.UseMC)
+			return q.queryPoint(q.entry(pt, pk, k, req.UseMC), hist)
 		}, yield)
 }
 
@@ -212,10 +198,9 @@ func (sess *Session) StreamQuery(ctx context.Context, req BatchRequest, yield fu
 // session was never queried).
 func (sess *Session) QueryStats() SessionQueryStats {
 	sess.mu.Lock()
-	q := sess.queries
-	sess.mu.Unlock()
-	if q == nil {
+	defer sess.mu.Unlock()
+	if sess.queries == nil {
 		return SessionQueryStats{}
 	}
-	return q.statsSnapshot()
+	return sess.queries.statsSnapshot()
 }

@@ -37,12 +37,83 @@ func cleanFixture(t *testing.T, cfg Config, seed int64) (*Server, *dataset.Incom
 // referencePinned answers one point with a fresh engine carrying the given
 // pins — the ground truth a session query must match bit for bit.
 func referencePinned(d *dataset.Incomplete, steps []CleanStep, pt []float64, k int) []float64 {
+	return referencePinnedMode(d, steps, pt, k, false)
+}
+
+// referencePinnedMode is referencePinned in either accumulator mode: tally
+// enumeration (Engine.Counts) or the multi-class DP (Engine.CountsMC).
+func referencePinnedMode(d *dataset.Incomplete, steps []CleanStep, pt []float64, k int, useMC bool) []float64 {
 	e := core.NewEngine(d, knn.NegEuclidean{}, pt)
 	for _, st := range steps {
 		e.SetPin(st.Row, st.Candidate)
 	}
 	sc := e.MustScratch(k)
+	if useMC {
+		return append([]float64(nil), e.CountsMC(sc, -1, -1)...)
+	}
 	return append([]float64(nil), e.Counts(sc, -1, -1)...)
+}
+
+// TestSessionQueryBothModes alternates tally and MC batches over the same
+// points on one session across several cleaning steps. Every answer must
+// equal a fresh pinned engine's Counts / CountsMC bit for bit, each mode's
+// repeat at one pin state must be a memo hit of that mode's own Retained,
+// and with the result cache enabled session queries must leave its hits
+// and misses unchanged: the per-point memo is a session answer's only cache.
+func TestSessionQueryBothModes(t *testing.T) {
+	s, d, sess := cleanFixture(t, Config{Parallelism: 2, ResultCacheBytes: 1 << 20}, 990)
+	defer s.Close()
+	ctx := context.Background()
+	points := randPoints(4, 2, 991)
+	// The result cache is live: a dataset batch misses once per point.
+	if _, err := s.BatchQuery(ctx, "d", BatchRequest{Points: points}); err != nil {
+		t.Fatal(err)
+	}
+	if rc := s.Stats().ResultCache; rc.Misses != int64(len(points)) {
+		t.Fatalf("dataset batch: %+v, want %d misses", rc, len(points))
+	}
+	var executed []CleanStep
+	for round := 0; round < 4; round++ {
+		cacheBefore := *s.Stats().ResultCache
+		memoBefore := sess.QueryStats()
+		for _, useMC := range []bool{false, true, false, true} {
+			res, err := sess.Query(ctx, BatchRequest{Points: points, UseMC: useMC})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range points {
+				want := referencePinnedMode(d, executed, points[i], 3, useMC)
+				for y, v := range want {
+					if res.Results[i].Fractions[y] != v {
+						t.Fatalf("round %d mc=%v point %d label %d: session query %v, fresh pinned sweep %v",
+							round, useMC, i, y, res.Results[i].Fractions, want)
+					}
+				}
+			}
+		}
+		if rc := s.Stats().ResultCache; rc.Hits != cacheBefore.Hits || rc.Misses != cacheBefore.Misses {
+			t.Fatalf("round %d: session queries touched the result cache: %+v, before %+v", round, *rc, cacheBefore)
+		}
+		memo := sess.QueryStats()
+		if got := memo.Queries - memoBefore.Queries; got != int64(4*len(points)) {
+			t.Fatalf("round %d: %d points counted, want %d", round, got, 4*len(points))
+		}
+		// The second batch of each mode repeats a pin state its memo holds.
+		if hits := memo.Retained.MemoHits - memoBefore.Retained.MemoHits; hits < int64(2*len(points)) {
+			t.Fatalf("round %d: %d memo hits, want at least %d (one per repeated point and mode)", round, hits, 2*len(points))
+		}
+		steps, done, err := sess.Next(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		executed = append(executed, steps...)
+		if done {
+			break
+		}
+	}
+	if len(executed) < 2 {
+		t.Fatalf("session ran %d steps; too few to alternate modes across pin states", len(executed))
+	}
 }
 
 // TestSessionQueryLockstep steps a clean session while repeatedly batch-

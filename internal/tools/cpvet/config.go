@@ -145,10 +145,12 @@ func DefaultConfig() *Config {
 		// The canonical serve-layer hierarchy: Server.mu before the session
 		// store's mu before any Session.mu (see docs/ARCHITECTURE.md,
 		// "Locking"). snapshotState in serve/durable.go exercises the full
-		// chain.
+		// chain. Session.Status takes the session query cache's leaf mu
+		// under Session.mu for the query-memo totals.
 		LockOrder: [][2]string{
 			{"repro/internal/serve.Server.mu", "repro/internal/serve.sessionStore.mu"},
 			{"repro/internal/serve.sessionStore.mu", "repro/internal/serve.Session.mu"},
+			{"repro/internal/serve.Session.mu", "repro/internal/serve.sessionQueryCache.mu"},
 		},
 	}
 }
