@@ -36,12 +36,12 @@ bench:
 	$(GO) run ./internal/tools/benchjson -in bench.out -out $(BENCH_JSON)
 	@echo "bench: wrote $(BENCH_JSON)"
 
-# Paired regression gate: the pinned benchmarks (core EngineBuild and
-# HypothesisCounts/trunc/K3 at 50x, HypothesisTape/trunc/K3 and
-# Scan/supreme/trunc/K3 at 20000x, CleanSession_Loadbench at 2x)
-# at the merge base and at the working tree, run in 10 alternating pairs;
-# fails when the tree is >15% slower in at least 8 pairs (see
-# scripts/bench_compare.sh).
+# Paired regression gate: the pinned benchmarks (core EngineBuild at 50x,
+# HypothesisGroup/trunc/K3 at 400x,
+# Scan/supreme/trunc/K3 at 20000x, CleanSession_Loadbench at 2x) at the
+# merge base and at the working tree, in 10 pairs, each benchmark's two
+# samples back to back in alternating order; fails when the tree is >15%
+# slower in at least 8 pairs (see scripts/bench_compare.sh).
 bench-compare:
 	./scripts/bench_compare.sh
 
@@ -67,5 +67,6 @@ verify-static:
 # (which runs vet).
 verify: build test race verify-static verify-docs
 
+# BENCH_trajectory.json is the committed perf trajectory; clean keeps it.
 clean:
-	rm -f cpbench cpclean cpquery cpserve datagen *.test *.prof bench.out BENCH_*.json
+	rm -f cpbench cpclean cpquery cpserve datagen *.test *.prof bench.out $(filter-out BENCH_trajectory.json,$(wildcard BENCH_*.json))

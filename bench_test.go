@@ -17,6 +17,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/experiments"
 	"repro/internal/knn"
+	"repro/internal/segtree"
 	"repro/internal/serve"
 )
 
@@ -369,6 +370,9 @@ func BenchmarkBatchQ2_FullSweep(b *testing.B)   { benchBatchQ2CleanWhileQuery(b,
 // certainty checks, without HTTP or the WAL. steps and hyp/run report the
 // last session's cleaning steps and examined hypotheses; both are fixed by
 // the data, so a change that moves them changed decisions, not speed.
+// Built with -tags workcount it also reports convs/run, the last session's
+// segment-tree node convolutions (segtree.Convolutions), probe-chain steps
+// included: exact and deterministic, so one run per side compares work.
 func BenchmarkCleanSession_Loadbench(b *testing.B) {
 	spec, err := experiments.SpecByName("Supreme")
 	if err != nil {
@@ -386,7 +390,9 @@ func BenchmarkCleanSession_Loadbench(b *testing.B) {
 	}
 	req := serve.CleanRequest{Truth: task.OracleWorld(), ValPoints: task.ValX}
 	var st serve.SessionStatus
+	var convs int64
 	for b.Loop() {
+		convs = segtree.Convolutions()
 		sess, err := s.StartCleanSession("supreme", req)
 		if err != nil {
 			b.Fatal(err)
@@ -397,12 +403,16 @@ func BenchmarkCleanSession_Loadbench(b *testing.B) {
 			}
 		}
 		st = sess.Status()
+		convs = segtree.Convolutions() - convs
 		if err := s.ReleaseCleanSession(sess.ID()); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.ReportMetric(float64(st.Steps), "steps")
 	b.ReportMetric(float64(st.ExaminedHypotheses), "hyp/run")
+	if segtree.WorkCounting {
+		b.ReportMetric(float64(convs), "convs/run")
+	}
 }
 
 // --- Engine build at scale ----------------------------------------------------

@@ -130,8 +130,9 @@ func NewTruncatedEngineFromInstance(inst *Instance, k int) *Engine {
 		}
 	}
 	// One backing array holds the slots, the live rows, then the shapes'
-	// pair parents (live−1 per label).
+	// pair parents (live−1 per label); another the pairs' dense levels.
 	flat := make([]int32, ne+2*total)
+	levels := make([]uint8, total)
 	e.slot, e.live, flat = flat[:ne:ne], flat[ne:ne+total:ne+total], flat[ne+total:]
 	maxLive := int32(0)
 	rest := e.live
@@ -152,8 +153,8 @@ func NewTruncatedEngineFromInstance(inst *Instance, k int) *Engine {
 		for j, ev := range rs {
 			lv[j] = inst.facts[inst.rows[ev]].Rank
 		}
-		e.shapes[l] = segtree.NewShape(lv, flat)
-		flat = flat[e.shapes[l].Slots()/2:]
+		e.shapes[l] = segtree.NewShape(lv, flat, levels)
+		flat, levels = flat[e.shapes[l].Slots()/2:], levels[e.shapes[l].Slots()/2:]
 		for j, ev := range rs {
 			e.slot[ev] = lv[j]
 		}
@@ -330,18 +331,17 @@ type Scratch struct {
 	// probe holds the root of the forced row's label tree with the row
 	// forced onto the boundary (segtree.Tree.SetLeafProbe).
 	probe []float64
-	// HypothesisCounts state: the shifted pre-state root of the row's
-	// label, prefix sums, prefix snapshots and per-pin outputs.
-	shifted  []float64
-	cumPre   []float64
-	cumPost  []float64
-	snapPre  [][]float64
-	snapPost [][]float64
-	own      [][]float64
-	hyp      [][]float64
-	// tape is the hypothesis tape of the last engine state HypothesisCounts
-	// ran on.
-	tape hypTape
+	// HypothesisGroup state: the shifted pre-state root of a row's label,
+	// the rows' states, the started rows, the plain walk of the current
+	// position, each live group row's index+1 by evaluated index (0 for
+	// none), and the views of one row's distributions.
+	shifted []float64
+	group   []hypRow
+	active  []int32
+	walk    segtree.Path
+	groupAt []int32
+	views   [][]float64
+	oneRow  [1]int
 }
 
 // scratchShape is the structural signature a Scratch is sized by: the row
@@ -369,8 +369,7 @@ func newScratchFromShape(sh scratchShape, k int) *Scratch {
 		roots:   make([][]float64, numLabels),
 		probe:   make([]float64, k+1),
 		shifted: make([]float64, k+1),
-		cumPre:  make([]float64, numLabels),
-		cumPost: make([]float64, numLabels),
+		groupAt: make([]int32, sh.n),
 	}
 	for l := 0; l < numLabels; l++ {
 		sc.trees = append(sc.trees, segtree.NewTree(k))
@@ -421,7 +420,7 @@ func (e *Engine) CountsMC(sc *Scratch, overrideRow, overrideCand int) []float64 
 func (e *Engine) fullScan(sc *Scratch, overrideRow, overrideCand int, useMC bool) int64 {
 	e.mustFit(sc)
 	clear(sc.counts)
-	return e.scan(sc, e.pinsFor(overrideRow, overrideCand), useMC, nil)
+	return e.scan(sc, e.pinsFor(overrideRow, overrideCand), useMC)
 }
 
 // pinView is the pin vector a query runs under: the engine's pins (nil when

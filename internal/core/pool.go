@@ -23,7 +23,7 @@ func (e *Engine) ApproxBytes() int64 {
 	b += (2*ne + 1) * 4                       // rows, off
 	b += int64(len(e.order)) * 8              // order candRefs
 	b += 4 * ne * 4                           // below, argMin, argMax, slot
-	b += int64(len(e.live)) * (4 + 4)         // live rows, shape pair parents
+	b += int64(len(e.live)) * (4 + 4 + 1)     // live rows, shape pair parents and levels
 	b += int64(len(e.pins)) * 4               // pins, once pinned
 	b += int64(e.numLabels) * 2 * sliceHeader // liveRows and shapes headers
 	b += engineStructBytes
@@ -36,19 +36,20 @@ const engineStructBytes = 320
 
 // ApproxBytes estimates the scratch's heap footprint: the per-label tree
 // storage (grown to the largest collapsed tree it has held, O(live·K)
-// floats), the O(N) α vector, the hypothesis buffers and the hypothesis
-// tape (O(kept positions·K) plus two tree snapshots).
+// floats), the O(N) α vector and group index, and the hypothesis group
+// state (per row: its sums, O(M·labels), and its own-label path).
 func (sc *Scratch) ApproxBytes() int64 {
 	var b int64
 	for _, tr := range sc.trees {
 		b += tr.ApproxBytes()
 	}
-	b += int64(len(sc.alpha)) * 4
+	b += int64(len(sc.alpha)+len(sc.groupAt)) * 4
 	b += int64(len(sc.tallies)) * (24 + int64(len(sc.counts))) // tally slices
-	for _, h := range sc.hyp {
-		b += int64(len(h)) * 8 * 4 // hyp, own, snapPre, snapPost
+	for i := range sc.group {
+		r := &sc.group[i]
+		b += int64(cap(r.buf))*8 + r.path.ApproxBytes()
 	}
-	return b + sc.tape.approxBytes()
+	return b + sc.walk.ApproxBytes() + int64(cap(sc.views))*24
 }
 
 // ResetPins clears every persistent pin, returning the engine to the fully
@@ -104,8 +105,7 @@ func (p *ScratchPool) Get() *Scratch {
 // Put returns a Scratch to the pool. The Scratch must have been produced by
 // a pool of the same shape and K. Put checks only K — a Scratch of another
 // K panics rather than silently corrupt later queries; a shape mismatch is
-// the caller's bug and is not detected. Put drops the Scratch's hypothesis
-// tape (keeping its storage), so a pooled Scratch keeps no engine alive.
+// the caller's bug and is not detected.
 func (p *ScratchPool) Put(sc *Scratch) {
 	if sc == nil {
 		return
@@ -113,7 +113,6 @@ func (p *ScratchPool) Put(sc *Scratch) {
 	if sc.k != p.k {
 		panic(fmt.Sprintf("core: returning K=%d scratch to K=%d pool", sc.k, p.k))
 	}
-	sc.tape.e = nil
 	p.pool.Put(sc)
 }
 

@@ -133,6 +133,27 @@ func (r *Retained) Counts() []float64 {
 		r.stats.CandidatesAvoided += int64(len(e.order))
 		return r.counts
 	}
+	r.sweep()
+	return r.counts
+}
+
+// Refresh brings the memo up to the engine's current pins without
+// answering a query: one full sweep when Counts would run one, nothing
+// otherwise. Only the sweep is counted, so a later Counts under the same
+// pins is a memo hit. Clean sessions call it after each step, moving the
+// sweep a pin costs off their queries' path.
+func (r *Retained) Refresh() {
+	if r.stale() {
+		r.sweep()
+	} else {
+		r.gen = r.e.PinGeneration()
+	}
+}
+
+// sweep runs one full sweep under the current pins and moves the memo to
+// them.
+func (r *Retained) sweep() {
+	e := r.e
 	sc := r.pool.Get()
 	r.stats.CandidatesScanned += e.fullScan(sc, -1, -1, r.useMC)
 	copy(r.counts, sc.counts)
@@ -143,7 +164,6 @@ func (r *Retained) Counts() []float64 {
 	r.pinsGen = r.gen
 	r.valid = true
 	r.stats.FullScans++
-	return r.counts
 }
 
 // stale reports whether the next Counts runs a full sweep.

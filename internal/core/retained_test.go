@@ -204,6 +204,56 @@ func TestRetainedReusesWork(t *testing.T) {
 	}
 }
 
+// TestRetainedRefresh checks Refresh sweeps exactly when Counts would —
+// before the first query and after a relevant pin, not after an irrelevant
+// one or a second time — counts only the sweep, and leaves a memo the next
+// Counts answers as a hit, equal to a fresh sweep bit for bit.
+func TestRetainedRefresh(t *testing.T) {
+	inst := randomInstance(rand.New(rand.NewSource(97)), 60, 4, 2)
+	e := NewEngineFromInstance(inst)
+	rt := mustRetained(t, e, 3, false)
+	sc := e.MustScratch(3)
+	var want RetainedStats
+	refresh := func(what string, sweeps int64) {
+		t.Helper()
+		rt.Refresh()
+		rt.Refresh()
+		want.FullScans += sweeps
+		if s := rt.Stats(); s.FullScans != want.FullScans || s.MemoHits != want.MemoHits {
+			t.Fatalf("%s: stats %+v after two Refresh calls, want %d full sweeps and %d memo hits",
+				what, s, want.FullScans, want.MemoHits)
+		}
+		got := rt.Counts()
+		want.MemoHits++
+		if s := rt.Stats(); s.FullScans != want.FullScans || s.MemoHits != want.MemoHits {
+			t.Fatalf("%s: Counts after Refresh was not a memo hit: %+v", what, s)
+		}
+		fresh := e.Counts(sc, -1, -1)
+		for y := range fresh {
+			if got[y] != fresh[y] {
+				t.Fatalf("%s: retained %v, fresh sweep %v", what, got, fresh)
+			}
+		}
+	}
+	refresh("first refresh", 1)
+	relevant, irrelevant := -1, -1
+	for i, rel := range rt.Relevant() {
+		switch {
+		case rel && relevant < 0:
+			relevant = i
+		case !rel && irrelevant < 0:
+			irrelevant = i
+		}
+	}
+	if relevant < 0 || irrelevant < 0 {
+		t.Fatalf("need a relevant and an irrelevant row, got %d and %d", relevant, irrelevant)
+	}
+	e.SetPin(irrelevant, inst.M(irrelevant)-1)
+	refresh("irrelevant pin", 0)
+	e.SetPin(relevant, inst.M(relevant)-1)
+	refresh("relevant pin", 1)
+}
+
 // TestRetainedUnchangedSince checks the predicate a CPClean run's
 // certainty refresh trusts: false before any query and for a generation
 // older than the memo, true across fresh pins of irrelevant rows, false

@@ -9,33 +9,27 @@ package core
 // per-label path-collapsed tree roots, with the probe standing in for the
 // row's label, and adds them up. Every Q2 path runs it: Engine.Counts,
 // Engine.CountsMC and a Retained memo's full sweep tally into the Scratch's
-// counts, and HypothesisCounts records it as the Scratch's hypothesis tape
-// (tape.go), which every hypothesis row of the engine's pin state then
-// replays, walking only its own label's tree and tallying the pre/post
-// prefix sums in one pass per position (the row's pre-state root is the
-// post root shifted one degree).
+// counts. The hypothesis group pass (hypothesis.go) is the same walk from
+// one zero row earlier, serving a group of hypothesis rows at each
+// position: each row recomputes only its own-label nodes from the LCA of
+// its leaf and the walked one up, and tallies the pre/post prefix sums in
+// one pass per position (the row's pre-state root is the post root shifted
+// one degree).
 
 // scan walks every kept scan position with real tree work under the given
 // pins (the engine's, with an optional per-query override), from the α
-// state seedAlpha derives. With tape nil it adds each position's supports
-// into sc.counts; useMC selects the appendix-A.3 winner-cap accumulator
-// instead of tally enumeration. With a tape it tallies nothing and records
-// the scan into it instead (hypTape.record), from one zero row earlier: the
-// tape serves hypothesis scans, whose row's own α = 0 does not count (see
-// HypothesisCounts). The trees are bulk-built at the first position whose
-// boundary support is not provably zero. Returns the number of positions
-// that performed tree work.
-func (e *Engine) scan(sc *Scratch, pins pinView, useMC bool, tape *hypTape) int64 {
+// state seedAlpha derives, and adds each position's supports into
+// sc.counts; useMC selects the appendix-A.3 winner-cap accumulator instead
+// of tally enumeration. The trees are bulk-built at the first position
+// whose boundary support is not provably zero. Returns the number of
+// positions that performed tree work.
+func (e *Engine) scan(sc *Scratch, pins pinView, useMC bool) int64 {
 	inst := e.inst
 	rows, facts := inst.rows, inst.facts
 	slot := e.slot
 	alpha := sc.alpha
 	k := sc.k
 	zeroRows := e.seedAlpha(alpha, pins)
-	limit := k - 1
-	if tape != nil {
-		limit = k
-	}
 	built := false
 	var scanned int64
 	for _, ref := range e.order {
@@ -54,17 +48,13 @@ func (e *Engine) scan(sc *Scratch, pins pinView, useMC bool, tape *hypTape) int6
 		// the boundary), so while zeroRows > K−1 (excluding the boundary row,
 		// whose α has just been incremented) the boundary support is
 		// identically zero. During that prefix only α is maintained; the
-		// trees are built in one bulk pass at the transition (a tape's,
-		// for hypothesis scans, one zero row earlier).
-		if zeroRows > limit {
+		// trees are built in one bulk pass at the transition.
+		if zeroRows > k-1 {
 			continue
 		}
 		if !built {
 			e.buildLeaves(sc, pins)
 			built = true
-			if tape != nil {
-				tape.snapStart(e, sc)
-			}
 		}
 		f := facts[i]
 		mEff := f.M
@@ -79,10 +69,6 @@ func (e *Engine) scan(sc *Scratch, pins pinView, useMC bool, tape *hypTape) int6
 		// are read with the label's root pointed at the probe.
 		sc.trees[f.Label].SetLeafProbe(int(slot[ev]), 0, 1/float64(mEff), a, 1-a, sc.probe)
 		scanned++
-		if tape != nil {
-			tape.record(sc, tapePos{ev: int32(ev), cand: ref.cand, label: int32(f.Label), slot: slot[ev], alpha: alpha[ev], mEff: mEff}, zeroRows)
-			continue
-		}
 		root := sc.roots[f.Label]
 		sc.roots[f.Label] = sc.probe
 		if useMC {
@@ -113,9 +99,9 @@ func (sc *Scratch) tallyPre(l int, out []float64) {
 
 // tallyHypothesis is one pass of tallySupports for a hypothesis scan
 // position: each tally's product against the post roots sc.roots goes into
-// sc.cumPost, and its product against the pre roots — label lHyp's shifted
-// one degree, so tally c reads roots[lHyp][c−1], or 0 when c = 0 (see
-// tallyPre) — into sc.cumPre, each under the same nonzero rule and in the
+// post, and its product against the pre roots — label lHyp's shifted one
+// degree, so tally c reads roots[lHyp][c−1], or 0 when c = 0 (see
+// tallyPre) — into pre, each under the same nonzero rule and in the
 // same tally order as two separate passes. Unlike tallySupports it does not
 // stop a product at its first zero factor, which is exact on the tree
 // domain: every root coefficient is finite and ≥ +0, and at most 1 up to
@@ -123,8 +109,8 @@ func (sc *Scratch) tallyPre(l int, out []float64) {
 // truncated products'), so no product overflows; a product with a +0
 // factor is +0 whatever follows, and one without multiplies the same values
 // in the same order.
-func tallyHypothesis(sc *Scratch, lHyp int) {
-	roots, post, pre := sc.roots, sc.cumPost, sc.cumPre
+func tallyHypothesis(sc *Scratch, lHyp int, post, pre []float64) {
+	roots := sc.roots
 	if sc.k == 3 && len(roots) == 2 {
 		tallyHypothesis2x3(roots[0], roots[1], lHyp, post, pre)
 		return
@@ -153,29 +139,35 @@ func tallyHypothesis(sc *Scratch, lHyp int) {
 }
 
 // tallyHypothesis2x3 is tallyHypothesis for two labels and K = 3 with the
-// roots in registers: the tallies (0,3), (1,2), (2,1), (3,0) in
+// roots and sums in registers: the tallies (0,3), (1,2), (2,1), (3,0) in
 // compositions' order, won by labels 1, 1, 0, 0, each product 1·x·y = x·y
-// (rounded before it is added, so it is never fused) and added under the
-// same nonzero rule in the same order.
+// (rounded before it is added, so it is never fused) added in the same
+// order. It adds zero products too, which changes no bit: a product is +0
+// or positive, every sum starts at +0 and only grows, and s + (+0) = s for
+// s ≥ +0 — so it skips exactly what the nonzero rule would, without a
+// branch per product.
 func tallyHypothesis2x3(x, y []float64, lHyp int, post, pre []float64) {
 	x0, x1, x2, x3 := x[0], x[1], x[2], x[3]
 	y0, y1, y2, y3 := y[0], y[1], y[2], y[3]
-	add := func(out []float64, w int, v float64) {
-		if v != 0 {
-			out[w] += v
-		}
-	}
-	add(post, 1, float64(x0*y3))
-	add(post, 1, float64(x1*y2))
-	add(post, 0, float64(x2*y1))
-	add(post, 0, float64(x3*y0))
+	p0, p1 := post[0], post[1]
+	p1 += float64(x0 * y3)
+	p1 += float64(x1 * y2)
+	p0 += float64(x2 * y1)
+	p0 += float64(x3 * y0)
+	post[0], post[1] = p0, p1
 	// With label lHyp's root shifted one degree, the tally giving lHyp
 	// none has product 0 and adds nothing; the other three read x0·y2,
 	// x1·y1 and x2·y0, the middle one from tally (2,1) or (1,2), which
 	// lHyp wins.
-	add(pre, 1, float64(x0*y2))
-	add(pre, lHyp, float64(x1*y1))
-	add(pre, 0, float64(x2*y0))
+	q0, q1 := pre[0], pre[1]
+	q1 += float64(x0 * y2)
+	if lHyp == 0 {
+		q0 += float64(x1 * y1)
+	} else {
+		q1 += float64(x1 * y1)
+	}
+	q0 += float64(x2 * y0)
+	pre[0], pre[1] = q0, q1
 }
 
 // tallySupports enumerates every label tally against the per-label root

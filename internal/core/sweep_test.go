@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/knn"
@@ -45,12 +46,10 @@ func BenchmarkScan(b *testing.B) {
 	}
 }
 
-// BenchmarkHypothesisCounts measures CPClean's inner loop — one
-// hypothesis scan, answering the pin of every candidate of one row — on
-// the Supreme-shaped engine truncated for K = 3, for the uncertain row with
-// kept candidates that has the most candidates. The engine's pins do not
-// change between iterations, so each one replays the Scratch's cached
-// hypothesis tape (BenchmarkHypothesisTape times the recording).
+// BenchmarkHypothesisCounts measures one hypothesis scan, answering the
+// pin of every candidate of one row — a one-row HypothesisGroup, whole pass
+// included — on the Supreme-shaped engine truncated for K = 3, for the
+// uncertain row with kept candidates that has the most candidates.
 func BenchmarkHypothesisCounts(b *testing.B) {
 	e, row := hypothesisBenchEngine()
 	b.Run("trunc/K3", func(b *testing.B) {
@@ -62,20 +61,26 @@ func BenchmarkHypothesisCounts(b *testing.B) {
 	})
 }
 
-// BenchmarkHypothesisTape measures one recording of the hypothesis tape
-// HypothesisCounts replays — one plain scan from one zero row earlier, with
-// its positions and two tree snapshots stored — on BenchmarkHypothesisCounts'
-// engine, and reports the tape's footprint (tape-B).
-func BenchmarkHypothesisTape(b *testing.B) {
+// BenchmarkHypothesisGroup measures CPClean's inner loop for one stale
+// validation point: one HypothesisGroup pass over the point's full row
+// group — every row RelevantRows keeps with more than one candidate, as
+// selection.SelectBatch scores them — on BenchmarkHypothesisCounts'
+// engine, and reports the group's size (rows).
+func BenchmarkHypothesisGroup(b *testing.B) {
 	e, _ := hypothesisBenchEngine()
+	var rows []int
+	for i, rel := range e.RelevantRows(3) {
+		if rel && e.inst.M(i) > 1 {
+			rows = append(rows, i)
+		}
+	}
 	b.Run("trunc/K3", func(b *testing.B) {
 		sc := e.MustScratch(3)
 		b.ReportAllocs()
 		for b.Loop() {
-			sc.tape.e = nil
-			sc.tapeFor(e)
+			e.HypothesisGroup(sc, rows, func(int, [][]float64) {})
 		}
-		b.ReportMetric(float64(sc.tape.approxBytes()), "tape-B")
+		b.ReportMetric(float64(len(rows)), "rows")
 	})
 }
 
@@ -127,16 +132,15 @@ func TestTallyHypothesisMatchesTwoPasses(t *testing.T) {
 		for y := range wantPost {
 			wantPost[y], wantPre[y] = value(), value()
 		}
-		copy(sc.cumPost, wantPost)
-		copy(sc.cumPre, wantPre)
+		post, pre := slices.Clone(wantPost), slices.Clone(wantPre)
 		tallySupports(sc, wantPost)
 		sc.tallyPre(lHyp, wantPre)
-		tallyHypothesis(sc, lHyp)
+		tallyHypothesis(sc, lHyp, post, pre)
 		for y := range wantPost {
-			if math.Float64bits(sc.cumPost[y]) != math.Float64bits(wantPost[y]) ||
-				math.Float64bits(sc.cumPre[y]) != math.Float64bits(wantPre[y]) {
+			if math.Float64bits(post[y]) != math.Float64bits(wantPost[y]) ||
+				math.Float64bits(pre[y]) != math.Float64bits(wantPre[y]) {
 				t.Fatalf("trial %d (K=%d, %d labels, lHyp=%d, roots %v): post %v pre %v, two passes post %v pre %v",
-					trial, k, labels, lHyp, sc.roots, sc.cumPost, sc.cumPre, wantPost, wantPre)
+					trial, k, labels, lHyp, sc.roots, post, pre, wantPost, wantPre)
 			}
 		}
 		if after := fmt.Sprint(sc.roots); after != before {

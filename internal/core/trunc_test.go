@@ -407,8 +407,9 @@ const maxFuzzPinOps = 64
 // FuzzTruncatedEngine decodes an instance, a K and a pin sequence of up to
 // maxFuzzPinOps operations from the input and checks every query of the
 // truncated engine against the untruncated one with == after each pin
-// operation, and both engines' HypothesisCounts of every unpinned row,
-// replayed off their Scratches' tapes, against the walk reference by bits.
+// operation, and both engines' HypothesisCounts of every unpinned row, and
+// HypothesisGroup over those rows split into groups at fuzz-chosen
+// boundaries, against the walk reference by bits.
 func FuzzTruncatedEngine(f *testing.F) {
 	f.Add([]byte{1, 0, 5, 3, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15})
 	f.Add([]byte{3, 1, 0, 0x84, 0x90, 0xa0, 0x01, 0x02, 0x03, 0x10, 0x20, 0x33})
@@ -449,10 +450,24 @@ func FuzzTruncatedEngine(f *testing.F) {
 		p := newTruncPair(t, inst, k)
 		rng := rand.New(rand.NewSource(int64(len(data))))
 		walk := p.ref.MustScratch(k)
-		var cov tapeCoverage
+		cov := groupCoverage{groupsByK: map[int]int{}}
+		splits := rand.New(rand.NewSource(int64(len(data)) + 1)) // the group leg's own draws
 		checkHyp := func(what string) {
-			checkReplay(t, p.ref, p.rsc, walk, &cov, what+" untruncated")
-			checkReplay(t, p.tr, p.tsc, walk, &cov, what+" truncated")
+			for _, e := range []*Engine{p.ref, p.tr} {
+				sc := p.rsc
+				if e == p.tr {
+					sc = p.tsc
+				}
+				for row := 0; row < e.N(); row++ {
+					if e.Pin(row) >= 0 {
+						continue
+					}
+					if diff := sameHypBits(e.HypothesisCounts(sc, row), walkHypothesisCounts(e, walk, row)); diff != "" {
+						t.Fatalf("%s: HypothesisCounts row %d (truncated %v): %s", what, row, e == p.tr, diff)
+					}
+				}
+				checkGroups(t, splits, e, sc, walk, &cov, what)
+			}
 		}
 		p.check(t, rng, "unpinned")
 		checkHyp("unpinned")

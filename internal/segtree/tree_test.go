@@ -117,7 +117,7 @@ func collapsed(k int, live []int32, p0, p1 []float64) (*Tree, []int32) {
 // leaves' slots.
 func build(t *Tree, live []int32, p0, p1 []float64) []int32 {
 	slots := append([]int32(nil), live...)
-	sh := NewShape(slots, make([]int32, max(len(live)-1, 0)))
+	sh := NewShape(slots, make([]int32, max(len(live)-1, 0)), make([]uint8, max(len(live)-1, 0)))
 	t.Reset(sh)
 	for j, s := range slots {
 		t.InitLeaf(int(s), p0[j], p1[j])
@@ -240,7 +240,7 @@ func TestNewShapeKeepsBranchingNodes(t *testing.T) {
 		{live: []int32{2, 6, 7}, slots: []int32{1, 3, 4}, up: []int32{0, 2}},
 	} {
 		slots := append([]int32(nil), tc.live...)
-		sh := NewShape(slots, make([]int32, max(len(tc.live)-1, 0)))
+		sh := NewShape(slots, make([]int32, max(len(tc.live)-1, 0)), make([]uint8, max(len(tc.live)-1, 0)))
 		if fmt.Sprint(slots) != fmt.Sprint(tc.slots) || fmt.Sprint(sh.up) != fmt.Sprint(tc.up) {
 			t.Errorf("live %v: slots %v up %v, want slots %v up %v", tc.live, slots, sh.up, tc.slots, tc.up)
 		}
@@ -301,7 +301,7 @@ func TestNewShapeRejectsUnsortedLeaves(t *testing.T) {
 					t.Fatalf("no panic for leaves %v", live)
 				}
 			}()
-			NewShape(live, make([]int32, len(live)-1))
+			NewShape(live, make([]int32, len(live)-1), make([]uint8, len(live)-1))
 		}()
 	}
 }
@@ -368,42 +368,69 @@ func TestPathIndependence(t *testing.T) {
 	}
 }
 
-// TestCopyFromContinuesAsSource checks the tree copy the hypothesis tape
-// snapshots by: a copy into storage another shape left larger or smaller
-// holds the source's nodes bit for bit, and the same SetLeafProbe sequence
-// on source and copy yields the same probes and nodes, while neither
-// disturbs the other's storage.
-func TestCopyFromContinuesAsSource(t *testing.T) {
+// pathValue returns path p's value at index i.
+func pathValue(p *Path, i int) []float64 { return p.vals[i*p.w : (i+1)*p.w] }
+
+// TestRejoinMatchesFullWalk checks the hypothesis group pass's tree calls
+// against full walks of a tree copy with the hypothesis leaf set, by bits,
+// for K = 0..7 (K = 3 is the register kernel): LeafPath's chain against
+// the copy's nodes on the leaf's path; SetLeafWalk's probe and nodes
+// against SetLeafProbe's, and its chain against the nodes of a copy with
+// the walked leaf forced; and after every walk of another leaf, Rejoin's
+// probe against SetLeafProbe on the copy and its chain against the copy's
+// nodes. Walks of the hypothesis leaf itself in the plain tree (a scan
+// position of its own) leave the chain valid without a Rejoin.
+func TestRejoinMatchesFullWalk(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
-	for trial := 0; trial < 200; trial++ {
-		k := rng.Intn(8)
-		live, p0, p1 := randomLive(rng, 1+rng.Intn(60), rng.Float64())
-		if len(live) == 0 {
+	for trial := 0; trial < 400; trial++ {
+		k := trial % 8
+		live, p0, p1 := randomLive(rng, 2+rng.Intn(70), rng.Float64())
+		if len(live) < 2 {
 			continue
 		}
-		src, slots := collapsed(k, live, p0, p1)
-		cp := NewTree(k)
-		other, o0, o1 := randomLive(rng, 1+rng.Intn(80), 0.7)
-		build(cp, other, o0, o1)
-		cp.CopyFrom(src)
-		if !sameBits(cp.nodes, src.nodes) {
-			t.Fatalf("trial %d: copy %v, source %v", trial, cp.nodes, src.nodes)
-		}
-		want, got := make([]float64, k+1), make([]float64, k+1)
-		for step := 0; step < 20; step++ {
-			s := int(slots[rng.Intn(len(slots))])
-			f0, f1, q0, q1 := leafValue(rng), leafValue(rng), leafValue(rng), leafValue(rng)
-			src.SetLeafProbe(s, f0, f1, q0, q1, want)
-			cp.SetLeafProbe(s, f0, f1, q0, q1, got)
-			if !sameBits(got, want) || !sameBits(cp.nodes, src.nodes) {
-				t.Fatalf("trial %d step %d: copy diverged from its source", trial, step)
+		tr, slots := collapsed(k, live, p0, p1)
+		ri := rng.Intn(len(slots))
+		r := int(slots[ri])
+		g0, g1 := leafValue(rng), leafValue(rng)
+		ref := tr.clone()
+		ref.SetLeaf(r, g0, g1)
+		var h, w Path
+		tr.LeafPath(r, g0, g1, &h)
+		checkChain := func(what string) {
+			t.Helper()
+			for i, s := range h.slots {
+				if !sameBits(pathValue(&h, i), ref.node(int(s))) {
+					t.Fatalf("trial %d K=%d %s: chain at slot %d %v, full walk %v", trial, k, what, s, pathValue(&h, i), ref.node(int(s)))
+				}
 			}
 		}
-		// Writes to the copy leave the source alone.
-		before := append([]float64(nil), src.nodes...)
-		cp.SetLeafProbe(int(slots[0]), 1, 0, 0.5, 0.5, got)
-		if !sameBits(src.nodes, before) {
-			t.Fatalf("trial %d: a write to the copy changed the source", trial)
+		checkChain("LeafPath")
+		want, got := make([]float64, k+1), make([]float64, k+1)
+		for step := 0; step < 30; step++ {
+			si := rng.Intn(len(slots))
+			s := int(slots[si])
+			f0, f1, q0, q1 := leafValue(rng), leafValue(rng), leafValue(rng), leafValue(rng)
+			plain, forced := tr.clone(), tr.clone()
+			plain.SetLeafProbe(s, f0, f1, q0, q1, want)
+			forced.SetLeaf(s, f0, f1)
+			tr.SetLeafWalk(s, f0, f1, q0, q1, &w)
+			if !sameBits(w.Top(), want) || !sameBits(tr.nodes, plain.nodes) {
+				t.Fatalf("trial %d K=%d step %d: SetLeafWalk probe %v, SetLeafProbe %v", trial, k, step, w.Top(), want)
+			}
+			for i, ws := range w.slots {
+				if !sameBits(pathValue(&w, i), forced.node(int(ws))) {
+					t.Fatalf("trial %d K=%d step %d: walk chain at slot %d %v, forced tree %v", trial, k, step, ws, pathValue(&w, i), forced.node(int(ws)))
+				}
+			}
+			if s == r {
+				continue // the hypothesis leaf keeps its own value
+			}
+			ref.SetLeafProbe(s, f0, f1, q0, q1, want)
+			tr.Rejoin(&h, &w, LCALevel(live[ri], live[si]), got)
+			if !sameBits(got, want) {
+				t.Fatalf("trial %d K=%d step %d: Rejoin probe %v, full walk %v", trial, k, step, got, want)
+			}
+			checkChain(fmt.Sprintf("step %d", step))
 		}
 	}
 }

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 
 	"repro/internal/core"
@@ -60,6 +60,11 @@ type Selector struct {
 
 	examined int64 // hypothesis Q2 scans actually performed
 	reused   int64 // scans avoided by the cross-round memo
+
+	// SelectBatch's buffers, reused across rounds.
+	stale  []int
+	groups []staleGroup
+	totals []float64
 }
 
 // New builds a Selector over one engine per validation point. certain is
@@ -155,105 +160,159 @@ func (s *Selector) SelectBatch(rows []int, batch int) (bestRows []int, bestEntro
 	}
 	s.refresh(valIdx)
 
-	// The stale (point, row) pairs — relevant, not memoized — point-major,
-	// so the pairs of one point reach the workers consecutively and each
-	// worker's Scratch records the point's hypothesis tape once and replays
-	// it for the rest (core.Engine.HypothesisCounts). The pairs' entropy
-	// sums land in the memos; memo hits and irrelevant pairs are counted
-	// here.
-	type pair struct{ v, row int }
-	var stale []pair
+	// One pass over the (point, row) pairs: each point's stale rows —
+	// relevant, not memoized — form its group, and memo hits and
+	// irrelevant pairs are counted. The groups' entropy sums land in the
+	// memos.
 	var reused int64
+	stale, groups := s.stale[:0], s.groups[:0]
 	for _, v := range valIdx {
 		memo := &s.memos[v]
 		relevant := memo.rt.Relevant()
+		from := len(stale)
 		for _, row := range rows {
 			switch {
 			case !relevant[row]:
 			case math.IsNaN(memo.hypSum[row]):
-				stale = append(stale, pair{v, row})
+				stale = append(stale, row)
 				examined += int64(inst.M(row))
 			default:
 				reused += int64(inst.M(row))
 			}
 		}
+		if len(stale) > from {
+			groups = append(groups, staleGroup{v: v, rows: stale[from:len(stale):len(stale)]})
+		}
 	}
-	workers := min(s.cfg.Parallelism, len(stale))
+	s.stale, s.groups = stale, groups
+	s.score(splitGroups(groups, s.cfg.Parallelism))
+	s.examined += examined
+	s.reused += reused
+
+	// Each row's score sums its points in valIdx order, so it carries the
+	// same bits however the groups were scheduled.
+	totals := slices.Grow(s.totals[:0], len(rows))[:len(rows)]
+	clear(totals)
+	s.totals = totals
+	for _, v := range valIdx {
+		memo := &s.memos[v]
+		relevant := memo.rt.Relevant()
+		for ri, row := range rows {
+			if !relevant[row] {
+				// Cleaning this row cannot change this validation point's
+				// distribution: every candidate yields the current entropy.
+				totals[ri] += float64(memo.curH * float64(inst.M(row)))
+				continue
+			}
+			// Scored above, or memoized from an earlier round and still
+			// exact because the point's memo has not swept since.
+			totals[ri] += memo.hypSum[row]
+		}
+	}
+	// The batch lowest scores, ascending, ties toward the smaller row
+	// index: an insertion into a batch-long run under that total order.
+	best := make([]rowScore, 0, min(batch, len(rows)))
+	for ri, row := range rows {
+		// Uniform prior over the M candidates, averaged over the
+		// validation set (certain examples contribute zero).
+		rs := rowScore{row: row, entropy: totals[ri] / float64(inst.M(row)) / float64(len(s.certain))}
+		if len(best) == cap(best) {
+			if cap(best) == 0 || !rs.less(best[len(best)-1]) {
+				continue
+			}
+			best = best[:len(best)-1]
+		}
+		best = append(best, rs)
+		for i := len(best) - 1; i > 0 && best[i].less(best[i-1]); i-- {
+			best[i], best[i-1] = best[i-1], best[i]
+		}
+	}
+	bestRows = make([]int, 0, len(best))
+	bestEntropies = make([]float64, 0, len(best))
+	for _, rs := range best {
+		bestRows = append(bestRows, rs.row)
+		bestEntropies = append(bestEntropies, rs.entropy)
+	}
+	return bestRows, bestEntropies, examined
+}
+
+// rowScore is a candidate row's expected entropy.
+type rowScore struct {
+	row     int
+	entropy float64
+}
+
+// less orders scores by ascending entropy, ties toward the smaller row.
+func (a rowScore) less(b rowScore) bool {
+	if a.entropy != b.entropy {
+		return a.entropy < b.entropy
+	}
+	return a.row < b.row
+}
+
+// staleGroup is a run of one validation point's stale rows.
+type staleGroup struct {
+	v    int
+	rows []int
+}
+
+// splitGroups cuts each group into min(workers, rows) parts of near-equal
+// size, in order, so a round whose stale rows sit at one or two points
+// still keeps every worker busy. Each part pays its own plain pass over
+// the point's scan.
+func splitGroups(groups []staleGroup, workers int) []staleGroup {
+	var units []staleGroup
+	for _, g := range groups {
+		parts := max(1, min(workers, len(g.rows)))
+		for p := 0; p < parts; p++ {
+			lo, hi := p*len(g.rows)/parts, (p+1)*len(g.rows)/parts
+			units = append(units, staleGroup{v: g.v, rows: g.rows[lo:hi]})
+		}
+	}
+	return units
+}
+
+// score computes every unit's entropy sums into its point's memo on up to
+// Parallelism workers, each with its own Scratch: one hypothesis group
+// pass per unit (core.Engine.HypothesisGroup), or with UseMC one CountsMC
+// per pin.
+func (s *Selector) score(units []staleGroup) {
+	inst := s.engines[0].Instance()
+	workers := min(s.cfg.Parallelism, len(units))
 	var wg sync.WaitGroup
-	work := make(chan pair)
+	work := make(chan staleGroup)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			sc := s.scratches.Get()
 			defer s.scratches.Put(sc)
-			for p := range work {
-				e := s.engines[p.v]
-				sum := 0.0
+			for u := range work {
+				e, hypSum := s.engines[u.v], s.memos[u.v].hypSum
 				if s.cfg.UseMC {
 					// The multi-class path answers each pin separately.
-					for j := 0; j < inst.M(p.row); j++ {
-						sum += core.Entropy(e.CountsMC(sc, p.row, j))
+					for _, row := range u.rows {
+						sum := 0.0
+						for j := 0; j < inst.M(row); j++ {
+							sum += core.Entropy(e.CountsMC(sc, row, j))
+						}
+						hypSum[row] = sum
 					}
-				} else {
-					// All M pins from one combined scan.
-					for _, q := range e.HypothesisCounts(sc, p.row) {
+					continue
+				}
+				e.HypothesisGroup(sc, u.rows, func(g int, dists [][]float64) {
+					sum := 0.0
+					for _, q := range dists {
 						sum += core.Entropy(q)
 					}
-				}
-				s.memos[p.v].hypSum[p.row] = sum
+					hypSum[u.rows[g]] = sum
+				})
 			}
 		}()
 	}
-	for _, p := range stale {
-		work <- p
+	for _, u := range units {
+		work <- u
 	}
 	close(work)
 	wg.Wait()
-	s.examined += examined
-	s.reused += reused
-
-	// Each row's score sums its points in valIdx order, so it carries the
-	// same bits however the pairs were scheduled.
-	type rowScore struct {
-		row     int
-		entropy float64
-	}
-	scores := make([]rowScore, len(rows))
-	for ri, row := range rows {
-		m := inst.M(row)
-		total := 0.0
-		for _, v := range valIdx {
-			memo := &s.memos[v]
-			if !memo.rt.Relevant()[row] {
-				// Cleaning this row cannot change this validation point's
-				// distribution: every candidate yields the current entropy.
-				total += float64(memo.curH * float64(m))
-				continue
-			}
-			// Scored above, or memoized from an earlier round and still
-			// exact because the point's memo has not swept since.
-			total += memo.hypSum[row]
-		}
-		// Uniform prior over the M candidates, averaged over the validation
-		// set (certain examples contribute zero).
-		scores[ri] = rowScore{row: row, entropy: total / float64(m) / float64(len(s.certain))}
-	}
-	// Ascending entropy, ties toward the smaller row index (deterministic).
-	sort.Slice(scores, func(a, b int) bool {
-		if scores[a].entropy != scores[b].entropy {
-			return scores[a].entropy < scores[b].entropy
-		}
-		return scores[a].row < scores[b].row
-	})
-	if batch > len(scores) {
-		batch = len(scores)
-	}
-	bestRows = make([]int, 0, batch)
-	bestEntropies = make([]float64, 0, batch)
-	for _, rs := range scores[:batch] {
-		bestRows = append(bestRows, rs.row)
-		bestEntropies = append(bestEntropies, rs.entropy)
-	}
-	return bestRows, bestEntropies, examined
 }

@@ -121,6 +121,8 @@ func TestApplyRecordDecisions(t *testing.T) {
 	gap.Step = 4
 	other := fx.e
 	other.Name = "d" // "e"'s content and fingerprint under the registered name
+	huge := fx.e
+	huge.NumLabels = 1e15 // would make per-label state beyond any heap
 	cases := []struct {
 		name    string
 		rec     durable.Record
@@ -132,6 +134,7 @@ func TestApplyRecordDecisions(t *testing.T) {
 			want: func(ps *persistedState) { ps.Datasets = append(ps.Datasets, fx.e) }},
 		{name: "register/same-fingerprint", rec: fx.rec(t, "register", fx.d)},
 		{name: "register/conflict", rec: fx.rec(t, "register", other), logged: true},
+		{name: "register/huge-num-labels", rec: fx.rec(t, "register", huge), logged: true},
 		{name: "create/new", rec: fx.rec(t, "create", persistedSession{ID: "cs_b", Dataset: "d", K: 3, Truth: fx.create.Truth, ValPoints: fx.create.ValPoints, Created: fx.created}),
 			want: func(ps *persistedState) {
 				ps.Sessions = append(ps.Sessions, persistedSession{ID: "cs_b", Dataset: "d", K: 3, Truth: fx.create.Truth, ValPoints: fx.create.ValPoints, Created: fx.created})

@@ -709,6 +709,19 @@ func (s *Server) addDataset(pd persistedDataset) (conflict bool, err error) {
 	return false, nil
 }
 
+// newDataset is dataset.New for a registration from outside the process —
+// a request body or a journaled record — with num_labels bounded first.
+// Engines and Scratches keep per-label state, so a label alphabet beyond
+// what the rows can use would let a few bytes of input allocate without
+// bound: at most one label per row, and never fewer than 2. The register
+// route, restart recovery and every follower's apply all build through it.
+func newDataset(examples []dataset.Example, numLabels int) (*dataset.Incomplete, error) {
+	if numLabels > max(2, len(examples)) {
+		return nil, fmt.Errorf("serve: num_labels %d exceeds max(2, %d examples)", numLabels, len(examples))
+	}
+	return dataset.New(examples, numLabels)
+}
+
 // buildRecoveredDataset decodes and fingerprint-verifies one journaled
 // registration into a servable Dataset. Pure — no Server state is read or
 // written.
@@ -719,7 +732,7 @@ func buildRecoveredDataset(pd persistedDataset) (*Dataset, error) {
 	for i, ex := range pd.Examples {
 		examples[i] = dataset.Example{Candidates: ex.Candidates, Label: ex.Label}
 	}
-	d, err := dataset.New(examples, pd.NumLabels)
+	d, err := newDataset(examples, pd.NumLabels)
 	if err != nil {
 		return nil, err
 	}

@@ -162,19 +162,11 @@ func Handler(s *Server) http.Handler {
 		if !decodeJSON(w, r, s.cfg.MaxRegisterBytes, &req) {
 			return
 		}
-		// Engines and Scratches keep per-label state, so a label alphabet
-		// beyond what the rows can use would let a few body bytes allocate
-		// without bound: at most one label per row, and never fewer than 2.
-		if req.NumLabels > max(2, len(req.Examples)) {
-			httpError(w, http.StatusBadRequest, fmt.Errorf(
-				"serve: num_labels %d exceeds max(2, %d examples)", req.NumLabels, len(req.Examples)))
-			return
-		}
 		examples := make([]dataset.Example, len(req.Examples))
 		for i, ex := range req.Examples {
 			examples[i] = dataset.Example{Candidates: ex.Candidates, Label: ex.Label}
 		}
-		d, err := dataset.New(examples, req.NumLabels)
+		d, err := newDataset(examples, req.NumLabels)
 		if err != nil {
 			httpError(w, http.StatusBadRequest, err)
 			return

@@ -91,3 +91,11 @@ func (c *lruBudget[V]) evict() {
 
 // len reports the number of cached entries.
 func (c *lruBudget[V]) len() int { return c.list.Len() }
+
+// appendValues appends the cached values, most recent first, to dst.
+func (c *lruBudget[V]) appendValues(dst []V) []V {
+	for el := c.list.Front(); el != nil; el = el.Next() {
+		dst = append(dst, el.Value.(*lruItem[V]).value)
+	}
+	return dst
+}

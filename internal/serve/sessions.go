@@ -545,15 +545,20 @@ func (sess *Session) snapLocked(run *selection.Run) {
 }
 
 // record appends an executed step to the history and refreshes the status
-// snapshot.
+// snapshot, then brings the recently queried points' memos up to the new
+// history (sessionQueryCache.refresh).
 func (sess *Session) record(run *selection.Run, step CleanStep) {
 	sess.mu.Lock()
-	defer sess.mu.Unlock()
 	sess.history = append(sess.history, step)
 	sess.snap.certainFraction = step.CertainFraction
 	sess.snap.worlds = step.WorldsRemaining
 	sess.snap.examined = run.Examined()
 	sess.lastUsed = time.Now()
+	q, hist := sess.queries, sess.history[:len(sess.history):len(sess.history)]
+	sess.mu.Unlock()
+	if q != nil {
+		q.refresh(hist)
+	}
 }
 
 // markDone finalizes the snapshot and releases the run immediately: replay

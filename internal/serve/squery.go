@@ -19,14 +19,18 @@ import (
 // (core.Retained) in that entry's mode. A batch Q2 repeated while the session
 // pins rows therefore reuses the prior answer — an unchanged session is a
 // pure memo hit, a session that pinned only irrelevant rows since is too —
-// and a relevant pin costs one ordinary SS-DC sweep. The memo is the only
-// cache a session answer passes through: session queries never touch the
-// server-wide result cache.
+// and a relevant pin costs one ordinary SS-DC sweep. The driver pays that
+// sweep after the step for every point queried in the last
+// queryRefreshSteps steps (refresh), so a session queried while it cleans
+// finds its memos current; a point queried less recently is caught up by
+// its next query. The memo is the only cache a session answer passes
+// through: session queries never touch the server-wide result cache.
 //
 // The cache is independent of the session's run, so queries run
 // concurrently with the (single-goroutine) driver: the driver appends to the
 // session history under sess.mu, queries snapshot that history and catch
-// their forks up pin by pin under each entry's own lock.
+// their forks up pin by pin under each entry's own lock, and the driver's
+// refresh catches up recently queried entries under the same locks.
 type sessionQueryCache struct {
 	ds  *Dataset
 	cfg Config
@@ -50,8 +54,15 @@ type squeryEntry struct {
 	engine   *core.Engine
 	retained *core.Retained
 	applied  int // session history steps applied as pins
+	queried  int // applied at the entry's last query
 	last     core.RetainedStats
 }
+
+// queryRefreshSteps is how many steps after its last query a point's memo
+// is still refreshed by the driver: a session queried every few steps keeps
+// every queried point current, and a point queried once costs at most this
+// many refreshes.
+const queryRefreshSteps = 64
 
 func newSessionQueryCache(ds *Dataset, cfg Config) *sessionQueryCache {
 	capacity := cfg.EngineCacheSize
@@ -73,7 +84,8 @@ type SessionQueryStats struct {
 	// Queries counts points answered against the session's pin state.
 	Queries int64 `json:"queries"`
 	// Retained aggregates the memo counters: how many answers came from the
-	// memo verbatim or from a full sweep (delta_scans is always 0), and the
+	// memo verbatim, how many full sweeps ran — at a query, or at the
+	// driver's refresh after a step — (delta_scans is always 0), and the
 	// boundary-candidate scans performed versus avoided.
 	Retained core.RetainedStats `json:"retained"`
 }
@@ -103,15 +115,18 @@ func (q *sessionQueryCache) entry(pt []float64, pk string, k int, useMC bool) *s
 	return ent
 }
 
-// account folds one answered point into the session's stats — the entry's
-// memo counters since its last query — and refreshes the entry's byte
-// estimate, re-applying the byte budget. Caller holds ent.mu.
-func (q *sessionQueryCache) account(ent *squeryEntry) {
+// account folds the entry's memo counters since its last accounting into
+// the session's stats, counting one answered point when query is set, and
+// refreshes the entry's byte estimate, re-applying the byte budget. Caller
+// holds ent.mu.
+func (q *sessionQueryCache) account(ent *squeryEntry, query bool) {
 	s := ent.retained.Stats()
 	bytes := ent.engine.ApproxBytes() + ent.retained.ApproxBytes()
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	q.stats.Queries++
+	if query {
+		q.stats.Queries++
+	}
 	q.stats.Retained.Add(s.Sub(ent.last))
 	ent.last = s
 	q.cache.reaccount(ent.key, bytes)
@@ -133,13 +148,8 @@ func (q *sessionQueryCache) queryPoint(ent *squeryEntry, hist []CleanStep) (Poin
 		}
 		ent.engine, ent.retained = e, rt
 	}
-	// Catch the fork up on cleaning steps executed since the last query of
-	// this point. Pins only ever accumulate (the history is append-only), so
-	// the delta is exactly hist[applied:].
-	for ; ent.applied < len(hist); ent.applied++ {
-		st := hist[ent.applied]
-		ent.engine.SetPin(st.Row, st.Candidate)
-	}
+	ent.catchUp(hist)
+	ent.queried = ent.applied
 	if q.cfg.DisableQueryMemo {
 		// Ablation baseline: force the full sweep through the same code path
 		// so the scan counters stay comparable.
@@ -147,8 +157,42 @@ func (q *sessionQueryCache) queryPoint(ent *squeryEntry, hist []CleanStep) (Poin
 	}
 	counts := ent.retained.Counts()
 	r, err := assemblePointResult(ent.engine, ent.k, append([]float64(nil), counts...))
-	q.account(ent)
+	q.account(ent, true)
 	return r, err
+}
+
+// catchUp applies the cleaning steps of hist the entry's fork has not seen
+// as pins. Pins only ever accumulate (the history is append-only), so the
+// delta is exactly hist[applied:]; an entry already past hist — a driver's
+// refresh ran after hist was snapshotted — stays where it is. Caller holds
+// ent.mu.
+func (ent *squeryEntry) catchUp(hist []CleanStep) {
+	for ; ent.applied < len(hist); ent.applied++ {
+		st := hist[ent.applied]
+		ent.engine.SetPin(st.Row, st.Candidate)
+	}
+}
+
+// refresh brings every entry queried within the last queryRefreshSteps
+// steps of hist — the session's history just after a step — up to hist's
+// pins, sweeping its memo if a pin made it stale (core.Retained.Refresh).
+// With DisableQueryMemo every query sweeps anyway, so nothing is done.
+func (q *sessionQueryCache) refresh(hist []CleanStep) {
+	if q.cfg.DisableQueryMemo {
+		return
+	}
+	q.mu.Lock()
+	ents := q.cache.appendValues(nil)
+	q.mu.Unlock()
+	for _, ent := range ents {
+		ent.mu.Lock()
+		if ent.engine != nil && len(hist)-ent.queried <= queryRefreshSteps {
+			ent.catchUp(hist)
+			ent.retained.Refresh()
+			q.account(ent, false)
+		}
+		ent.mu.Unlock()
+	}
 }
 
 // Query answers a batch CP query against the session's current cleaning

@@ -266,6 +266,69 @@ func TestSessionQueryMatchesAblation(t *testing.T) {
 	}
 }
 
+// TestSessionQueryRefreshedByDriver checks the driver's refresh: steps
+// taken within queryRefreshSteps of a point's last query pay its sweeps, so
+// the next query is all memo hits and still equals a fresh pinned sweep bit
+// for bit; a point whose last query is further back is left for its next
+// query to catch up.
+func TestSessionQueryRefreshedByDriver(t *testing.T) {
+	s, d, sess := cleanFixture(t, Config{Parallelism: 2}, 955)
+	defer s.Close()
+	points := randPoints(5, 2, 956)
+	var executed []CleanStep
+	query := func(what string, wantSweeps bool) {
+		t.Helper()
+		before := sess.QueryStats()
+		res, err := sess.Query(context.Background(), BatchRequest{Points: points})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := sess.QueryStats().Retained.Sub(before.Retained)
+		if wantSweeps != (got.FullScans > 0) || got.MemoHits+got.FullScans != int64(len(points)) {
+			t.Fatalf("%s: the query itself ran %d sweeps and %d memo hits", what, got.FullScans, got.MemoHits)
+		}
+		for i := range points {
+			want := referencePinned(d, executed, points[i], 3)
+			for y, v := range want {
+				if res.Results[i].Fractions[y] != v {
+					t.Fatalf("%s: point %d label %d: %v, fresh pinned sweep %v", what, i, y, res.Results[i].Fractions[y], v)
+				}
+			}
+		}
+	}
+	// step runs n steps and returns the sweeps the driver paid meanwhile.
+	step := func(n int) int64 {
+		t.Helper()
+		before := sess.QueryStats().Retained.FullScans
+		steps, _, err := sess.Next(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		executed = append(executed, steps...)
+		return sess.QueryStats().Retained.FullScans - before
+	}
+	query("first query", true)
+	if step(6) == 0 {
+		t.Fatal("six steps after a query swept no queried point: the fixture pins no relevant row")
+	}
+	query("query after refreshed steps", false)
+
+	// Pretend every point was last queried queryRefreshSteps+1 steps ago.
+	q := sess.queries
+	q.mu.Lock()
+	ents := q.cache.appendValues(nil)
+	q.mu.Unlock()
+	for _, ent := range ents {
+		ent.mu.Lock()
+		ent.queried -= queryRefreshSteps + 1
+		ent.mu.Unlock()
+	}
+	if n := step(6); n != 0 {
+		t.Fatalf("the driver swept %d points not queried for over %d steps", n, queryRefreshSteps)
+	}
+	query("query after unrefreshed steps", true)
+}
+
 // TestSessionQueryRaceHammer runs a clean session's driver concurrently with
 // repeated session queries and dataset-level batch queries on the same
 // dataset — the -race workload for the shared pools, the append-only history

@@ -1,24 +1,27 @@
 #!/usr/bin/env bash
 # Paired benchmark regression gate. Builds the pinned benchmarks' test
 # binaries at the merge base and at HEAD, runs them on this host in 10
-# alternating pairs (base first in odd pairs, HEAD first in even ones), and
-# fails when, for any pinned benchmark, HEAD is slower than the merge base
-# by more than BENCH_REGRESSION_PCT percent (default 15) in at least 8 of
-# the 10 pairs (a sign test; see internal/tools/benchcompare, which fails a
-# benchmark that does not have exactly 10 pairs). Both sides run on the same
-# host within minutes of each other, so no baseline file is kept, and a host
-# whose speed drifts between pairs slows both sides alike.
+# pairs, and fails when, for any pinned benchmark, HEAD is slower than the
+# merge base by more than BENCH_REGRESSION_PCT percent (default 15) in at
+# least 8 of the 10 pairs (a sign test; see internal/tools/benchcompare,
+# which fails a benchmark that does not have exactly 10 pairs). Within a
+# pair each pinned benchmark runs its base and HEAD samples back to back,
+# base first in odd pairs and HEAD first in even ones, so the two sides of
+# one comparison lie seconds apart rather than a whole pinned set apart.
+# Both sides run on the same host within minutes of each other, so no
+# baseline file is kept, and a host whose speed drifts between pairs slows
+# both sides alike.
 #
 # The pinned set: internal/core's BenchmarkEngineBuild (every
-# sub-benchmark) and BenchmarkHypothesisCounts/trunc/K3 (CPClean's
-# hypothesis scan, a replay of a cached hypothesis tape) at 50x,
-# BenchmarkHypothesisTape/trunc/K3 (one recording of that tape, ≈35 µs) and
-# BenchmarkScan/supreme/trunc/K3 (the plain scan behind session queries and
-# batch sweeps, ≈36 µs) at 20000x, and the root package's
+# sub-benchmark) at 50x, BenchmarkHypothesisGroup/trunc/K3 (CPClean's
+# hypothesis group pass over one stale point's full row group, ≈1.5 ms)
+# at 400x,
+# BenchmarkScan/supreme/trunc/K3 (the plain scan behind session queries
+# and batch sweeps, ≈36 µs) at 20000x, and the root package's
 # BenchmarkCleanSession_Loadbench (one clean-live session on loadbench's
-# data) at 2x. A tape or scan sample at 50x lasted ≈2 ms, and on a shared
-# 2-core host samples that short swung by ±30% between runs of one binary,
-# so identical code read >15% slower in 5-6 of 10 pairs; a ≈0.7 s sample
+# data) at 2x. A scan sample at 50x lasted ≈2 ms, and on a shared 2-core
+# host samples that short swung by ±30% between runs of one binary, so
+# identical code read >15% slower in 5-6 of 10 pairs; a ≈0.7 s sample
 # averages the swings out.
 #
 # The HEAD side is built from the working tree (HEAD itself in CI). The
@@ -29,7 +32,8 @@
 # not HEAD's first parent: a local origin/main ref that lags behind the
 # branch's real parent makes the gate measure HEAD against an older commit.
 # The one skip is a missing merge base (a shallow clone, an unrelated
-# history, a root commit): the script warns the same way and exits 0.
+# history, a root commit): the script warns the same way and exits 0. A
+# benchmark only one side has (one HEAD adds) is reported, not compared.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -71,24 +75,31 @@ build() {
 build "$tmp/src" base
 build "$PWD" head
 
-# bench NAME appends one run of the pinned set by NAME's binaries to
-# $tmp/NAME.out.
-bench() {
-  local out="$tmp/$1.out"
-  "$tmp/$1-core.test" -test.run '^$' -test.bench '^BenchmarkEngineBuild$' -test.benchtime 50x -test.benchmem >>"$out"
-  "$tmp/$1-core.test" -test.run '^$' -test.bench '^BenchmarkHypothesisCounts$/^trunc$/^K3$' -test.benchtime 50x >>"$out"
-  "$tmp/$1-core.test" -test.run '^$' -test.bench '^BenchmarkHypothesisTape$/^trunc$/^K3$' -test.benchtime 20000x >>"$out"
-  "$tmp/$1-core.test" -test.run '^$' -test.bench '^BenchmarkScan$/^supreme$/^trunc$/^K3$' -test.benchtime 20000x >>"$out"
-  "$tmp/$1-root.test" -test.run '^$' -test.bench '^BenchmarkCleanSession_Loadbench$' -test.benchtime 2x >>"$out"
+# pins lists the pinned benchmarks, one per line: binary, -test.bench
+# pattern, -test.benchtime, and whether to add -test.benchmem.
+pins="core ^BenchmarkEngineBuild$ 50x mem
+core ^BenchmarkHypothesisGroup$/^trunc$/^K3$ 400x -
+core ^BenchmarkScan$/^supreme$/^trunc$/^K3$ 20000x -
+root ^BenchmarkCleanSession_Loadbench$ 2x -"
+
+# sample NAME BIN PATTERN BENCHTIME MEM appends one run of one pinned
+# benchmark by NAME's binaries to $tmp/NAME.out.
+sample() {
+  local extra=()
+  if [[ "$5" == mem ]]; then
+    extra=(-test.benchmem)
+  fi
+  "$tmp/$1-$2.test" -test.run '^$' -test.bench "$3" -test.benchtime "$4" "${extra[@]}" >>"$tmp/$1.out" </dev/null
 }
 for ((i = 1; i <= PAIRS; i++)); do
-  if ((i % 2)); then
-    bench base
-    bench head
-  else
-    bench head
-    bench base
+  first=base second=head
+  if ((i % 2 == 0)); then
+    first=head second=base
   fi
+  while read -r bin pattern benchtime mem; do
+    sample "$first" "$bin" "$pattern" "$benchtime" "$mem"
+    sample "$second" "$bin" "$pattern" "$benchtime" "$mem"
+  done <<<"$pins"
   echo "bench_compare: pair $i of $PAIRS done"
 done
 
