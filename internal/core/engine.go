@@ -67,6 +67,11 @@ type Engine struct {
 	// the first SetPin (or Fork), so a pooled engine never pinned has none.
 	pins   []int32
 	pinGen uint64 // bumped on every pin mutation (SetPin, ResetPins)
+	// freshPin is the row the mutation to pinGen pinned when the row was
+	// unpinned before it, and −1 after any other mutation (an unpin, a
+	// repin, ResetPins): a Retained checked at pinGen−1 decides from it
+	// alone.
+	freshPin int32
 }
 
 // NewEngine builds an untruncated engine for incomplete dataset d and test
@@ -109,6 +114,7 @@ func NewTruncatedEngineFromInstance(inst *Instance, k int) *Engine {
 		argMax:    v.argMax,
 		liveRows:  make([][]int32, inst.NumLabels),
 		shapes:    make([]segtree.Shape, inst.NumLabels),
+		freshPin:  -1,
 	}
 	if v.t != noThreshold {
 		e.maxK = k
@@ -268,6 +274,10 @@ func (e *Engine) SetPin(row, cand int) {
 		panic(fmt.Sprintf("core: pin candidate %d out of range for row %d (M=%d)", cand, row, e.inst.M(row)))
 	}
 	e.allocPins()
+	e.freshPin = -1
+	if cand >= 0 && e.pins[row] < 0 {
+		e.freshPin = int32(row)
+	}
 	e.pins[row] = int32(cand)
 	e.pinGen++
 }
@@ -297,7 +307,8 @@ func (e *Engine) PinnedCount() int {
 	return n
 }
 
-// WorldCount returns the number of possible worlds remaining under the pins.
+// WorldCount returns the number of possible worlds remaining under the pins:
+// O(N) big-integer products.
 func (e *Engine) WorldCount() *big.Int {
 	total := big.NewInt(1)
 	for i := 0; i < e.N(); i++ {
@@ -332,16 +343,19 @@ type Scratch struct {
 	// forced onto the boundary (segtree.Tree.SetLeafProbe).
 	probe []float64
 	// HypothesisGroup state: the shifted pre-state root of a row's label,
-	// the rows' states, the started rows, the plain walk of the current
-	// position, each live group row's index+1 by evaluated index (0 for
-	// none), and the views of one row's distributions.
-	shifted []float64
-	group   []hypRow
-	active  []int32
-	walk    segtree.Path
-	groupAt []int32
-	views   [][]float64
-	oneRow  [1]int
+	// the rows' states, the active and the finished rows, a position's
+	// nonzero plain post supports, the plain walk of the current position,
+	// each live group row's index+1 by evaluated index (0 for none), and
+	// the views of one row's distributions.
+	shifted  []float64
+	group    []hypRow
+	active   []int32
+	finished []int32
+	posts    []support
+	walk     segtree.Path
+	groupAt  []int32
+	views    [][]float64
+	oneRow   [1]int
 }
 
 // scratchShape is the structural signature a Scratch is sized by: the row
@@ -376,6 +390,7 @@ func newScratchFromShape(sh scratchShape, k int) *Scratch {
 	}
 	sc.tallies = compositions(k, numLabels)
 	sc.winners = make([]int, len(sc.tallies))
+	sc.posts = make([]support, 0, len(sc.tallies))
 	for ti, g := range sc.tallies {
 		sc.winners[ti] = argmaxTally(g)
 	}

@@ -11,18 +11,19 @@ import (
 type hypRow struct {
 	label int
 	// ev is the row's evaluated index when it is live, −1 otherwise, and
-	// rank its leaf's dense index.
-	ev     int
-	rank   int32
-	active bool
-	// root is the row's label tree's root in the row's scan: path's top,
-	// or the plain root. cumPre and cumPost are the running prefix sums.
+	// rank its leaf's dense index. started is set once the pass reaches
+	// the row's start.
+	ev      int
+	rank    int32
+	started bool
+	// root is an active row's label tree's root in the row's scan: path's
+	// top. cumPre and cumPost are the running prefix sums.
 	root            []float64
 	cumPre, cumPost []float64
-	// path is the row's own-label chain with its leaf held at [1,0]: the
-	// nodes of its label tree in its hypothesis scan, where they differ
-	// from the plain tree's. A row that is not live has no leaf; its label
-	// tree is the plain tree, and path is unused.
+	// path is an active row's own-label chain with its leaf held at [1,0]:
+	// the nodes of its label tree in its hypothesis scan, where they differ
+	// from the plain tree's. A finished row's label tree is the plain tree,
+	// and path is unused.
 	path segtree.Path
 	// buf holds cumPre and cumPost, then for each of the row's m
 	// candidates j its snapshots of both sums and its own term (cand); the
@@ -98,8 +99,15 @@ func (e *Engine) HypothesisCounts(sc *Scratch, row int) [][]float64 {
 // chain with its leaf at [1,0] (segtree.Path), built when the row starts,
 // and at a position of its label brings it up to date from the LCA of its
 // leaf and the position's leaf (segtree.Tree.Rejoin), the nodes below the
-// LCA being the plain tree's own. A row that is not live has no leaf, and
-// its label tree is the plain tree.
+// LCA being the plain tree's own. Once a row's last candidate (its argMax)
+// has been scanned, the plain tree holds its leaf at [M/M, 1−M/M] = [1,0],
+// its chain's value, so its label tree is the plain tree; and its cumPre is
+// dead, since the assembly reads only the snapshots taken at its own
+// candidates. Such a row is finished: it leaves the active rows, and at
+// each later position adds the position's plain post products, computed
+// once for all finished rows, into cumPost, in the order its own tally
+// would. A row that is not live has no leaf and is finished from its
+// start, as is a live row whose every candidate precedes its start.
 //
 // Each row starts where its own scan's tree work starts: its scan leaves
 // its α out of zeroRows, so that is zeroRows ≤ K−1 counted without it. A
@@ -161,7 +169,7 @@ func (sc *Scratch) startGroup(e *Engine, rows []int) []hypRow {
 			panic("core: HypothesisCounts on a pinned row")
 		}
 		r := &g[gi]
-		r.label, r.ev, r.active = e.inst.Label(row), e.liveIndex(row), false
+		r.label, r.ev, r.started = e.inst.Label(row), e.liveIndex(row), false
 		r.reset(e.inst.M(row), e.numLabels)
 		if r.ev >= 0 {
 			r.rank = e.inst.facts[row].Rank
@@ -176,10 +184,12 @@ func (sc *Scratch) startGroup(e *Engine, rows []int) []hypRow {
 
 // groupPass runs the hypothesis group pass (see HypothesisGroup) into the
 // rows' prefix sums, snapshots and own terms: at each position every
-// started row adds its supports with the row after the boundary into
+// active row adds its supports with the row after the boundary into
 // cumPost and with it before (the shifted root) into cumPre in one
 // tallyHypothesis pass, and at each of its own candidates j snapshots both
-// sums and adds its own boundary term (tallyPre) into own[j].
+// sums and adds its own boundary term (tallyPre) into own[j]. A finished
+// row adds the position's plain post products (Scratch.postProducts),
+// computed once for all of them, into cumPost alone.
 func (e *Engine) groupPass(sc *Scratch, g []hypRow) {
 	inst := e.inst
 	rows, facts := inst.rows, inst.facts
@@ -189,7 +199,7 @@ func (e *Engine) groupPass(sc *Scratch, g []hypRow) {
 	pins := e.pinsFor(-1, -1)
 	zeroRows := e.seedAlpha(alpha, pins)
 	walk := &sc.walk
-	active := sc.active[:0]
+	active, finished := sc.active[:0], sc.finished[:0]
 	two3 := k == 3 && len(roots) == 2
 	built := false
 	for _, ref := range e.order {
@@ -220,24 +230,27 @@ func (e *Engine) groupPass(sc *Scratch, g []hypRow) {
 		ls := int(f.Label)
 		tr := sc.trees[ls]
 		tr.SetLeafWalk(int(slot[ev]), 0, 1/float64(mEff), a, 1-a, walk)
-		if len(active) < len(g) && (start || zeroRows <= k-1) {
+		if len(active)+len(finished) < len(g) && (start || zeroRows <= k-1) {
 			for gi := range g {
 				r := &g[gi]
-				if !r.active && (zeroRows <= k-1 || r.ev >= 0 && alpha[r.ev] == 0) {
-					r.root = roots[r.label]
-					if r.ev >= 0 {
-						sc.trees[r.label].LeafPath(int(slot[r.ev]), 1, 0, &r.path)
-						r.root = r.path.Top()
-					}
-					r.active = true
-					active = append(active, int32(gi))
+				if r.started || !(zeroRows <= k-1 || r.ev >= 0 && alpha[r.ev] == 0) {
+					continue
 				}
+				r.started = true
+				if r.ev < 0 || alpha[r.ev] == int32(r.m) && r.ev != ev {
+					finished = append(finished, int32(gi))
+					continue
+				}
+				sc.trees[r.label].LeafPath(int(slot[r.ev]), 1, 0, &r.path)
+				r.root = r.path.Top()
+				active = append(active, int32(gi))
 			}
 		}
 		probe, plain := walk.Top(), roots[ls]
 		roots[ls] = probe
 		owner := int(sc.groupAt[ev]) - 1 // the group row this position scans
-		for _, gi := range active {
+		done := -1                       // active's index of a row finishing here
+		for ai, gi := range active {
 			r := &g[gi]
 			lr := r.label
 			root := r.root
@@ -250,12 +263,13 @@ func (e *Engine) groupPass(sc *Scratch, g []hypRow) {
 				roots[lr] = root
 				sc.tallyPre(lr, own)
 				roots[lr] = probe
+				if alpha[ev] == int32(r.m) {
+					done = ai
+				}
 				continue
-			case r.ev >= 0:
+			default:
 				tr.Rejoin(&r.path, walk, segtree.LCALevel(r.rank, f.Rank), sc.probe)
 				root = sc.probe
-			default:
-				root = probe
 			}
 			// The row's label tree's root is root; every other label's is
 			// in roots, the walked label's pointing at the probe.
@@ -271,7 +285,40 @@ func (e *Engine) groupPass(sc *Scratch, g []hypRow) {
 				roots[lr] = saved
 			}
 		}
+		// A finished row's label tree is the plain tree, so its post
+		// supports are the plain ones: the same products, added in the same
+		// order, as its own tallyHypothesis pass would add.
+		switch {
+		case len(finished) == 0:
+		case two3:
+			x, y := roots[0], roots[1]
+			s1, s2 := float64(x[0]*y[3]), float64(x[1]*y[2])
+			s3, s4 := float64(x[2]*y[1]), float64(x[3]*y[0])
+			for _, gi := range finished {
+				post := g[gi].cumPost
+				p0, p1 := post[0], post[1]
+				p1 += s1
+				p1 += s2
+				p0 += s3
+				p0 += s4
+				post[0], post[1] = p0, p1
+			}
+		default:
+			sc.postProducts()
+			for _, gi := range finished {
+				post := g[gi].cumPost
+				for _, s := range sc.posts {
+					post[s.winner] += s.prod
+				}
+			}
+		}
 		roots[ls] = plain
+		if done >= 0 {
+			finished = append(finished, active[done])
+			last := len(active) - 1
+			active[done] = active[last]
+			active = active[:last]
+		}
 	}
-	sc.active = active
+	sc.active, sc.finished = active, finished
 }

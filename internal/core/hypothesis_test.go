@@ -132,6 +132,11 @@ type groupCoverage struct {
 	// (α = 0 there), live and started at the plain transition, evaluated
 	// but not live, absent.
 	atStart, atTransition, evaluatedNotLive, absent int
+	// Live rows whose last candidate is scanned before the pass's last
+	// position with tree work, so they ride the plain tree from there: on
+	// the two-label K = 3 kernel, and on the generic path with 3–4 labels
+	// and K ≠ 3.
+	finished2x3, finishedGeneric int
 	// Engine states whose pass starts at its transition, and with N ≤ K.
 	startIsTransition, nLeK int
 	// Groups of more than one row, by K.
@@ -167,6 +172,43 @@ func passStart(e *Engine, k int) (zero map[int]bool, isTransition bool) {
 	return nil, false
 }
 
+// finishedEarly replays the group pass's positions and returns the
+// unpinned live rows, by evaluated index, whose last candidate is scanned
+// before the pass's last position with tree work (zeroRows ≤ K): the rows
+// that finish, and ride the plain tree, before the pass ends.
+func finishedEarly(e *Engine, k int) map[int]bool {
+	pins := e.pinsFor(-1, -1)
+	alpha := make([]int32, e.N())
+	zeroRows := e.seedAlpha(alpha, pins)
+	lastAt := map[int]int{}
+	lastWork := -1
+	for p, ref := range e.order {
+		ev := int(ref.row)
+		i := e.inst.rows[ev]
+		ch := pins.at(i)
+		if ch >= 0 && ref.cand != ch {
+			continue
+		}
+		alpha[ev]++
+		if alpha[ev] == 1 {
+			zeroRows--
+		}
+		if ch < 0 && alpha[ev] == int32(e.inst.M(int(i))) {
+			lastAt[ev] = p
+		}
+		if zeroRows <= k {
+			lastWork = p
+		}
+	}
+	early := map[int]bool{}
+	for ev, p := range lastAt {
+		if p < lastWork {
+			early[ev] = true
+		}
+	}
+	return early
+}
+
 // checkGroups splits e's unpinned rows, in random order, into groups at
 // random boundaries, runs HypothesisGroup on sc for each, and compares
 // every row's distributions with the walk reference's (on ref) by bits,
@@ -177,6 +219,7 @@ func checkGroups(t *testing.T, rng *rand.Rand, e *Engine, sc, ref *Scratch, cov 
 		cov.nLeK++
 	}
 	zero, isTransition := passStart(e, sc.k)
+	early := finishedEarly(e, sc.k)
 	if isTransition {
 		cov.startIsTransition++
 	}
@@ -197,6 +240,9 @@ func checkGroups(t *testing.T, rng *rand.Rand, e *Engine, sc, ref *Scratch, cov 
 		if len(got) != n {
 			t.Fatalf("%s: %d results for a group of %d", what, len(got), n)
 		}
+		if g, diff := preFrozen(e, sc, group); diff != "" {
+			t.Fatalf("%s: row %d, %d of a group of %d: %s", what, group[g], g, n, diff)
+		}
 		for g, row := range group {
 			ev, evaluated := e.inst.evalIndex(row)
 			switch hypEv := e.liveIndex(row); {
@@ -209,12 +255,39 @@ func checkGroups(t *testing.T, rng *rand.Rand, e *Engine, sc, ref *Scratch, cov 
 			default:
 				cov.atTransition++
 			}
+			switch {
+			case !early[ev]:
+			case e.numLabels == 2 && sc.k == 3:
+				cov.finished2x3++
+			case e.numLabels >= 3 && sc.k != 3:
+				cov.finishedGeneric++
+			}
 			if diff := sameHypBits(got[g], walkHypothesisCounts(e, ref, row)); diff != "" {
 				t.Fatalf("%s: row %d, %d of a group of %d (N=%d K=%d labels=%d): %s",
 					what, row, g, n, e.N(), sc.k, e.numLabels, diff)
 			}
 		}
 	}
+}
+
+// preFrozen checks that the last pass on sc added nothing to a row's
+// cumPre once the row finished: it ends equal to the snapshot at the row's
+// last scanned candidate (its argMax), or zero for a row that is not live.
+// It returns the first row where not, and why.
+func preFrozen(e *Engine, sc *Scratch, rows []int) (int, string) {
+	for g, row := range rows {
+		r := &sc.group[g]
+		want := make([]float64, e.numLabels)
+		if ev := e.liveIndex(row); ev >= 0 {
+			want, _, _ = r.cand(int(e.argMax[ev]))
+		}
+		for y := range want {
+			if math.Float64bits(r.cumPre[y]) != math.Float64bits(want[y]) {
+				return g, fmt.Sprintf("cumPre %v after the pass, %v at the row's last candidate", r.cumPre, want)
+			}
+		}
+	}
+	return 0, ""
 }
 
 // groupResults runs HypothesisGroup and returns copies of each row's
@@ -248,9 +321,11 @@ func cloneHyp(h [][]float64) [][]float64 {
 // equals the walk reference's. Every unpinned row is checked, so the rows
 // that start at the pass's first position, the live rows that start at the
 // transition, the evaluated rows that are not live and the absent rows are
-// all covered, as are passes that start at their transition and groups of
-// several rows at K = 1, 3 and 5; the test fails if any case goes
-// unexercised.
+// all covered, as are passes that start at their transition, groups of
+// several rows at K = 1, 3 and 5, and live rows that finish (their last
+// candidate scanned) before the pass ends, on the two-label K = 3 kernel
+// and on the generic path with 3–4 labels and K ≠ 3; the test fails if any
+// case goes unexercised.
 func TestHypothesisReplayMatchesWalk(t *testing.T) {
 	rng := rand.New(rand.NewSource(2401))
 	cov := groupCoverage{groupsByK: map[int]int{}}
@@ -278,6 +353,7 @@ func TestHypothesisReplayMatchesWalk(t *testing.T) {
 	t.Logf("coverage %+v", cov)
 	if cov.atStart == 0 || cov.atTransition == 0 || cov.evaluatedNotLive == 0 ||
 		cov.absent == 0 || cov.startIsTransition == 0 || cov.nLeK == 0 ||
+		cov.finished2x3 == 0 || cov.finishedGeneric == 0 ||
 		cov.groupsByK[1] == 0 || cov.groupsByK[3] == 0 || cov.groupsByK[5] == 0 {
 		t.Fatalf("a case went unexercised: %+v", cov)
 	}

@@ -49,6 +49,7 @@ func (sc *Scratch) ApproxBytes() int64 {
 		r := &sc.group[i]
 		b += int64(cap(r.buf))*8 + r.path.ApproxBytes()
 	}
+	b += int64(cap(sc.active)+cap(sc.finished))*4 + int64(cap(sc.posts))*16
 	return b + sc.walk.ApproxBytes() + int64(cap(sc.views))*24
 }
 
@@ -58,6 +59,7 @@ func (e *Engine) ResetPins() {
 	for i := range e.pins {
 		e.pins[i] = -1
 	}
+	e.freshPin = -1
 	e.pinGen++
 }
 

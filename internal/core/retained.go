@@ -14,7 +14,9 @@ import "fmt"
 //     unable to enter the top-K. Such pins change neither the counts nor
 //     the mask (the RelevantRows lemma), so the memo is returned verbatim.
 //     An unchanged pin generation, or a pin followed by an unpin of the
-//     same row, diffs to nothing and is a hit too. O(N).
+//     same row, diffs to nothing and is a hit too. O(1) when the memo was
+//     checked at the current pin generation or the one before and the pin
+//     since is fresh (every CPClean step), O(N) otherwise.
 //   - Full sweep: any other change — a relevant row pinned, a row unpinned
 //     or repinned, ResetPins after pins — runs one ordinary SS-DC sweep
 //     (the accumulate sink, as Engine.Counts runs it) plus RelevantRows,
@@ -128,7 +130,6 @@ func (r *Retained) Relevant() []bool { return r.relevant }
 func (r *Retained) Counts() []float64 {
 	e := r.e
 	if !r.stale() {
-		r.gen = e.PinGeneration()
 		r.stats.MemoHits++
 		r.stats.CandidatesAvoided += int64(len(e.order))
 		return r.counts
@@ -145,8 +146,6 @@ func (r *Retained) Counts() []float64 {
 func (r *Retained) Refresh() {
 	if r.stale() {
 		r.sweep()
-	} else {
-		r.gen = r.e.PinGeneration()
 	}
 }
 
@@ -166,9 +165,30 @@ func (r *Retained) sweep() {
 	r.stats.FullScans++
 }
 
-// stale reports whether the next Counts runs a full sweep.
+// stale reports whether the next Counts runs a full sweep. A memo that
+// holds is recorded as checked at the current pin generation, so a later
+// call at the same generation decides in O(1). A memo checked one
+// generation back decides from the relevance of the row the last pin
+// mutation freshly pinned alone (Engine.freshPin): the pins then differ
+// from the checked ones by that pin only, and the memo's pins by it plus
+// fresh irrelevant pins. Any other gap diffs the pins (pinsPreserveMemo).
 func (r *Retained) stale() bool {
-	return !r.valid || (r.e.PinGeneration() != r.gen && !r.pinsPreserveMemo())
+	if !r.valid {
+		return true
+	}
+	e := r.e
+	switch {
+	case e.pinGen == r.gen:
+		return false
+	case e.pinGen == r.gen+1 && e.freshPin >= 0:
+		if r.relevant[e.freshPin] {
+			return true
+		}
+	case !r.pinsPreserveMemo():
+		return true
+	}
+	r.gen = e.pinGen
+	return false
 }
 
 // UnchangedSince reports, without counting a query, whether the current

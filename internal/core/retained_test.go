@@ -295,6 +295,48 @@ func TestRetainedUnchangedSince(t *testing.T) {
 	}
 }
 
+// TestRetainedStaleMatchesPinDiff checks the memo's staleness verdict —
+// decided in O(1) when the memo was checked at the current pin generation
+// or, after a fresh pin, the one before — against the full diff of the
+// engine's pins with the memo's, under random pins, unpins, repins and
+// resets, for memos checked every step, every other step and every third,
+// and that both fast verdicts (kept and stale) occur.
+func TestRetainedStaleMatchesPinDiff(t *testing.T) {
+	rng := rand.New(rand.NewSource(99))
+	inst := randomInstance(rng, 40, 4, 2)
+	e := NewEngineFromInstance(inst)
+	memos := []*Retained{mustRetained(t, e, 3, false), mustRetained(t, e, 3, false), mustRetained(t, e, 3, false)}
+	var fastKept, fastStale int
+	for step := 1; step <= 400; step++ {
+		applyRandomPinOp(rng, e)
+		for lag, rt := range memos {
+			if step%(lag+1) != 0 {
+				continue
+			}
+			want := !rt.valid || !rt.pinsPreserveMemo()
+			fast := rt.valid && e.pinGen == rt.gen+1 && e.freshPin >= 0
+			if got := rt.stale(); got != want {
+				t.Fatalf("step %d, memo checked every %d steps: stale()=%v, pin diff says %v", step, lag+1, got, want)
+			}
+			switch {
+			case fast && want:
+				fastStale++
+			case fast:
+				fastKept++
+			}
+			if rt.stale() != want {
+				t.Fatalf("step %d: a second stale() at the same generation changed its verdict", step)
+			}
+			if want && rng.Intn(2) == 0 {
+				rt.Counts()
+			}
+		}
+	}
+	if fastKept == 0 || fastStale == 0 {
+		t.Fatalf("fast verdicts: %d kept, %d stale; both must occur", fastKept, fastStale)
+	}
+}
+
 // TestRetainedWithScratchPool runs two memos of one engine against one
 // shared scratch pool (the serving configuration), checks both stay bitwise
 // equal to a fresh sweep, and that a nil pool or a pool of another K is

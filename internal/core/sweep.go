@@ -14,7 +14,8 @@ package core
 // position: each row recomputes only its own-label nodes from the LCA of
 // its leaf and the walked one up, and tallies the pre/post prefix sums in
 // one pass per position (the row's pre-state root is the post root shifted
-// one degree).
+// one degree), until its last candidate is scanned; from then on it adds
+// the plain post products every finished row shares (postProducts).
 
 // scan walks every kept scan position with real tree work under the given
 // pins (the engine's, with an optional per-query override), from the α
@@ -134,6 +135,30 @@ func tallyHypothesis(sc *Scratch, lHyp int, post, pre []float64) {
 		}
 		if prodPre != 0 {
 			pre[sc.winners[ti]] += prodPre
+		}
+	}
+}
+
+// support is one nonzero tally product and the label its tally wins.
+type support struct {
+	winner int
+	prod   float64
+}
+
+// postProducts lists in sc.posts the nonzero products of tallyHypothesis's
+// post pass against sc.roots, in tally order: the supports a hypothesis row
+// whose label tree is the plain tree adds into its post sum, the same
+// products in the same order as its own pass would add.
+func (sc *Scratch) postProducts() {
+	roots := sc.roots
+	sc.posts = sc.posts[:0]
+	for ti, g := range sc.tallies {
+		prod := 1.0
+		for l, c := range g {
+			prod *= roots[l][c]
+		}
+		if prod != 0 {
+			sc.posts = append(sc.posts, support{sc.winners[ti], prod})
 		}
 	}
 }

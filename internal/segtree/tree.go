@@ -47,7 +47,9 @@
 // up: the nodes below it do not contain s. Rejoin recomputes exactly those,
 // and the hypothesis group pass (internal/core) serves a group of
 // hypothesis rows, each with its own leaf, from one walk of the plain tree
-// per scan position that way.
+// per scan position that way. Once t's leaf r holds the same value as the
+// chain's, the two trees are one: the pass then drops the row's chain and
+// reads the plain tree for it, with no Rejoin.
 //
 // # Tree arithmetic
 //

@@ -33,26 +33,35 @@
 // The same lemma bounds the certainty refresh: after a pin, a Run re-checks
 // only the uncertain points whose memo the pins since their last check may
 // have changed (core.Retained.UnchangedSince), ≈2.7 of ≈25.6 per step on
-// loadbench's clean-live data. Multi-label certainty reads the memo's
-// counts, so SelectBatch reuses that sweep.
+// loadbench's clean-live data. It filters the points in order and fans out
+// over the rest only, inline when one is left; a memo checked one pin back
+// decides from the pinned row's relevance alone. Multi-label certainty
+// reads the memo's counts, so SelectBatch reuses that sweep. The Run keeps
+// the world count, dividing it by each cleaned row's candidate count.
 //
 // # Point-major scoring
 //
 // SelectBatch builds each uncertain point's stale rows — relevant, not
-// memoized — into one group, in the same pass over the (point, row) pairs
-// that counts examined and reused hypotheses, and hands its workers one
-// group, or a part of one, at a time: one hypothesis group pass
+// memoized — into one group, in a pass over the (point, row) pairs that
+// counts examined and reused hypotheses, and hands its workers one group,
+// or a part of one, at a time: one hypothesis group pass
 // (core.Engine.HypothesisGroup) serves all of a part's rows, walking the
-// point's plain trees once per scan position. A round has few stale points
-// (≈2.74 of ≈25.6 on loadbench's clean-live data, at most one in 63 of 214
-// rounds), so a group is split into up to Parallelism parts, each paying
-// its own plain pass. Each row's score
-// is then summed over the points in order — the current entropy of an
-// irrelevant point, the memoized sum of any other — so it carries the same
-// bits, and examined/reused the same counts, however the groups were split
-// or scheduled; the batch best rows are picked by a partial selection
-// under the same total order as a full sort (entropy, then the smaller
-// row).
+// point's plain trees once per scan position; a row whose last candidate
+// was scanned rides the plain tree from there. The pass visits only the
+// points whose memo was reset since the last round: a point that scored
+// every relevant row of the last round's rows and did not sweep since has
+// no stale row, unless the round offers a row the last did not (a Run's
+// rows only shrink), and its memo hits are counted by the totals sum
+// instead. A round has few stale points (≈2.74 of ≈25.6 on loadbench's
+// clean-live data, at most one in 63 of 214 rounds), so a group is split
+// into up to Parallelism parts, each paying its own plain pass. Each row's
+// score is then summed over the points in order — the current entropy of
+// an irrelevant point, the memoized sum of any other — so it carries the
+// same bits, and examined/reused the same counts, however the groups were
+// split or scheduled. That sum stays per round and per pair: every sweep
+// moves its point's current entropy, so every row's total moves. The batch
+// best rows are picked by a partial selection under the same total order
+// as a full sort (entropy, then the smaller row).
 //
 // # Invariants
 //

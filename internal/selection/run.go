@@ -27,7 +27,9 @@ type Run struct {
 	truth       []int
 	certain     []bool   // aliased by sel
 	checkedAt   []uint64 // engine pin generation each point's certainty holds at
+	moved       []int    // refreshCertainty's points to re-check, reused
 	cleaned     []bool
+	worlds      *big.Int // possible worlds under the cleaned rows
 }
 
 // NewRun builds one truncated engine per validation point, at most
@@ -59,10 +61,11 @@ func NewRun(d *dataset.Incomplete, kernel knn.Kernel, points [][]float64, truth 
 		checkedAt:   make([]uint64, len(points)),
 		cleaned:     make([]bool, d.N()),
 	}
-	_ = r.each(func(v int) error { // an engine build cannot fail
+	_ = r.each(len(points), func(v int) error { // an engine build cannot fail
 		r.engines[v] = core.NewTruncatedEngine(d, kernel, points[v], cfg.K)
 		return nil
 	})
+	r.worlds = r.engines[0].WorldCount()
 	var err error
 	if r.scratches, err = scratches(r.engines[0]); err != nil {
 		return nil, err
@@ -76,19 +79,22 @@ func NewRun(d *dataset.Incomplete, kernel knn.Kernel, points [][]float64, truth 
 	return r, nil
 }
 
-// each calls f(v) for every validation point v, at most r.parallelism at a
-// time, and returns the first error in point order.
-func (r *Run) each(f func(v int) error) error {
+// each calls f(i) for every i in [0, n), at most r.parallelism at a time,
+// and returns the first error in index order. A single call runs inline.
+func (r *Run) each(n int, f func(i int) error) error {
+	if n == 1 {
+		return f(0)
+	}
 	var wg sync.WaitGroup
 	sem := make(chan struct{}, r.parallelism)
-	errs := make([]error, len(r.engines))
-	for v := range r.engines {
+	errs := make([]error, n)
+	for i := range n {
 		wg.Add(1)
 		sem <- struct{}{}
 		go func() {
 			defer wg.Done()
 			defer func() { <-sem }()
-			errs[v] = f(v)
+			errs[i] = f(i)
 		}()
 	}
 	wg.Wait()
@@ -100,22 +106,31 @@ func (r *Run) each(f func(v int) error) error {
 	return nil
 }
 
-// refreshCertainty re-checks, in parallel, the uncertain validation points
-// whose answers the pins since their last check may have changed. Certain
-// points stay certain (the paper's monotonicity lemma); a point whose memo
-// is unchanged since its last check keeps its Q1 answer too
+// refreshCertainty re-checks the uncertain validation points whose answers
+// the pins since their last check may have changed. Certain points stay
+// certain (the paper's monotonicity lemma); a point whose memo is unchanged
+// since its last check keeps its Q1 answer too
 // (core.Retained.UnchangedSince). A memo never computed is never unchanged,
-// so the first refresh checks every point. Binary labels answer Q1 exactly
-// with MM; more labels use threshold certainty over the memo's counts, a
-// sweep SelectBatch reuses, except that a UseMC memo holds multi-class
-// counts, so that case runs its own tally sweep.
+// so the first refresh checks every point. The points are filtered in
+// order, and only the rest are re-checked in parallel (inline when one is
+// left). Binary labels answer Q1 exactly with MM; more labels use
+// threshold certainty over the memo's counts, a sweep SelectBatch reuses,
+// except that a UseMC memo holds multi-class counts, so that case runs its
+// own tally sweep.
 func (r *Run) refreshCertainty() error {
-	return r.each(func(v int) error {
-		e, rt := r.engines[v], r.sel.memos[v].rt
+	moved := r.moved[:0]
+	for v, e := range r.engines {
 		since := r.checkedAt[v]
 		r.checkedAt[v] = e.PinGeneration()
+		if !r.certain[v] && !r.sel.memos[v].rt.UnchangedSince(since) {
+			moved = append(moved, v)
+		}
+	}
+	r.moved = moved
+	return r.each(len(moved), func(i int) error {
+		v := moved[i]
+		e, rt := r.engines[v], r.sel.memos[v].rt
 		switch {
-		case r.certain[v] || rt.UnchangedSince(since):
 		case e.Instance().NumLabels == 2:
 			c, err := e.IsCertainMM(r.k)
 			r.certain[v] = c
@@ -154,7 +169,10 @@ func (r *Run) Select(batch int) (rows []int, entropies []float64, examined int64
 // changed it. It returns the candidate.
 func (r *Run) Clean(row int) (cand int, err error) {
 	cand = r.truth[row]
-	r.cleaned[row] = true
+	if !r.cleaned[row] {
+		r.cleaned[row] = true
+		r.worlds.Quo(r.worlds, big.NewInt(int64(r.d.Examples[row].M())))
+	}
 	r.sel.Pin(row, cand)
 	return cand, r.refreshCertainty()
 }
@@ -182,8 +200,10 @@ func (r *Run) CertainFraction() float64 {
 // or no candidate row remains.
 func (r *Run) Done() bool { return r.AllCertain() || len(r.Candidates()) == 0 }
 
-// WorldCount returns the number of possible worlds under the cleaned rows.
-func (r *Run) WorldCount() *big.Int { return r.engines[0].WorldCount() }
+// WorldCount returns the number of possible worlds under the cleaned rows:
+// the run's count, divided by each row's candidate count as it is cleaned,
+// copied.
+func (r *Run) WorldCount() *big.Int { return new(big.Int).Set(r.worlds) }
 
 // Examined returns the hypothesis Q2 scans performed over the whole run.
 func (r *Run) Examined() int64 {

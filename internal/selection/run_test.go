@@ -37,7 +37,9 @@ func recheckAll(t *testing.T, r *Run) []bool {
 // scratch. It covers binary and three-label data, the UseMC ablation,
 // batches of three, RandomClean's path (no Select: a binary run's memos are
 // never computed, a three-label run's only by its certainty checks) and
-// pins made on the engines behind the run's back.
+// pins made on the engines behind the run's back. After every Clean of a
+// run without such pins it also checks that the run's world count, kept by
+// division, equals the first engine's product over its unpinned rows.
 func TestRunCertaintyMatchesFullRecheck(t *testing.T) {
 	cases := []struct {
 		name      string
@@ -110,6 +112,9 @@ func TestRunCertaintyMatchesFullRecheck(t *testing.T) {
 					}
 					steps++
 					check(fmt.Sprintf("step %d", steps))
+					if got, want := r.WorldCount(), r.engines[0].WorldCount(); !c.outOfBand && got.Cmp(want) != 0 {
+						t.Fatalf("step %d: run world count %s, engine %s", steps, got, want)
+					}
 					for v, m := range r.sel.memos {
 						if !r.certain[v] && m.rt.UnchangedSince(before) {
 							kept++ // the pin left point v's answers unchanged

@@ -44,6 +44,11 @@ type valMemo struct {
 	// hypSum[i] memoizes Σ_j H(Q2 | clean row i → candidate j); NaN marks
 	// a pair not yet scanned since the last sweep.
 	hypSum []float64
+	// scored is the last SelectBatch round that scored every relevant row
+	// of its rows into hypSum, 0 since a reset. memoized marks that the
+	// current round found them all memoized and built no group.
+	scored   uint64
+	memoized bool
 }
 
 // Selector owns the scoring machinery of one cleaning run. It shares the
@@ -60,6 +65,11 @@ type Selector struct {
 
 	examined int64 // hypothesis Q2 scans actually performed
 	reused   int64 // scans avoided by the cross-round memo
+
+	// round counts SelectBatch calls; offeredAt[row] is the last round
+	// that offered row.
+	round     uint64
+	offeredAt []uint64
 
 	// SelectBatch's buffers, reused across rounds.
 	stale  []int
@@ -128,7 +138,7 @@ func (s *Selector) refresh(valIdx []int) {
 		}
 		counts := m.rt.Counts()
 		if n := m.rt.Stats().FullScans; n != m.sweeps {
-			m.sweeps = n
+			m.sweeps, m.scored = n, 0
 			m.curH = core.Entropy(counts)
 			if m.hypSum == nil {
 				m.hypSum = make([]float64, s.engines[v].N())
@@ -159,15 +169,33 @@ func (s *Selector) SelectBatch(rows []int, batch int) (bestRows []int, bestEntro
 		}
 	}
 	s.refresh(valIdx)
+	// A point that scored every relevant row of the last round's rows and
+	// has not been reset since has every relevant row of this round's
+	// memoized, if this round offers no new row.
+	s.round++
+	if s.offeredAt == nil {
+		s.offeredAt = make([]uint64, inst.N())
+	}
+	sameRows := true
+	for _, row := range rows {
+		if s.offeredAt[row] != s.round-1 {
+			sameRows = false
+		}
+		s.offeredAt[row] = s.round
+	}
 
-	// One pass over the (point, row) pairs: each point's stale rows —
-	// relevant, not memoized — form its group, and memo hits and
-	// irrelevant pairs are counted. The groups' entropy sums land in the
-	// memos.
+	// One pass over the (point, row) pairs of the other points: each
+	// point's stale rows — relevant, not memoized — form its group, and
+	// memo hits are counted. The groups' entropy sums land in the memos.
 	var reused int64
 	stale, groups := s.stale[:0], s.groups[:0]
 	for _, v := range valIdx {
 		memo := &s.memos[v]
+		memo.memoized = sameRows && memo.scored > 0 && memo.scored == s.round-1
+		memo.scored = s.round
+		if memo.memoized {
+			continue
+		}
 		relevant := memo.rt.Relevant()
 		from := len(stale)
 		for _, row := range rows {
@@ -186,11 +214,11 @@ func (s *Selector) SelectBatch(rows []int, batch int) (bestRows []int, bestEntro
 	}
 	s.stale, s.groups = stale, groups
 	s.score(splitGroups(groups, s.cfg.Parallelism))
-	s.examined += examined
-	s.reused += reused
 
 	// Each row's score sums its points in valIdx order, so it carries the
-	// same bits however the groups were scheduled.
+	// same bits however the groups were scheduled. Every total moves each
+	// round (a sweep moves its point's curH), so the sum visits every pair;
+	// it counts the memo hits of the points that built no group.
 	totals := slices.Grow(s.totals[:0], len(rows))[:len(rows)]
 	clear(totals)
 	s.totals = totals
@@ -206,9 +234,14 @@ func (s *Selector) SelectBatch(rows []int, batch int) (bestRows []int, bestEntro
 			}
 			// Scored above, or memoized from an earlier round and still
 			// exact because the point's memo has not swept since.
+			if memo.memoized {
+				reused += int64(inst.M(row))
+			}
 			totals[ri] += memo.hypSum[row]
 		}
 	}
+	s.examined += examined
+	s.reused += reused
 	// The batch lowest scores, ascending, ties toward the smaller row
 	// index: an insertion into a batch-long run under that total order.
 	best := make([]rowScore, 0, min(batch, len(rows)))

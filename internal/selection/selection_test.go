@@ -470,3 +470,83 @@ func TestPointMajorMatchesRowMajor(t *testing.T) {
 		})
 	}
 }
+
+// TestSelectBatchAnyRowsMatchesRowMajor drives SelectBatch and the
+// row-major reference with the caller's freedoms a Run never uses: each
+// round offers a random subset of the candidate rows (so a round can offer
+// rows the last one did not), and an uncertain point is sometimes marked
+// certain for one round and then uncertain again (so it can miss the round
+// that offered a row). A point whose memo has not swept builds no group
+// only when it scored the last round's rows and this round offers no new
+// one; every round must match the reference's rows, entropies and examined
+// count bit for bit, and the lifetime examined and reused counts too.
+func TestSelectBatchAnyRowsMatchesRowMajor(t *testing.T) {
+	for _, numLabels := range []int{2, 3} {
+		seed := int64(2701 + numLabels)
+		d := randDataset(t, 30, 3, numLabels, 2, 0.6, seed)
+		valPts := randPoints(10, 2, seed+1)
+		cfg := Config{Parallelism: 2}
+		a := newHarness(t, d, valPts, 3, cfg)
+		b := newHarness(t, d, valPts, 3, cfg)
+		rng := rand.New(rand.NewSource(seed + 2))
+		newRows, rejoined := 0, 0
+		var last []int
+		for round := 0; round <= 2*d.N() && !a.allCertain(); round++ {
+			rows := a.candidateRows()
+			if len(rows) == 0 {
+				break
+			}
+			if rng.Intn(2) == 0 {
+				rows = slices.DeleteFunc(rows, func(int) bool { return rng.Intn(2) == 0 })
+				if len(rows) == 0 {
+					continue
+				}
+			}
+			for _, row := range rows {
+				if !slices.Contains(last, row) {
+					newRows++
+					break
+				}
+			}
+			last = rows
+			hidden := -1
+			if v := rng.Intn(len(valPts)); !a.certain[v] && rng.Intn(3) == 0 {
+				hidden = v
+				a.certain[v], b.certain[v] = true, true
+			}
+			rowsA, hA, exA := a.sel.SelectBatch(rows, 2)
+			rowsB, hB, exB := rowMajorSelectBatch(b.sel, rows, 2)
+			if hidden >= 0 {
+				a.certain[hidden], b.certain[hidden] = false, false
+				rejoined++
+			}
+			if !slices.Equal(rowsA, rowsB) || exA != exB {
+				t.Fatalf("labels %d round %d: point-major %v (examined %d), row-major %v (examined %d)",
+					numLabels, round, rowsA, exA, rowsB, exB)
+			}
+			for i := range hA {
+				if math.Float64bits(hA[i]) != math.Float64bits(hB[i]) {
+					t.Fatalf("labels %d round %d: row %d entropy %v, row-major %v", numLabels, round, rowsA[i], hA[i], hB[i])
+				}
+			}
+			if rng.Intn(2) == 0 {
+				continue // pin nothing: the next round sees the same memos
+			}
+			cand := rng.Intn(d.Examples[rowsA[0]].M())
+			a.sel.Pin(rowsA[0], cand)
+			b.sel.Pin(rowsB[0], cand)
+			a.refreshCertainty(t)
+			b.refreshCertainty(t)
+		}
+		exA, reA := a.sel.Stats()
+		exB, reB := b.sel.Stats()
+		if exA != exB || reA != reB {
+			t.Fatalf("labels %d: lifetime examined/reused %d/%d, row-major %d/%d", numLabels, exA, reA, exB, reB)
+		}
+		if newRows < 2 || rejoined < 2 || reA == 0 {
+			t.Fatalf("labels %d: %d rounds offered new rows, %d points rejoined, %d reused: the run exercised too little",
+				numLabels, newRows, rejoined, reA)
+		}
+		t.Logf("labels %d: examined %d, reused %d, %d rounds with new rows, %d rejoins", numLabels, exA, reA, newRows, rejoined)
+	}
+}
