@@ -67,7 +67,7 @@
 //	DELETE /v1/clean/{id}               release the session
 //	GET    /v1/stats                    serving + WAL statistics (engine caches and byte
 //	                                    budgets, session query-memo reuse, result-cache hit/miss/
-//	                                    bytes counters, fsync count/latency,
+//	                                    declined/bytes counters, fsync count/latency,
 //	                                    segment/snapshot counts, last replay duration)
 //
 // Registering with k omitted or 0 defaults to min(3, N). Errors are JSON

@@ -405,11 +405,13 @@ func (t *Tree) walk3(s int, w *Path) {
 
 // LeafPath sets h to leaf s's path with the leaf valued [f0, f1, 0, ...]
 // and every other leaf as t holds it: at each ancestor, the node a tree
-// with that leaf value would hold. It does not write t. It runs once per
-// hypothesis row and pass, so the generic convolution serves every K (its
-// bits are the K = 3 kernel's). O(K² · depth).
+// with that leaf value would hold. It does not write t. O(K² · depth).
 func (t *Tree) LeafPath(s int, f0, f1 float64, h *Path) {
 	h.start(t, s, f0, f1)
+	if t.k == 3 {
+		t.leafPath3(s, h)
+		return
+	}
 	for s > 0 {
 		q := (s - 1) >> 1
 		s = int(t.up[q])
@@ -418,6 +420,28 @@ func (t *Tree) LeafPath(s int, f0, f1 float64, h *Path) {
 		h.vals = append(h.vals, h.vals[len(h.vals)-h.w:]...)
 	}
 	t.climb(h, 1, nil, nil)
+}
+
+// leafPath3 is LeafPath's climb for K = 3: walk3's chain without its
+// stored-parent recomputation, each level's value appended to h.
+func (t *Tree) leafPath3(s int, h *Path) {
+	c0, c1, c2, c3 := h.vals[0], h.vals[1], 0.0, 0.0
+	n := 0
+	for s > 0 {
+		q := (s - 1) >> 1
+		ch := t.nodes[8*q+4 : 8*q+12 : 8*q+12]
+		if s&1 != 0 {
+			c0, c1, c2, c3 = convolve3(c0, c1, c2, c3, ch[4], ch[5], ch[6], ch[7])
+		} else {
+			c0, c1, c2, c3 = convolve3(ch[0], ch[1], ch[2], ch[3], c0, c1, c2, c3)
+		}
+		s = int(t.up[q])
+		h.at[t.level[q]] = int8(len(h.slots))
+		h.slots = append(h.slots, int32(s))
+		h.vals = append(h.vals, c0, c1, c2, c3)
+		n++
+	}
+	countConvs(n)
 }
 
 // Rejoin brings h, the path of a leaf r other than w's, up to date after

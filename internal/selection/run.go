@@ -29,6 +29,8 @@ type Run struct {
 	checkedAt   []uint64 // engine pin generation each point's certainty holds at
 	moved       []int    // refreshCertainty's points to re-check, reused
 	cleaned     []bool
+	left        int      // uncleaned rows with more than one candidate
+	candidates  []int    // Candidates' list, reused
 	worlds      *big.Int // possible worlds under the cleaned rows
 }
 
@@ -60,6 +62,11 @@ func NewRun(d *dataset.Incomplete, kernel knn.Kernel, points [][]float64, truth 
 		certain:     make([]bool, len(points)),
 		checkedAt:   make([]uint64, len(points)),
 		cleaned:     make([]bool, d.N()),
+	}
+	for _, ex := range d.Examples {
+		if ex.M() > 1 {
+			r.left++
+		}
 	}
 	_ = r.each(len(points), func(v int) error { // an engine build cannot fail
 		r.engines[v] = core.NewTruncatedEngine(d, kernel, points[v], cfg.K)
@@ -147,14 +154,16 @@ func (r *Run) refreshCertainty() error {
 }
 
 // Candidates lists, ascending, the rows a step may clean: uncleaned rows
-// with more than one candidate.
+// with more than one candidate. The slice is reused: it is valid until the
+// next Candidates or Select call.
 func (r *Run) Candidates() []int {
-	var out []int
+	out := r.candidates[:0]
 	for i, c := range r.cleaned {
 		if !c && r.d.Examples[i].M() > 1 {
 			out = append(out, i)
 		}
 	}
+	r.candidates = out
 	return out
 }
 
@@ -171,6 +180,9 @@ func (r *Run) Clean(row int) (cand int, err error) {
 	cand = r.truth[row]
 	if !r.cleaned[row] {
 		r.cleaned[row] = true
+		if r.d.Examples[row].M() > 1 {
+			r.left--
+		}
 		r.worlds.Quo(r.worlds, big.NewInt(int64(r.d.Examples[row].M())))
 	}
 	r.sel.Pin(row, cand)
@@ -198,7 +210,7 @@ func (r *Run) CertainFraction() float64 {
 
 // Done reports whether no step is left: every validation point is CP'ed,
 // or no candidate row remains.
-func (r *Run) Done() bool { return r.AllCertain() || len(r.Candidates()) == 0 }
+func (r *Run) Done() bool { return r.AllCertain() || r.left == 0 }
 
 // WorldCount returns the number of possible worlds under the cleaned rows:
 // the run's count, divided by each row's candidate count as it is cleaned,

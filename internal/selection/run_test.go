@@ -83,6 +83,9 @@ func TestRunCertaintyMatchesFullRecheck(t *testing.T) {
 						t.Fatalf("%s: point %d certain=%v, full re-check %v", when, v, r.certain[v], want[v])
 					}
 				}
+				if n := len(r.Candidates()); r.left != n {
+					t.Fatalf("%s: %d rows left, %d candidates", when, r.left, n)
+				}
 			}
 			check("NewRun")
 			steps, kept := 0, 0
@@ -93,6 +96,7 @@ func TestRunCertaintyMatchesFullRecheck(t *testing.T) {
 				if cands := r.Candidates(); c.outOfBand && len(cands) > 1 {
 					oob := cands[rng.Intn(len(cands))]
 					r.cleaned[oob] = true // never offered to Select again
+					r.left--
 					cand := rng.Intn(d.Examples[oob].M())
 					for _, e := range r.engines {
 						e.SetPin(oob, cand)

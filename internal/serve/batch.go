@@ -58,13 +58,14 @@ func batchWorkers(cfg Config, points int) int {
 
 // BatchQuery answers Q1/Q2/entropy for every point of the request against
 // the named dataset, fanning the points out across the server's worker
-// budget. A repeated point is answered by the result cache when one is
-// configured; otherwise its engine comes from the per-dataset LRU (built on
-// a miss), a Scratch from the shared free list, and a fresh SS-DC sweep
-// answers Q2. Canceling ctx — a disconnected HTTP client above all —
-// stops the fan-out: remaining points are never started, in-flight workers
-// stop at the next point boundary, and the context's error is returned with
-// partial work discarded.
+// budget. A point requested twice before is answered by the result cache
+// when one is configured (it admits an answer on its point's second miss);
+// otherwise its engine comes from the per-dataset LRU (built on a miss), a
+// Scratch from the shared free list, and a fresh SS-DC sweep answers Q2.
+// Canceling ctx — a disconnected HTTP client above all — stops the fan-out:
+// remaining points are never started, in-flight workers stop at the next
+// point boundary, and the context's error is returned with partial work
+// discarded.
 func (s *Server) BatchQuery(ctx context.Context, name string, req BatchRequest) (*BatchResult, error) {
 	ds, err := s.Dataset(name)
 	if err != nil {
@@ -111,7 +112,8 @@ func collect(n int, stream func(yield func(int, PointResult) error) (BatchSummar
 // request order as results complete. Pooled engines are never pinned, so a
 // dataset-level answer can never go stale: each point is looked up in the
 // result cache (when one is configured) first, and a hit skips the engine
-// layer entirely.
+// layer entirely; a miss's answer is offered to the cache, which admits it
+// on the key's second miss.
 func (d *Dataset) StreamBatchQuery(ctx context.Context, req BatchRequest, cfg Config, yield func(i int, r PointResult) error) (BatchSummary, error) {
 	cfg = cfg.withDefaults()
 	k, err := d.resolveK(req.K)

@@ -16,18 +16,38 @@ import (
 // go stale. Session queries answer from their own per-point memo
 // (sessionQueryCache) and never consult it.
 //
+// An answer is admitted on its key's second miss, not its first: a
+// doorkeeper — a direct-mapped table of key hashes — remembers the last key
+// seen in each slot, and put inserts only a key its slot already holds.
+// Certain-prediction queries mostly come once per test example, so on a
+// stream of new points the first-miss answers would fill the budget with
+// entries never read again. A hash collision can only delay an admission;
+// the answer served is always the key's own.
+//
 // The cache is byte-budgeted through the same lruBudget accounting as the
 // engine LRU and opt-in via Config.ResultCacheBytes; cached Fractions slices
 // are shared across callers under PointResult's read-only contract.
 type resultCache struct {
 	maxBytes int64
 
-	mu    sync.Mutex
-	cache *lruBudget[PointResult] // guarded by mu
+	mu       sync.Mutex
+	cache    *lruBudget[PointResult] // guarded by mu
+	door     []uint64                // doorkeeper, allocated on the first put; guarded by mu
+	declined int64                   // puts the doorkeeper turned away; guarded by mu
 
 	hits   atomic.Int64
 	misses atomic.Int64
 }
+
+// doorBits sizes the doorkeeper: 1<<doorBits slots of 8 bytes (512 KiB).
+const doorBits = 16
+
+// resultEntryOverhead is an entry's heap beyond its key's and fractions'
+// lengths: its lruItem (80 B size class), list.Element (48 B) and map slot
+// (≈40 B at the map's average load), and the capacity resultKey grows past
+// the key (≈24 B). TestResultCacheApproxBytesTracksAllocs holds the total
+// within ±25% of the live heap an entry costs.
+const resultEntryOverhead = 192
 
 func newResultCache(maxBytes int64) *resultCache {
 	return &resultCache{
@@ -53,6 +73,17 @@ func resultKey(fingerprint string, k int, useMC bool, point string) string {
 	return b.String()
 }
 
+// keyHash is FNV-1a over key with the low bit forced to 1, so no key hashes
+// to an empty doorkeeper slot's 0. Its top doorBits bits pick the slot.
+func keyHash(key string) uint64 {
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(key); i++ {
+		h ^= uint64(key[i])
+		h *= 1099511628211
+	}
+	return h | 1
+}
+
 // get returns the cached answer for key, counting the outcome.
 func (rc *resultCache) get(key string) (PointResult, bool) {
 	rc.mu.Lock()
@@ -66,13 +97,23 @@ func (rc *resultCache) get(key string) (PointResult, bool) {
 	return r, ok
 }
 
-// put caches a finished answer, accounting the key and the fractions slice
-// and applying the byte budget.
+// put offers a finished answer for key. The doorkeeper admits it only when
+// its slot already holds key's hash — key missed before — and otherwise
+// records the hash there and declines. An admitted answer is accounted at
+// its key, fractions and per-entry overhead under the byte budget.
 func (rc *resultCache) put(key string, r PointResult) {
-	bytes := int64(len(key)) + int64(len(r.Fractions))*8 + 96
+	h := keyHash(key)
 	rc.mu.Lock()
-	rc.cache.put(key, r, bytes)
-	rc.mu.Unlock()
+	defer rc.mu.Unlock()
+	if rc.door == nil {
+		rc.door = make([]uint64, 1<<doorBits)
+	}
+	if slot := &rc.door[h>>(64-doorBits)]; *slot != h {
+		*slot = h
+		rc.declined++
+		return
+	}
+	rc.cache.put(key, r, int64(len(key))+int64(len(r.Fractions))*8+resultEntryOverhead)
 }
 
 // ResultCacheStats is the /v1/stats result-cache block.
@@ -83,6 +124,9 @@ type ResultCacheStats struct {
 	Hits      int64 `json:"hits"`
 	Misses    int64 `json:"misses"`
 	Evictions int64 `json:"evictions"`
+	// Declined counts answers the doorkeeper did not admit: their key's
+	// first miss, or a miss after a colliding key took the slot.
+	Declined int64 `json:"declined"`
 }
 
 func (rc *resultCache) stats() ResultCacheStats {
@@ -95,6 +139,7 @@ func (rc *resultCache) stats() ResultCacheStats {
 	st.Entries = rc.cache.len()
 	st.Bytes = rc.cache.bytes
 	st.Evictions = rc.cache.evictions
+	st.Declined = rc.declined
 	rc.mu.Unlock()
 	return st
 }

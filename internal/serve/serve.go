@@ -90,8 +90,9 @@ type Config struct {
 	DisableQueryMemo bool
 	// ResultCacheBytes enables the server-wide dataset query result cache
 	// with this approximate byte budget: finished PointResults are kept by
-	// (dataset fingerprint, K, accumulator mode, test point), so a repeated
-	// dataset batch is answered without touching an engine at all. Session
+	// (dataset fingerprint, K, accumulator mode, test point), admitted on a
+	// point's second miss, so a repeated dataset batch is answered without
+	// touching an engine at all from its third request on. Session
 	// queries never use it; their per-point memo answers repeats. Unlike the
 	// other knobs, 0 does not mean "default" — it (and any negative value)
 	// disables the cache. The cache is opt-in because a hit skips the engine

@@ -44,6 +44,10 @@ type sessionQueryCache struct {
 
 // squeryEntry is one (K, mode, point) pinned fork + Q2 memo. mu serializes
 // use; last holds the memo counters already folded into the cache's stats.
+// result is the answer assembled from the memo when its FullScans count was
+// resultScans (0 = none yet: a first query always sweeps): until the memo
+// sweeps again, its counts and Q1 are unchanged (the RelevantRows lemma), so
+// the answer is reused as is.
 type squeryEntry struct {
 	key   string
 	k     int
@@ -56,6 +60,9 @@ type squeryEntry struct {
 	applied  int // session history steps applied as pins
 	queried  int // applied at the entry's last query
 	last     core.RetainedStats
+
+	result      PointResult
+	resultScans int64
 }
 
 // queryRefreshSteps is how many steps after its last query a point's memo
@@ -121,7 +128,7 @@ func (q *sessionQueryCache) entry(pt []float64, pk string, k int, useMC bool) *s
 // holds ent.mu.
 func (q *sessionQueryCache) account(ent *squeryEntry, query bool) {
 	s := ent.retained.Stats()
-	bytes := ent.engine.ApproxBytes() + ent.retained.ApproxBytes()
+	bytes := ent.engine.ApproxBytes() + ent.retained.ApproxBytes() + int64(len(ent.result.Fractions))*8
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if query {
@@ -156,7 +163,14 @@ func (q *sessionQueryCache) queryPoint(ent *squeryEntry, hist []CleanStep) (Poin
 		ent.retained.Invalidate()
 	}
 	counts := ent.retained.Counts()
-	r, err := assemblePointResult(ent.engine, ent.k, append([]float64(nil), counts...))
+	r := ent.result
+	var err error
+	if scans := ent.retained.Stats().FullScans; scans != ent.resultScans {
+		r, err = assemblePointResult(ent.engine, ent.k, append([]float64(nil), counts...))
+		if err == nil {
+			ent.result, ent.resultScans = r, scans
+		}
+	}
 	q.account(ent, true)
 	return r, err
 }

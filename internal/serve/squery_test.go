@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 
@@ -118,12 +119,33 @@ func TestSessionQueryBothModes(t *testing.T) {
 
 // TestSessionQueryLockstep steps a clean session while repeatedly batch-
 // querying it, asserting every answer equals a fresh pinned-engine sweep bit
-// for bit, and that the repeats actually reuse retained tree state.
+// for bit, and that the repeats actually reuse retained tree state. Whole
+// answers, Q1 included, equal a fresh server's first answer at the same
+// pins, and a point whose memo did not sweep across a step (the step pinned
+// only irrelevant rows) answers bit for bit as in the round before.
 func TestSessionQueryLockstep(t *testing.T) {
 	s, d, sess := cleanFixture(t, Config{Parallelism: 2}, 950)
 	defer s.Close()
 	points := randPoints(5, 2, 951)
+	freshAnswers := func(steps int) []PointResult {
+		t.Helper()
+		fs, _, fsess := cleanFixture(t, Config{Parallelism: 2}, 950)
+		defer fs.Close()
+		if steps > 0 {
+			if _, _, err := fsess.Next(steps); err != nil {
+				t.Fatal(err)
+			}
+		}
+		res, err := fsess.Query(context.Background(), BatchRequest{Points: points})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Results
+	}
 	var executed []CleanStep
+	var last []PointResult
+	lastScans := make([]int64, len(points))
+	acrossPins := 0
 	for round := 0; round < 8; round++ {
 		res, err := sess.Query(context.Background(), BatchRequest{Points: points})
 		if err != nil {
@@ -146,6 +168,18 @@ func TestSessionQueryLockstep(t *testing.T) {
 				}
 			}
 		}
+		samePointResults(t, fmt.Sprintf("round %d repeat", round), res2.Results, res.Results)
+		samePointResults(t, fmt.Sprintf("round %d vs fresh server", round), res.Results, freshAnswers(len(executed)))
+		for i, pt := range points {
+			scans := memoFullScans(sess, pt)
+			if last != nil && scans == lastScans[i] {
+				acrossPins++
+				samePointResults(t, fmt.Sprintf("round %d point %d across an irrelevant pin", round, i),
+					res.Results[i:i+1], last[i:i+1])
+			}
+			lastScans[i] = scans
+		}
+		last = res.Results
 		steps, done, err := sess.Next(1)
 		if err != nil {
 			t.Fatal(err)
@@ -165,6 +199,18 @@ func TestSessionQueryLockstep(t *testing.T) {
 	if st := sess.Status(); st.QueryMemo == nil || st.QueryMemo.Queries != qs.Queries {
 		t.Fatalf("status does not surface query memo stats: %+v", st.QueryMemo)
 	}
+	if acrossPins == 0 {
+		t.Fatal("no memo held across a step: the fixture pins no irrelevant row")
+	}
+}
+
+// memoFullScans returns the full sweeps of the session's tally memo of pt
+// at K = 3.
+func memoFullScans(sess *Session, pt []float64) int64 {
+	ent := sess.queries.entry(pt, pointKey(pt), 3, false)
+	ent.mu.Lock()
+	defer ent.mu.Unlock()
+	return ent.retained.Stats().FullScans
 }
 
 // TestSessionQueryForksPooledEngines checks a session query builds its
