@@ -67,11 +67,14 @@ type Engine struct {
 	// the first SetPin (or Fork), so a pooled engine never pinned has none.
 	pins   []int32
 	pinGen uint64 // bumped on every pin mutation (SetPin, ResetPins)
-	// freshPin is the row the mutation to pinGen pinned when the row was
-	// unpinned before it, and −1 after any other mutation (an unpin, a
-	// repin, ResetPins): a Retained checked at pinGen−1 decides from it
-	// alone.
-	freshPin int32
+	// pinLog lists the rows freshly pinned (unpinned before) by the
+	// mutations after generation logGen, in order: pinLog[j] made
+	// generation logGen+j+1. Any other mutation (an unpin, a repin,
+	// ResetPins) restarts the log empty at its own generation, so the log
+	// holds at most one entry per row. Retained reads it to decide
+	// staleness.
+	pinLog []int32
+	logGen uint64
 }
 
 // NewEngine builds an untruncated engine for incomplete dataset d and test
@@ -114,7 +117,6 @@ func NewTruncatedEngineFromInstance(inst *Instance, k int) *Engine {
 		argMax:    v.argMax,
 		liveRows:  make([][]int32, inst.NumLabels),
 		shapes:    make([]segtree.Shape, inst.NumLabels),
-		freshPin:  -1,
 	}
 	if v.t != noThreshold {
 		e.maxK = k
@@ -233,15 +235,16 @@ func (e *Engine) liveIndex(row int) int {
 }
 
 // Fork returns an engine over e's read-only view (similarities, scan order,
-// row layout) with its own copy of e's pins, at e's pin generation. Pinning
-// the fork never touches e, so one cached view can back any number of
-// independently pinned engines. Like SetPin, not safe to call concurrently
-// with pin mutations of e.
+// row layout) with its own copy of e's pins, at e's pin generation, and an
+// empty pin log of its own. Pinning the fork never touches e, so one cached
+// view can back any number of independently pinned engines. Like SetPin,
+// not safe to call concurrently with pin mutations of e.
 func (e *Engine) Fork() *Engine {
 	f := *e
 	f.pins = nil
 	f.allocPins()
 	copy(f.pins, e.pins)
+	f.pinLog, f.logGen = nil, e.pinGen
 	return &f
 }
 
@@ -274,12 +277,20 @@ func (e *Engine) SetPin(row, cand int) {
 		panic(fmt.Sprintf("core: pin candidate %d out of range for row %d (M=%d)", cand, row, e.inst.M(row)))
 	}
 	e.allocPins()
-	e.freshPin = -1
-	if cand >= 0 && e.pins[row] < 0 {
-		e.freshPin = int32(row)
-	}
+	fresh := cand >= 0 && e.pins[row] < 0
 	e.pins[row] = int32(cand)
 	e.pinGen++
+	if fresh {
+		e.pinLog = append(e.pinLog, int32(row))
+	} else {
+		e.restartPinLog()
+	}
+}
+
+// restartPinLog empties the pin log at the current generation: the pins
+// before it no longer differ from the current ones by fresh pins alone.
+func (e *Engine) restartPinLog() {
+	e.pinLog, e.logGen = e.pinLog[:0], e.pinGen
 }
 
 // Pin returns the pinned candidate of row, or -1.

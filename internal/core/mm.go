@@ -125,6 +125,19 @@ func (e *Engine) CheckMM(k, overrideRow, overrideCand int) ([]bool, error) {
 	return out, nil
 }
 
+// Certain reports whether the test point is CP'ed (some label certainly
+// predicted) under the engine's pins: exactly, by MM, for binary labels,
+// and otherwise by threshold certainty (IsCertain) over counts, the Q2
+// fractions under the same pins, which binary labels leave unread.
+// Serving answers decide by it; a CPClean run's certainty refresh splits
+// the same way itself, so that binary labels compute no counts.
+func (e *Engine) Certain(k int, counts []float64) (bool, error) {
+	if e.numLabels == 2 {
+		return e.IsCertainMM(k)
+	}
+	return IsCertain(counts), nil
+}
+
 // IsCertainMM reports whether the test point is CP'ed (some label certainly
 // predicted) under the engine's pins. Binary labels only.
 func (e *Engine) IsCertainMM(k int) (bool, error) {

@@ -11,8 +11,8 @@ import (
 // what the engine holds per evaluated row — the similarities (O(NM)
 // untruncated, the rows a bound-first build evaluated truncated), their
 // row and offset index, below/argMin/argMax/slot — plus the kept scan
-// order, the live rows and tree shapes, and the pins once the engine has
-// been pinned. Absent rows cost nothing. The dataset's row facts
+// order, the live rows and tree shapes, and the pins and pin log once the
+// engine has been pinned. Absent rows cost nothing. The dataset's row facts
 // (dataset.RowFact: label, M, leaf rank) are shared by every engine over
 // the dataset and are not counted.
 func (e *Engine) ApproxBytes() int64 {
@@ -24,7 +24,7 @@ func (e *Engine) ApproxBytes() int64 {
 	b += int64(len(e.order)) * 8              // order candRefs
 	b += 4 * ne * 4                           // below, argMin, argMax, slot
 	b += int64(len(e.live)) * (4 + 4 + 1)     // live rows, shape pair parents and levels
-	b += int64(len(e.pins)) * 4               // pins, once pinned
+	b += int64(len(e.pins)+cap(e.pinLog)) * 4 // pins and pin log, once pinned
 	b += int64(e.numLabels) * 2 * sliceHeader // liveRows and shapes headers
 	b += engineStructBytes
 	return b
@@ -59,8 +59,8 @@ func (e *Engine) ResetPins() {
 	for i := range e.pins {
 		e.pins[i] = -1
 	}
-	e.freshPin = -1
 	e.pinGen++
+	e.restartPinLog()
 }
 
 // ScratchPool is a concurrency-safe free list of Scratches for one

@@ -9,22 +9,20 @@ import "fmt"
 // bit-for-bit that of a fresh Engine.Counts / Engine.CountsMC call under the
 // current pins (TestRetainedMatchesFreshSSDC), via two tiers:
 //
-//   - Memo hit: the current pins differ from the memo's copy only in fresh
-//     pins of rows the memo's relevance mask (Engine.RelevantRows) proves
-//     unable to enter the top-K. Such pins change neither the counts nor
-//     the mask (the RelevantRows lemma), so the memo is returned verbatim.
-//     An unchanged pin generation, or a pin followed by an unpin of the
-//     same row, diffs to nothing and is a hit too. O(1) when the memo was
-//     checked at the current pin generation or the one before and the pin
-//     since is fresh (every CPClean step), O(N) otherwise.
+//   - Memo hit: every pin mutation since the memo's sweep was a fresh pin
+//     (of a row unpinned before) of a row the memo's relevance mask
+//     (Engine.RelevantRows) proves unable to enter the top-K. Such pins
+//     change neither the counts nor the mask (the RelevantRows lemma), so
+//     the memo is returned verbatim. The engine's pin log lists the fresh
+//     pins, so the check costs O(1) per pin since the memo's last check.
 //   - Full sweep: any other change — a relevant row pinned, a row unpinned
-//     or repinned, ResetPins after pins — runs one ordinary SS-DC sweep
-//     (the accumulate sink, as Engine.Counts runs it) plus RelevantRows,
-//     and the memo moves to the current pins.
+//     or repinned, ResetPins — runs one ordinary SS-DC sweep (the
+//     accumulate sink, as Engine.Counts runs it) plus RelevantRows, and the
+//     memo moves to the current pins. A pin later undone sweeps too.
 //
 // A Retained is not safe for concurrent use; callers that share one must
 // serialize access. Pin mutations on the engine are picked up through its
-// pin generation and pin vector; nothing needs to be told about them.
+// pin log; nothing needs to be told about them.
 type Retained struct {
 	e     *Engine
 	k     int
@@ -34,10 +32,9 @@ type Retained struct {
 
 	valid    bool
 	gen      uint64    // engine pin generation the memo was last checked at
-	pins     []int32   // engine pins the memo was computed under
-	pinsGen  uint64    // engine pin generation of pins
-	counts   []float64 // memoized Q2 fractions under pins
-	relevant []bool    // relevance mask under pins
+	sweptGen uint64    // engine pin generation of the last sweep
+	counts   []float64 // memoized Q2 fractions
+	relevant []bool    // relevance mask
 
 	stats RetainedStats
 }
@@ -45,7 +42,7 @@ type Retained struct {
 // RetainedStats counts how a Retained answered its queries.
 type RetainedStats struct {
 	// FullScans counts complete SS-DC sweeps (first query, a relevant pin,
-	// an unpin or repin, ResetPins after pins, Invalidate).
+	// an unpin or repin, ResetPins, Invalidate).
 	FullScans int64 `json:"full_scans"`
 	// MemoHits counts queries answered verbatim from the memo: unchanged
 	// pins, or only fresh pins of provably irrelevant rows since.
@@ -158,69 +155,42 @@ func (r *Retained) sweep() {
 	copy(r.counts, sc.counts)
 	r.pool.Put(sc)
 	r.relevant = e.RelevantRows(r.k)
-	r.pins = append(r.pins[:0], e.pins...)
-	r.gen = e.PinGeneration()
-	r.pinsGen = r.gen
+	r.gen = e.pinGen
+	r.sweptGen = r.gen
 	r.valid = true
 	r.stats.FullScans++
 }
 
-// stale reports whether the next Counts runs a full sweep. A memo that
-// holds is recorded as checked at the current pin generation, so a later
-// call at the same generation decides in O(1). A memo checked one
-// generation back decides from the relevance of the row the last pin
-// mutation freshly pinned alone (Engine.freshPin): the pins then differ
-// from the checked ones by that pin only, and the memo's pins by it plus
-// fresh irrelevant pins. Any other gap diffs the pins (pinsPreserveMemo).
+// stale reports whether the next Counts runs a full sweep: the memo was
+// never swept, a mutation since its last check was not a fresh pin (the
+// check predates the engine's pin log), or a row pinned since is relevant
+// under its mask. A memo that holds is recorded as checked at the current
+// pin generation, so each logged pin is read once.
 func (r *Retained) stale() bool {
-	if !r.valid {
+	e := r.e
+	if !r.valid || r.gen < e.logGen {
 		return true
 	}
-	e := r.e
-	switch {
-	case e.pinGen == r.gen:
-		return false
-	case e.pinGen == r.gen+1 && e.freshPin >= 0:
-		if r.relevant[e.freshPin] {
+	for _, row := range e.pinLog[r.gen-e.logGen:] {
+		if r.relevant[row] {
 			return true
 		}
-	case !r.pinsPreserveMemo():
-		return true
 	}
 	r.gen = e.pinGen
 	return false
 }
 
 // UnchangedSince reports, without counting a query, whether the current
-// pins provably answer as the pins at generation gen did: the memo dates
-// from gen or earlier and is not stale, so every pin since is a fresh pin
-// of a row that enters no world's top-K, and the counts, the mask and Q1
-// are unchanged. It assumes no row was unpinned or repinned since gen.
+// pins provably answer as the pins at generation gen did: the memo was
+// swept at gen or earlier and is not stale, so every pin mutation since the
+// sweep is a fresh pin of a row that enters no world's top-K, and the
+// counts, the mask and Q1 are unchanged.
 func (r *Retained) UnchangedSince(gen uint64) bool {
-	return !r.stale() && r.pinsGen <= gen
-}
-
-// pinsPreserveMemo reports whether every row whose pin differs from the
-// memo's went from unpinned to pinned and was irrelevant under the memo's
-// mask. Such a pin leaves the counts and the mask bit-identical: the row's
-// pinned similarity stays below the relevance bound, so the bound does not
-// move (the RelevantRows lemma). By induction the memo holds for any set of
-// such pins.
-func (r *Retained) pinsPreserveMemo() bool {
-	for i, p := range r.e.pins {
-		old := int32(-1)
-		if i < len(r.pins) {
-			old = r.pins[i]
-		}
-		if p != old && (old >= 0 || r.relevant[i]) {
-			return false
-		}
-	}
-	return true
+	return !r.stale() && r.sweptGen <= gen
 }
 
 // ApproxBytes estimates the memo's heap footprint for byte-budgeted caches:
-// O(N) for the pin copy and mask. The Scratch belongs to the pool.
+// O(N) for the mask. The Scratch belongs to the pool.
 func (r *Retained) ApproxBytes() int64 {
-	return int64(len(r.counts))*8 + int64(len(r.relevant)) + int64(cap(r.pins))*4
+	return int64(len(r.counts))*8 + int64(len(r.relevant))
 }

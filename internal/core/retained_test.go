@@ -137,9 +137,9 @@ func TestRetainedMatchesFreshSSDC(t *testing.T) {
 
 // TestRetainedReusesWork checks each memo tier fires where it should, for
 // both accumulators, with every answer == a fresh sweep: repeats and fresh
-// pins of irrelevant rows are memo hits, a pin followed by an unpin of the
-// same row is a memo hit, and a relevant pin and a ResetPins are one full
-// sweep each.
+// pins of irrelevant rows are memo hits, and a pin followed by an unpin of
+// the same row (an unpin is not a fresh pin, though it restores the pins),
+// a relevant pin and a ResetPins are one full sweep each.
 func TestRetainedReusesWork(t *testing.T) {
 	for _, useMC := range []bool{false, true} {
 		rng := rand.New(rand.NewSource(99))
@@ -189,7 +189,7 @@ func TestRetainedReusesWork(t *testing.T) {
 		r := relevant[0]
 		e.SetPin(r, 0)
 		e.SetPin(r, -1)
-		query("pin then unpin of a relevant row", &want.MemoHits)
+		query("pin then unpin of a relevant row", &want.FullScans)
 
 		e.SetPin(r, inst.M(r)-1)
 		scanned := rt.Stats().CandidatesScanned
@@ -257,7 +257,7 @@ func TestRetainedRefresh(t *testing.T) {
 // TestRetainedUnchangedSince checks the predicate a CPClean run's
 // certainty refresh trusts: false before any query and for a generation
 // older than the memo, true across fresh pins of irrelevant rows, false
-// once a relevant row is pinned.
+// after an unpin and once a relevant row is pinned.
 func TestRetainedUnchangedSince(t *testing.T) {
 	inst := randomInstance(rand.New(rand.NewSource(98)), 60, 4, 2)
 	e := NewEngineFromInstance(inst)
@@ -289,51 +289,164 @@ func TestRetainedUnchangedSince(t *testing.T) {
 	if !rt.UnchangedSince(g) {
 		t.Fatal("a fresh pin of an irrelevant row made the memo stale")
 	}
+	e.SetPin(irrelevant, -1)
+	if rt.UnchangedSince(g) {
+		t.Fatal("an unpin left the memo unchanged")
+	}
+	rt.Counts()
+	g = e.PinGeneration()
 	e.SetPin(relevant, inst.M(relevant)-1)
 	if rt.UnchangedSince(g) || rt.UnchangedSince(e.PinGeneration()) {
 		t.Fatal("a pin of a relevant row left the memo unchanged")
 	}
 }
 
-// TestRetainedStaleMatchesPinDiff checks the memo's staleness verdict —
-// decided in O(1) when the memo was checked at the current pin generation
-// or, after a fresh pin, the one before — against the full diff of the
-// engine's pins with the memo's, under random pins, unpins, repins and
-// resets, for memos checked every step, every other step and every third,
-// and that both fast verdicts (kept and stale) occur.
+// pinDiffPreserves is the reference rule the pin log stands in for: the
+// memo of rt, swept under pins swept, still holds under e's current pins
+// when every row whose pin differs went from unpinned to pinned and is
+// irrelevant under the memo's mask (the RelevantRows lemma, by induction
+// over the pins). It is exact for fresh pins and conservative otherwise: a
+// repin counts as a change even to an irrelevant row.
+func pinDiffPreserves(rt *Retained, e *Engine, swept []int32) bool {
+	if !rt.valid {
+		return false
+	}
+	for i := 0; i < e.N(); i++ {
+		p, old := int32(e.Pin(i)), int32(-1)
+		if swept != nil {
+			old = swept[i]
+		}
+		if p != old && (old >= 0 || rt.relevant[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestRetainedStaleMatchesPinDiff checks the pin-log staleness verdict
+// against the pin diff of pinDiffPreserves, for memos checked every step,
+// every other step and every third. Under random pins, unpins, repins and
+// resets a "not stale" verdict must imply that the diff preserves the memo
+// (the log may only be more conservative); under fresh pins alone the two
+// verdicts must agree exactly, and both must occur.
 func TestRetainedStaleMatchesPinDiff(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	inst := randomInstance(rng, 40, 4, 2)
-	e := NewEngineFromInstance(inst)
-	memos := []*Retained{mustRetained(t, e, 3, false), mustRetained(t, e, 3, false), mustRetained(t, e, 3, false)}
-	var fastKept, fastStale int
-	for step := 1; step <= 400; step++ {
-		applyRandomPinOp(rng, e)
-		for lag, rt := range memos {
-			if step%(lag+1) != 0 {
-				continue
-			}
-			want := !rt.valid || !rt.pinsPreserveMemo()
-			fast := rt.valid && e.pinGen == rt.gen+1 && e.freshPin >= 0
-			if got := rt.stale(); got != want {
-				t.Fatalf("step %d, memo checked every %d steps: stale()=%v, pin diff says %v", step, lag+1, got, want)
-			}
-			switch {
-			case fast && want:
-				fastStale++
-			case fast:
-				fastKept++
-			}
-			if rt.stale() != want {
-				t.Fatalf("step %d: a second stale() at the same generation changed its verdict", step)
-			}
-			if want && rng.Intn(2) == 0 {
-				rt.Counts()
+	// run applies steps pin operations to a fresh engine, checking each
+	// memo's verdict against the diff after every step it is due.
+	run := func(name string, steps int, op func(e *Engine), exact bool) (kept, stale, conservative int) {
+		e := NewEngineFromInstance(inst)
+		memos := []*Retained{mustRetained(t, e, 3, false), mustRetained(t, e, 3, false), mustRetained(t, e, 3, false)}
+		swept := make([][]int32, len(memos)) // the pins at each memo's last sweep
+		for step := 1; step <= steps; step++ {
+			op(e)
+			for lag, rt := range memos {
+				if step%(lag+1) != 0 {
+					continue
+				}
+				want := !pinDiffPreserves(rt, e, swept[lag])
+				got := rt.stale()
+				switch {
+				case !got && want:
+					t.Fatalf("%s step %d, memo checked every %d steps: not stale, but the pin diff changes the memo", name, step, lag+1)
+				case exact && got != want:
+					t.Fatalf("%s step %d, memo checked every %d steps: stale()=%v, pin diff says %v", name, step, lag+1, got, want)
+				case got && !want:
+					conservative++
+				case got:
+					stale++
+				default:
+					kept++
+				}
+				if rt.stale() != got {
+					t.Fatalf("%s step %d: a second stale() at the same generation changed its verdict", name, step)
+				}
+				if got && rng.Intn(2) == 0 {
+					rt.Counts()
+					swept[lag] = append(swept[lag][:0], e.pins...)
+				}
 			}
 		}
+		return kept, stale, conservative
 	}
-	if fastKept == 0 || fastStale == 0 {
-		t.Fatalf("fast verdicts: %d kept, %d stale; both must occur", fastKept, fastStale)
+	kept, stale, conservative := run("mixed", 400, func(e *Engine) { applyRandomPinOp(rng, e) }, false)
+	t.Logf("mixed operations: %d kept, %d stale, %d stale where the diff would keep the memo", kept, stale, conservative)
+	if kept == 0 || stale == 0 {
+		t.Fatalf("mixed operations: %d kept and %d stale verdicts; both must occur", kept, stale)
+	}
+	kept, stale = 0, 0
+	for seq := 0; seq < 10; seq++ {
+		k, s, _ := run("fresh pins", inst.N(), func(e *Engine) {
+			var free []int
+			for i := 0; i < e.N(); i++ {
+				if e.Pin(i) < 0 {
+					free = append(free, i)
+				}
+			}
+			row := free[rng.Intn(len(free))]
+			e.SetPin(row, rng.Intn(inst.M(row)))
+		}, true)
+		kept, stale = kept+k, stale+s
+	}
+	if kept == 0 || stale == 0 {
+		t.Fatalf("fresh pins: %d kept and %d stale verdicts; both must occur", kept, stale)
+	}
+}
+
+// TestRetainedForkLogsApart checks that a fork's pin log shares no storage
+// with its parent's: with the parent's log holding spare capacity, pins on
+// one engine (more than that capacity) between pins on the other never make
+// the other's memo stale, in either direction, and the memo still answers
+// as a fresh sweep.
+func TestRetainedForkLogsApart(t *testing.T) {
+	for _, forkWrites := range []bool{true, false} {
+		inst := randomInstance(rand.New(rand.NewSource(96)), 60, 4, 2)
+		parent := NewEngineFromInstance(inst)
+		probe := mustRetained(t, parent, 3, false)
+		probe.Counts()
+		var irrelevant, relevant []int
+		for i, rel := range probe.Relevant() {
+			if rel {
+				relevant = append(relevant, i)
+			} else {
+				irrelevant = append(irrelevant, i)
+			}
+		}
+		for _, row := range irrelevant[:3] {
+			parent.SetPin(row, 0)
+		}
+		spare := cap(parent.pinLog) - len(parent.pinLog)
+		if spare == 0 || len(irrelevant) < 4 || len(relevant) < spare+2 {
+			t.Fatalf("need spare log capacity (%d), 4 irrelevant rows (%d) and %d relevant rows (%d)",
+				spare, len(irrelevant), spare+2, len(relevant))
+		}
+		fork := parent.Fork()
+		reader, writer := parent, fork
+		if !forkWrites {
+			reader, writer = fork, parent
+		}
+		rt := mustRetained(t, reader, 3, false)
+		rt.Counts()
+		if rt.Relevant()[irrelevant[3]] {
+			t.Fatal("a row irrelevant before three irrelevant pins became relevant")
+		}
+		reader.SetPin(irrelevant[3], 0)
+		for _, row := range relevant[:spare+2] {
+			writer.SetPin(row, 0)
+		}
+		if rt.stale() {
+			t.Fatalf("fork writes=%v: pins on the other engine made the memo stale", forkWrites)
+		}
+		got := rt.Counts()
+		want := reader.Counts(reader.MustScratch(3), -1, -1)
+		for y := range want {
+			if got[y] != want[y] {
+				t.Fatalf("fork writes=%v: retained %v, fresh sweep %v", forkWrites, got, want)
+			}
+		}
+		if s := rt.Stats(); s.FullScans != 1 || s.MemoHits != 1 {
+			t.Fatalf("fork writes=%v: stats %+v, want 1 full sweep and 1 memo hit", forkWrites, s)
+		}
 	}
 }
 

@@ -80,11 +80,6 @@ func SSFastExactCounts(inst *Instance) *ExactCounts {
 	return counts
 }
 
-// SSFastCheck answers Q1 for K = 1 from the normalized fast counts.
-func SSFastCheck(inst *Instance) []bool {
-	return CheckFromNormalized(SSFastCounts(inst))
-}
-
 // validateK rejects out-of-range K for an instance.
 func validateK(inst *Instance, k int) error {
 	if k <= 0 || k > inst.N() {

@@ -50,6 +50,15 @@ type RowFact struct {
 	Label, M, Rank int32
 }
 
+// MaxNumLabels is the largest label alphabet a dataset of rows examples
+// may declare when it comes from outside the process — a training CSV, a
+// registration body, a journaled record: at most one label per row, and
+// never fewer than 2. Engines and Scratches keep per-label state, so a
+// larger alphabet would let a few bytes of input allocate without bound.
+// New does not hold datasets to it: Go callers may declare more labels
+// than rows.
+func MaxNumLabels(rows int) int { return max(2, rows) }
+
 // New validates and constructs an incomplete dataset.
 func New(examples []Example, numLabels int) (*Incomplete, error) {
 	if numLabels < 2 {

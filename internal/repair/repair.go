@@ -100,11 +100,16 @@ type Repairs struct {
 // be the complete version of the same table (used only to position the
 // oracle); pass nil if no oracle is needed (Truth will be zeros). enc must
 // have been fitted on data with the same schema (typically the dirty table
-// itself).
+// itself). The dirty table's label alphabet must be within
+// dataset.MaxNumLabels of its rows: the table usually comes from a CSV file,
+// and the dataset built here keeps per-label state.
 func Generate(dirty, truth *table.Table, enc *table.Encoder, opts Options) (*Repairs, error) {
 	opts = opts.withDefaults()
 	if truth != nil && truth.NumRows() != dirty.NumRows() {
 		return nil, fmt.Errorf("repair: truth has %d rows, dirty has %d", truth.NumRows(), dirty.NumRows())
+	}
+	if dirty.NumLabels > dataset.MaxNumLabels(dirty.NumRows()) {
+		return nil, fmt.Errorf("repair: %d labels exceed max(2, %d rows)", dirty.NumLabels, dirty.NumRows())
 	}
 	// Per-column candidate pools and the oracle's numeric scales (each
 	// column's observed range), computed once.

@@ -34,10 +34,11 @@
 // only the uncertain points whose memo the pins since their last check may
 // have changed (core.Retained.UnchangedSince), ≈2.7 of ≈25.6 per step on
 // loadbench's clean-live data. It filters the points in order and fans out
-// over the rest only, inline when one is left; a memo checked one pin back
-// decides from the pinned row's relevance alone. Multi-label certainty
-// reads the memo's counts, so SelectBatch reuses that sweep. The Run keeps
-// the world count, dividing it by each cleaned row's candidate count.
+// over the rest only, inline when one is left; a memo decides from the
+// relevance of the rows pinned since its last check, read off the engine's
+// pin log. Multi-label certainty reads the memo's counts, so SelectBatch
+// reuses that sweep. The Run keeps the world count, dividing it by each
+// cleaned row's candidate count.
 //
 // # Point-major scoring
 //
@@ -66,10 +67,9 @@
 // # Invariants
 //
 //   - One memo per point: core.Retained alone decides whether a pin left a
-//     point's memo valid, by diffing the engine's pins against the copy
-//     the memo was computed under. Pins the Selector did not make (or an
-//     engine reset) are diffed the same way, so out-of-band pinning can
-//     cost sweeps but never correctness.
+//     point's memo valid, from the engine's log of fresh pins. Pins the
+//     Selector did not make (or an engine reset) are logged the same way,
+//     so out-of-band pinning can cost sweeps but never correctness.
 //   - Determinism: SelectBatch breaks entropy ties toward the smaller row
 //     index, and the memo only ever reuses values that are provably
 //     bit-identical to a full rescore (the relevance lemma), so a cleaning

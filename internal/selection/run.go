@@ -29,7 +29,6 @@ type Run struct {
 	checkedAt   []uint64 // engine pin generation each point's certainty holds at
 	moved       []int    // refreshCertainty's points to re-check, reused
 	cleaned     []bool
-	left        int      // uncleaned rows with more than one candidate
 	candidates  []int    // Candidates' list, reused
 	worlds      *big.Int // possible worlds under the cleaned rows
 }
@@ -62,11 +61,6 @@ func NewRun(d *dataset.Incomplete, kernel knn.Kernel, points [][]float64, truth 
 		certain:     make([]bool, len(points)),
 		checkedAt:   make([]uint64, len(points)),
 		cleaned:     make([]bool, d.N()),
-	}
-	for _, ex := range d.Examples {
-		if ex.M() > 1 {
-			r.left++
-		}
 	}
 	_ = r.each(len(points), func(v int) error { // an engine build cannot fail
 		r.engines[v] = core.NewTruncatedEngine(d, kernel, points[v], cfg.K)
@@ -180,9 +174,6 @@ func (r *Run) Clean(row int) (cand int, err error) {
 	cand = r.truth[row]
 	if !r.cleaned[row] {
 		r.cleaned[row] = true
-		if r.d.Examples[row].M() > 1 {
-			r.left--
-		}
 		r.worlds.Quo(r.worlds, big.NewInt(int64(r.d.Examples[row].M())))
 	}
 	r.sel.Pin(row, cand)
@@ -208,9 +199,11 @@ func (r *Run) CertainFraction() float64 {
 	return float64(r.numCertain()) / float64(len(r.certain))
 }
 
-// Done reports whether no step is left: every validation point is CP'ed,
-// or no candidate row remains.
-func (r *Run) Done() bool { return r.AllCertain() || r.left == 0 }
+// Done reports whether no step is left: every validation point is CP'ed.
+// That is also the case once no candidate row remains: every row with more
+// than one candidate is pinned in every engine, so one world is left and
+// every point is certain.
+func (r *Run) Done() bool { return r.AllCertain() }
 
 // WorldCount returns the number of possible worlds under the cleaned rows:
 // the run's count, divided by each row's candidate count as it is cleaned,

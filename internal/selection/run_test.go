@@ -37,9 +37,11 @@ func recheckAll(t *testing.T, r *Run) []bool {
 // scratch. It covers binary and three-label data, the UseMC ablation,
 // batches of three, RandomClean's path (no Select: a binary run's memos are
 // never computed, a three-label run's only by its certainty checks) and
-// pins made on the engines behind the run's back. After every Clean of a
-// run without such pins it also checks that the run's world count, kept by
-// division, equals the first engine's product over its unpinned rows.
+// pins made on the engines behind the run's back. After every Clean it
+// also checks that a run with no candidate row left is certain everywhere
+// (so Done needs no count of the rows left), and, for a run without such
+// pins, that the run's world count, kept by division, equals the first
+// engine's product over its unpinned rows.
 func TestRunCertaintyMatchesFullRecheck(t *testing.T) {
 	cases := []struct {
 		name      string
@@ -83,8 +85,8 @@ func TestRunCertaintyMatchesFullRecheck(t *testing.T) {
 						t.Fatalf("%s: point %d certain=%v, full re-check %v", when, v, r.certain[v], want[v])
 					}
 				}
-				if n := len(r.Candidates()); r.left != n {
-					t.Fatalf("%s: %d rows left, %d candidates", when, r.left, n)
+				if len(r.Candidates()) == 0 && !r.AllCertain() {
+					t.Fatalf("%s: no candidate row left, but not every point is certain", when)
 				}
 			}
 			check("NewRun")
@@ -96,7 +98,6 @@ func TestRunCertaintyMatchesFullRecheck(t *testing.T) {
 				if cands := r.Candidates(); c.outOfBand && len(cands) > 1 {
 					oob := cands[rng.Intn(len(cands))]
 					r.cleaned[oob] = true // never offered to Select again
-					r.left--
 					cand := rng.Intn(d.Examples[oob].M())
 					for _, e := range r.engines {
 						e.SetPin(oob, cand)

@@ -180,29 +180,20 @@ func (d *Dataset) batchQuery(ctx context.Context, cfg Config, req BatchRequest, 
 	return sum, nil
 }
 
-// assemblePointResult derives prediction, entropy, and Q1 certainty from an
-// owned Q2 fraction slice (exact MM for binary labels, threshold certainty
-// otherwise). The plain sweep and the session retained-memo paths both end
-// here, so their answers agree field for field.
+// assemblePointResult derives prediction, entropy, and Q1 certainty
+// (core.Engine.Certain: exact MM for binary labels, threshold certainty
+// otherwise) from an owned Q2 fraction slice. The plain sweep and the
+// session retained-memo paths both end here, so their answers agree field
+// for field.
 func assemblePointResult(e *core.Engine, k int, fractions []float64) (PointResult, error) {
 	r := PointResult{
 		Prediction: core.ArgmaxProb(fractions),
 		Entropy:    core.Entropy(fractions),
 		Fractions:  fractions,
 	}
-	if e.Instance().NumLabels == 2 {
-		// MM answers Q1 exactly (no float tolerance) for binary labels.
-		q1, err := e.CheckMM(k, -1, -1)
-		if err != nil {
-			return r, err
-		}
-		for _, b := range q1 {
-			r.Certain = r.Certain || b
-		}
-	} else {
-		r.Certain = core.IsCertain(fractions)
-	}
-	return r, nil
+	var err error
+	r.Certain, err = e.Certain(k, fractions)
+	return r, err
 }
 
 // dim returns the feature dimension of the dataset. Registration rejects

@@ -710,13 +710,11 @@ func (s *Server) addDataset(pd persistedDataset) (conflict bool, err error) {
 }
 
 // newDataset is dataset.New for a registration from outside the process —
-// a request body or a journaled record — with num_labels bounded first.
-// Engines and Scratches keep per-label state, so a label alphabet beyond
-// what the rows can use would let a few bytes of input allocate without
-// bound: at most one label per row, and never fewer than 2. The register
-// route, restart recovery and every follower's apply all build through it.
+// a request body or a journaled record — with num_labels bounded first by
+// dataset.MaxNumLabels. The register route, restart recovery and every
+// follower's apply all build through it.
 func newDataset(examples []dataset.Example, numLabels int) (*dataset.Incomplete, error) {
-	if numLabels > max(2, len(examples)) {
+	if numLabels > dataset.MaxNumLabels(len(examples)) {
 		return nil, fmt.Errorf("serve: num_labels %d exceeds max(2, %d examples)", numLabels, len(examples))
 	}
 	return dataset.New(examples, numLabels)
